@@ -219,13 +219,23 @@ def save_group(group: FiniteGroup, path: str | Path) -> None:
         fh.write("\n")
 
 
-def load_action(path: str | Path) -> GroupAction:
-    """Load an action file; H and K may be inline objects or relative paths."""
+def load_action(
+    path: str | Path, H: FiniteGroup | None = None, K: FiniteGroup | None = None
+) -> GroupAction:
+    """Load an action file; H and K may be inline objects or relative paths.
+
+    Groups passed in replace the file's ``H``/``K`` entries; the file may
+    then be just the images table.
+    """
     path = Path(path)
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        data = {"images": data}
 
-    def resolve(side: str) -> FiniteGroup:
+    def resolve(side: str, given: FiniteGroup | None) -> FiniteGroup:
+        if given is not None:
+            return given
         ref = data.get(side)
         if isinstance(ref, str):
             return load_group(path.parent / ref)
@@ -233,8 +243,8 @@ def load_action(path: str | Path) -> GroupAction:
             return group_from_dict(ref)
         raise ValueError(f"action file lacks a usable {side!r} entry")
 
-    H = resolve("H")
-    K = resolve("K")
+    H = resolve("H", H)
+    K = resolve("K", K)
     images = data.get("images")
     if images is None:
         raise ValueError("action file lacks an images table")

@@ -11,8 +11,9 @@ Subcommands:
 
 Instances come from ``--instance name:params`` (see the catalog module) or
 from ``--group-h FILE --group-k FILE --action FILE``.  Exit codes: 0 success,
-1 failed check or unsatisfiable request (not invertible, not factorable),
-2 invalid input.
+1 a failed or unsatisfiable mathematical claim (a failed check or internal
+verification, not invertible, not factorable), 2 input that fails
+validation, and nothing else.
 """
 
 from __future__ import annotations
@@ -35,12 +36,19 @@ from .catalog import (
 from .determinant import det_h, det_k, invert_via_det_h, invert_via_det_k, is_invertible
 from .errors import (
     AlphaNotInvertible,
+    BoundExceeded,
     DeltaNotInvertible,
     DetHNotInvertible,
     DetKNotInvertible,
     DiagonalNotInvertible,
+    DomainMismatch,
+    GroupValidationError,
+    InvalidInstance,
+    NotAutomorphism,
     NotAutomorphismMatrix,
+    NotHomomorphic,
     SdmatError,
+    ShapeMismatch,
 )
 from .factorization import classify, factor_abcd
 from .matrices import (
@@ -51,10 +59,14 @@ from .matrices import (
     matrix_to_endo,
 )
 from .oracle import enumerate_endos, invert_endo
-from .semidirect import SdProduct, make_action, semidirect
+from .semidirect import SdProduct, semidirect
 from .verify import CHECK_NAMES, run_verification
 
 __all__ = ["cli_main", "main"]
+
+# What validating instance names, files and options raises (exit 2).
+_INPUT_ERRORS = (ValueError, OSError, InvalidInstance, BoundExceeded, GroupValidationError,
+                 NotAutomorphism, NotHomomorphic, DomainMismatch, ShapeMismatch)
 
 
 def _add_source_args(parser: argparse.ArgumentParser) -> None:
@@ -72,18 +84,11 @@ def _add_format_arg(parser: argparse.ArgumentParser, default: str) -> None:
 def _resolve_product(args: argparse.Namespace) -> SdProduct:
     if args.instance:
         return build_instance(args.instance)
-    if args.action and args.group_h and args.group_k:
-        H = load_group(args.group_h)
-        K = load_group(args.group_k)
-        with open(args.action, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        images = data["images"] if isinstance(data, dict) else data
-        action = make_action(H, K, images)
-        name = Path(args.action).stem
-        return semidirect(action, name=name)
     if args.action:
-        # Self-contained action file naming or embedding both factors.
-        return semidirect(load_action(args.action), name=Path(args.action).stem)
+        # Factor files given on the command line replace the groups the action file names.
+        given = (args.group_h, args.group_k) if args.group_h and args.group_k else ()
+        action = load_action(args.action, *map(load_group, given))
+        return semidirect(action, name=Path(args.action).stem)
     raise ValueError("give --instance or --group-h/--group-k/--action")
 
 
@@ -327,12 +332,13 @@ def cli_main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as err:
+    except _INPUT_ERRORS as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except SdmatError as err:
+        # The input passed validation; a claim of the theory failed on it.
         print(f"error: {err}", file=sys.stderr)
-        return 2
+        return 1
 
 
 def main() -> None:

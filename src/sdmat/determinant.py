@@ -8,9 +8,18 @@ determinants, one valued in each factor:
 
 Each is a plain set map; bijectivity of the determinant decides
 invertibility of the whole matrix, and for invertible matrices the
-determinant turns out to satisfy the homomorphism law.  Closed inverse
-formulas come in a K-side and an H-side flavor plus a combined form, and a
-duality expresses each determinant's inverse through the other.
+determinant turns out to satisfy the homomorphism law.  Each determinant D
+gives a closed-form inverse, and the two are mirror images:
+
+    K side, D = det_K                           H side, D = det_H
+    alpha' = alpha^-1 - alpha^-1 beta gamma'    alpha' = D^-1
+    beta'  = -alpha^-1 beta D^-1                beta'  = D^-1 (-beta delta^-1)
+    gamma' = D^-1 (-gamma alpha^-1)             gamma' = -delta^-1 gamma D^-1
+    delta' = D^-1                               delta' = -(delta^-1 gamma beta') + delta^-1
+
+An invertible matrix has one inverse, so when both sides apply the
+combined form takes one column from each, and each determinant's inverse
+can be read off the other side's diagonal (the duality).
 """
 
 from __future__ import annotations
@@ -44,12 +53,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DetResult:
-    """A determinant value with its precomputed flags."""
+    """A determinant value; its flags read the value's cached properties."""
 
     value: FMap
     side: str  # "H" or "K"
-    invertible: bool
-    is_hom: bool
+
+    @property
+    def invertible(self) -> bool:
+        return self.value.is_bijective
+
+    @property
+    def is_hom(self) -> bool:
+        return self.value.is_hom
 
 
 class InvertibilityResult(NamedTuple):
@@ -66,7 +81,7 @@ def det_k(matrix: EndoMatrix) -> DetResult:
         map_neg(map_compose(matrix.gamma, map_compose(ainv, matrix.beta))),
         matrix.delta,
     )
-    return DetResult(value=value, side="K", invertible=value.is_bijective, is_hom=value.is_hom)
+    return DetResult(value=value, side="K")
 
 
 def det_h(matrix: EndoMatrix) -> DetResult:
@@ -78,7 +93,7 @@ def det_h(matrix: EndoMatrix) -> DetResult:
         matrix.alpha,
         map_neg(map_compose(matrix.beta, map_compose(dinv, matrix.gamma))),
     )
-    return DetResult(value=value, side="H", invertible=value.is_bijective, is_hom=value.is_hom)
+    return DetResult(value=value, side="H")
 
 
 def invert_via_det_k(matrix: EndoMatrix) -> EndoMatrix:
@@ -86,23 +101,20 @@ def invert_via_det_k(matrix: EndoMatrix) -> EndoMatrix:
 
     With D = det_k bijective the inverse matrix is
 
-        ( alpha^-1 - alpha^-1 beta D^-1 (-gamma alpha^-1),  -alpha^-1 beta D^-1 )
-        ( D^-1 (-gamma alpha^-1),                            D^-1               )
+        ( alpha^-1 - alpha^-1 beta gamma',  -alpha^-1 beta D^-1 )
+        ( gamma' = D^-1 (-gamma alpha^-1),   D^-1               )
+
+    Raises AlphaNotInvertible or DetKNotInvertible when the formula does
+    not apply.
     """
-    if not matrix.alpha.is_bijective:
-        raise AlphaNotInvertible("alpha must be bijective for the K-side inverse formula")
     dk = det_k(matrix)
     if not dk.invertible:
         raise DetKNotInvertible("the K-side determinant is not bijective")
     ainv = map_inverse(matrix.alpha)
     dkinv = map_inverse(dk.value)
-    neg_gamma_ainv = map_neg(map_compose(matrix.gamma, ainv))
-    gprime = map_compose(dkinv, neg_gamma_ainv)
+    gprime = map_compose(dkinv, map_neg(map_compose(matrix.gamma, ainv)))
     bprime = map_neg(map_compose(ainv, map_compose(matrix.beta, dkinv)))
-    aprime = map_add(
-        ainv,
-        map_neg(map_compose(ainv, map_compose(matrix.beta, gprime))),
-    )
+    aprime = map_add(ainv, map_neg(map_compose(ainv, map_compose(matrix.beta, gprime))))
     return EndoMatrix(alpha=aprime, beta=bprime, gamma=gprime, delta=dkinv, context=matrix.context)
 
 
@@ -111,23 +123,20 @@ def invert_via_det_h(matrix: EndoMatrix) -> EndoMatrix:
 
     With D = det_h bijective the inverse matrix is
 
-        ( D^-1,                      D^-1 (-beta delta^-1)                          )
-        ( -delta^-1 gamma D^-1,      delta^-1 gamma D^-1 (-beta delta^-1) + delta^-1 )
+        ( D^-1,                   beta' = D^-1 (-beta delta^-1)      )
+        ( -delta^-1 gamma D^-1,   -(delta^-1 gamma beta') + delta^-1 )
+
+    the mirror image of :func:`invert_via_det_k`.  Raises
+    DeltaNotInvertible or DetHNotInvertible when the formula does not apply.
     """
-    if not matrix.delta.is_bijective:
-        raise DeltaNotInvertible("delta must be bijective for the H-side inverse formula")
     dh = det_h(matrix)
     if not dh.invertible:
         raise DetHNotInvertible("the H-side determinant is not bijective")
     dinv = map_inverse(matrix.delta)
     dhinv = map_inverse(dh.value)
-    neg_beta_dinv = map_neg(map_compose(matrix.beta, dinv))
-    bprime = map_compose(dhinv, neg_beta_dinv)
+    bprime = map_compose(dhinv, map_neg(map_compose(matrix.beta, dinv)))
     gprime = map_neg(map_compose(dinv, map_compose(matrix.gamma, dhinv)))
-    dprime = map_add(
-        map_compose(dinv, map_compose(matrix.gamma, map_compose(dhinv, neg_beta_dinv))),
-        dinv,
-    )
+    dprime = map_add(map_neg(map_compose(dinv, map_compose(matrix.gamma, bprime))), dinv)
     return EndoMatrix(alpha=dhinv, beta=bprime, gamma=gprime, delta=dprime, context=matrix.context)
 
 
@@ -144,24 +153,27 @@ def is_invertible(matrix: EndoMatrix) -> InvertibilityResult:
     return InvertibilityResult(matrix_to_endo(matrix).map.is_bijective, "direct")
 
 
-def dual_det_inverses(matrix: EndoMatrix) -> tuple[FMap, FMap]:
-    """Each determinant's inverse expressed through the other determinant.
-
-    For an automorphism matrix with bijective diagonal the two determinants
-    are bijective together, and
-
-        det_h^-1 = alpha^-1 - alpha^-1 beta det_k^-1 (-gamma alpha^-1)
-        det_k^-1 = delta^-1 gamma det_h^-1 (-beta delta^-1) + delta^-1
-
-    Both results are verified to compose with their determinant to the
-    identity on both sides before being returned.
-    """
+def _require_automorphism_with_bijective_diagonal(matrix: EndoMatrix) -> None:
     if not is_automorphism_matrix(matrix):
         raise PreconditionFailed("matrix does not describe an automorphism")
     if not matrix.alpha.is_bijective:
         raise PreconditionFailed("alpha is not bijective")
     if not matrix.delta.is_bijective:
         raise PreconditionFailed("delta is not bijective")
+
+
+def dual_det_inverses(matrix: EndoMatrix) -> tuple[FMap, FMap]:
+    """Each determinant's inverse expressed through the other determinant.
+
+    For an automorphism matrix with bijective diagonal the two determinants
+    are bijective together, and the inverse matrix has det_h^-1 as alpha'
+    and det_k^-1 as delta'.  So det_h^-1 is read off the K-side inverse
+    (through det_k) and det_k^-1 off the H-side inverse (through det_h).
+
+    Both results are verified to compose with their determinant to the
+    identity on both sides before being returned.
+    """
+    _require_automorphism_with_bijective_diagonal(matrix)
     dh = det_h(matrix)
     dk = det_k(matrix)
     if not dh.invertible and not dk.invertible:
@@ -172,20 +184,8 @@ def dual_det_inverses(matrix: EndoMatrix) -> tuple[FMap, FMap]:
             "determinant bijectivity duality",
             (dh.invertible, dk.invertible),
         )
-    ainv = map_inverse(matrix.alpha)
-    dinv = map_inverse(matrix.delta)
-    dkinv = map_inverse(dk.value)
-    dhinv = map_inverse(dh.value)
-    neg_gamma_ainv = map_neg(map_compose(matrix.gamma, ainv))
-    neg_beta_dinv = map_neg(map_compose(matrix.beta, dinv))
-    via_k = map_add(
-        ainv,
-        map_neg(map_compose(ainv, map_compose(matrix.beta, map_compose(dkinv, neg_gamma_ainv)))),
-    )
-    via_h = map_add(
-        map_compose(dinv, map_compose(matrix.gamma, map_compose(dhinv, neg_beta_dinv))),
-        dinv,
-    )
+    via_k = invert_via_det_k(matrix).alpha
+    via_h = invert_via_det_h(matrix).delta
     id_h = identity_map(matrix.context.H)
     id_k = identity_map(matrix.context.K)
     if map_compose(via_k, dh.value) != id_h or map_compose(dh.value, via_k) != id_h:
@@ -201,25 +201,17 @@ def invert_combined(matrix: EndoMatrix) -> EndoMatrix:
         ( det_h^-1,                    -alpha^-1 beta det_k^-1 )
         ( -delta^-1 gamma det_h^-1,     det_k^-1               )
 
-    Requires an automorphism matrix with bijective diagonal entries and both
-    determinants bijective; agrees entrywise with the one-sided formulas.
+    that is, the left column of the H-side inverse next to the right column
+    of the K-side inverse.  Requires an automorphism matrix with bijective
+    diagonal entries and both determinants bijective.
     """
-    if not is_automorphism_matrix(matrix):
-        raise PreconditionFailed("matrix does not describe an automorphism")
-    if not matrix.alpha.is_bijective:
-        raise PreconditionFailed("alpha is not bijective")
-    if not matrix.delta.is_bijective:
-        raise PreconditionFailed("delta is not bijective")
-    dh = det_h(matrix)
-    dk = det_k(matrix)
-    if not dk.invertible:
-        raise DetKNotInvertible("the K-side determinant is not bijective")
-    if not dh.invertible:
-        raise DetHNotInvertible("the H-side determinant is not bijective")
-    ainv = map_inverse(matrix.alpha)
-    dinv = map_inverse(matrix.delta)
-    dhinv = map_inverse(dh.value)
-    dkinv = map_inverse(dk.value)
-    bprime = map_neg(map_compose(ainv, map_compose(matrix.beta, dkinv)))
-    gprime = map_neg(map_compose(dinv, map_compose(matrix.gamma, dhinv)))
-    return EndoMatrix(alpha=dhinv, beta=bprime, gamma=gprime, delta=dkinv, context=matrix.context)
+    _require_automorphism_with_bijective_diagonal(matrix)
+    via_k = invert_via_det_k(matrix)
+    via_h = invert_via_det_h(matrix)
+    return EndoMatrix(
+        alpha=via_h.alpha,
+        beta=via_k.beta,
+        gamma=via_h.gamma,
+        delta=via_k.delta,
+        context=matrix.context,
+    )

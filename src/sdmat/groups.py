@@ -23,6 +23,7 @@ __all__ = [
     "center",
     "greedy_generators",
     "word_sequence",
+    "enumerate_twisted_maps",
     "enumerate_homs",
     "enumerate_autos",
 ]
@@ -197,37 +198,43 @@ def word_sequence(group: FiniteGroup, gens: Sequence[int]) -> list[tuple[int, in
     return order
 
 
-def _is_hom_table(dom: FiniteGroup, cod: FiniteGroup, img: Sequence[int]) -> bool:
-    dt, ct = dom.table, cod.table
-    for a in range(dom.order):
-        ia = img[a]
-        row = dt[a]
-        for b in range(dom.order):
-            if img[row[b]] != ct[ia][img[b]]:
-                return False
-    return True
+def enumerate_twisted_maps(
+    dom: FiniteGroup, cod: FiniteGroup, twist: Sequence[Sequence[int]]
+) -> list[FMap]:
+    """All maps phi: dom -> cod with phi(xy) = phi(x) * t_x(phi(y)).
 
-
-def enumerate_homs(dom: FiniteGroup, cod: FiniteGroup) -> list[FMap]:
-    """All homomorphisms dom -> cod, by generator-image search.
-
-    Candidate images for a generating set are extended along the word
+    ``twist[x]`` is the image table of the endomap t_x of cod.  Candidate
+    images of a greedy generating set are propagated along the word
     sequence and then verified on every pair, so no unverified map is ever
     returned.  Results are sorted by image table.
     """
     gens = greedy_generators(dom)
     seq = word_sequence(dom, gens)
-    ct = cod.table
+    dt, ct = dom.table, cod.table
     out: list[FMap] = []
     for images in itertools.product(range(cod.order), repeat=len(gens)):
         img = [0] * dom.order
         img[dom.identity] = cod.identity
         for y, x, i in seq:
-            img[y] = ct[img[x]][images[i]]
-        if _is_hom_table(dom, cod, img):
+            img[y] = ct[img[x]][twist[x][images[i]]]
+        if _obeys_twisted_law(img, dt, ct, twist):
             out.append(FMap(dom, cod, tuple(img)))
     out.sort(key=lambda m: m.image)
     return out
+
+
+def _obeys_twisted_law(img: list[int], dt, ct, twist) -> bool:
+    for x, row in enumerate(dt):
+        row_fx, tx = ct[img[x]], twist[x]
+        for y, xy in enumerate(row):
+            if img[xy] != row_fx[tx[img[y]]]:
+                return False
+    return True
+
+
+def enumerate_homs(dom: FiniteGroup, cod: FiniteGroup) -> list[FMap]:
+    """All homomorphisms dom -> cod: the twisted maps with every t_x the identity."""
+    return enumerate_twisted_maps(dom, cod, (tuple(range(cod.order)),) * dom.order)
 
 
 def enumerate_autos(group: FiniteGroup) -> list[FMap]:

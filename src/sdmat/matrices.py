@@ -34,7 +34,7 @@ from .errors import (
     GroupMismatch,
     ShapeMismatch,
 )
-from .groups import enumerate_homs, greedy_generators, word_sequence
+from .groups import enumerate_homs, enumerate_twisted_maps
 from .maps import (
     Endo,
     FMap,
@@ -288,32 +288,6 @@ def endo_to_matrix(theta: Endo, product: SdProduct) -> EndoMatrix:
     return matrix
 
 
-def _twisted_maps(dom, steer: FMap, action: GroupAction) -> list[FMap]:
-    """All maps phi: dom -> H with phi(xy) = phi(x) * f_{steer(x)}(phi(y)).
-
-    Generator-image search: candidate images of a greedy generating set are
-    propagated along the breadth-first word sequence, then every candidate is
-    verified on all pairs.
-    """
-    H = action.H
-    ht = H.table
-    rows = action.images
-    st = steer.image
-    gens = greedy_generators(dom)
-    seq = word_sequence(dom, gens)
-    out: list[FMap] = []
-    for images in itertools.product(range(H.order), repeat=len(gens)):
-        img = [0] * dom.order
-        img[dom.identity] = H.identity
-        for y, x, i in seq:
-            img[y] = ht[img[x]][rows[st[x]][images[i]]]
-        phi = FMap(dom, H, tuple(img))
-        if twisted_hom_witness(phi, steer, action) is None:
-            out.append(phi)
-    out.sort(key=lambda m: m.image)
-    return out
-
-
 def enumerate_matrices(product: SdProduct, bound: int = 64, exhaustive: bool = False) -> list[EndoMatrix]:
     """All valid matrices over the product, i.e. its full endomorphism monoid.
 
@@ -348,8 +322,9 @@ def enumerate_matrices(product: SdProduct, bound: int = 64, exhaustive: bool = F
                 continue
             if _intertwine_witness(gamma, delta, act) is not None:
                 continue
-            betas = _twisted_maps(K, delta, act)
-            alphas = _twisted_maps(H, gamma, act)
+            # beta and alpha are twisted through t_x = f_{delta(x)} and f_{gamma(x)}.
+            betas = enumerate_twisted_maps(K, H, [act.images[s] for s in delta.image])
+            alphas = enumerate_twisted_maps(H, H, [act.images[s] for s in gamma.image])
             for beta in betas:
                 for alpha in alphas:
                     if _compat_witness(alpha, beta, gamma, delta, act) is None:

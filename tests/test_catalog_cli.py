@@ -1,10 +1,12 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from sdmat import (
     DEFAULT_INSTANCES,
     InvalidInstance,
+    VerificationFailed,
     build_instance,
     catalog_entries,
     center,
@@ -217,3 +219,69 @@ def test_cli_verify_file_sourced_product(tmp_path, capsys, s3):
     assert code == 0
     data = json.loads(capsys.readouterr().out)
     assert data["instances"][0]["counts"]["end"] == 10
+
+
+def _write_matrix(path, P, alpha, beta, gamma, delta):
+    data = {"alpha": alpha, "beta": beta, "gamma": gamma, "delta": delta}
+    data["context"] = {"h_order": P.H.order, "k_order": P.K.order}
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def test_cli_invert_det_h_route_direct_3_3(tmp_path, capsys):
+    # (0, 1; 1, 1) over Z3 x Z3 has no K-side formula; its inverse is (-1, 1; 1, 0).
+    P = build_instance("direct:3:3")
+    path = _write_matrix(tmp_path / "m.json", P, [0, 0, 0], [0, 1, 2], [0, 1, 2], [0, 1, 2])
+    assert cli_main(["invert", "--instance", "direct:3:3", "--matrix", path]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["method"] == "det_h"
+    inverse = data["inverse"]
+    assert [inverse[k] for k in ("alpha", "beta", "gamma", "delta")] == [
+        [0, 2, 1],
+        [0, 1, 2],
+        [0, 1, 2],
+        [0, 0, 0],
+    ]
+
+
+def test_cli_factor_own_condition_failure_exits_1(tmp_path, capsys):
+    # A known fault: factor_abcd's unit-diagonal middle matrix violates a
+    # matrix condition here.  The input is valid, so this is exit 1, not 2.
+    P = build_instance("metacyclic:8:2:5")
+    path = _write_matrix(
+        tmp_path / "m.json", P, [0, 1, 6, 7, 4, 5, 2, 3], [0, 0], [0, 1, 0, 1, 0, 1, 0, 1], [0, 1]
+    )
+    assert cli_main(["factor", "--instance", "metacyclic:8:2:5", "--matrix", path]) == 1
+    err = capsys.readouterr().err
+    assert "alpha_twisted_by_gamma" in err and "(1, 1, 2, 6)" in err
+
+
+def test_cli_verification_failed_exits_1(tmp_path, capsys, monkeypatch, s3):
+    def failing(matrix):
+        raise VerificationFailed("factor reassembly", matrix.key())
+
+    monkeypatch.setattr("sdmat.cli.factor_abcd", failing)
+    path = tmp_path / "ident.json"
+    save_matrix(identity_matrix(s3), path)
+    assert cli_main(["factor", "--instance", "dihedral:3", "--matrix", str(path)]) == 1
+    assert "factor reassembly" in capsys.readouterr().err
+
+
+def test_cli_action_file_without_images_exits_2(tmp_path, capsys, s3):
+    save_group(s3.H, tmp_path / "h.json")
+    save_group(s3.K, tmp_path / "k.json")
+    (tmp_path / "act.json").write_text(json.dumps({"rows": []}))
+    args = ["--group-h", str(tmp_path / "h.json"), "--group-k", str(tmp_path / "k.json")]
+    assert cli_main(["census", *args, "--action", str(tmp_path / "act.json")]) == 2
+    assert "images" in capsys.readouterr().err
+    (tmp_path / "self.json").write_text(json.dumps({"H": "h.json", "K": "k.json"}))
+    assert cli_main(["census", "--action", str(tmp_path / "self.json")]) == 2
+    assert "images" in capsys.readouterr().err
+
+
+def test_cli_catalog_report_matches_fixture(capsys):
+    # The default-catalog report, frozen byte for byte; regenerate only when
+    # a change to the report is intended.
+    expected = (Path(__file__).parent / "data" / "catalog_verify.json").read_text()
+    assert cli_main(["verify", "--format", "json"]) == 0
+    assert capsys.readouterr().out == expected

@@ -7,21 +7,29 @@ from sdmat import (
     EndoMatrix,
     FMap,
     PreconditionFailed,
+    build_instance,
+    cyclic_group,
     det_h,
     det_k,
     dual_det_inverses,
+    enumerate_matrices,
     identity_map,
     identity_matrix,
     invert_combined,
     invert_via_det_h,
     invert_via_det_k,
     is_invertible,
+    make_action,
+    map_add,
     map_compose,
     map_inverse,
+    map_neg,
     mat_mul,
     matrix_to_endo,
+    semidirect,
 )
 from sdmat.oracle import invert_endo
+from sdmat.verify import run_verification
 
 
 def _matrix(P, alpha, beta, gamma, delta):
@@ -88,13 +96,15 @@ def test_formula_inverse_matches_oracle(s3_matrices, d4_matrices):
             assert matrix_to_endo(inverse) == invert_endo(matrix_to_endo(m))
 
 
-def test_both_formulas_agree(d4_matrices):
-    for m in d4_matrices:
+def test_both_formulas_agree(d4_matrices, direct33_matrices):
+    for m in d4_matrices + direct33_matrices:
         if not (m.alpha.is_bijective and m.delta.is_bijective):
             continue
         if not det_k(m).invertible:
             continue
-        assert invert_via_det_k(m) == invert_via_det_h(m) == invert_combined(m)
+        inverse = invert_via_det_k(m)
+        assert inverse == invert_via_det_h(m) == invert_combined(m)
+        assert dual_det_inverses(m) == (inverse.alpha, inverse.delta)
 
 
 def test_det_k_not_invertible_raises(klein):
@@ -168,3 +178,55 @@ def test_det_hom_law_on_invertibles(s3_matrices, d4_matrices):
         for m in mats:
             if m.alpha.is_bijective and det_k(m).invertible:
                 assert det_k(m).is_hom
+
+
+# K of exponent > 2 with a nontrivial Hom(H, K): negation in K is not the
+# identity and gamma can be nonzero, so a sign slip in the H-side formula shows.
+
+
+@pytest.fixture(scope="module")
+def direct33_matrices():
+    mats = enumerate_matrices(build_instance("direct:3:3"))
+    mats.sort(key=lambda m: m.key())
+    return mats
+
+
+def _takes_det_h_route(m):
+    """What the CLI inverts with the H-side formula: no K-side formula, det_h bijective."""
+    k_side = m.alpha.is_bijective and det_k(m).invertible
+    return not k_side and m.delta.is_bijective and det_h(m).invertible
+
+
+def test_det_h_route_inverts_to_oracle_on_direct_3_3(direct33_matrices):
+    routed = [m for m in direct33_matrices if _takes_det_h_route(m)]
+    assert len(routed) == 8
+    for m in routed:
+        assert matrix_to_endo(invert_via_det_h(m)) == invert_endo(matrix_to_endo(m))
+
+
+def test_det_h_inverse_sum_order_with_nonabelian_k():
+    # Z3 acted on by S3 through the sign map.  The delta' entry is a sum of
+    # two maps into the nonabelian S3; on some automorphisms only the order
+    # -(delta^-1 gamma beta') + delta^-1 gives the inverse.
+    s3 = build_instance("dihedral:3")
+    H = cyclic_group(3)
+    sign = [s3.decode(g)[1] for g in range(s3.group.order)]
+    images = [[h if s == 0 else (-h) % 3 for h in range(3)] for s in sign]
+    P = semidirect(make_action(H, s3.group, images))
+    ident = identity_matrix(P)
+    swapped_sum_fails = 0
+    for m in enumerate_matrices(P):
+        if not (m.delta.is_bijective and matrix_to_endo(m).map.is_bijective):
+            continue
+        inverse = invert_via_det_h(m)
+        assert mat_mul(m, inverse) == ident and mat_mul(inverse, m) == ident
+        dinv = map_inverse(m.delta)
+        correction = map_neg(map_compose(dinv, map_compose(m.gamma, inverse.beta)))
+        swapped_sum_fails += map_add(dinv, correction) != inverse.delta
+    assert swapped_sum_fails > 0
+
+
+def test_verify_passes_off_catalog_direct_products():
+    for name in ("direct:3:3", "direct:4:8"):
+        report = run_verification(name)
+        assert report.passed, [c for c in report.checks if c.status == "fail"]
