@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Callable
 
 from .errors import InvalidInstance
-from .groups import FiniteGroup, make_group
+from .groups import FiniteGroup, index_row, make_group
 from .maps import FMap
 from .matrices import EndoMatrix
 from .semidirect import GroupAction, SdProduct, make_action, semidirect, trivial_action
@@ -268,7 +268,11 @@ def matrix_to_dict(matrix: EndoMatrix) -> dict:
 
 def matrix_from_dict(data: dict, product: SdProduct) -> EndoMatrix:
     """Rebuild a matrix over a known product, validating the descriptor."""
+    if not isinstance(data, dict):
+        raise ValueError("malformed matrix object")
     ctx = data.get("context", {})
+    if not isinstance(ctx, dict):
+        raise ValueError("matrix context is not an object")
     if ctx:
         if ctx.get("h_order") not in (None, product.H.order) or ctx.get("k_order") not in (
             None,
@@ -278,18 +282,13 @@ def matrix_from_dict(data: dict, product: SdProduct) -> EndoMatrix:
                 f"matrix context ({ctx.get('h_order')}, {ctx.get('k_order')}) does not match "
                 f"product factors ({product.H.order}, {product.K.order})"
             )
-    try:
-        entries = [tuple(data[key]) for key in ("alpha", "beta", "gamma", "delta")]
-    except KeyError as missing:
-        raise ValueError(f"matrix object lacks entry {missing}") from None
     H, K = product.H, product.K
-    return EndoMatrix(
-        alpha=FMap(H, H, entries[0]),
-        beta=FMap(K, H, entries[1]),
-        gamma=FMap(H, K, entries[2]),
-        delta=FMap(K, K, entries[3]),
-        context=product,
-    )
+    maps = {}
+    for key, dom, cod in (("alpha", H, H), ("beta", K, H), ("gamma", H, K), ("delta", K, K)):
+        if key not in data:
+            raise ValueError(f"matrix object lacks entry {key!r}")
+        maps[key] = FMap(dom, cod, index_row(data[key], cod.order, f"matrix entry {key!r}"))
+    return EndoMatrix(**maps, context=product)
 
 
 def load_matrix(path: str | Path, product: SdProduct) -> EndoMatrix:

@@ -50,7 +50,7 @@ from .errors import (
     SdmatError,
     ShapeMismatch,
 )
-from .factorization import classify, factor_abcd
+from .factorization import factor_abcd
 from .matrices import (
     EndoMatrix,
     check_conditions,
@@ -196,27 +196,20 @@ def _cmd_factor(args: argparse.Namespace) -> int:
     except (NotAutomorphismMatrix, DiagonalNotInvertible) as err:
         _emit(args, {"factored": False, "reason": str(err)}, [f"not factorable: {err}"])
         return 1
-    verified = factors.product() == matrix and all(
-        (
-            classify(factors.a).in_a,
-            classify(factors.b).in_b,
-            classify(factors.c).in_c,
-            classify(factors.d).in_d,
-        )
-    )
+    # factor_abcd certifies the four memberships and the reassembly before it returns.
     payload = {
         "factored": True,
-        "verified": verified,
+        "verified": True,
         "a": matrix_to_dict(factors.a),
         "b": matrix_to_dict(factors.b),
         "c": matrix_to_dict(factors.c),
         "d": matrix_to_dict(factors.d),
     }
-    lines = [f"factored; verified={verified}"]
+    lines = ["factored; verified=True"]
     for letter in ("a", "b", "c", "d"):
         lines.append(f"{letter}: {json.dumps(payload[letter], sort_keys=True)}")
     _emit(args, payload, lines)
-    return 0 if verified else 1
+    return 0
 
 
 def _cmd_census(args: argparse.Namespace) -> int:

@@ -20,6 +20,7 @@ __all__ = [
     "FiniteGroup",
     "Subset",
     "make_group",
+    "index_row",
     "center",
     "greedy_generators",
     "word_sequence",
@@ -79,6 +80,20 @@ class Subset:
         return len(self.members)
 
 
+def index_row(row: object, n: int, what: str) -> tuple[int, ...]:
+    """``row`` as a tuple, if it is a list of integers in 0..n-1.
+
+    The shape rule for every table read from a file; raises ValueError.
+    JSON ``true``/``false`` load as bools, which are not indices.
+    """
+    if not isinstance(row, (list, tuple)):
+        raise ValueError(f"{what} is not a list")
+    for v in row:
+        if type(v) is not int or not 0 <= v < n:
+            raise ValueError(f"{what} contains invalid entry {v!r}")
+    return tuple(row)
+
+
 def make_group(
     table: Sequence[Sequence[int]],
     names: Sequence[str] | None = None,
@@ -92,13 +107,10 @@ def make_group(
     n = len(table)
     if n == 0:
         raise ValueError("empty table")
-    rows = tuple(tuple(row) for row in table)
+    rows = tuple(index_row(row, n, f"row {i}") for i, row in enumerate(table))
     for i, row in enumerate(rows):
         if len(row) != n:
             raise ValueError(f"row {i} has {len(row)} entries, expected {n}")
-        for v in row:
-            if not isinstance(v, int) or not 0 <= v < n:
-                raise ValueError(f"row {i} contains invalid entry {v!r}")
     if names is not None and len(names) != n:
         raise ValueError("names must match the table size")
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import NotAutomorphism, NotHomomorphic
-from .groups import FiniteGroup, Subset, make_group
+from .groups import FiniteGroup, Subset, index_row, make_group
 
 __all__ = [
     "GroupAction",
@@ -44,18 +44,17 @@ class GroupAction:
 def make_action(H: FiniteGroup, K: FiniteGroup, images: Sequence[Sequence[int]]) -> GroupAction:
     """Validate an action table row by row, then as a homomorphism into Aut(H).
 
-    Raises NotAutomorphism(k) if row k is not a bijective endomorphism of H,
-    and NotHomomorphic(k1, k2) if rows fail f(k1 k2) = f(k1) o f(k2).
+    Raises ValueError for a malformed table, NotAutomorphism(k) if row k is
+    not a bijective endomorphism of H, and NotHomomorphic(k1, k2) if rows
+    fail f(k1 k2) = f(k1) o f(k2).
     """
-    if len(images) != K.order:
-        raise ValueError(f"expected {K.order} rows, got {len(images)}")
-    rows = tuple(tuple(row) for row in images)
+    if not isinstance(images, (list, tuple)) or len(images) != K.order:
+        raise ValueError(f"expected a list of {K.order} rows")
+    rows = tuple(index_row(row, H.order, f"row {k}") for k, row in enumerate(images))
     ht = H.table
     for k, row in enumerate(rows):
         if len(row) != H.order:
             raise ValueError(f"row {k} has {len(row)} entries, expected {H.order}")
-        if any(not 0 <= v < H.order for v in row):
-            raise ValueError(f"row {k} contains out-of-range entries")
         if len(set(row)) != H.order:
             raise NotAutomorphism(k, "row is not a bijection")
         for a in range(H.order):

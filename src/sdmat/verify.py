@@ -21,12 +21,19 @@ force on the instance and reported under a fixed name:
 Reports are deterministic byte for byte for a fixed instance: ordering is
 fixed everywhere and wall-clock timing is kept out of the canonical
 serialization (pass ``include_timing=True`` to add it).
+
+A run over a selection of checks (``checks=[...]``, ``--theorems`` on the
+command line) builds the oracle census and the pairwise product table only
+when a selected check reads them: ``endo_matrix_correspondence`` reads both,
+``monoid_laws``, ``abcd_subgroup_closure`` and ``abcd_normalization`` the
+table.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 from .catalog import build_instance
 from .determinant import (
@@ -147,64 +154,90 @@ def _mat_witness(matrix: EndoMatrix, **extra) -> dict:
 
 
 class _Context:
-    """Shared, precomputed data for all checks over one instance."""
+    """Shared data for the checks over one instance.
+
+    The core is built once, up front: the sorted matrices and their
+    endomorphisms, both determinants of every matrix, and the automorphism
+    index sets the checks and the counts read.  The oracle census, the
+    pairwise product table and the inverse indices are built the first time
+    a check reads them.
+    """
 
     def __init__(self, product: SdProduct, bound: int) -> None:
         self.product = product
+        self.bound = bound
         self.notes: dict = {}
-        self.census = enumerate_endos(product.group, bound=bound)
-        mats = enumerate_matrices(product, bound=bound)
-        mats.sort(key=lambda m: m.key())
+        mats = sorted(enumerate_matrices(product, bound=bound), key=lambda m: m.key())
         self.mats = mats
         self.n = len(mats)
         self.key_to_idx = {m.key(): i for i, m in enumerate(mats)}
         self.thetas = [matrix_to_endo(m) for m in mats]
         self.theta_to_idx = {t.image: i for i, t in enumerate(self.thetas)}
         self.identity_idx = self.key_to_idx.get(identity_matrix(product).key())
-        self.tags = [classify(m) for m in mats]
         self.bijective = [t.map.is_bijective for t in self.thetas]
         self.auto_idx = [i for i in range(self.n) if self.bijective[i]]
-        # Pairwise product table; None when the instance is too large for it.
-        self.ptable: list[list[int]] | None = None
-        self.closure_witness: dict | None = None
-        if self.n <= _PAIR_LIMIT:
-            table: list[list[int]] = []
-            for i, mi in enumerate(mats):
-                row = []
-                for j, mj in enumerate(mats):
-                    key = mat_mul(mi, mj).key()
-                    idx = self.key_to_idx.get(key)
-                    if idx is None:
-                        if self.closure_witness is None:
-                            self.closure_witness = {"left": i, "right": j, "product": [list(x) for x in key]}
-                        idx = -1
-                    row.append(idx)
-                table.append(row)
-            self.ptable = table
-        self.inv_idx: dict[int, int] = {}
-        if self.ptable is not None and self.identity_idx is not None:
-            e = self.identity_idx
-            for i in self.auto_idx:
-                row = self.ptable[i]
-                for j in range(self.n):
-                    if row[j] == e and self.ptable[j][i] == e:
-                        self.inv_idx[i] = j
-                        break
-        self._detk: dict[int, object] = {}
-        self._deth: dict[int, object] = {}
+        # Determinants per index; None marks an undefined side.
+        self.detk = [det_k(m) if m.alpha.is_bijective else None for m in mats]
+        self.deth = [det_h(m) if m.delta.is_bijective else None for m in mats]
+        self.diag_autos = [i for i in self.auto_idx if self.detk[i] is not None and self.deth[i] is not None]
+        id_h, id_k = identity_map(product.H), identity_map(product.K)
+        self.unit_diag_autos = [i for i in self.auto_idx if mats[i].alpha == id_h and mats[i].delta == id_k]
+        self.families: dict[str, list[int]] = {"A": [], "B": [], "C": [], "D": []}
+        for i in self.auto_idx:
+            tag = classify(mats[i])
+            for letter, flag in zip("ABCD", (tag.in_a, tag.in_b, tag.in_c, tag.in_d)):
+                if flag:
+                    self.families[letter].append(i)
 
-    # Determinants are cached per index; None marks an undefined side.
-    def detk(self, i: int):
-        if i not in self._detk:
-            m = self.mats[i]
-            self._detk[i] = det_k(m) if m.alpha.is_bijective else None
-        return self._detk[i]
+    @cached_property
+    def census(self):
+        return enumerate_endos(self.product.group, bound=self.bound)
 
-    def deth(self, i: int):
-        if i not in self._deth:
-            m = self.mats[i]
-            self._deth[i] = det_h(m) if m.delta.is_bijective else None
-        return self._deth[i]
+    @cached_property
+    def ptable(self) -> list[list[int]] | None:
+        """Index of every pairwise product, -1 outside the enumeration; None above the pairwise bound."""
+        if self.n > _PAIR_LIMIT:
+            return None
+        return [[self.key_to_idx.get(mat_mul(mi, mj).key(), -1) for mj in self.mats] for mi in self.mats]
+
+    @cached_property
+    def closure_witness(self) -> dict | None:
+        """The first pair whose product falls outside the enumeration, if any."""
+        for i, row in enumerate(self.ptable):
+            if -1 in row:
+                j = row.index(-1)
+                key = mat_mul(self.mats[i], self.mats[j]).key()
+                return {"left": i, "right": j, "product": [list(x) for x in key]}
+        return None
+
+    @cached_property
+    def inv_idx(self) -> dict[int, int]:
+        """The index of each automorphism's two-sided inverse, read off the product table."""
+        pt, e = self.ptable, self.identity_idx
+        out: dict[int, int] = {}
+        if pt is None or e is None:
+            return out
+        for i in self.auto_idx:
+            j = next((j for j in range(self.n) if pt[i][j] == e and pt[j][i] == e), None)
+            if j is not None:
+                out[i] = j
+        return out
+
+
+def _pairwise_skip(name: str, n: int) -> CheckResult:
+    return CheckResult(name, "skip", reason=f"matrix count {n} exceeds pairwise bound {_PAIR_LIMIT}")
+
+
+def _first_escape(pt: list[list[int]], members: set[int], inv_idx: dict[int, int] | None = None) -> dict | None:
+    """The first member whose inverse (when ``inv_idx`` is given) or product with a member escapes."""
+    ordered = sorted(members)
+    for i in ordered:
+        if inv_idx is not None and inv_idx.get(i) not in members:
+            return {"index": i, "detail": "inverse escapes"}
+        for j in ordered:
+            if pt[i][j] not in members:
+                return {"pair": [i, j]}
+    return None
 
 
 def _check_correspondence(ctx: _Context) -> CheckResult:
@@ -230,7 +263,7 @@ def _check_correspondence(ctx: _Context) -> CheckResult:
     if kernel != [ctx.identity_idx]:
         return CheckResult(name, "fail", witness={"kernel_indices": kernel})
     if ctx.ptable is None:
-        return CheckResult(name, "skip", reason=f"matrix count {ctx.n} exceeds pairwise bound {_PAIR_LIMIT}")
+        return _pairwise_skip(name, ctx.n)
     if ctx.closure_witness is not None:
         return CheckResult(name, "fail", witness=ctx.closure_witness)
     for i in range(ctx.n):
@@ -250,7 +283,7 @@ def _check_correspondence(ctx: _Context) -> CheckResult:
 def _check_monoid(ctx: _Context) -> CheckResult:
     name = "monoid_laws"
     if ctx.ptable is None:
-        return CheckResult(name, "skip", reason=f"matrix count {ctx.n} exceeds pairwise bound {_PAIR_LIMIT}")
+        return _pairwise_skip(name, ctx.n)
     if ctx.closure_witness is not None:
         return CheckResult(name, "fail", witness=ctx.closure_witness)
     e = ctx.identity_idx
@@ -277,7 +310,7 @@ def _check_invertibility_k(ctx: _Context) -> CheckResult:
     name = "invertibility_via_det_k"
     seen = False
     for i, m in enumerate(ctx.mats):
-        dk = ctx.detk(i)
+        dk = ctx.detk[i]
         if dk is None:
             continue
         seen = True
@@ -299,7 +332,7 @@ def _check_invertibility_h(ctx: _Context) -> CheckResult:
     name = "invertibility_via_det_h"
     seen = False
     for i, m in enumerate(ctx.mats):
-        dh = ctx.deth(i)
+        dh = ctx.deth[i]
         if dh is None:
             continue
         seen = True
@@ -321,7 +354,7 @@ def _check_inverse_k(ctx: _Context) -> CheckResult:
     id_k = identity_map(P.K)
     seen = False
     for i, m in enumerate(ctx.mats):
-        dk = ctx.detk(i)
+        dk = ctx.detk[i]
         if dk is None or not dk.invertible:
             continue
         seen = True
@@ -353,7 +386,7 @@ def _check_inverse_h(ctx: _Context) -> CheckResult:
     ident = identity_matrix(P)
     seen = False
     for i, m in enumerate(ctx.mats):
-        dh = ctx.deth(i)
+        dh = ctx.deth[i]
         if dh is None or not dh.invertible:
             continue
         seen = True
@@ -371,22 +404,13 @@ def _check_inverse_h(ctx: _Context) -> CheckResult:
     return CheckResult(name, "pass")
 
 
-def _diag_autos(ctx: _Context) -> list[int]:
-    return [
-        i
-        for i in ctx.auto_idx
-        if ctx.mats[i].alpha.is_bijective and ctx.mats[i].delta.is_bijective
-    ]
-
-
 def _check_duality(ctx: _Context) -> CheckResult:
     name = "determinant_duality"
-    eligible = _diag_autos(ctx)
-    if not eligible:
+    if not ctx.diag_autos:
         return CheckResult(name, "skip", reason="no automorphism matrix with bijective diagonal")
-    for i in eligible:
+    for i in ctx.diag_autos:
         m = ctx.mats[i]
-        dh, dk = ctx.deth(i), ctx.detk(i)
+        dh, dk = ctx.deth[i], ctx.detk[i]
         if dh.invertible != dk.invertible:
             return CheckResult(
                 name,
@@ -406,7 +430,7 @@ def _check_duality(ctx: _Context) -> CheckResult:
 
 def _check_combined(ctx: _Context) -> CheckResult:
     name = "combined_inverse"
-    eligible = [i for i in _diag_autos(ctx) if ctx.detk(i).invertible and ctx.deth(i).invertible]
+    eligible = [i for i in ctx.diag_autos if ctx.detk[i].invertible and ctx.deth[i].invertible]
     if not eligible:
         return CheckResult(name, "skip", reason="no automorphism matrix with bijective diagonal and determinants")
     h_side = k_side = True
@@ -430,21 +454,11 @@ def _check_combined(ctx: _Context) -> CheckResult:
     return CheckResult(name, "pass")
 
 
-def _unit_diag_autos(ctx: _Context) -> list[int]:
-    out = []
-    for i in ctx.auto_idx:
-        m = ctx.mats[i]
-        if m.alpha == identity_map(ctx.product.H) and m.delta == identity_map(ctx.product.K):
-            out.append(i)
-    return out
-
-
 def _check_unit_a(ctx: _Context) -> CheckResult:
     name = "unit_diagonal_a_factor"
-    eligible = _unit_diag_autos(ctx)
-    if not eligible:
+    if not ctx.unit_diag_autos:
         return CheckResult(name, "skip", reason="no unit-diagonal automorphism matrix")
-    for i in eligible:
+    for i in ctx.unit_diag_autos:
         m = ctx.mats[i]
         try:
             part = unit_diagonal_a_factor(m)
@@ -457,11 +471,10 @@ def _check_unit_a(ctx: _Context) -> CheckResult:
 
 def _check_unit_b(ctx: _Context) -> CheckResult:
     name = "unit_diagonal_b_factor"
-    eligible = _unit_diag_autos(ctx)
-    if not eligible:
+    if not ctx.unit_diag_autos:
         return CheckResult(name, "skip", reason="no unit-diagonal automorphism matrix")
     central = True
-    for i in eligible:
+    for i in ctx.unit_diag_autos:
         m = ctx.mats[i]
         try:
             part = unit_diagonal_b_factor(m)
@@ -475,68 +488,37 @@ def _check_unit_b(ctx: _Context) -> CheckResult:
 
 def _check_factorization(ctx: _Context) -> CheckResult:
     name = "abcd_factorization"
-    eligible = _diag_autos(ctx)
-    eligible_set = set(eligible)
-    skipped = [i for i in ctx.auto_idx if i not in eligible_set]
+    eligible = set(ctx.diag_autos)
+    skipped = [i for i in ctx.auto_idx if i not in eligible]
     ctx.notes["aut_nonbij_alpha_delta"] = len(skipped)
     if skipped:
         ctx.notes["aut_nonbij_example"] = _mat_witness(ctx.mats[skipped[0]])
     if not eligible:
         return CheckResult(name, "skip", reason="no automorphism matrix with bijective diagonal")
-    for i in eligible:
+    # factor_abcd certifies the four memberships and the reassembly itself.
+    for i in ctx.diag_autos:
         m = ctx.mats[i]
         try:
-            factors = factor_abcd(m)
+            factor_abcd(m)
         except SdmatError as err:
             return CheckResult(name, "fail", witness=_mat_witness(m, detail=str(err)))
-        tags = (
-            classify(factors.a).in_a,
-            classify(factors.b).in_b,
-            classify(factors.c).in_c,
-            classify(factors.d).in_d,
-        )
-        if not all(tags):
-            return CheckResult(name, "fail", witness=_mat_witness(m, memberships=list(tags)))
-        if factors.product() != m:
-            return CheckResult(name, "fail", witness=_mat_witness(m, detail="reassembly mismatch"))
     return CheckResult(name, "pass")
-
-
-def _family_indices(ctx: _Context) -> dict[str, list[int]]:
-    families: dict[str, list[int]] = {"A": [], "B": [], "C": [], "D": []}
-    for i in ctx.auto_idx:
-        tag = ctx.tags[i]
-        for letter, flag in (("A", tag.in_a), ("B", tag.in_b), ("C", tag.in_c), ("D", tag.in_d)):
-            if flag:
-                families[letter].append(i)
-    return families
 
 
 def _check_subgroups(ctx: _Context) -> CheckResult:
     name = "abcd_subgroup_closure"
     if ctx.ptable is None:
-        return CheckResult(name, "skip", reason=f"matrix count {ctx.n} exceeds pairwise bound {_PAIR_LIMIT}")
-    families = _family_indices(ctx)
+        return _pairwise_skip(name, ctx.n)
+    families = ctx.families
     pt = ctx.ptable
     for letter in ("A", "B", "D"):
         members = set(families[letter])
         if ctx.identity_idx not in members:
             return CheckResult(name, "fail", witness={"family": letter, "detail": "identity missing"})
-        for i in sorted(members):
-            if ctx.inv_idx.get(i) not in members:
-                return CheckResult(name, "fail", witness={"family": letter, "index": i, "detail": "inverse escapes"})
-            for j in sorted(members):
-                if pt[i][j] not in members:
-                    return CheckResult(name, "fail", witness={"family": letter, "pair": [i, j]})
-    c_members = set(families["C"])
-    c_witness = None
-    for i in sorted(c_members):
-        for j in sorted(c_members):
-            if pt[i][j] not in c_members:
-                c_witness = {"pair": [i, j]}
-                break
-        if c_witness:
-            break
+        witness = _first_escape(pt, members, ctx.inv_idx)
+        if witness is not None:
+            return CheckResult(name, "fail", witness={"family": letter, **witness})
+    c_witness = _first_escape(pt, set(families["C"]))
     ctx.notes["c_family_closed"] = c_witness is None
     if c_witness is not None:
         ctx.notes["c_family_witness"] = c_witness
@@ -559,16 +541,15 @@ def _check_subgroups(ctx: _Context) -> CheckResult:
 def _check_normalization(ctx: _Context) -> CheckResult:
     name = "abcd_normalization"
     if ctx.ptable is None:
-        return CheckResult(name, "skip", reason=f"matrix count {ctx.n} exceeds pairwise bound {_PAIR_LIMIT}")
-    families = _family_indices(ctx)
+        return _pairwise_skip(name, ctx.n)
     pt = ctx.ptable
-    conjugators = sorted(set(families["A"]) | set(families["D"]))
+    conjugators = sorted(set(ctx.families["A"]) | set(ctx.families["D"]))
     for x in conjugators:
         xi = ctx.inv_idx.get(x)
         if xi is None:
             return CheckResult(name, "fail", witness={"index": x, "detail": "conjugator has no inverse"})
         for letter in ("B", "C"):
-            members = set(families[letter])
+            members = set(ctx.families[letter])
             for y in sorted(members):
                 if pt[pt[x][y]][xi] not in members:
                     return CheckResult(name, "fail", witness={"family": letter, "conjugator": x, "member": y})
@@ -594,7 +575,7 @@ _CHECK_FUNCS = {
 
 def _det_nonhom_note(ctx: _Context) -> None:
     for i, m in enumerate(ctx.mats):
-        for side, det in (("K", ctx.detk(i)), ("H", ctx.deth(i))):
+        for side, det in (("K", ctx.detk[i]), ("H", ctx.deth[i])):
             if det is not None and not det.is_hom:
                 ctx.notes["det_nonhom_witness"] = _mat_witness(m, side=side, det=list(det.value.image))
                 return
@@ -619,15 +600,7 @@ def run_verification(
     ctx = _Context(product, bound)
     results = tuple(_CHECK_FUNCS[name](ctx) for name in selected)
     _det_nonhom_note(ctx)
-    families = _family_indices(ctx)
-    counts = {
-        "end": ctx.n,
-        "aut": len(ctx.auto_idx),
-        "A": len(families["A"]),
-        "B": len(families["B"]),
-        "C": len(families["C"]),
-        "D": len(families["D"]),
-    }
+    counts = {"end": ctx.n, "aut": len(ctx.auto_idx), **{k: len(v) for k, v in ctx.families.items()}}
     return VerifyReport(
         instance=product.name or f"order-{product.group.order}",
         group_order=product.group.order,

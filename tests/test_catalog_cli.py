@@ -285,3 +285,35 @@ def test_cli_catalog_report_matches_fixture(capsys):
     expected = (Path(__file__).parent / "data" / "catalog_verify.json").read_text()
     assert cli_main(["verify", "--format", "json"]) == 0
     assert capsys.readouterr().out == expected
+
+
+_IDENTITY_S3 = {"alpha": [0, 1, 2], "beta": [0, 0], "gamma": [0, 0, 0], "delta": [0, 1]}
+_S3_IMAGES = [[0, 1, 2], [0, 2, 1]]
+
+
+@pytest.mark.parametrize(
+    "kind, content",
+    [
+        pytest.param("matrix", {**_IDENTITY_S3, "alpha": 5}, id="matrix-entry-int"),
+        pytest.param("matrix", [_IDENTITY_S3], id="matrix-top-level-list"),
+        pytest.param("matrix", {**_IDENTITY_S3, "context": 5}, id="matrix-context-int"),
+        pytest.param("matrix", {**_IDENTITY_S3, "beta": [0, 1.5]}, id="matrix-value-float"),
+        pytest.param("matrix", {**_IDENTITY_S3, "delta": ["0", 1]}, id="matrix-value-str"),
+        pytest.param("matrix", {**_IDENTITY_S3, "alpha": [0, True, 2]}, id="matrix-value-bool"),
+        pytest.param("action", {"images": [_S3_IMAGES[0], 5]}, id="action-row-int"),
+        pytest.param("action", {"images": [["0", 1, 2], _S3_IMAGES[1]]}, id="action-value-str"),
+        pytest.param("action", {"images": [_S3_IMAGES[0], [0, 2, 1.0]]}, id="action-value-float"),
+    ],
+)
+def test_cli_malformed_matrix_and_action_files_exit_2(tmp_path, capsys, s3, kind, content):
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(content))
+    if kind == "matrix":
+        argv = ["det", "--instance", "dihedral:3", "--matrix", str(path)]
+    else:
+        save_group(s3.H, tmp_path / "h.json")
+        save_group(s3.K, tmp_path / "k.json")
+        argv = ["census", "--group-h", str(tmp_path / "h.json"), "--group-k", str(tmp_path / "k.json"),
+                "--action", str(path)]
+    assert cli_main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")

@@ -1,0 +1,41 @@
+"""The verification harness: selected checks agree with a full run and
+build only the shared data they read."""
+
+import pytest
+
+from sdmat import cli_main
+from sdmat.verify import CHECK_NAMES, run_verification
+
+
+@pytest.fixture(scope="module")
+def full_reports():
+    return {name: run_verification(name) for name in ("dihedral:4", "direct:3:3")}
+
+
+@pytest.mark.parametrize("instance", ["dihedral:4", "direct:3:3"])
+@pytest.mark.parametrize("check", CHECK_NAMES)
+def test_single_check_matches_full_run(full_reports, instance, check):
+    full = full_reports[instance]
+    single = run_verification(instance, checks=[check])
+    assert single.checks == tuple(c for c in full.checks if c.name == check)
+    assert single.counts == full.counts
+    assert single.notes.items() <= full.notes.items()
+
+
+def test_selected_check_builds_no_census_or_product_table(monkeypatch):
+    def unused(*args, **kwargs):
+        raise AssertionError("built for a check that does not read it")
+
+    monkeypatch.setattr("sdmat.verify.enumerate_endos", unused)
+    monkeypatch.setattr("sdmat.verify.mat_mul", unused)
+    report = run_verification("dihedral:4", checks=["invertibility_via_det_k"])
+    assert [c.status for c in report.checks] == ["pass"]
+    # The checks that do read them still reach the patched functions.
+    for check in ("endo_matrix_correspondence", "monoid_laws"):
+        with pytest.raises(AssertionError):
+            run_verification("dihedral:4", checks=[check])
+
+
+def test_verify_bound_exceeded_exits_2(capsys):
+    assert cli_main(["verify", "--instance", "dihedral:10", "--bound", "8"]) == 2
+    assert "exceeds bound" in capsys.readouterr().err
