@@ -1,14 +1,17 @@
 """Named example products, file formats, and builders.
 
-Instance grammar (colon-separated parameters):
+Every catalog product is one family, Z_n acted on by Z_m with the generator
+multiplying by u (requires gcd(u, n) = 1 and u^m = 1 mod n), written
 
-    trivial              the one-element product
-    cyclic:n             Z_n acted on by the trivial group
-    klein                alias for direct:2:2
-    direct:n:m           Z_n x Z_m with the trivial action (a direct product)
-    dihedral:n           Z_n acted on by Z_2 through inversion
-    metacyclic:n:m:u     Z_n acted on by Z_m, the generator multiplying by u
-                         (requires gcd(u, n) = 1 and u^m = 1 mod n)
+    metacyclic:n:m:u
+
+The other names are aliases for members of it, and keep their own names:
+
+    trivial              1:1:1      the one-element product
+    klein                2:2:1      Z_2 x Z_2
+    cyclic:n             n:1:1      Z_n acted on by the trivial group
+    direct:n:m           n:m:1      Z_n x Z_m, a direct product
+    dihedral:n           n:2:n-1    Z_n acted on by Z_2 through inversion
 
 Files are JSON.  A group is {"name", "order", "table", "element_names"?}
 with a row-major table.  An action is {"H", "K", "images"} where H and K are
@@ -20,15 +23,16 @@ factor orders.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
-from .errors import InvalidInstance
+from .errors import BoundExceeded, InvalidInstance
 from .groups import FiniteGroup, index_row, make_group
 from .maps import FMap
 from .matrices import EndoMatrix
-from .semidirect import GroupAction, SdProduct, make_action, semidirect, trivial_action
+from .semidirect import GroupAction, SdProduct, make_action, semidirect
 
 __all__ = [
     "CatalogEntry",
@@ -67,46 +71,6 @@ def trivial_group() -> FiniteGroup:
     return make_group([[0]], names=["e"], name="1")
 
 
-def _power_action(H: FiniteGroup, K: FiniteGroup, unit: int) -> GroupAction:
-    """Action of Z_m on Z_n where the generator multiplies by ``unit``."""
-    n = H.order
-    images = []
-    factor = 1
-    for _ in range(K.order):
-        images.append([(factor * h) % n for h in range(n)])
-        factor = (factor * unit) % n
-    return make_action(H, K, images)
-
-
-def _build_trivial() -> SdProduct:
-    one = trivial_group()
-    return semidirect(trivial_action(one, one), name="trivial")
-
-
-def _build_cyclic(n: int) -> SdProduct:
-    return semidirect(trivial_action(cyclic_group(n), trivial_group()), name=f"cyclic:{n}")
-
-
-def _build_direct(n: int, m: int) -> SdProduct:
-    name = f"direct:{n}:{m}"
-    return semidirect(trivial_action(cyclic_group(n), cyclic_group(m)), name=name)
-
-
-def _build_metacyclic(n: int, m: int, u: int, name: str = "") -> SdProduct:
-    import math
-
-    if math.gcd(u % n if n > 1 else 1, n) != 1:
-        raise InvalidInstance(f"unit {u} is not invertible mod {n}")
-    if pow(u, m, n) != 1 % n:
-        raise InvalidInstance(f"unit {u} does not have order dividing {m} mod {n}")
-    action = _power_action(cyclic_group(n), cyclic_group(m), u % n)
-    return semidirect(action, name=name or f"metacyclic:{n}:{m}:{u}")
-
-
-def _build_dihedral(n: int) -> SdProduct:
-    return _build_metacyclic(n, 2, (n - 1) % n if n > 1 else 0, name=f"dihedral:{n}")
-
-
 DEFAULT_INSTANCES: tuple[str, ...] = (
     "trivial",
     "cyclic:2",
@@ -123,39 +87,46 @@ DEFAULT_INSTANCES: tuple[str, ...] = (
 )
 
 
-def build_instance(name: str) -> SdProduct:
-    """Build a product from its instance name.  Raises InvalidInstance."""
+# Each instance name's parameters -> (n, m, u) of the family above.
+_FAMILY: dict[str, tuple[int, Callable[..., tuple[int, int, int]]]] = {
+    "trivial": (0, lambda: (1, 1, 1)),
+    "klein": (0, lambda: (2, 2, 1)),
+    "cyclic": (1, lambda n: (n, 1, 1)),
+    "direct": (2, lambda n, m: (n, m, 1)),
+    "dihedral": (1, lambda n: (n, 2, n - 1)),
+    "metacyclic": (3, lambda n, m, u: (n, m, u)),
+}
+
+
+def build_instance(name: str, bound: int | None = None) -> SdProduct:
+    """Build a product from its instance name.
+
+    Raises InvalidInstance, and BoundExceeded before any table is built if
+    the product order exceeds ``bound`` (None: no guard).
+    """
     head, _, rest = name.partition(":")
+    if head not in _FAMILY:
+        raise InvalidInstance(f"unknown instance {name!r}")
+    arity, to_nmu = _FAMILY[head]
     params = rest.split(":") if rest else []
-
-    def ints(count: int) -> list[int]:
-        if len(params) != count:
-            raise InvalidInstance(f"{head} takes {count} parameter(s), got {len(params)}")
-        try:
-            values = [int(p) for p in params]
-        except ValueError:
-            raise InvalidInstance(f"non-integer parameter in {name!r}") from None
-        if any(v < 1 for v in values):
-            raise InvalidInstance(f"parameters must be positive in {name!r}")
-        return values
-
-    if head == "trivial":
-        ints(0)
-        return _build_trivial()
-    if head == "cyclic":
-        return _build_cyclic(*ints(1))
-    if head == "klein":
-        ints(0)
-        product = _build_direct(2, 2)
-        return SdProduct(product.H, product.K, product.action, product.group, name="klein")
-    if head == "direct":
-        return _build_direct(*ints(2))
-    if head == "dihedral":
-        return _build_dihedral(*ints(1))
-    if head == "metacyclic":
-        n, m, u = ints(3)
-        return _build_metacyclic(n, m, u)
-    raise InvalidInstance(f"unknown instance {name!r}")
+    if len(params) != arity:
+        raise InvalidInstance(f"{head} takes {arity} parameter(s), got {len(params)}")
+    try:
+        values = [int(p) for p in params]
+    except ValueError:
+        raise InvalidInstance(f"non-integer parameter in {name!r}") from None
+    if any(v < 1 for v in values):
+        raise InvalidInstance(f"parameters must be positive in {name!r}")
+    n, m, u = to_nmu(*values)
+    if math.gcd(u, n) != 1:
+        raise InvalidInstance(f"unit {u} is not invertible mod {n}")
+    if pow(u, m, n) != 1 % n:
+        raise InvalidInstance(f"unit {u} does not have order dividing {m} mod {n}")
+    if bound is not None and n * m > bound:
+        raise BoundExceeded(f"product order {n * m} exceeds bound {bound}")
+    images = [[pow(u, j, n) * h % n for h in range(n)] for j in range(m)]
+    action = make_action(cyclic_group(n), cyclic_group(m), images)
+    return semidirect(action, name=":".join([head, *map(str, values)]))
 
 
 def catalog_entries() -> list[CatalogEntry]:

@@ -74,7 +74,8 @@ def _add_source_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--group-h", help="JSON file for the acted-on factor")
     parser.add_argument("--group-k", help="JSON file for the acting factor")
     parser.add_argument("--action", help="JSON file with the action images")
-    parser.add_argument("--bound", type=int, default=64, help="size guard (default 64)")
+    parser.add_argument("--bound", type=int, default=64,
+                        help="largest product order, checked before any table is built (default 64)")
 
 
 def _add_format_arg(parser: argparse.ArgumentParser, default: str) -> None:
@@ -83,11 +84,14 @@ def _add_format_arg(parser: argparse.ArgumentParser, default: str) -> None:
 
 def _resolve_product(args: argparse.Namespace) -> SdProduct:
     if args.instance:
-        return build_instance(args.instance)
+        return build_instance(args.instance, bound=args.bound)
     if args.action:
         # Factor files given on the command line replace the groups the action file names.
         given = (args.group_h, args.group_k) if args.group_h and args.group_k else ()
         action = load_action(args.action, *map(load_group, given))
+        order = action.H.order * action.K.order
+        if order > args.bound:
+            raise BoundExceeded(f"product order {order} exceeds bound {args.bound}")
         return semidirect(action, name=Path(args.action).stem)
     raise ValueError("give --instance or --group-h/--group-k/--action")
 

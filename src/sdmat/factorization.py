@@ -125,7 +125,7 @@ def classify(matrix: EndoMatrix) -> SubsetTag:
     if w is None and not is_crossed_hom(beta, identity_map(K), act):
         w = ("beta_not_crossed_hom",)
     if w is None:
-        zh = set(center(H).members)
+        zh = center(H)
         w = next(
             (("beta_not_central", k, beta.image[k]) for k in range(K.order) if beta.image[k] not in zh),
             None,
@@ -139,7 +139,7 @@ def classify(matrix: EndoMatrix) -> SubsetTag:
     if w is None and not gamma.is_hom:
         w = ("gamma_not_hom",)
     if w is None:
-        kernel = set(action_kernel(act).members)
+        kernel = action_kernel(act)
         g = gamma.image
         w = next(
             (("gamma_not_in_kernel", h, g[h]) for h in range(H.order) if g[h] not in kernel),
@@ -166,7 +166,7 @@ def classify(matrix: EndoMatrix) -> SubsetTag:
     if w is None and not (delta.is_hom and delta.is_bijective):
         w = ("delta_not_automorphism",)
     if w is None:
-        kernel = set(action_kernel(act).members)
+        kernel = action_kernel(act)
         kt, kinv = K.table, K.inverses
         d = delta.image
         w = next(

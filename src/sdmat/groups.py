@@ -11,14 +11,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import MissingInverse, NoIdentity, NotAssociative
-from .maps import FMap
+from .maps import FMap, twisted_law_witness
 
 __all__ = [
     "FiniteGroup",
-    "Subset",
     "make_group",
     "index_row",
     "center",
@@ -61,23 +60,6 @@ class FiniteGroup:
     def __repr__(self) -> str:
         label = self.name or f"order {self.order}"
         return f"FiniteGroup({label})"
-
-
-@dataclass(frozen=True)
-class Subset:
-    """A subset of a group's elements, kept sorted for determinism."""
-
-    group: FiniteGroup
-    members: tuple[int, ...]
-
-    def __contains__(self, a: int) -> bool:
-        return a in set(self.members)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.members)
-
-    def __len__(self) -> int:
-        return len(self.members)
 
 
 def index_row(row: object, n: int, what: str) -> tuple[int, ...]:
@@ -148,40 +130,22 @@ def make_group(
     )
 
 
-def center(group: FiniteGroup) -> Subset:
+def center(group: FiniteGroup) -> frozenset[int]:
     """Elements commuting with everything."""
     t = group.table
-    members = tuple(
+    return frozenset(
         a for a in range(group.order) if all(t[a][b] == t[b][a] for b in range(group.order))
     )
-    return Subset(group, members)
 
 
 def greedy_generators(group: FiniteGroup) -> tuple[int, ...]:
     """A generating set built greedily: keep adding the first element not yet generated."""
     gens: list[int] = []
-    closed = {group.identity}
-    while len(closed) < group.order:
-        g = next(a for a in range(group.order) if a not in closed)
-        gens.append(g)
-        closed = _closure(group, gens)
+    reached = {group.identity}
+    while len(reached) < group.order:
+        gens.append(next(a for a in range(group.order) if a not in reached))
+        reached = {group.identity, *(y for y, _, _ in _walk(group, gens))}
     return tuple(gens)
-
-
-def _closure(group: FiniteGroup, gens: Sequence[int]) -> set[int]:
-    t = group.table
-    seen = {group.identity}
-    frontier = [group.identity]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = t[x][g]
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return seen
 
 
 def word_sequence(group: FiniteGroup, gens: Sequence[int]) -> list[tuple[int, int, int]]:
@@ -191,6 +155,14 @@ def word_sequence(group: FiniteGroup, gens: Sequence[int]) -> list[tuple[int, in
     with x already discovered.  Iterating the list in order lets a search
     propagate candidate images from generator images deterministically.
     """
+    order = _walk(group, gens)
+    if len(order) != group.order - 1:
+        raise ValueError("generators do not generate the group")
+    return order
+
+
+def _walk(group: FiniteGroup, gens: Sequence[int]) -> list[tuple[int, int, int]]:
+    """The ``(y, x, i)`` steps of a breadth-first walk from the identity over what gens reach."""
     t = group.table
     seen = {group.identity}
     order: list[tuple[int, int, int]] = []
@@ -205,8 +177,6 @@ def word_sequence(group: FiniteGroup, gens: Sequence[int]) -> list[tuple[int, in
                     order.append((y, x, i))
                     nxt.append(y)
         frontier = nxt
-    if len(seen) != group.order:
-        raise ValueError("generators do not generate the group")
     return order
 
 
@@ -222,26 +192,17 @@ def enumerate_twisted_maps(
     """
     gens = greedy_generators(dom)
     seq = word_sequence(dom, gens)
-    dt, ct = dom.table, cod.table
+    ct = cod.table
     out: list[FMap] = []
     for images in itertools.product(range(cod.order), repeat=len(gens)):
         img = [0] * dom.order
         img[dom.identity] = cod.identity
         for y, x, i in seq:
             img[y] = ct[img[x]][twist[x][images[i]]]
-        if _obeys_twisted_law(img, dt, ct, twist):
+        if twisted_law_witness(dom, cod, img, twist) is None:
             out.append(FMap(dom, cod, tuple(img)))
     out.sort(key=lambda m: m.image)
     return out
-
-
-def _obeys_twisted_law(img: list[int], dt, ct, twist) -> bool:
-    for x, row in enumerate(dt):
-        row_fx, tx = ct[img[x]], twist[x]
-        for y, xy in enumerate(row):
-            if img[xy] != row_fx[tx[img[y]]]:
-                return False
-    return True
 
 
 def enumerate_homs(dom: FiniteGroup, cod: FiniteGroup) -> list[FMap]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import DomainMismatch, NotBijective, NotHomomorphism
 
@@ -38,6 +38,7 @@ __all__ = [
     "map_twist",
     "map_act",
     "map_inverse",
+    "twisted_law_witness",
     "twisted_hom_witness",
     "is_crossed_hom",
 ]
@@ -200,6 +201,25 @@ def map_inverse(phi: FMap) -> FMap:
     return FMap(phi.cod, phi.dom, tuple(inv))
 
 
+def twisted_law_witness(
+    dom: "FiniteGroup", cod: "FiniteGroup", image: Sequence[int], twist: Sequence[Sequence[int]]
+) -> tuple | None:
+    """First (x, y, lhs, rhs) violating phi(xy) = phi(x) * t_x(phi(y)), or None.
+
+    ``image`` is the image table of phi: dom -> cod and ``twist[x]`` that of
+    the endomap t_x of cod.  Every t_x the identity gives the homomorphism
+    law; t_x = f_{steer(x)} gives the twisted and crossed laws of the matrix
+    conditions.  Pairs are scanned with x outermost.
+    """
+    ct = cod.table
+    for x, row in enumerate(dom.table):
+        row_fx, tx = ct[image[x]], twist[x]
+        for y, xy in enumerate(row):
+            if image[xy] != row_fx[tx[image[y]]]:
+                return (x, y, image[xy], row_fx[tx[image[y]]])
+    return None
+
+
 def twisted_hom_witness(phi: FMap, steer: FMap, action: "GroupAction") -> tuple | None:
     """First violation of phi(uv) = phi(u) * f_{steer(u)}(phi(v)), or None.
 
@@ -211,20 +231,8 @@ def twisted_hom_witness(phi: FMap, steer: FMap, action: "GroupAction") -> tuple 
         raise DomainMismatch("map and steering map must share a domain")
     if phi.cod is not action.H or steer.cod is not action.K:
         raise DomainMismatch("map must land in the acted-on group, steering map in the acting group")
-    dt = phi.dom.table
-    ht = action.H.table
     rows = action.images
-    img, st = phi.image, steer.image
-    for u in range(phi.dom.order):
-        fu = img[u]
-        row_u = dt[u]
-        act_u = rows[st[u]]
-        for v in range(phi.dom.order):
-            lhs = img[row_u[v]]
-            rhs = ht[fu][act_u[img[v]]]
-            if lhs != rhs:
-                return (u, v, lhs, rhs)
-    return None
+    return twisted_law_witness(phi.dom, phi.cod, phi.image, [rows[s] for s in steer.image])
 
 
 def is_crossed_hom(beta: FMap, delta: FMap, action: "GroupAction") -> bool:

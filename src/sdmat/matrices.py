@@ -117,22 +117,12 @@ class EndoMatrix:
         first = report.first_failure()
         if first is not None:
             raise ConditionsViolated(first.name, first.witness)
+        # theta(h, k) = theta(h, 1) * theta(1, k), with h outer as in the pair encoding.
         P = self.context
-        H, K = P.H, P.K
-        ht, kt = H.table, K.table
-        rows = P.action.images
-        a, b, g, d = self.alpha.image, self.beta.image, self.gamma.image, self.delta.image
-        nK = K.order
-        image = [0] * P.group.order
-        for h in range(H.order):
-            ah, gh = a[h], g[h]
-            act_gh = rows[gh]
-            hrow = ht[ah]
-            grow = kt[gh]
-            base = h * nK
-            for k in range(nK):
-                image[base + k] = hrow[act_gh[b[k]]] * nK + grow[d[k]]
-        return Endo(FMap(P.group, P.group, tuple(image)))
+        gt = P.group.table
+        on_h = [P.encode(a, g) for a, g in zip(self.alpha.image, self.gamma.image)]
+        on_k = [P.encode(b, d) for b, d in zip(self.beta.image, self.delta.image)]
+        return Endo(FMap(P.group, P.group, tuple(gt[x][y] for x in on_h for y in on_k)))
 
     def __repr__(self) -> str:
         return f"EndoMatrix(alpha={list(self.alpha.image)}, beta={list(self.beta.image)}, gamma={list(self.gamma.image)}, delta={list(self.delta.image)})"

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import NotAutomorphism, NotHomomorphic
-from .groups import FiniteGroup, Subset, index_row, make_group
+from .groups import FiniteGroup, index_row, make_group
+from .maps import twisted_law_witness
 
 __all__ = [
     "GroupAction",
@@ -37,9 +38,6 @@ class GroupAction:
     K: FiniteGroup
     images: tuple[tuple[int, ...], ...]
 
-    def apply(self, k: int, h: int) -> int:
-        return self.images[k][h]
-
 
 def make_action(H: FiniteGroup, K: FiniteGroup, images: Sequence[Sequence[int]]) -> GroupAction:
     """Validate an action table row by row, then as a homomorphism into Aut(H).
@@ -51,17 +49,15 @@ def make_action(H: FiniteGroup, K: FiniteGroup, images: Sequence[Sequence[int]])
     if not isinstance(images, (list, tuple)) or len(images) != K.order:
         raise ValueError(f"expected a list of {K.order} rows")
     rows = tuple(index_row(row, H.order, f"row {k}") for k, row in enumerate(images))
-    ht = H.table
+    untwisted = (tuple(range(H.order)),) * H.order
     for k, row in enumerate(rows):
         if len(row) != H.order:
             raise ValueError(f"row {k} has {len(row)} entries, expected {H.order}")
         if len(set(row)) != H.order:
             raise NotAutomorphism(k, "row is not a bijection")
-        for a in range(H.order):
-            ra = row[a]
-            for b in range(H.order):
-                if row[ht[a][b]] != ht[ra][row[b]]:
-                    raise NotAutomorphism(k, f"row is not a homomorphism at ({a}, {b})")
+        witness = twisted_law_witness(H, H, row, untwisted)
+        if witness is not None:
+            raise NotAutomorphism(k, f"row is not a homomorphism at ({witness[0]}, {witness[1]})")
     for k1 in range(K.order):
         r1 = rows[k1]
         for k2 in range(K.order):
@@ -139,12 +135,11 @@ def conj_action(product: SdProduct, h: int, k: int) -> int:
     return product.action.images[k][h]
 
 
-def action_kernel(action: GroupAction) -> Subset:
+def action_kernel(action: GroupAction) -> frozenset[int]:
     """Elements of K acting trivially on H.
 
     Inside the product this is the centralizer of the H-copy in the K-copy;
     it is the kernel of the action homomorphism, hence a subgroup.
     """
     identity_row = tuple(range(action.H.order))
-    members = tuple(k for k in range(action.K.order) if action.images[k] == identity_row)
-    return Subset(action.K, members)
+    return frozenset(k for k in range(action.K.order) if action.images[k] == identity_row)

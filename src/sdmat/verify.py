@@ -587,16 +587,21 @@ def run_verification(
     bound: int = 64,
     checks: str | list[str] = "all",
 ) -> VerifyReport:
-    """Run the named checks (default all) over one instance."""
+    """Run the named checks (default all) over one instance.
+
+    Raises ValueError for an unknown or empty selection.
+    """
     started = time.perf_counter()
-    product = build_instance(instance) if isinstance(instance, str) else instance
     if checks == "all":
         selected = list(CHECK_NAMES)
     else:
         unknown = [c for c in checks if c not in _CHECK_FUNCS]
         if unknown:
             raise ValueError(f"unknown checks: {unknown}")
+        if not checks:
+            raise ValueError("no checks selected")
         selected = [c for c in CHECK_NAMES if c in set(checks)]
+    product = build_instance(instance, bound=bound) if isinstance(instance, str) else instance
     ctx = _Context(product, bound)
     results = tuple(_CHECK_FUNCS[name](ctx) for name in selected)
     _det_nonhom_note(ctx)

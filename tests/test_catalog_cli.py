@@ -1,21 +1,27 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from sdmat import (
     DEFAULT_INSTANCES,
+    BoundExceeded,
     InvalidInstance,
     VerificationFailed,
     build_instance,
     catalog_entries,
     center,
     cli_main,
+    cyclic_group,
     group_from_dict,
     group_to_dict,
     identity_matrix,
     matrix_from_dict,
     matrix_to_dict,
+    run_verification,
 )
 from sdmat.catalog import load_group, save_group, save_matrix
 
@@ -317,3 +323,121 @@ def test_cli_malformed_matrix_and_action_files_exit_2(tmp_path, capsys, s3, kind
                 "--action", str(path)]
     assert cli_main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+# ---------------------------------------------------------------------------
+# One instance family: every alias is a metacyclic:n:m:u product
+
+
+@pytest.mark.parametrize(
+    "alias,explicit",
+    [
+        ("trivial", "metacyclic:1:1:1"),
+        ("klein", "metacyclic:2:2:1"),
+        ("cyclic:5", "metacyclic:5:1:1"),
+        ("direct:3:2", "metacyclic:3:2:1"),
+        ("direct:1:3", "metacyclic:1:3:1"),
+        ("dihedral:1", "metacyclic:1:2:1"),
+        ("dihedral:2", "metacyclic:2:2:1"),
+        ("dihedral:5", "metacyclic:5:2:4"),
+    ],
+)
+def test_alias_is_its_metacyclic_form(alias, explicit):
+    a, b = build_instance(alias), build_instance(explicit)
+    assert a.name == alias
+    assert (a.H.order, a.K.order) == (b.H.order, b.K.order)
+    assert a.group.table == b.group.table
+    assert a.action.images == b.action.images
+
+
+def test_instance_names_are_canonical():
+    assert build_instance("cyclic:05").name == "cyclic:5"
+    assert build_instance("metacyclic:7:3:09").name == "metacyclic:7:3:9"
+
+
+@pytest.mark.parametrize(
+    "name,message",
+    [
+        ("metacyclic:4:2:2", "unit 2 is not invertible mod 4"),
+        ("metacyclic:6:2:3", "unit 3 is not invertible mod 6"),
+        ("metacyclic:7:2:2", "unit 2 does not have order dividing 2 mod 7"),
+        ("metacyclic:5:3:2", "unit 2 does not have order dividing 3 mod 5"),
+    ],
+)
+def test_invalid_units_rejected(name, message):
+    with pytest.raises(InvalidInstance, match=message):
+        build_instance(name)
+
+
+# ---------------------------------------------------------------------------
+# --bound is checked before any table is built
+
+
+def _no_tables(*args, **kwargs):
+    raise AssertionError("a table was built before the bound guard")
+
+
+def test_build_instance_bound_guards_before_any_table(monkeypatch):
+    monkeypatch.setattr("sdmat.catalog.make_group", _no_tables)
+    with pytest.raises(BoundExceeded, match="exceeds bound 64"):
+        build_instance("cyclic:600", bound=64)
+    with pytest.raises(BoundExceeded, match="exceeds bound"):
+        run_verification("direct:20:20", bound=64)
+    monkeypatch.undo()
+    assert build_instance("cyclic:70").group.order == 70  # no bound by default
+
+
+@pytest.mark.parametrize("command", ["enumerate", "det", "invert", "factor", "census", "verify"])
+def test_cli_bound_guards_before_any_table(monkeypatch, capsys, tmp_path, command):
+    monkeypatch.setattr("sdmat.catalog.make_group", _no_tables)
+    argv = [command, "--instance", "cyclic:600"]
+    if command in ("det", "invert", "factor"):
+        argv += ["--matrix", str(tmp_path / "unread.json")]
+    assert cli_main(argv) == 2
+    assert "exceeds bound 64" in capsys.readouterr().err
+
+
+def test_cli_calculator_honours_bound(tmp_path, capsys):
+    P = build_instance("dihedral:3")
+    save_matrix(identity_matrix(P), tmp_path / "id.json")
+    for command in ("det", "invert", "factor"):
+        argv = [command, "--instance", "dihedral:3", "--matrix", str(tmp_path / "id.json")]
+        assert cli_main(argv + ["--bound", "5"]) == 2
+        assert "product order 6 exceeds bound 5" in capsys.readouterr().err
+        assert cli_main(argv + ["--bound", "6"]) == 0
+        capsys.readouterr()
+
+
+def test_cli_file_product_bound_guards_before_semidirect(monkeypatch, tmp_path, capsys):
+    save_group(cyclic_group(8), tmp_path / "h.json")
+    save_group(cyclic_group(9), tmp_path / "k.json")
+    (tmp_path / "act.json").write_text(json.dumps({"images": [list(range(8))] * 9}))
+    monkeypatch.setattr("sdmat.cli.semidirect", _no_tables)
+    argv = ["census", "--group-h", str(tmp_path / "h.json"), "--group-k", str(tmp_path / "k.json"),
+            "--action", str(tmp_path / "act.json")]
+    assert cli_main(argv) == 2
+    assert "product order 72 exceeds bound 64" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# Check selection and the module entry point
+
+
+@pytest.mark.parametrize("theorems", ["", ","])
+def test_cli_empty_theorem_selection_exits_2(capsys, theorems):
+    assert cli_main(["verify", "--instance", "klein", "--theorems", theorems]) == 2
+    captured = capsys.readouterr()
+    assert "no checks selected" in captured.err
+    assert "PASS" not in captured.out
+
+
+def test_python_m_sdmat_runs_without_warnings():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "sdmat", "verify", "--instance", "klein"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert proc.stdout.rstrip().endswith("1 instance(s) verified")

@@ -10,6 +10,7 @@ from sdmat import (
     FMap,
     build_instance,
     cyclic_group,
+    enumerate_homs,
     identity_map,
     map_add,
     map_compose,
@@ -18,6 +19,7 @@ from sdmat import (
     map_twist,
     zero_map,
 )
+from sdmat.maps import twisted_law_witness
 
 Z2 = cyclic_group(2, "Z2")
 Z3 = cyclic_group(3, "Z3")
@@ -120,3 +122,49 @@ def test_inverse_of_bijection_sampled(image):
     inv = map_inverse(phi)
     assert map_compose(inv, phi) == identity_map(S3)
     assert map_compose(phi, inv) == identity_map(S3)
+
+
+# ---------------------------------------------------------------------------
+# The twisted law phi(xy) = phi(x) * t_x(phi(y)), against a brute pair scan
+
+LAW_PAIRS = [(Z2, Z2), (Z2, Z3), (Z2, S3), (Z3, Z3), (Z3, S3), (Z4, Z2), (Z4, Z4), (K4, Z2), (K4, K4), (S3, Z2)]
+
+
+def _violations(dom, cod, image, twist):
+    """Every (x, y, lhs, rhs) breaking the law, x-major, by the group methods."""
+    out = []
+    for x in dom.elements():
+        for y in dom.elements():
+            lhs = image[dom.mul(x, y)]
+            rhs = cod.mul(image[x], twist[x][image[y]])
+            if lhs != rhs:
+                out.append((x, y, lhs, rhs))
+    return out
+
+
+# Endomorphism rows make twists under which many maps obey the law.
+ENDO_ROWS = {id(g): [phi.image for phi in enumerate_homs(g, g)] for g in (Z2, Z3, Z4, K4, S3)}
+
+
+@st.composite
+def law_cases(draw):
+    dom, cod = draw(st.sampled_from(LAW_PAIRS))
+    value = st.integers(0, cod.order - 1)
+    endo = st.sampled_from(ENDO_ROWS[id(cod)])
+    identity = tuple(range(cod.order))
+    row = st.one_of(st.just(identity), endo, st.tuples(*[value] * cod.order))
+    twist = draw(st.one_of(st.just((identity,) * dom.order), st.tuples(*[row] * dom.order)))
+    random_image = st.tuples(*[value] * dom.order)
+    # Maps that obey the drawn law, so that both outcomes are drawn often.
+    obeying = [img for img in itertools.product(range(cod.order), repeat=dom.order)
+               if not _violations(dom, cod, img, twist)]
+    image = draw(st.one_of(st.sampled_from(obeying), random_image) if obeying else random_image)
+    return dom, cod, image, twist
+
+
+@settings(max_examples=300, deadline=None)
+@given(law_cases())
+def test_twisted_law_witness_is_the_first_brute_violation(case):
+    dom, cod, image, twist = case
+    violations = _violations(dom, cod, image, twist)
+    assert twisted_law_witness(dom, cod, image, twist) == (violations[0] if violations else None)

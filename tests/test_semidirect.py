@@ -37,6 +37,13 @@ def test_row_not_automorphism_rejected():
         make_action(z3, z2, [[0, 1, 2], [1, 0, 2]])
 
 
+def test_row_not_automorphism_names_its_witness_pair():
+    z4, z2 = cyclic_group(4), cyclic_group(2)
+    # a bijection fixing 0 and 1: 1 + 1 = 2 goes to 3, but f(1) + f(1) = 2
+    with pytest.raises(NotAutomorphism, match=r"element 1 .*row is not a homomorphism at \(1, 1\)"):
+        make_action(z4, z2, [[0, 1, 2, 3], [0, 1, 3, 2]])
+
+
 def test_row_not_bijective_rejected():
     z3, z2 = cyclic_group(3), cyclic_group(2)
     with pytest.raises(NotAutomorphism):

@@ -39,3 +39,9 @@ def test_selected_check_builds_no_census_or_product_table(monkeypatch):
 def test_verify_bound_exceeded_exits_2(capsys):
     assert cli_main(["verify", "--instance", "dihedral:10", "--bound", "8"]) == 2
     assert "exceeds bound" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("checks", [[], ()])
+def test_empty_check_selection_rejected(checks):
+    with pytest.raises(ValueError, match="no checks selected"):
+        run_verification("klein", checks=checks)
