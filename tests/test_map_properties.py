@@ -24,7 +24,7 @@ from sdmat.maps import twisted_law_witness
 Z2 = cyclic_group(2, "Z2")
 Z3 = cyclic_group(3, "Z3")
 Z4 = cyclic_group(4, "Z4")
-K4 = build_instance("klein").group
+K4 = build_instance("direct:2:2").group  # the Klein group, named by its parameters
 S3 = build_instance("dihedral:3").group
 
 _EXHAUSTIVE_TRIPLES = 40  # map-space size cap for the full triple scan
