@@ -33,13 +33,9 @@ from .catalog import (
     load_matrix,
     matrix_to_dict,
 )
-from .determinant import det_h, det_k, invert_via_det_h, invert_via_det_k, is_invertible
+from .determinant import det_h, det_k, is_invertible
 from .errors import (
-    AlphaNotInvertible,
     BoundExceeded,
-    DeltaNotInvertible,
-    DetHNotInvertible,
-    DetKNotInvertible,
     DiagonalNotInvertible,
     DomainMismatch,
     GroupValidationError,
@@ -54,15 +50,17 @@ from .factorization import factor_abcd
 from .matrices import (
     EndoMatrix,
     check_conditions,
-    endo_to_matrix,
     enumerate_matrices,
     matrix_to_endo,
 )
-from .oracle import enumerate_endos, invert_endo
+from .oracle import enumerate_endos
 from .semidirect import SdProduct, semidirect
 from .verify import CHECK_NAMES, run_verification
 
 __all__ = ["cli_main", "main"]
+
+# The name `invert` prints for each route of `is_invertible`.
+_INVERT_METHODS = {"detK": "det_k", "detH": "det_h", "direct": "brute"}
 
 # What validating instance names, files and options raises (exit 2).
 _INPUT_ERRORS = (ValueError, OSError, InvalidInstance, BoundExceeded, GroupValidationError,
@@ -144,7 +142,6 @@ def _cmd_det(args: argparse.Namespace) -> int:
     dh = det_h(matrix) if matrix.delta.is_bijective else None
     dk = det_k(matrix) if matrix.alpha.is_bijective else None
     decided = is_invertible(matrix)
-    inverse = _invert_any(matrix) if decided.invertible else None
     dh_image, dh_hom = _det_side(dh)
     dk_image, dk_hom = _det_side(dk)
     payload = {
@@ -153,7 +150,7 @@ def _cmd_det(args: argparse.Namespace) -> int:
         "invertible": decided.invertible,
         "is_hom_H": dh_hom,
         "is_hom_K": dk_hom,
-        "inverse": matrix_to_dict(inverse[0]) if inverse else None,
+        "inverse": matrix_to_dict(decided.inverse) if decided.invertible else None,
     }
     lines = [
         f"det_H: {dh_image if dh_image is not None else 'undefined (delta not bijective)'}",
@@ -164,31 +161,17 @@ def _cmd_det(args: argparse.Namespace) -> int:
     return 0
 
 
-def _invert_any(matrix: EndoMatrix) -> tuple[EndoMatrix, str] | None:
-    try:
-        return invert_via_det_k(matrix), "det_k"
-    except (AlphaNotInvertible, DetKNotInvertible):
-        pass
-    try:
-        return invert_via_det_h(matrix), "det_h"
-    except (DeltaNotInvertible, DetHNotInvertible):
-        pass
-    theta = matrix_to_endo(matrix)
-    if not theta.map.is_bijective:
-        return None
-    return endo_to_matrix(invert_endo(theta), matrix.context), "brute"
-
-
 def _cmd_invert(args: argparse.Namespace) -> int:
     product = _resolve_product(args)
     matrix = _load_matrix_checked(args.matrix, product)
-    found = _invert_any(matrix)
-    if found is None:
+    decided = is_invertible(matrix)
+    if not decided.invertible:
         _emit(args, {"invertible": False, "inverse": None, "method": None}, ["not invertible"])
         return 1
-    inverse, method = found
-    payload = {"invertible": True, "method": method, "inverse": matrix_to_dict(inverse)}
-    _emit(args, payload, [f"inverted via {method}", json.dumps(matrix_to_dict(inverse), sort_keys=True)])
+    method = _INVERT_METHODS[decided.method]
+    inverse = matrix_to_dict(decided.inverse)
+    payload = {"invertible": True, "method": method, "inverse": inverse}
+    _emit(args, payload, [f"inverted via {method}", json.dumps(inverse, sort_keys=True)])
     return 0
 
 
@@ -276,7 +259,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if passed else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and kept for the process."""
     parser = argparse.ArgumentParser(
         prog="sdmat",
         description="Endomorphism matrices, determinants and factorizations "

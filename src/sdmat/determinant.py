@@ -20,6 +20,10 @@ gives a closed-form inverse, and the two are mirror images:
 An invertible matrix has one inverse, so when both sides apply the
 combined form takes one column from each, and each determinant's inverse
 can be read off the other side's diagonal (the duality).
+
+:func:`is_invertible` is the one place that chooses a route: det_K when
+alpha is bijective, else det_H when delta is bijective, else bijectivity of
+the described endomorphism.  It returns the inverse from the route it chose.
 """
 
 from __future__ import annotations
@@ -35,8 +39,8 @@ from .errors import (
     PreconditionFailed,
     VerificationFailed,
 )
-from .maps import FMap, identity_map, map_add, map_compose, map_inverse, map_neg
-from .matrices import EndoMatrix, is_automorphism_matrix, matrix_to_endo
+from .maps import Endo, FMap, identity_map, map_add, map_compose, map_inverse, map_neg
+from .matrices import EndoMatrix, endo_to_matrix, is_automorphism_matrix, matrix_to_endo
 
 __all__ = [
     "DetResult",
@@ -70,6 +74,7 @@ class DetResult:
 class InvertibilityResult(NamedTuple):
     invertible: bool
     method: str  # "detK", "detH" or "direct"
+    inverse: EndoMatrix | None  # from the chosen route; None when not invertible
 
 
 def det_k(matrix: EndoMatrix) -> DetResult:
@@ -141,16 +146,27 @@ def invert_via_det_h(matrix: EndoMatrix) -> EndoMatrix:
 
 
 def is_invertible(matrix: EndoMatrix) -> InvertibilityResult:
-    """Decide invertibility, preferring determinant criteria over brute force.
+    """Decide invertibility and invert, preferring determinant criteria over brute force.
 
     Uses det_k when alpha is bijective, else det_h when delta is bijective,
-    else falls back to bijectivity of the described endomorphism.
+    else falls back to bijectivity of the described endomorphism.  The
+    inverse comes from the same route: the closed form of that side, or the
+    inverse of the endomorphism's image table.
     """
     if matrix.alpha.is_bijective:
-        return InvertibilityResult(det_k(matrix).invertible, "detK")
-    if matrix.delta.is_bijective:
-        return InvertibilityResult(det_h(matrix).invertible, "detH")
-    return InvertibilityResult(matrix_to_endo(matrix).map.is_bijective, "direct")
+        method, invert, singular = "detK", invert_via_det_k, DetKNotInvertible
+    elif matrix.delta.is_bijective:
+        method, invert, singular = "detH", invert_via_det_h, DetHNotInvertible
+    else:
+        theta = matrix_to_endo(matrix)
+        if not theta.map.is_bijective:
+            return InvertibilityResult(False, "direct", None)
+        inverse = endo_to_matrix(Endo(map_inverse(theta.map)), matrix.context)
+        return InvertibilityResult(True, "direct", inverse)
+    try:
+        return InvertibilityResult(True, method, invert(matrix))
+    except singular:
+        return InvertibilityResult(False, method, None)
 
 
 def _require_automorphism_with_bijective_diagonal(matrix: EndoMatrix) -> None:

@@ -31,9 +31,8 @@ from .maps import (
     map_compose,
     map_inverse,
     map_neg,
-    zero_map,
 )
-from .matrices import EndoMatrix, is_automorphism_matrix, mat_mul
+from .matrices import EndoMatrix, identity_matrix, is_automorphism_matrix, mat_mul
 from .semidirect import action_kernel
 
 __all__ = [
@@ -199,15 +198,7 @@ def unit_diagonal_a_factor(matrix: EndoMatrix) -> EndoMatrix:
     Returns (1 - beta gamma, 0; 0, 1) and verifies it lands in family A.
     """
     _require_unit_diagonal_auto(matrix)
-    P = matrix.context
-    a0 = _one_minus_beta_gamma(matrix)
-    result = EndoMatrix(
-        alpha=a0,
-        beta=zero_map(P.K, P.H),
-        gamma=zero_map(P.H, P.K),
-        delta=identity_map(P.K),
-        context=P,
-    )
+    result = identity_matrix(matrix.context, alpha=_one_minus_beta_gamma(matrix))
     tag = classify(result)
     if not tag.in_a:
         raise VerificationFailed("A-part of unit-diagonal reduction", tag.witnesses.get("A"))
@@ -227,13 +218,7 @@ def unit_diagonal_b_factor(matrix: EndoMatrix) -> EndoMatrix:
     if not a0.is_bijective:
         raise VerificationFailed("bijectivity of 1 - beta gamma", tuple(a0.image))
     b0 = map_compose(map_inverse(a0), matrix.beta)
-    result = EndoMatrix(
-        alpha=identity_map(P.H),
-        beta=b0,
-        gamma=zero_map(P.H, P.K),
-        delta=identity_map(P.K),
-        context=P,
-    )
+    result = identity_matrix(P, beta=b0)
     if not is_crossed_hom(b0, identity_map(P.K), P.action):
         raise VerificationFailed("crossed-homomorphism law of the B-part", tuple(b0.image))
     return result
@@ -255,38 +240,13 @@ def factor_abcd(matrix: EndoMatrix) -> ABCDFactors:
     if not (matrix.alpha.is_bijective and matrix.delta.is_bijective):
         raise DiagonalNotInvertible("factorization requires bijective alpha and delta")
     P = matrix.context
-    H, K = P.H, P.K
     ainv = map_inverse(matrix.alpha)
     dinv = map_inverse(matrix.delta)
     beta_mid = map_compose(ainv, map_compose(matrix.beta, dinv))
-    mid = EndoMatrix(
-        alpha=identity_map(H),
-        beta=beta_mid,
-        gamma=matrix.gamma,
-        delta=identity_map(K),
-        context=P,
-    )
-    a1 = EndoMatrix(
-        alpha=matrix.alpha,
-        beta=zero_map(K, H),
-        gamma=zero_map(H, K),
-        delta=identity_map(K),
-        context=P,
-    )
-    d = EndoMatrix(
-        alpha=identity_map(H),
-        beta=zero_map(K, H),
-        gamma=zero_map(H, K),
-        delta=matrix.delta,
-        context=P,
-    )
-    c = EndoMatrix(
-        alpha=identity_map(H),
-        beta=zero_map(K, H),
-        gamma=matrix.gamma,
-        delta=identity_map(K),
-        context=P,
-    )
+    mid = identity_matrix(P, beta=beta_mid, gamma=matrix.gamma)
+    a1 = identity_matrix(P, alpha=matrix.alpha)
+    d = identity_matrix(P, delta=matrix.delta)
+    c = identity_matrix(P, gamma=matrix.gamma)
     a2 = unit_diagonal_a_factor(mid)
     b = unit_diagonal_b_factor(mid)
     a = mat_mul(a1, a2)

@@ -20,6 +20,7 @@ __all__ = [
     "FiniteGroup",
     "make_group",
     "index_row",
+    "associativity_witness",
     "center",
     "greedy_generators",
     "word_sequence",
@@ -111,14 +112,9 @@ def make_group(
             raise MissingInverse(a)
         inverses.append(b)
 
-    for a in range(n):
-        for b in range(n):
-            ab = rows[a][b]
-            row_b = rows[b]
-            row_a = rows[a]
-            for c in range(n):
-                if rows[ab][c] != row_a[row_b[c]]:
-                    raise NotAssociative(a, b, c)
+    triple = associativity_witness(rows)
+    if triple is not None:
+        raise NotAssociative(*triple)
 
     return FiniteGroup(
         order=n,
@@ -128,6 +124,18 @@ def make_group(
         names=tuple(names) if names is not None else None,
         name=name,
     )
+
+
+def associativity_witness(table: Sequence[Sequence[int]]) -> tuple[int, int, int] | None:
+    """The first (a, b, c), a outermost, with (ab)c != a(bc) in a square table; None if there is none."""
+    n = len(table)
+    for a, row_a in enumerate(table):
+        for b, ab in enumerate(row_a):
+            row_ab, row_b = table[ab], table[b]
+            for c in range(n):
+                if row_ab[c] != row_a[row_b[c]]:
+                    return (a, b, c)
+    return None
 
 
 def center(group: FiniteGroup) -> frozenset[int]:

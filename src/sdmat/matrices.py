@@ -152,14 +152,25 @@ class ConditionReport:
         return next((c for c in self.checks if not c.passed), None)
 
 
-def identity_matrix(product: SdProduct) -> EndoMatrix:
-    """The matrix of the identity endomorphism: identity diagonal, zero off-diagonal."""
+def identity_matrix(
+    product: SdProduct,
+    *,
+    alpha: FMap | None = None,
+    beta: FMap | None = None,
+    gamma: FMap | None = None,
+    delta: FMap | None = None,
+) -> EndoMatrix:
+    """The matrix of the identity endomorphism: identity diagonal, zero off-diagonal.
+
+    An entry given as an argument takes the place of the identity's own, so
+    ``identity_matrix(P, gamma=g)`` is (1, 0; g, 1).
+    """
     H, K = product.H, product.K
     return EndoMatrix(
-        alpha=identity_map(H),
-        beta=zero_map(K, H),
-        gamma=zero_map(H, K),
-        delta=identity_map(K),
+        alpha=identity_map(H) if alpha is None else alpha,
+        beta=zero_map(K, H) if beta is None else beta,
+        gamma=zero_map(H, K) if gamma is None else gamma,
+        delta=identity_map(K) if delta is None else delta,
         context=product,
     )
 

@@ -16,13 +16,16 @@ from sdmat import (
     center,
     cli_main,
     cyclic_group,
+    enumerate_matrices,
     group_from_dict,
     group_to_dict,
     identity_matrix,
+    is_invertible,
     matrix_from_dict,
     matrix_to_dict,
     run_verification,
 )
+from sdmat import cli
 from sdmat.catalog import load_group, save_group, save_matrix
 
 
@@ -232,6 +235,22 @@ def _write_matrix(path, P, alpha, beta, gamma, delta):
     data["context"] = {"h_order": P.H.order, "k_order": P.K.order}
     path.write_text(json.dumps(data))
     return str(path)
+
+
+def test_cli_invert_names_each_route_of_is_invertible(tmp_path, capsys):
+    # direct:3:3 has invertible matrices on all three routes, the swap (0, 1; 1, 0) on "direct".
+    printed = {}
+    for m in sorted(enumerate_matrices(build_instance("direct:3:3")), key=lambda m: m.key()):
+        decided = is_invertible(m)
+        if decided.invertible and decided.method not in printed:
+            save_matrix(m, tmp_path / "m.json")
+            assert cli_main(["invert", "--instance", "direct:3:3", "--matrix", str(tmp_path / "m.json")]) == 0
+            printed[decided.method] = json.loads(capsys.readouterr().out)["method"]
+    assert printed == {"detK": "det_k", "detH": "det_h", "direct": "brute"}
+
+
+def test_cli_builds_its_parser_once():
+    assert cli._build_parser() is cli._build_parser()
 
 
 def test_cli_invert_det_h_route_direct_3_3(tmp_path, capsys):

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from sdmat import (
@@ -127,10 +129,29 @@ def test_is_invertible_method_tags(s3):
     assert not decided.invertible and decided.method == "detH"
 
 
-def test_is_invertible_agrees_with_oracle(s3_matrices, klein_matrices, d4_matrices):
+def test_is_invertible_agrees_with_oracle(s3_matrices, klein_matrices, d4_matrices, direct33_matrices):
     for mats in (s3_matrices, klein_matrices, d4_matrices):
         for m in mats:
             assert is_invertible(m).invertible == matrix_to_endo(m).map.is_bijective
+    # Both instances take all three routes; each route's inverse is the oracle's.
+    routes = {"dihedral:4": {"direct": 12, "detH": 16, "detK": 8},
+              "direct:3:3": {"direct": 9, "detH": 18, "detK": 54}}
+    for mats in (d4_matrices, direct33_matrices):
+        P = mats[0].context
+        ident = identity_matrix(P)
+        seen = Counter()
+        for m in mats:
+            decided = is_invertible(m)
+            seen[decided.method] += 1
+            theta = matrix_to_endo(m)
+            assert decided.invertible == theta.map.is_bijective
+            if not theta.map.is_bijective:
+                assert decided.inverse is None
+                continue
+            inverse = decided.inverse
+            assert mat_mul(m, inverse) == ident and mat_mul(inverse, m) == ident
+            assert matrix_to_endo(inverse) == invert_endo(theta)
+        assert seen == routes[P.name]
 
 
 def test_dual_det_inverses_identity(s3):

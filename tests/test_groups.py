@@ -1,7 +1,13 @@
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdmat import (
     GroupValidationError,
+    NotAssociative,
+    build_instance,
     center,
     cyclic_group,
     enumerate_autos,
@@ -10,7 +16,7 @@ from sdmat import (
     make_group,
     trivial_group,
 )
-from sdmat.groups import word_sequence
+from sdmat.groups import associativity_witness, word_sequence
 
 
 def test_trivial_table():
@@ -123,3 +129,47 @@ def test_greedy_generators_s3(s3):
     gens = greedy_generators(s3.group)
     assert len(word_sequence(s3.group, gens)) == 5
     assert len(gens) <= 2
+
+
+GROUP_TABLES = [build_instance(name).group.table
+                for name in ("trivial", "cyclic:2", "cyclic:3", "cyclic:4", "klein", "dihedral:3")]
+
+
+def _assoc_violations(table):
+    n = len(table)
+    return [(a, b, c) for a, b, c in itertools.product(range(n), repeat=3)
+            if table[table[a][b]][c] != table[a][table[b][c]]]
+
+
+@st.composite
+def square_tables(draw):
+    """Group tables under a random relabelling, each possibly with one entry changed, and random tables."""
+    kind = draw(st.sampled_from(("group", "changed", "random")))
+    if kind == "random":
+        n = draw(st.integers(1, 4))
+        return [draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)) for _ in range(n)]
+    table = draw(st.sampled_from(GROUP_TABLES))
+    n = len(table)
+    perm = draw(st.permutations(range(n)))
+    out = [[0] * n for _ in range(n)]
+    for a, b in itertools.product(range(n), repeat=2):
+        out[perm[a]][perm[b]] = perm[table[a][b]]
+    if kind == "changed":
+        a, b = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        out[a][b] = draw(st.integers(0, n - 1))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_tables())
+def test_associativity_witness_is_the_first_brute_violation(table):
+    violations = _assoc_violations(table)
+    assert associativity_witness(table) == (violations[0] if violations else None)
+
+
+def test_make_group_names_the_first_non_associative_triple():
+    # Z3 with 1*1 changed to 0 keeps its identity and inverses but loses associativity.
+    table = [[0, 1, 2], [1, 0, 0], [2, 0, 1]]
+    with pytest.raises(NotAssociative) as err:
+        make_group(table)
+    assert err.value.triple == _assoc_violations(table)[0]

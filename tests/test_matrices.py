@@ -45,6 +45,26 @@ def test_condition_names_fixed():
     )
 
 
+def test_identity_matrix_with_given_entries_is_the_literal(s3):
+    H, K = s3.H, s3.K
+    alpha, beta = FMap(H, H, (0, 2, 1)), FMap(K, H, (0, 1))
+    gamma, delta = FMap(H, K, (1, 1, 1)), FMap(K, K, (1, 0))
+    one_h, one_k, zero_kh, zero_hk = identity_map(H), identity_map(K), zero_map(K, H), zero_map(H, K)
+    cases = [
+        ({}, (one_h, zero_kh, zero_hk, one_k)),
+        ({"alpha": alpha}, (alpha, zero_kh, zero_hk, one_k)),
+        ({"beta": beta}, (one_h, beta, zero_hk, one_k)),
+        ({"gamma": gamma}, (one_h, zero_kh, gamma, one_k)),
+        ({"delta": delta}, (one_h, zero_kh, zero_hk, delta)),
+        ({"beta": beta, "gamma": gamma}, (one_h, beta, gamma, one_k)),
+        ({"alpha": alpha, "beta": beta, "gamma": gamma, "delta": delta}, (alpha, beta, gamma, delta)),
+    ]
+    for given, (a, b, c, d) in cases:
+        built = identity_matrix(s3, **given)
+        assert built == EndoMatrix(alpha=a, beta=b, gamma=c, delta=d, context=s3)
+        assert all(getattr(built, key) is entry for key, entry in given.items())
+
+
 def test_identity_matrix_passes_conditions(s3):
     report = check_conditions(identity_matrix(s3))
     assert report.ok
