@@ -3,7 +3,9 @@
 A group of order n is a table ``table[a][b] = a*b`` over indices 0..n-1.
 The identity is detected, never assumed to be 0.  Construction via
 :func:`make_group` checks every axiom exhaustively and reports the first
-witnessing elements on failure.
+witnessing elements on failure: the identity and the inverses by a scan
+of the table, associativity by Light's test over a generating set read
+off the table (see :func:`associativity_witness`).
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Sequence
 
 from .errors import MissingInverse, NoIdentity, NotAssociative
@@ -97,19 +100,21 @@ def make_group(
     if names is not None and len(names) != n:
         raise ValueError("names must match the table size")
 
-    identity = None
-    for e in range(n):
-        if all(rows[e][a] == a and rows[a][e] == a for a in range(n)):
-            identity = e
-            break
+    identity = _identity(rows)
     if identity is None:
         raise NoIdentity()
 
     inverses = []
-    for a in range(n):
-        b = next((b for b in range(n) if rows[a][b] == identity and rows[b][a] == identity), None)
-        if b is None:
-            raise MissingInverse(a)
+    for a, row in enumerate(rows):
+        # The first b with a*b = e and b*a = e, tried only where row a holds e.
+        b = -1
+        while True:
+            try:
+                b = row.index(identity, b + 1)
+            except ValueError:
+                raise MissingInverse(a) from None
+            if rows[b][a] == identity:
+                break
         inverses.append(b)
 
     triple = associativity_witness(rows)
@@ -126,16 +131,49 @@ def make_group(
     )
 
 
-def associativity_witness(table: Sequence[Sequence[int]]) -> tuple[int, int, int] | None:
-    """The first (a, b, c), a outermost, with (ab)c != a(bc) in a square table; None if there is none."""
+def _identity(table: Sequence[Sequence[int]]) -> int | None:
+    """The first two-sided identity of a square table, or None."""
     n = len(table)
-    for a, row_a in enumerate(table):
+    for e, row in enumerate(table):
+        if all(row[a] == a and table[a][e] == a for a in range(n)):
+            return e
+    return None
+
+
+def associativity_witness(table: Sequence[Sequence[int]]) -> tuple[int, int, int] | None:
+    """The first (a, b, c), a outermost, with (ab)c != a(bc) in a square table; None if there is none.
+
+    Light's test decides whether there is one in |S|·n² steps rather than
+    n³.  Call an element g good when (xg)y = x(gy) for all x, y.  The good
+    elements are closed under the product: for good a and b,
+
+        (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by)) = x((ab)y),
+
+    using a, b, a and b in turn.  The identity is good.  So if every g in a
+    set S is good, so is every element reached from the identity by right
+    multiplication by S, and S is read off the table by the same greedy
+    walk as :func:`greedy_generators`: if it passes, the whole table is
+    associative.  Only when some generator fails, or the table has no
+    identity, is the witness found by the a-outermost scan of all triples.
+    """
+    rows = tuple(map(tuple, table))
+    identity = _identity(rows)
+    if identity is not None and all(_is_good(rows, g) for g in _greedy_generators(rows, identity)):
+        return None
+    n = len(rows)
+    for a, row_a in enumerate(rows):
         for b, ab in enumerate(row_a):
-            row_ab, row_b = table[ab], table[b]
+            row_ab, row_b = rows[ab], rows[b]
             for c in range(n):
                 if row_ab[c] != row_a[row_b[c]]:
                     return (a, b, c)
     return None
+
+
+def _is_good(rows: tuple[tuple[int, ...], ...], g: int) -> bool:
+    """Whether (xg)y = x(gy) for all x, y, in a table of two or more tuple rows."""
+    x_gy = itemgetter(*rows[g])  # row x -> the row y -> x(gy); a tuple, as row g has 2+ entries
+    return all(rows[row_x[g]] == x_gy(row_x) for row_x in rows)
 
 
 def center(group: FiniteGroup) -> frozenset[int]:
@@ -148,12 +186,7 @@ def center(group: FiniteGroup) -> frozenset[int]:
 
 def greedy_generators(group: FiniteGroup) -> tuple[int, ...]:
     """A generating set built greedily: keep adding the first element not yet generated."""
-    gens: list[int] = []
-    reached = {group.identity}
-    while len(reached) < group.order:
-        gens.append(next(a for a in range(group.order) if a not in reached))
-        reached = {group.identity, *(y for y, _, _ in _walk(group, gens))}
-    return tuple(gens)
+    return _greedy_generators(group.table, group.identity)
 
 
 def word_sequence(group: FiniteGroup, gens: Sequence[int]) -> list[tuple[int, int, int]]:
@@ -163,23 +196,32 @@ def word_sequence(group: FiniteGroup, gens: Sequence[int]) -> list[tuple[int, in
     with x already discovered.  Iterating the list in order lets a search
     propagate candidate images from generator images deterministically.
     """
-    order = _walk(group, gens)
+    order = _walk(group.table, group.identity, gens)
     if len(order) != group.order - 1:
         raise ValueError("generators do not generate the group")
     return order
 
 
-def _walk(group: FiniteGroup, gens: Sequence[int]) -> list[tuple[int, int, int]]:
+def _greedy_generators(table: Sequence[Sequence[int]], identity: int) -> tuple[int, ...]:
+    """Generators of a square table with an identity, by right multiplication, chosen greedily."""
+    gens: list[int] = []
+    reached = {identity}
+    while len(reached) < len(table):
+        gens.append(next(a for a in range(len(table)) if a not in reached))
+        reached = {identity, *(y for y, _, _ in _walk(table, identity, gens))}
+    return tuple(gens)
+
+
+def _walk(table: Sequence[Sequence[int]], identity: int, gens: Sequence[int]) -> list[tuple[int, int, int]]:
     """The ``(y, x, i)`` steps of a breadth-first walk from the identity over what gens reach."""
-    t = group.table
-    seen = {group.identity}
+    seen = {identity}
     order: list[tuple[int, int, int]] = []
-    frontier = [group.identity]
+    frontier = [identity]
     while frontier:
         nxt = []
         for x in frontier:
             for i, g in enumerate(gens):
-                y = t[x][g]
+                y = table[x][g]
                 if y not in seen:
                     seen.add(y)
                     order.append((y, x, i))

@@ -62,7 +62,6 @@ from .semidirect import SdProduct
 
 __all__ = ["CheckResult", "VerifyReport", "CHECK_NAMES", "run_verification"]
 
-_ASSOC_LIMIT = 60
 _PAIR_LIMIT = 200
 
 @dataclass(frozen=True)
@@ -276,8 +275,6 @@ def _check_monoid(ctx: _Context) -> CheckResult:
     for j in range(ctx.n):
         if ctx.ptable[e][j] != j or ctx.ptable[j][e] != j:
             return CheckResult(name, "fail", witness={"index": j, "detail": "identity law"})
-    if ctx.n > _ASSOC_LIMIT:
-        return CheckResult(name, "skip", reason=f"matrix count {ctx.n} exceeds associativity bound {_ASSOC_LIMIT}")
     triple = associativity_witness(ctx.ptable)
     if triple is not None:
         return CheckResult(name, "fail", witness={"triple": list(triple)})

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdmat import (
+    GroupAction,
     GroupValidationError,
     NotAssociative,
     build_instance,
@@ -14,6 +15,7 @@ from sdmat import (
     enumerate_homs,
     greedy_generators,
     make_group,
+    semidirect,
     trivial_group,
 )
 from sdmat.groups import associativity_witness, word_sequence
@@ -141,14 +143,54 @@ def _assoc_violations(table):
             if table[table[a][b]][c] != table[a][table[b][c]]]
 
 
+def _random_loop(rnd, n):
+    """A random Latin square on 0..n-1 with identity 0, filled cell by cell with backtracking."""
+    table = [list(range(n))] + [[i] + [None] * (n - 1) for i in range(1, n)]
+    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+
+    def fill(k):
+        if k == len(cells):
+            return True
+        i, j = cells[k]
+        options = [v for v in range(n) if v not in table[i] and all(table[r][j] != v for r in range(i))]
+        rnd.shuffle(options)
+        for v in options:
+            table[i][j] = v
+            if fill(k + 1):
+                return True
+        table[i][j] = None
+        return False
+
+    assert fill(0)
+    return table
+
+
+def _direct_product(s, t):
+    """The componentwise product of two tables, (p, q) encoded as p * len(t) + q."""
+    m = len(t)
+    return [[s[p1][p2] * m + t[q1][q2] for p2 in range(len(s)) for q2 in range(m)]
+            for p1 in range(len(s)) for q1 in range(m)]
+
+
 @st.composite
 def square_tables(draw):
-    """Group tables under a random relabelling, each possibly with one entry changed, and random tables."""
-    kind = draw(st.sampled_from(("group", "changed", "random")))
+    """Group tables and random loops under a random relabelling, each group
+    table possibly with one entry changed, and random tables.
+
+    Loops (Latin squares with an identity) have the identity, and often the
+    inverses, that make_group checks first, so they reach Light's test.  A
+    loop times Z2 or Z3 has generators that pass the test next to ones that
+    fail it.
+    """
+    kind = draw(st.sampled_from(("group", "changed", "random", "loop")))
     if kind == "random":
         n = draw(st.integers(1, 4))
         return [draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)) for _ in range(n)]
-    table = draw(st.sampled_from(GROUP_TABLES))
+    if kind == "loop":
+        loop = _random_loop(draw(st.randoms(use_true_random=False)), draw(st.integers(1, 6)))
+        table = _direct_product(loop, draw(st.sampled_from(GROUP_TABLES[:3])))
+    else:
+        table = draw(st.sampled_from(GROUP_TABLES))
     n = len(table)
     perm = draw(st.permutations(range(n)))
     out = [[0] * n for _ in range(n)]
@@ -160,7 +202,7 @@ def square_tables(draw):
     return out
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(square_tables())
 def test_associativity_witness_is_the_first_brute_violation(table):
     violations = _assoc_violations(table)
@@ -172,4 +214,39 @@ def test_make_group_names_the_first_non_associative_triple():
     table = [[0, 1, 2], [1, 0, 0], [2, 0, 1]]
     with pytest.raises(NotAssociative) as err:
         make_group(table)
+    assert err.value.triple == _assoc_violations(table)[0]
+
+
+# The smallest loops that are not groups have order 5; in this one every
+# element is its own inverse, so only associativity fails.
+LOOP5 = [
+    [0, 1, 2, 3, 4],
+    [1, 0, 3, 4, 2],
+    [2, 4, 0, 1, 3],
+    [3, 2, 4, 0, 1],
+    [4, 3, 1, 2, 0],
+]
+
+
+# In LOOP5 x Z2 the first greedy generator, 1 = (e, 1), passes Light's test
+# and only the second, 2 = (1, e), fails it.
+@pytest.mark.parametrize("table", [LOOP5, _direct_product(LOOP5, GROUP_TABLES[1])], ids=["loop5", "loop5xZ2"])
+def test_make_group_rejects_a_non_associative_loop(table):
+    with pytest.raises(NotAssociative) as err:
+        make_group(table)
+    assert err.value.triple == _assoc_violations(table)[0]
+
+
+def test_semidirect_rejects_an_action_that_does_not_compose_like_k():
+    # Both non-identity elements of Z3 act on Z3 by inversion, but f_1 o f_1 is
+    # the identity, not f_2.  GroupAction bypasses make_action's check, so the
+    # product table reaches make_group, which must reject it.
+    z3 = cyclic_group(3)
+    inversion = (0, 2, 1)
+    action = GroupAction(z3, z3, ((0, 1, 2), inversion, inversion))
+    table = [[0] * 9 for _ in range(9)]
+    for (h1, k1), (h2, k2) in itertools.product(itertools.product(range(3), repeat=2), repeat=2):
+        table[h1 * 3 + k1][h2 * 3 + k2] = (h1 + action.images[k1][h2]) % 3 * 3 + (k1 + k2) % 3
+    with pytest.raises(NotAssociative) as err:
+        semidirect(action)
     assert err.value.triple == _assoc_violations(table)[0]

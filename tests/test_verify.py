@@ -22,6 +22,12 @@ def test_single_check_matches_full_run(full_reports, instance, check):
     assert single.notes.items() <= full.notes.items()
 
 
+def test_no_check_skips_below_the_pairwise_limit(full_reports):
+    # direct:3:3 has 81 matrices, under the pairwise limit of 200, so every check runs.
+    assert [(c.name, c.status) for c in full_reports["direct:3:3"].checks if c.status != "pass"] == []
+    assert [c.status for c in run_verification("direct:3:3", checks=["monoid_laws"]).checks] == ["pass"]
+
+
 def test_selected_check_builds_no_census_or_product_table(monkeypatch):
     def unused(*args, **kwargs):
         raise AssertionError("built for a check that does not read it")
