@@ -114,7 +114,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     product = _resolve_product(args)
     mats = enumerate_matrices(product, bound=args.bound, exhaustive=args.exhaustive)
     mats.sort(key=lambda m: m.key())
-    autos = [m for m in mats if matrix_to_endo(m).map.is_bijective]
+    autos = [m for m in mats if matrix_to_endo(m).is_bijective]
     payload = {
         "instance": product.name,
         "group_order": product.group.order,

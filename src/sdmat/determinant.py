@@ -39,7 +39,7 @@ from .errors import (
     PreconditionFailed,
     VerificationFailed,
 )
-from .maps import Endo, FMap, identity_map, map_add, map_compose, map_inverse, map_neg
+from .maps import FMap, identity_map, map_add, map_compose, map_inverse, map_neg
 from .matrices import EndoMatrix, endo_to_matrix, is_automorphism_matrix, matrix_to_endo
 
 __all__ = [
@@ -159,9 +159,9 @@ def is_invertible(matrix: EndoMatrix) -> InvertibilityResult:
         method, invert, singular = "detH", invert_via_det_h, DetHNotInvertible
     else:
         theta = matrix_to_endo(matrix)
-        if not theta.map.is_bijective:
+        if not theta.is_bijective:
             return InvertibilityResult(False, "direct", None)
-        inverse = endo_to_matrix(Endo(map_inverse(theta.map)), matrix.context)
+        inverse = endo_to_matrix(map_inverse(theta), matrix.context)
         return InvertibilityResult(True, "direct", inverse)
     try:
         return InvertibilityResult(True, method, invert(matrix))

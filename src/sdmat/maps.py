@@ -12,6 +12,12 @@ and twisting through an action) complete the toolbox used by the matrix
 calculus.  Addition is written additively even though values multiply,
 because the codomain is rarely abelian and the notation keeps sums, negation
 and composition visually distinct.
+
+An endomorphism is an FMap whose ``dom is cod``.  Its homomorphism law is
+checked where it first appears: in the oracle's census
+(``oracle.enumerate_endos``) and when a matrix is turned into its
+endomorphism (``matrices.matrix_to_endo``).  Composites and inverses of
+these are homomorphisms by construction and are not checked again.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
-from .errors import DomainMismatch, NotBijective, NotHomomorphism
+from .errors import DomainMismatch, NotBijective
 
 if TYPE_CHECKING:
     from .groups import FiniteGroup
@@ -28,7 +34,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "FMap",
-    "Endo",
     "identity_map",
     "zero_map",
     "constant_map",
@@ -90,41 +95,6 @@ class FMap:
 
     def __repr__(self) -> str:
         return f"FMap({list(self.image)})"
-
-
-@dataclass(frozen=True, eq=False)
-class Endo:
-    """A verified endomorphism of a single group, wrapping its FMap."""
-
-    map: FMap
-
-    def __post_init__(self) -> None:
-        if self.map.dom is not self.map.cod:
-            raise NotHomomorphism("an endomorphism needs equal domain and codomain")
-        if not self.map.is_hom:
-            raise NotHomomorphism("image table violates the homomorphism law")
-
-    @property
-    def group(self) -> "FiniteGroup":
-        return self.map.dom
-
-    @property
-    def image(self) -> tuple[int, ...]:
-        return self.map.image
-
-    def __call__(self, g: int) -> int:
-        return self.map.image[g]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Endo):
-            return NotImplemented
-        return self.map == other.map
-
-    def __hash__(self) -> int:
-        return hash(self.map)
-
-    def __repr__(self) -> str:
-        return f"Endo({list(self.map.image)})"
 
 
 def identity_map(group: "FiniteGroup") -> FMap:

@@ -19,6 +19,11 @@ an endomorphism exactly when four compatibility conditions hold:
 Composition of endomorphisms then becomes a matrix product whose entries mix
 map addition, composition and twisting, and the set of valid matrices is a
 monoid under it.
+
+An endomorphism of G is an FMap from G to itself.  :func:`matrix_to_endo`
+checks the four conditions and then the homomorphism law of the map it
+builds, once per matrix; :func:`endo_to_matrix` checks the conditions of the
+matrix it reads off.
 """
 
 from __future__ import annotations
@@ -32,11 +37,11 @@ from .errors import (
     ConditionsViolated,
     ContextMismatch,
     GroupMismatch,
+    NotHomomorphism,
     ShapeMismatch,
 )
 from .groups import enumerate_homs, enumerate_twisted_maps
 from .maps import (
-    Endo,
     FMap,
     identity_map,
     map_act,
@@ -112,7 +117,7 @@ class EndoMatrix:
         return hash((id(self.context), self.key()))
 
     @cached_property
-    def _endo(self) -> Endo:
+    def _endo(self) -> FMap:
         report = check_conditions(self)
         first = report.first_failure()
         if first is not None:
@@ -122,7 +127,10 @@ class EndoMatrix:
         gt = P.group.table
         on_h = [P.encode(a, g) for a, g in zip(self.alpha.image, self.gamma.image)]
         on_k = [P.encode(b, d) for b, d in zip(self.beta.image, self.delta.image)]
-        return Endo(FMap(P.group, P.group, tuple(gt[x][y] for x in on_h for y in on_k)))
+        theta = FMap(P.group, P.group, tuple(gt[x][y] for x in on_h for y in on_k))
+        if not theta.is_hom:
+            raise NotHomomorphism("matrix passes its conditions but describes no homomorphism")
+        return theta
 
     def __repr__(self) -> str:
         return f"EndoMatrix(alpha={list(self.alpha.image)}, beta={list(self.beta.image)}, gamma={list(self.gamma.image)}, delta={list(self.delta.image)})"
@@ -251,18 +259,20 @@ def mat_mul(left: EndoMatrix, right: EndoMatrix) -> EndoMatrix:
     return EndoMatrix(alpha=a, beta=b, gamma=c, delta=d, context=left.context)
 
 
-def matrix_to_endo(matrix: EndoMatrix) -> Endo:
+def matrix_to_endo(matrix: EndoMatrix) -> FMap:
     """The endomorphism (h, k) -> (alpha(h) * f_{gamma(h)}(beta(k)), gamma(h) delta(k)).
 
     Raises ConditionsViolated if the matrix fails its compatibility
-    conditions; the result is a verified homomorphism of the product group.
+    conditions.  The result is an FMap from the product group to itself,
+    checked once against the homomorphism law (NotHomomorphism otherwise)
+    and cached on the matrix.
     """
     return matrix._endo
 
 
-def endo_to_matrix(theta: Endo, product: SdProduct) -> EndoMatrix:
-    """Read the four entry maps off the embedded copies of H and K."""
-    if theta.group is not product.group:
+def endo_to_matrix(theta: FMap, product: SdProduct) -> EndoMatrix:
+    """Read the four entry maps of an endomorphism of the product off the embedded copies of H and K."""
+    if theta.dom is not product.group or theta.cod is not product.group:
         raise GroupMismatch("endomorphism does not belong to this product group")
     H, K = product.H, product.K
     img = theta.image
@@ -337,4 +347,4 @@ def enumerate_matrices(product: SdProduct, bound: int = 64, exhaustive: bool = F
 
 def is_automorphism_matrix(matrix: EndoMatrix) -> bool:
     """Whether the described endomorphism is bijective."""
-    return matrix_to_endo(matrix).map.is_bijective
+    return matrix_to_endo(matrix).is_bijective

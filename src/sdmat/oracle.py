@@ -7,9 +7,14 @@ agreement with the matrix-based enumeration is evidence, and shared search
 code would make that agreement partly tautological.
 
 The default search assigns images to a generating set and verifies every
-candidate on all pairs.  ``exhaustive=True`` switches to enumeration of the
-full map space (a plain product filter for tiny groups, a pruned
-depth-first scan up to order 8), which double-checks the default search.
+candidate on all pairs.  ``exhaustive=True`` switches to a depth-first scan
+of the full map space, pruned on partial homomorphism violations (order <= 8
+only), which double-checks the default search.
+
+An endomorphism is a plain :class:`~sdmat.maps.FMap` from the group to
+itself.  Each census entry has passed the full homomorphism check here;
+:func:`compose_endos` and :func:`invert_endo` take such maps and return
+their composite and inverse without re-checking them.
 """
 
 from __future__ import annotations
@@ -19,12 +24,11 @@ from dataclasses import dataclass
 
 from .errors import BoundExceeded, GroupMismatch, NotBijective
 from .groups import FiniteGroup
-from .maps import Endo, FMap
+from .maps import FMap
 
 __all__ = ["EndCensus", "enumerate_endos", "invert_endo", "compose_endos"]
 
 _EXHAUSTIVE_LIMIT = 8
-_PRODUCT_FILTER_LIMIT = 6
 
 
 @dataclass(frozen=True)
@@ -32,8 +36,8 @@ class EndCensus:
     """All endomorphisms of one group, with the bijective ones split out."""
 
     group: FiniteGroup
-    endos: tuple[Endo, ...]
-    autos: tuple[Endo, ...]
+    endos: tuple[FMap, ...]
+    autos: tuple[FMap, ...]
 
     @property
     def n_endos(self) -> int:
@@ -111,16 +115,6 @@ def _endos_by_generators(group: FiniteGroup) -> list[tuple[int, ...]]:
     return found
 
 
-def _endos_by_product_filter(group: FiniteGroup) -> list[tuple[int, ...]]:
-    t = group.table
-    n = group.order
-    return [
-        img
-        for img in itertools.product(range(n), repeat=n)
-        if _full_hom_check(t, list(img))
-    ]
-
-
 def _endos_by_pruned_scan(group: FiniteGroup) -> list[tuple[int, ...]]:
     """Depth-first scan of all image tables, pruning on partial hom violations."""
     t = group.table
@@ -162,31 +156,35 @@ def enumerate_endos(group: FiniteGroup, bound: int = 64, exhaustive: bool = Fals
     if exhaustive:
         if group.order > _EXHAUSTIVE_LIMIT:
             raise BoundExceeded(f"exhaustive search is limited to order {_EXHAUSTIVE_LIMIT}")
-        if group.order <= _PRODUCT_FILTER_LIMIT:
-            tables = _endos_by_product_filter(group)
-        else:
-            tables = _endos_by_pruned_scan(group)
+        tables = _endos_by_pruned_scan(group)
     else:
         tables = _endos_by_generators(group)
     tables.sort()
-    endos = tuple(Endo(FMap(group, group, img)) for img in tables)
-    autos = tuple(e for e in endos if e.map.is_bijective)
+    endos = tuple(FMap(group, group, img) for img in tables)
+    autos = tuple(e for e in endos if e.is_bijective)
     return EndCensus(group=group, endos=endos, autos=autos)
 
 
-def invert_endo(theta: Endo) -> Endo:
+def _group_of(*thetas: FMap) -> FiniteGroup:
+    """The one group that every given map sends to itself."""
+    group = thetas[0].dom
+    if any(t.dom is not group or t.cod is not group for t in thetas):
+        raise GroupMismatch("endomorphisms must map one group to itself")
+    return group
+
+
+def invert_endo(theta: FMap) -> FMap:
     """Inverse of a bijective endomorphism, by inverting its image table."""
-    if not theta.map.is_bijective:
+    group = _group_of(theta)
+    if not theta.is_bijective:
         raise NotBijective("endomorphism is not bijective")
-    inv = [0] * theta.group.order
+    inv = [0] * group.order
     for g, v in enumerate(theta.image):
         inv[v] = g
-    return Endo(FMap(theta.group, theta.group, tuple(inv)))
+    return FMap(group, group, tuple(inv))
 
 
-def compose_endos(outer: Endo, inner: Endo) -> Endo:
+def compose_endos(outer: FMap, inner: FMap) -> FMap:
     """Composition outer after inner, as endomorphisms of the same group."""
-    if outer.group is not inner.group:
-        raise GroupMismatch("endomorphisms belong to different groups")
-    img = tuple(outer.image[v] for v in inner.image)
-    return Endo(FMap(outer.group, outer.group, img))
+    group = _group_of(outer, inner)
+    return FMap(group, group, tuple(outer.image[v] for v in inner.image))

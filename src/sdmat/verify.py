@@ -157,7 +157,7 @@ class _Context:
         self.thetas = [matrix_to_endo(m) for m in mats]
         self.theta_to_idx = {t.image: i for i, t in enumerate(self.thetas)}
         self.identity_idx = self.key_to_idx.get(identity_matrix(product).key())
-        self.bijective = [t.map.is_bijective for t in self.thetas]
+        self.bijective = [t.is_bijective for t in self.thetas]
         self.auto_idx = [i for i in range(self.n) if self.bijective[i]]
         # Determinants per index; None marks an undefined side.
         self.detk = [det_k(m) if m.alpha.is_bijective else None for m in mats]
@@ -237,7 +237,7 @@ def _check_correspondence(ctx: _Context) -> CheckResult:
         if endo_to_matrix(ctx.thetas[i], P) != m:
             return CheckResult(name, "fail", witness=_mat_witness(m, detail="round trip through endomorphism"))
     for e in ctx.census.endos:
-        if matrix_to_endo(endo_to_matrix(e, P)) != e:
+        if ctx.key_to_idx.get(endo_to_matrix(e, P).key()) != ctx.theta_to_idx[e.image]:
             return CheckResult(name, "fail", witness={"endo": list(e.image), "detail": "round trip through matrix"})
     if ctx.identity_idx is None:
         return CheckResult(name, "fail", witness={"detail": "identity matrix missing from enumeration"})
@@ -317,6 +317,11 @@ def _check_invertibility_h(ctx: _Context) -> CheckResult:
                 "fail",
                 witness=_mat_witness(m, det_bijective=dh.invertible, endo_bijective=ctx.bijective[i]),
             )
+        if m.alpha.is_bijective:
+            continue  # is_invertible takes detK here, checked by invertibility_via_det_k
+        decided = is_invertible(m)
+        if decided.method != "detH" or decided.invertible != ctx.bijective[i]:
+            return CheckResult(name, "fail", witness=_mat_witness(m, method=decided.method))
     if not seen:
         return CheckResult(name, "skip", reason="no matrix with bijective delta")
     return CheckResult(name, "pass")
@@ -336,7 +341,8 @@ def _check_inverse_k(ctx: _Context) -> CheckResult:
         inverse = invert_via_det_k(m)
         if mat_mul(m, inverse) != ident or mat_mul(inverse, m) != ident:
             return CheckResult(name, "fail", witness=_mat_witness(m, detail="two-sided inverse law"))
-        if matrix_to_endo(inverse) != invert_endo(ctx.thetas[i]):
+        j = ctx.key_to_idx.get(inverse.key())
+        if j is None or ctx.thetas[j] != invert_endo(ctx.thetas[i]):
             return CheckResult(name, "fail", witness=_mat_witness(m, detail="disagrees with brute-force inverse"))
         if det_h(inverse).value != map_inverse(m.alpha):
             return CheckResult(name, "fail", witness=_mat_witness(m, detail="det_h of inverse is not alpha^-1"))
@@ -368,7 +374,8 @@ def _check_inverse_h(ctx: _Context) -> CheckResult:
         inverse = invert_via_det_h(m)
         if mat_mul(m, inverse) != ident or mat_mul(inverse, m) != ident:
             return CheckResult(name, "fail", witness=_mat_witness(m, detail="two-sided inverse law"))
-        if matrix_to_endo(inverse) != invert_endo(ctx.thetas[i]):
+        j = ctx.key_to_idx.get(inverse.key())
+        if j is None or ctx.thetas[j] != invert_endo(ctx.thetas[i]):
             return CheckResult(name, "fail", witness=_mat_witness(m, detail="disagrees with brute-force inverse"))
         if det_k(inverse).value != map_inverse(m.delta):
             return CheckResult(name, "fail", witness=_mat_witness(m, detail="det_k of inverse is not delta^-1"))

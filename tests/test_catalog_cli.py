@@ -145,7 +145,7 @@ def test_cli_factor_degenerate_diagonal(tmp_path, capsys, klein, klein_matrices)
     swap = next(
         m
         for m in klein_matrices
-        if matrix_to_endo(m).map.is_bijective and not m.alpha.is_bijective
+        if matrix_to_endo(m).is_bijective and not m.alpha.is_bijective
     )
     path = tmp_path / "swap.json"
     save_matrix(swap, path)

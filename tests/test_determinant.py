@@ -115,7 +115,7 @@ def test_det_k_not_invertible_raises(klein):
     assert not det_k(m).invertible
     with pytest.raises(DetKNotInvertible):
         invert_via_det_k(m)
-    assert not matrix_to_endo(m).map.is_bijective
+    assert not matrix_to_endo(m).is_bijective
 
 
 def test_is_invertible_method_tags(s3):
@@ -132,7 +132,7 @@ def test_is_invertible_method_tags(s3):
 def test_is_invertible_agrees_with_oracle(s3_matrices, klein_matrices, d4_matrices, direct33_matrices):
     for mats in (s3_matrices, klein_matrices, d4_matrices):
         for m in mats:
-            assert is_invertible(m).invertible == matrix_to_endo(m).map.is_bijective
+            assert is_invertible(m).invertible == matrix_to_endo(m).is_bijective
     # Both instances take all three routes; each route's inverse is the oracle's.
     routes = {"dihedral:4": {"direct": 12, "detH": 16, "detK": 8},
               "direct:3:3": {"direct": 9, "detH": 18, "detK": 54}}
@@ -144,8 +144,8 @@ def test_is_invertible_agrees_with_oracle(s3_matrices, klein_matrices, d4_matric
             decided = is_invertible(m)
             seen[decided.method] += 1
             theta = matrix_to_endo(m)
-            assert decided.invertible == theta.map.is_bijective
-            if not theta.map.is_bijective:
+            assert decided.invertible == theta.is_bijective
+            if not theta.is_bijective:
                 assert decided.inverse is None
                 continue
             inverse = decided.inverse
@@ -174,7 +174,7 @@ def test_dual_det_inverses_preconditions(klein):
     with pytest.raises(PreconditionFailed):
         dual_det_inverses(not_auto)
     swap = _matrix(klein, (0, 0), (0, 1), (0, 1), (0, 0))
-    assert matrix_to_endo(swap).map.is_bijective
+    assert matrix_to_endo(swap).is_bijective
     with pytest.raises(PreconditionFailed):
         dual_det_inverses(swap)
 
@@ -237,7 +237,7 @@ def test_det_h_inverse_sum_order_with_nonabelian_k():
     ident = identity_matrix(P)
     swapped_sum_fails = 0
     for m in enumerate_matrices(P):
-        if not (m.delta.is_bijective and matrix_to_endo(m).map.is_bijective):
+        if not (m.delta.is_bijective and matrix_to_endo(m).is_bijective):
             continue
         inverse = invert_via_det_h(m)
         assert mat_mul(m, inverse) == ident and mat_mul(inverse, m) == ident

@@ -5,8 +5,10 @@ from sdmat import (
     CONDITION_NAMES,
     ConditionsViolated,
     ContextMismatch,
+    ConditionReport,
     EndoMatrix,
     FMap,
+    NotHomomorphism,
     ShapeMismatch,
     build_instance,
     check_conditions,
@@ -89,6 +91,15 @@ def test_compat_condition_fails_with_witness(s3):
         matrix_to_endo(m)
 
 
+def test_matrix_to_endo_certifies_the_homomorphism_law(s3, monkeypatch):
+    # alpha is no homomorphism of Z3, so theta(h, k) = (alpha(h), k) is none of S3;
+    # with the conditions check bypassed, matrix_to_endo must still refuse it.
+    m = _matrix(s3, (0, 0, 1), (0, 0), (0, 0, 0), (0, 1))
+    monkeypatch.setattr("sdmat.matrices.check_conditions", lambda matrix: ConditionReport(checks=()))
+    with pytest.raises(NotHomomorphism):
+        matrix_to_endo(m)
+
+
 def test_shape_validation(s3):
     with pytest.raises(ShapeMismatch):
         EndoMatrix(
@@ -146,7 +157,7 @@ def test_matrix_to_endo_squaring(s3):
     for h in range(3):
         for k in range(2):
             assert theta(s3.encode(h, k)) == s3.encode((2 * h) % 3, k)
-    assert theta.map.is_hom
+    assert theta.is_hom
 
 
 def test_trivial_action_reduces_to_products(klein, klein_matrices):
@@ -209,4 +220,4 @@ def test_unique_solvability_matches_bijectivity(s3_matrices, klein_matrices):
             for g in range(n):
                 hits[theta(g)] += 1
             unique = all(c == 1 for c in hits)
-            assert unique == theta.map.is_bijective
+            assert unique == theta.is_bijective

@@ -7,16 +7,19 @@ from sdmat import (
     build_instance,
     compose_endos,
     cyclic_group,
+    endo_to_matrix,
     enumerate_endos,
     invert_endo,
     trivial_group,
 )
-from sdmat.maps import Endo, FMap
+from sdmat.maps import FMap
 
 
 def inner_automorphism(G, g):
     image = tuple(G.mul(G.mul(g, x), G.inv(g)) for x in G.elements())
-    return Endo(FMap(G, G, image))
+    theta = FMap(G, G, image)
+    assert theta.is_hom
+    return theta
 
 
 def test_trivial_group_census():
@@ -38,7 +41,7 @@ def test_klein_census(klein_census):
 
 def test_all_listed_maps_are_homs(s3_census):
     for theta in s3_census.endos:
-        assert theta.map.is_hom
+        assert theta.is_hom
     auto_images = {a.image for a in s3_census.autos}
     assert auto_images <= {e.image for e in s3_census.endos}
 
@@ -67,7 +70,7 @@ def test_bound_guard(d4):
 
 def test_invert_identity():
     z5 = cyclic_group(5)
-    ident = Endo(FMap(z5, z5, (0, 1, 2, 3, 4)))
+    ident = FMap(z5, z5, (0, 1, 2, 3, 4))
     assert invert_endo(ident) == ident
 
 
@@ -86,13 +89,13 @@ def test_invert_rotation_conjugation(s3):
 
 def test_invert_requires_bijective(s3):
     G = s3.group
-    collapse = Endo(FMap(G, G, tuple(G.identity for _ in G.elements())))
+    collapse = FMap(G, G, tuple(G.identity for _ in G.elements()))
     with pytest.raises(NotBijective):
         invert_endo(collapse)
 
 
 def test_compose_identity(s3_census, s3):
-    ident = Endo(FMap(s3.group, s3.group, tuple(range(6))))
+    ident = FMap(s3.group, s3.group, tuple(range(6)))
     for theta in s3_census.endos:
         assert compose_endos(ident, theta) == theta
         assert compose_endos(theta, ident) == theta
@@ -105,7 +108,8 @@ def test_compose_involution(s3):
     for g in G.elements():
         h, k = s3.decode(g)
         image.append(s3.encode((2 * h + k) % 3, k))
-    theta = Endo(FMap(G, G, tuple(image)))
+    theta = FMap(G, G, tuple(image))
+    assert theta.is_hom
     composed = compose_endos(theta, theta)
     assert composed.image == tuple(range(6))
 
@@ -121,7 +125,23 @@ def test_compose_associativity(s3_census):
 
 
 def test_compose_group_mismatch(s3, klein):
-    a = Endo(FMap(s3.group, s3.group, tuple(range(6))))
-    b = Endo(FMap(klein.group, klein.group, tuple(range(4))))
+    a = FMap(s3.group, s3.group, tuple(range(6)))
+    b = FMap(klein.group, klein.group, tuple(range(4)))
     with pytest.raises(GroupMismatch):
         compose_endos(a, b)
+
+
+def test_endo_ops_reject_maps_off_one_group(s3):
+    # An endomorphism maps one group to itself; these map H into G and G onto H.
+    ident = FMap(s3.group, s3.group, tuple(range(6)))
+    into_g = FMap(s3.H, s3.group, tuple(s3.embed_h(h) for h in range(3)))
+    onto_h = FMap(s3.group, s3.H, tuple(s3.decode(g)[0] for g in range(6)))
+    for other in (into_g, onto_h):
+        for call in (
+            lambda: compose_endos(ident, other),
+            lambda: compose_endos(other, ident),
+            lambda: invert_endo(other),
+            lambda: endo_to_matrix(other, s3),
+        ):
+            with pytest.raises(GroupMismatch):
+                call()
