@@ -22,7 +22,6 @@ import argparse
 import functools
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .catalog import (
@@ -96,10 +95,10 @@ def _resolve_product(args: argparse.Namespace) -> SdProduct:
 
 def _load_matrix_checked(path: str, product: SdProduct) -> EndoMatrix:
     matrix = load_matrix(path, product)
-    report = check_conditions(matrix)
-    if not report.ok:
-        failed = report.first_failure()
-        raise ValueError(f"matrix violates condition {failed.name}: witness {failed.witness}")
+    failed = check_conditions(matrix)
+    if failed is not None:
+        name, witness = failed
+        raise ValueError(f"matrix violates condition {name}: witness {witness}")
     return matrix
 
 
@@ -130,26 +129,20 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _det_side(result) -> tuple[list[int] | None, bool | None]:
-    if result is None:
-        return None, None
-    return list(result.value.image), result.is_hom
-
-
 def _cmd_det(args: argparse.Namespace) -> int:
     product = _resolve_product(args)
     matrix = _load_matrix_checked(args.matrix, product)
     dh = det_h(matrix) if matrix.delta.is_bijective else None
     dk = det_k(matrix) if matrix.alpha.is_bijective else None
     decided = is_invertible(matrix)
-    dh_image, dh_hom = _det_side(dh)
-    dk_image, dk_hom = _det_side(dk)
+    dh_image = None if dh is None else list(dh.image)
+    dk_image = None if dk is None else list(dk.image)
     payload = {
         "det_H": dh_image,
         "det_K": dk_image,
         "invertible": decided.invertible,
-        "is_hom_H": dh_hom,
-        "is_hom_K": dk_hom,
+        "is_hom_H": None if dh is None else dh.is_hom,
+        "is_hom_K": None if dk is None else dk.is_hom,
         "inverse": matrix_to_dict(decided.inverse) if decided.invertible else None,
     }
     lines = [
@@ -216,10 +209,6 @@ def _cmd_census(args: argparse.Namespace) -> int:
     return 0
 
 
-def _verify_worker(name: str, bound: int, checks: str | list[str]):
-    return run_verification(name, bound=bound, checks=checks)
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.theorems == "all":
         checks: str | list[str] = "all"
@@ -232,13 +221,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         if args.action or args.group_h:
             reports = [run_verification(_resolve_product(args), bound=args.bound, checks=checks)]
         else:
-            names = list(DEFAULT_INSTANCES)
-            worker = functools.partial(_verify_worker, bound=args.bound, checks=checks)
-            if args.jobs and args.jobs > 1:
-                with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                    reports = list(pool.map(worker, names))
-            else:
-                reports = [worker(name) for name in names]
+            reports = [run_verification(name, bound=args.bound, checks=checks) for name in DEFAULT_INSTANCES]
     else:
         reports = [run_verification(args.instance, bound=args.bound, checks=checks)]
     passed = all(r.passed for r in reports)
@@ -302,7 +285,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_source_args(p)
     _add_format_arg(p, "text")
     p.add_argument("--theorems", default="all", help="'all' or comma-separated check names")
-    p.add_argument("--jobs", type=int, default=1, help="parallel instances")
     p.add_argument("--timing", action="store_true", help="include wall-clock timing")
     p.set_defaults(func=_cmd_verify)
 

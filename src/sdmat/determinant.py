@@ -6,10 +6,11 @@ determinants, one valued in each factor:
     det_K = -gamma alpha^-1 beta + delta     (needs alpha bijective)
     det_H = alpha - beta delta^-1 gamma      (needs delta bijective)
 
-Each is a plain set map; bijectivity of the determinant decides
-invertibility of the whole matrix, and for invertible matrices the
-determinant turns out to satisfy the homomorphism law.  Each determinant D
-gives a closed-form inverse, and the two are mirror images:
+Each is a plain set map, and :func:`det_k` and :func:`det_h` return that
+map itself: its ``is_bijective`` decides invertibility of the whole
+matrix, and for invertible matrices its ``is_hom`` turns out to hold.
+Each determinant D gives a closed-form inverse, and the two are mirror
+images:
 
     K side, D = det_K                           H side, D = det_H
     alpha' = alpha^-1 - alpha^-1 beta gamma'    alpha' = D^-1
@@ -28,7 +29,6 @@ the described endomorphism.  It returns the inverse from the route it chose.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import (
@@ -43,7 +43,6 @@ from .maps import FMap, identity_map, map_add, map_compose, map_inverse, map_neg
 from .matrices import EndoMatrix, endo_to_matrix, is_automorphism_matrix, matrix_to_endo
 
 __all__ = [
-    "DetResult",
     "InvertibilityResult",
     "det_k",
     "det_h",
@@ -55,50 +54,26 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DetResult:
-    """A determinant value; its flags read the value's cached properties."""
-
-    value: FMap
-    side: str  # "H" or "K"
-
-    @property
-    def invertible(self) -> bool:
-        return self.value.is_bijective
-
-    @property
-    def is_hom(self) -> bool:
-        return self.value.is_hom
-
-
 class InvertibilityResult(NamedTuple):
     invertible: bool
     method: str  # "detK", "detH" or "direct"
     inverse: EndoMatrix | None  # from the chosen route; None when not invertible
 
 
-def det_k(matrix: EndoMatrix) -> DetResult:
+def det_k(matrix: EndoMatrix) -> FMap:
     """K-valued determinant: k -> gamma(alpha^-1(beta(k)))^-1 * delta(k)."""
     if not matrix.alpha.is_bijective:
         raise AlphaNotInvertible("alpha must be bijective to form the K-side determinant")
     ainv = map_inverse(matrix.alpha)
-    value = map_add(
-        map_neg(map_compose(matrix.gamma, map_compose(ainv, matrix.beta))),
-        matrix.delta,
-    )
-    return DetResult(value=value, side="K")
+    return map_add(map_neg(map_compose(matrix.gamma, map_compose(ainv, matrix.beta))), matrix.delta)
 
 
-def det_h(matrix: EndoMatrix) -> DetResult:
+def det_h(matrix: EndoMatrix) -> FMap:
     """H-valued determinant: h -> alpha(h) * beta(delta^-1(gamma(h)))^-1."""
     if not matrix.delta.is_bijective:
         raise DeltaNotInvertible("delta must be bijective to form the H-side determinant")
     dinv = map_inverse(matrix.delta)
-    value = map_add(
-        matrix.alpha,
-        map_neg(map_compose(matrix.beta, map_compose(dinv, matrix.gamma))),
-    )
-    return DetResult(value=value, side="H")
+    return map_add(matrix.alpha, map_neg(map_compose(matrix.beta, map_compose(dinv, matrix.gamma))))
 
 
 def invert_via_det_k(matrix: EndoMatrix) -> EndoMatrix:
@@ -113,10 +88,10 @@ def invert_via_det_k(matrix: EndoMatrix) -> EndoMatrix:
     not apply.
     """
     dk = det_k(matrix)
-    if not dk.invertible:
+    if not dk.is_bijective:
         raise DetKNotInvertible("the K-side determinant is not bijective")
     ainv = map_inverse(matrix.alpha)
-    dkinv = map_inverse(dk.value)
+    dkinv = map_inverse(dk)
     gprime = map_compose(dkinv, map_neg(map_compose(matrix.gamma, ainv)))
     bprime = map_neg(map_compose(ainv, map_compose(matrix.beta, dkinv)))
     aprime = map_add(ainv, map_neg(map_compose(ainv, map_compose(matrix.beta, gprime))))
@@ -135,10 +110,10 @@ def invert_via_det_h(matrix: EndoMatrix) -> EndoMatrix:
     DeltaNotInvertible or DetHNotInvertible when the formula does not apply.
     """
     dh = det_h(matrix)
-    if not dh.invertible:
+    if not dh.is_bijective:
         raise DetHNotInvertible("the H-side determinant is not bijective")
     dinv = map_inverse(matrix.delta)
-    dhinv = map_inverse(dh.value)
+    dhinv = map_inverse(dh)
     bprime = map_compose(dhinv, map_neg(map_compose(matrix.beta, dinv)))
     gprime = map_neg(map_compose(dinv, map_compose(matrix.gamma, dhinv)))
     dprime = map_add(map_neg(map_compose(dinv, map_compose(matrix.gamma, bprime))), dinv)
@@ -192,21 +167,21 @@ def dual_det_inverses(matrix: EndoMatrix) -> tuple[FMap, FMap]:
     _require_automorphism_with_bijective_diagonal(matrix)
     dh = det_h(matrix)
     dk = det_k(matrix)
-    if not dh.invertible and not dk.invertible:
+    if not dh.is_bijective and not dk.is_bijective:
         raise PreconditionFailed("neither determinant is bijective")
-    if not dh.invertible or not dk.invertible:
+    if not dh.is_bijective or not dk.is_bijective:
         # The duality theorem says this cannot happen; surface it loudly.
         raise VerificationFailed(
             "determinant bijectivity duality",
-            (dh.invertible, dk.invertible),
+            (dh.is_bijective, dk.is_bijective),
         )
     via_k = invert_via_det_k(matrix).alpha
     via_h = invert_via_det_h(matrix).delta
     id_h = identity_map(matrix.context.H)
     id_k = identity_map(matrix.context.K)
-    if map_compose(via_k, dh.value) != id_h or map_compose(dh.value, via_k) != id_h:
+    if map_compose(via_k, dh) != id_h or map_compose(dh, via_k) != id_h:
         raise VerificationFailed("H-side determinant inverse identity", tuple(via_k.image))
-    if map_compose(via_h, dk.value) != id_k or map_compose(dk.value, via_h) != id_k:
+    if map_compose(via_h, dk) != id_k or map_compose(dk, via_h) != id_k:
         raise VerificationFailed("K-side determinant inverse identity", tuple(via_h.image))
     return via_k, via_h
 

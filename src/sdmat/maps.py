@@ -70,15 +70,12 @@ class FMap:
 
     @cached_property
     def is_hom(self) -> bool:
-        """Whether phi(ab) = phi(a)phi(b) for all pairs.  Computed once, lazily."""
-        dt, ct, img = self.dom.table, self.cod.table, self.image
-        for a in range(self.dom.order):
-            ia = img[a]
-            row = dt[a]
-            for b in range(self.dom.order):
-                if img[row[b]] != ct[ia][img[b]]:
-                    return False
-        return True
+        """Whether phi(ab) = phi(a)phi(b) for all pairs: the twisted law with every twist the identity.
+
+        Computed once, lazily.
+        """
+        untwisted = (tuple(range(self.cod.order)),) * self.dom.order
+        return twisted_law_witness(self.dom, self.cod, self.image, untwisted) is None
 
     @cached_property
     def is_bijective(self) -> bool:

@@ -23,7 +23,9 @@ monoid under it.
 An endomorphism of G is an FMap from G to itself.  :func:`matrix_to_endo`
 checks the four conditions and then the homomorphism law of the map it
 builds, once per matrix; :func:`endo_to_matrix` checks the conditions of the
-matrix it reads off.
+matrix it reads off.  :func:`check_conditions` takes the conditions in the
+order of ``CONDITION_NAMES`` and returns the first that fails as
+``(name, witness)``, or None when all four hold.
 """
 
 from __future__ import annotations
@@ -54,8 +56,6 @@ from .semidirect import GroupAction, SdProduct
 
 __all__ = [
     "EndoMatrix",
-    "ConditionCheck",
-    "ConditionReport",
     "CONDITION_NAMES",
     "identity_matrix",
     "check_conditions",
@@ -79,7 +79,7 @@ class EndoMatrix:
     """A 2x2 matrix of maps over a fixed semidirect product.
 
     Shapes are validated at construction; the compatibility conditions are
-    not, so candidate matrices can be built and then reported on by
+    not, so candidate matrices can be built and then checked by
     :func:`check_conditions`.
     """
 
@@ -118,10 +118,9 @@ class EndoMatrix:
 
     @cached_property
     def _endo(self) -> FMap:
-        report = check_conditions(self)
-        first = report.first_failure()
-        if first is not None:
-            raise ConditionsViolated(first.name, first.witness)
+        failed = check_conditions(self)
+        if failed is not None:
+            raise ConditionsViolated(*failed)
         # theta(h, k) = theta(h, 1) * theta(1, k), with h outer as in the pair encoding.
         P = self.context
         gt = P.group.table
@@ -134,30 +133,6 @@ class EndoMatrix:
 
     def __repr__(self) -> str:
         return f"EndoMatrix(alpha={list(self.alpha.image)}, beta={list(self.beta.image)}, gamma={list(self.gamma.image)}, delta={list(self.delta.image)})"
-
-
-@dataclass(frozen=True)
-class ConditionCheck:
-    name: str
-    witness: tuple | None
-
-    @property
-    def passed(self) -> bool:
-        return self.witness is None
-
-
-@dataclass(frozen=True)
-class ConditionReport:
-    """Per-condition pass/fail with the first violating tuple."""
-
-    checks: tuple[ConditionCheck, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def first_failure(self) -> ConditionCheck | None:
-        return next((c for c in self.checks if not c.passed), None)
 
 
 def identity_matrix(
@@ -219,19 +194,21 @@ def _compat_witness(
     return None
 
 
-def check_conditions(matrix: EndoMatrix) -> ConditionReport:
-    """Evaluate the four compatibility conditions, reporting first witnesses."""
+def check_conditions(matrix: EndoMatrix) -> tuple[str, tuple] | None:
+    """The first failing compatibility condition as (name, witness), or None.
+
+    Conditions are taken in ``CONDITION_NAMES`` order; the witness is the
+    first violating (x, y, lhs, rhs) of that condition.
+    """
+    a, b, g, d = matrix.entries()
     act = matrix.context.action
-    checks = (
-        ConditionCheck(CONDITION_NAMES[0], twisted_hom_witness(matrix.alpha, matrix.gamma, act)),
-        ConditionCheck(CONDITION_NAMES[1], twisted_hom_witness(matrix.beta, matrix.delta, act)),
-        ConditionCheck(CONDITION_NAMES[2], _intertwine_witness(matrix.gamma, matrix.delta, act)),
-        ConditionCheck(
-            CONDITION_NAMES[3],
-            _compat_witness(matrix.alpha, matrix.beta, matrix.gamma, matrix.delta, act),
-        ),
+    witnesses = (
+        twisted_hom_witness(a, g, act),
+        twisted_hom_witness(b, d, act),
+        _intertwine_witness(g, d, act),
+        _compat_witness(a, b, g, d, act),
     )
-    return ConditionReport(checks=checks)
+    return next(((name, w) for name, w in zip(CONDITION_NAMES, witnesses) if w is not None), None)
 
 
 def mat_mul(left: EndoMatrix, right: EndoMatrix) -> EndoMatrix:
@@ -291,11 +268,10 @@ def endo_to_matrix(theta: FMap, product: SdProduct) -> EndoMatrix:
         delta=FMap(K, K, tuple(delta)),
         context=product,
     )
-    report = check_conditions(matrix)
-    first = report.first_failure()
-    if first is not None:
+    failed = check_conditions(matrix)
+    if failed is not None:
         # Cannot happen for a genuine endomorphism; kept as a hard guard.
-        raise ConditionsViolated(first.name, first.witness)
+        raise ConditionsViolated(*failed)
     return matrix
 
 
@@ -328,7 +304,7 @@ def enumerate_matrices(product: SdProduct, bound: int = 64, exhaustive: bool = F
                 for beta in all_betas:
                     for alpha in all_alphas:
                         m = EndoMatrix(alpha=alpha, beta=beta, gamma=gamma, delta=delta, context=product)
-                        if check_conditions(m).ok:
+                        if check_conditions(m) is None:
                             out.append(m)
                 continue
             if _intertwine_witness(gamma, delta, act) is not None:

@@ -289,11 +289,11 @@ def _check_invertibility_k(ctx: _Context) -> CheckResult:
         if dk is None:
             continue
         seen = True
-        if dk.invertible != ctx.bijective[i]:
+        if dk.is_bijective != ctx.bijective[i]:
             return CheckResult(
                 name,
                 "fail",
-                witness=_mat_witness(m, det_bijective=dk.invertible, endo_bijective=ctx.bijective[i]),
+                witness=_mat_witness(m, det_bijective=dk.is_bijective, endo_bijective=ctx.bijective[i]),
             )
         decided = is_invertible(m)
         if decided.method != "detK" or decided.invertible != ctx.bijective[i]:
@@ -311,11 +311,11 @@ def _check_invertibility_h(ctx: _Context) -> CheckResult:
         if dh is None:
             continue
         seen = True
-        if dh.invertible != ctx.bijective[i]:
+        if dh.is_bijective != ctx.bijective[i]:
             return CheckResult(
                 name,
                 "fail",
-                witness=_mat_witness(m, det_bijective=dh.invertible, endo_bijective=ctx.bijective[i]),
+                witness=_mat_witness(m, det_bijective=dh.is_bijective, endo_bijective=ctx.bijective[i]),
             )
         if m.alpha.is_bijective:
             continue  # is_invertible takes detK here, checked by invertibility_via_det_k
@@ -335,7 +335,7 @@ def _check_inverse_k(ctx: _Context) -> CheckResult:
     seen = False
     for i, m in enumerate(ctx.mats):
         dk = ctx.detk[i]
-        if dk is None or not dk.invertible:
+        if dk is None or not dk.is_bijective:
             continue
         seen = True
         inverse = invert_via_det_k(m)
@@ -344,17 +344,17 @@ def _check_inverse_k(ctx: _Context) -> CheckResult:
         j = ctx.key_to_idx.get(inverse.key())
         if j is None or ctx.thetas[j] != invert_endo(ctx.thetas[i]):
             return CheckResult(name, "fail", witness=_mat_witness(m, detail="disagrees with brute-force inverse"))
-        if det_h(inverse).value != map_inverse(m.alpha):
+        if det_h(inverse) != map_inverse(m.alpha):
             return CheckResult(name, "fail", witness=_mat_witness(m, detail="det_h of inverse is not alpha^-1"))
         if not dk.is_hom:
             return CheckResult(name, "fail", witness=_mat_witness(m, detail="det_k of invertible matrix not a homomorphism"))
         # Rearranged inverse identities: gamma alpha^-1 beta D^-1 + 1 = delta D^-1
         # and D^-1 composed with the determinant is the identity.
-        dkinv = map_inverse(dk.value)
+        dkinv = map_inverse(dk)
         ainv = map_inverse(m.alpha)
         lhs = map_add(map_compose(m.gamma, map_compose(ainv, map_compose(m.beta, dkinv))), id_k)
         rhs = map_compose(m.delta, dkinv)
-        if lhs != rhs or map_compose(dkinv, dk.value) != id_k:
+        if lhs != rhs or map_compose(dkinv, dk) != id_k:
             return CheckResult(name, "fail", witness=_mat_witness(m, detail="determinant inverse identity"))
     if not seen:
         return CheckResult(name, "skip", reason="no matrix with bijective alpha and bijective det_k")
@@ -368,7 +368,7 @@ def _check_inverse_h(ctx: _Context) -> CheckResult:
     seen = False
     for i, m in enumerate(ctx.mats):
         dh = ctx.deth[i]
-        if dh is None or not dh.invertible:
+        if dh is None or not dh.is_bijective:
             continue
         seen = True
         inverse = invert_via_det_h(m)
@@ -377,7 +377,7 @@ def _check_inverse_h(ctx: _Context) -> CheckResult:
         j = ctx.key_to_idx.get(inverse.key())
         if j is None or ctx.thetas[j] != invert_endo(ctx.thetas[i]):
             return CheckResult(name, "fail", witness=_mat_witness(m, detail="disagrees with brute-force inverse"))
-        if det_k(inverse).value != map_inverse(m.delta):
+        if det_k(inverse) != map_inverse(m.delta):
             return CheckResult(name, "fail", witness=_mat_witness(m, detail="det_k of inverse is not delta^-1"))
         if not dh.is_hom:
             return CheckResult(name, "fail", witness=_mat_witness(m, detail="det_h of invertible matrix not a homomorphism"))
@@ -393,13 +393,13 @@ def _check_duality(ctx: _Context) -> CheckResult:
     for i in ctx.diag_autos:
         m = ctx.mats[i]
         dh, dk = ctx.deth[i], ctx.detk[i]
-        if dh.invertible != dk.invertible:
+        if dh.is_bijective != dk.is_bijective:
             return CheckResult(
                 name,
                 "fail",
-                witness=_mat_witness(m, det_h_bijective=dh.invertible, det_k_bijective=dk.invertible),
+                witness=_mat_witness(m, det_h_bijective=dh.is_bijective, det_k_bijective=dk.is_bijective),
             )
-        if not dh.invertible:
+        if not dh.is_bijective:
             continue
         # dual_det_inverses proves both two-sided inverse laws, and a bijection has one inverse.
         try:
@@ -411,7 +411,7 @@ def _check_duality(ctx: _Context) -> CheckResult:
 
 def _check_combined(ctx: _Context) -> CheckResult:
     name = "combined_inverse"
-    eligible = [i for i in ctx.diag_autos if ctx.detk[i].invertible and ctx.deth[i].invertible]
+    eligible = [i for i in ctx.diag_autos if ctx.detk[i].is_bijective and ctx.deth[i].is_bijective]
     if not eligible:
         return CheckResult(name, "skip", reason="no automorphism matrix with bijective diagonal and determinants")
     h_side = k_side = True
@@ -422,9 +422,9 @@ def _check_combined(ctx: _Context) -> CheckResult:
         via_h = invert_via_det_h(m)
         if combined != via_k or combined != via_h:
             return CheckResult(name, "fail", witness=_mat_witness(m, detail="three-way inverse mismatch"))
-        if det_h(combined).value != map_inverse(m.alpha):
+        if det_h(combined) != map_inverse(m.alpha):
             h_side = False
-        if det_k(combined).value != map_inverse(m.delta):
+        if det_k(combined) != map_inverse(m.delta):
             k_side = False
     ctx.notes["det_reading"] = {
         "det_h_of_inverse_is_alpha_inv": h_side,
@@ -559,7 +559,7 @@ def _det_nonhom_note(ctx: _Context) -> None:
     for i, m in enumerate(ctx.mats):
         for side, det in (("K", ctx.detk[i]), ("H", ctx.deth[i])):
             if det is not None and not det.is_hom:
-                ctx.notes["det_nonhom_witness"] = _mat_witness(m, side=side, det=list(det.value.image))
+                ctx.notes["det_nonhom_witness"] = _mat_witness(m, side=side, det=list(det.image))
                 return
     ctx.notes["det_nonhom_witness"] = None
 

@@ -173,6 +173,17 @@ def test_cli_rejects_condition_violations(tmp_path, capsys, s3):
     assert "alpha_twisted_by_gamma" in err
 
 
+def test_cli_reports_the_first_failing_condition(tmp_path, capsys, s3):
+    # This matrix fails beta_crossed_by_delta and alpha_beta_compatible.
+    data = {**matrix_to_dict(identity_matrix(s3)), "beta": [0, 1], "delta": [0, 0]}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert cli_main(["det", "--instance", "dihedral:3", "--matrix", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: matrix violates condition beta_crossed_by_delta: witness (1, 1, 0, 2)\n"
+
+
 def test_cli_verify_single_instance(capsys):
     code = cli_main(["verify", "--instance", "dihedral:3", "--theorems", "all"])
     out = capsys.readouterr().out
@@ -460,3 +471,21 @@ def test_python_m_sdmat_runs_without_warnings():
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     assert proc.stdout.rstrip().endswith("1 instance(s) verified")
+
+
+def _python(*args: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter with this checkout's src first on its path."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_import_leaves_multiprocessing_out():
+    proc = _python("-c", "import sys, sdmat; print('multiprocessing' in sys.modules)")
+    assert proc.stdout == "False\n", proc.stderr
+
+
+def test_cli_verify_has_no_jobs_option():
+    proc = _python("-m", "sdmat", "verify", "--jobs", "2")
+    assert proc.returncode == 2
+    assert "unrecognized arguments: --jobs 2" in proc.stderr

@@ -52,17 +52,16 @@ def test_identity_determinants(s3):
     ident = identity_matrix(s3)
     dk = det_k(ident)
     dh = det_h(ident)
-    assert dk.value == identity_map(s3.K)
-    assert dh.value == identity_map(s3.H)
-    assert dk.invertible and dh.invertible
+    assert dk == identity_map(s3.K)
+    assert dh == identity_map(s3.H)
+    assert dk.is_bijective and dh.is_bijective
     assert dk.is_hom and dh.is_hom
-    assert dk.side == "K" and dh.side == "H"
 
 
 def test_zero_gamma_reduces(s3):
     m = involution_matrix(s3)
-    assert det_k(m).value == m.delta
-    assert det_h(m).value == m.alpha
+    assert det_k(m) == m.delta
+    assert det_h(m) == m.alpha
 
 
 def test_determinants_need_bijective_entry(s3):
@@ -92,7 +91,7 @@ def test_identity_inverts_to_identity(s3):
 def test_formula_inverse_matches_oracle(s3_matrices, d4_matrices):
     for mats in (s3_matrices, d4_matrices):
         for m in mats:
-            if not (m.alpha.is_bijective and det_k(m).invertible):
+            if not (m.alpha.is_bijective and det_k(m).is_bijective):
                 continue
             inverse = invert_via_det_k(m)
             assert matrix_to_endo(inverse) == invert_endo(matrix_to_endo(m))
@@ -102,7 +101,7 @@ def test_both_formulas_agree(d4_matrices, direct33_matrices):
     for m in d4_matrices + direct33_matrices:
         if not (m.alpha.is_bijective and m.delta.is_bijective):
             continue
-        if not det_k(m).invertible:
+        if not det_k(m).is_bijective:
             continue
         inverse = invert_via_det_k(m)
         assert inverse == invert_via_det_h(m) == invert_combined(m)
@@ -112,7 +111,7 @@ def test_both_formulas_agree(d4_matrices, direct33_matrices):
 def test_det_k_not_invertible_raises(klein):
     # (1 1; 1 1) over the direct product Z2 x Z2: det_K is the zero map
     m = _matrix(klein, (0, 1), (0, 1), (0, 1), (0, 1))
-    assert not det_k(m).invertible
+    assert not det_k(m).is_bijective
     with pytest.raises(DetKNotInvertible):
         invert_via_det_k(m)
     assert not matrix_to_endo(m).is_bijective
@@ -165,8 +164,8 @@ def test_dual_det_inverses_involution(s3):
     dh_inv, dk_inv = dual_det_inverses(m)
     assert dh_inv == m.alpha  # squaring is its own inverse
     assert dk_inv == identity_map(s3.K)
-    assert map_compose(dh_inv, det_h(m).value) == identity_map(s3.H)
-    assert map_compose(dk_inv, det_k(m).value) == identity_map(s3.K)
+    assert map_compose(dh_inv, det_h(m)) == identity_map(s3.H)
+    assert map_compose(dk_inv, det_k(m)) == identity_map(s3.K)
 
 
 def test_dual_det_inverses_preconditions(klein):
@@ -187,17 +186,17 @@ def test_combined_preconditions(klein):
 
 def test_det_of_inverse(s3_matrices):
     for m in s3_matrices:
-        if not (m.alpha.is_bijective and det_k(m).invertible):
+        if not (m.alpha.is_bijective and det_k(m).is_bijective):
             continue
         inverse = invert_via_det_k(m)
-        assert det_h(inverse).value == map_inverse(m.alpha)
-        assert det_k(inverse).value == map_inverse(m.delta)
+        assert det_h(inverse) == map_inverse(m.alpha)
+        assert det_k(inverse) == map_inverse(m.delta)
 
 
 def test_det_hom_law_on_invertibles(s3_matrices, d4_matrices):
     for mats in (s3_matrices, d4_matrices):
         for m in mats:
-            if m.alpha.is_bijective and det_k(m).invertible:
+            if m.alpha.is_bijective and det_k(m).is_bijective:
                 assert det_k(m).is_hom
 
 
@@ -214,8 +213,8 @@ def direct33_matrices():
 
 def _takes_det_h_route(m):
     """What the CLI inverts with the H-side formula: no K-side formula, det_h bijective."""
-    k_side = m.alpha.is_bijective and det_k(m).invertible
-    return not k_side and m.delta.is_bijective and det_h(m).invertible
+    k_side = m.alpha.is_bijective and det_k(m).is_bijective
+    return not k_side and m.delta.is_bijective and det_h(m).is_bijective
 
 
 def test_det_h_route_inverts_to_oracle_on_direct_3_3(direct33_matrices):

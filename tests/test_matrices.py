@@ -5,7 +5,6 @@ from sdmat import (
     CONDITION_NAMES,
     ConditionsViolated,
     ContextMismatch,
-    ConditionReport,
     EndoMatrix,
     FMap,
     NotHomomorphism,
@@ -19,8 +18,10 @@ from sdmat import (
     is_automorphism_matrix,
     mat_mul,
     matrix_to_endo,
+    twisted_hom_witness,
     zero_map,
 )
+from sdmat.matrices import _compat_witness, _intertwine_witness
 
 
 def _matrix(P, alpha, beta, gamma, delta):
@@ -68,34 +69,46 @@ def test_identity_matrix_with_given_entries_is_the_literal(s3):
 
 
 def test_identity_matrix_passes_conditions(s3):
-    report = check_conditions(identity_matrix(s3))
-    assert report.ok
-    assert [c.name for c in report.checks] == list(CONDITION_NAMES)
+    assert check_conditions(identity_matrix(s3)) is None
 
 
 def test_squaring_family_passes(s3):
     for b in range(3):
         m = _matrix(s3, (0, 2, 1), (0, b), (0, 0, 0), (0, 1))
-        assert check_conditions(m).ok
+        assert check_conditions(m) is None
 
 
 def test_compat_condition_fails_with_witness(s3):
     # alpha = id, delta = 0: compatibility breaks at h=1, k=1
     m = _matrix(s3, (0, 1, 2), (0, 0), (0, 0, 0), (0, 0))
-    report = check_conditions(m)
-    assert not report.ok
-    failure = report.first_failure()
-    assert failure.name == "alpha_beta_compatible"
-    assert failure.witness == (1, 1, 2, 1)
+    assert check_conditions(m) == ("alpha_beta_compatible", (1, 1, 2, 1))
     with pytest.raises(ConditionsViolated):
         matrix_to_endo(m)
+
+
+def test_check_conditions_returns_the_first_failure_in_order(s3):
+    # Fails all four conditions: the first, alpha_twisted_by_gamma, is returned.
+    m = _matrix(s3, (0, 2, 1), (0, 1), (0, 1, 0), (0, 0))
+    act = s3.action
+    assert twisted_hom_witness(m.beta, m.delta, act) is not None
+    assert _intertwine_witness(m.gamma, m.delta, act) is not None
+    assert _compat_witness(m.alpha, m.beta, m.gamma, m.delta, act) is not None
+    assert check_conditions(m) == ("alpha_twisted_by_gamma", (1, 1, 1, 0))
+    # Fails conditions 2 and 4 only: the second is returned.
+    m = _matrix(s3, (0, 1, 2), (0, 1), (0, 0, 0), (0, 0))
+    assert twisted_hom_witness(m.alpha, m.gamma, act) is None
+    assert _compat_witness(m.alpha, m.beta, m.gamma, m.delta, act) is not None
+    assert check_conditions(m) == ("beta_crossed_by_delta", (1, 1, 0, 2))
+    with pytest.raises(ConditionsViolated) as err:
+        matrix_to_endo(m)
+    assert (err.value.name, err.value.witness) == ("beta_crossed_by_delta", (1, 1, 0, 2))
 
 
 def test_matrix_to_endo_certifies_the_homomorphism_law(s3, monkeypatch):
     # alpha is no homomorphism of Z3, so theta(h, k) = (alpha(h), k) is none of S3;
     # with the conditions check bypassed, matrix_to_endo must still refuse it.
     m = _matrix(s3, (0, 0, 1), (0, 0), (0, 0, 0), (0, 1))
-    monkeypatch.setattr("sdmat.matrices.check_conditions", lambda matrix: ConditionReport(checks=()))
+    monkeypatch.setattr("sdmat.matrices.check_conditions", lambda matrix: None)
     with pytest.raises(NotHomomorphism):
         matrix_to_endo(m)
 
