@@ -11,9 +11,7 @@ elementary families, and verifies all of it against brute force.
 
 from .catalog import (
     DEFAULT_INSTANCES,
-    CatalogEntry,
     build_instance,
-    catalog_entries,
     cyclic_group,
     group_from_dict,
     group_to_dict,
@@ -38,29 +36,17 @@ from .determinant import (
     is_invertible,
 )
 from .errors import (
-    AlphaNotInvertible,
     BoundExceeded,
     ConditionsViolated,
-    ContextMismatch,
-    DeltaNotInvertible,
-    DetHNotInvertible,
-    DetKNotInvertible,
-    DiagonalNotInvertible,
     DomainMismatch,
-    GroupMismatch,
     GroupValidationError,
     InvalidInstance,
-    MissingInverse,
-    NoIdentity,
     NotAssociative,
     NotAutomorphism,
-    NotAutomorphismMatrix,
     NotBijective,
     NotHomomorphic,
-    NotHomomorphism,
     PreconditionFailed,
     SdmatError,
-    ShapeMismatch,
     VerificationFailed,
 )
 from .factorization import (
@@ -73,7 +59,6 @@ from .factorization import (
 )
 from .groups import (
     FiniteGroup,
-    center,
     enumerate_autos,
     enumerate_homs,
     greedy_generators,
@@ -81,7 +66,6 @@ from .groups import (
 )
 from .maps import (
     FMap,
-    constant_map,
     identity_map,
     is_crossed_hom,
     map_act,
@@ -89,7 +73,6 @@ from .maps import (
     map_compose,
     map_inverse,
     map_neg,
-    map_twist,
     twisted_hom_witness,
     zero_map,
 )
@@ -108,8 +91,6 @@ from .oracle import EndCensus, compose_endos, enumerate_endos, invert_endo
 from .semidirect import (
     GroupAction,
     SdProduct,
-    action_kernel,
-    conj_action,
     make_action,
     semidirect,
     trivial_action,
@@ -120,54 +101,36 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ABCDFactors",
-    "AlphaNotInvertible",
     "BoundExceeded",
     "CHECK_NAMES",
     "CONDITION_NAMES",
-    "CatalogEntry",
     "CheckResult",
     "ConditionsViolated",
-    "ContextMismatch",
     "DEFAULT_INSTANCES",
-    "DeltaNotInvertible",
-    "DetHNotInvertible",
-    "DetKNotInvertible",
-    "DiagonalNotInvertible",
     "DomainMismatch",
     "EndCensus",
     "EndoMatrix",
     "FMap",
     "FiniteGroup",
     "GroupAction",
-    "GroupMismatch",
     "GroupValidationError",
     "InvalidInstance",
     "InvertibilityResult",
-    "MissingInverse",
-    "NoIdentity",
     "NotAssociative",
     "NotAutomorphism",
-    "NotAutomorphismMatrix",
     "NotBijective",
     "NotHomomorphic",
-    "NotHomomorphism",
     "PreconditionFailed",
     "SdProduct",
     "SdmatError",
-    "ShapeMismatch",
     "SubsetTag",
     "VerificationFailed",
     "VerifyReport",
-    "action_kernel",
     "build_instance",
-    "catalog_entries",
-    "center",
     "check_conditions",
     "classify",
     "cli_main",
     "compose_endos",
-    "conj_action",
-    "constant_map",
     "cyclic_group",
     "det_h",
     "det_k",
@@ -200,7 +163,6 @@ __all__ = [
     "map_compose",
     "map_inverse",
     "map_neg",
-    "map_twist",
     "matrix_from_dict",
     "matrix_to_dict",
     "matrix_to_endo",

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -35,12 +34,10 @@ from .matrices import EndoMatrix
 from .semidirect import GroupAction, SdProduct, make_action, semidirect
 
 __all__ = [
-    "CatalogEntry",
     "DEFAULT_INSTANCES",
     "cyclic_group",
     "trivial_group",
     "build_instance",
-    "catalog_entries",
     "group_to_dict",
     "group_from_dict",
     "load_group",
@@ -51,13 +48,6 @@ __all__ = [
     "load_matrix",
     "save_matrix",
 ]
-
-
-@dataclass(frozen=True)
-class CatalogEntry:
-    name: str
-    description: str
-    builder: Callable[[], SdProduct]
 
 
 def cyclic_group(n: int, name: str = "") -> FiniteGroup:
@@ -127,28 +117,6 @@ def build_instance(name: str, bound: int | None = None) -> SdProduct:
     images = [[pow(u, j, n) * h % n for h in range(n)] for j in range(m)]
     action = make_action(cyclic_group(n), cyclic_group(m), images)
     return semidirect(action, name=":".join([head, *map(str, values)]))
-
-
-def catalog_entries() -> list[CatalogEntry]:
-    """The default catalog with descriptions, in verification order."""
-    notes = {
-        "trivial": "one-element group",
-        "cyclic:2": "Z2, trivially acted on",
-        "cyclic:3": "Z3, trivially acted on",
-        "cyclic:4": "Z4, trivially acted on",
-        "cyclic:5": "Z5, trivially acted on",
-        "klein": "Z2 x Z2, a direct-product control",
-        "direct:3:2": "Z3 x Z2, an abelian control of order 6",
-        "dihedral:3": "symmetries of the triangle",
-        "dihedral:4": "symmetries of the square",
-        "dihedral:5": "symmetries of the pentagon",
-        "metacyclic:3:4:2": "Z3 twisted by Z4 through its order-2 quotient",
-        "metacyclic:7:3:2": "Z7 twisted by Z3, nonabelian of order 21",
-    }
-    return [
-        CatalogEntry(name=name, description=notes[name], builder=lambda n=name: build_instance(n))
-        for name in DEFAULT_INSTANCES
-    ]
 
 
 # ---------------------------------------------------------------------------

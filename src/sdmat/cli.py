@@ -35,15 +35,13 @@ from .catalog import (
 from .determinant import det_h, det_k, is_invertible
 from .errors import (
     BoundExceeded,
-    DiagonalNotInvertible,
     DomainMismatch,
     GroupValidationError,
     InvalidInstance,
     NotAutomorphism,
-    NotAutomorphismMatrix,
     NotHomomorphic,
+    PreconditionFailed,
     SdmatError,
-    ShapeMismatch,
 )
 from .factorization import factor_abcd
 from .matrices import (
@@ -58,12 +56,9 @@ from .verify import CHECK_NAMES, run_verification
 
 __all__ = ["cli_main", "main"]
 
-# The name `invert` prints for each route of `is_invertible`.
-_INVERT_METHODS = {"detK": "det_k", "detH": "det_h", "direct": "brute"}
-
 # What validating instance names, files and options raises (exit 2).
 _INPUT_ERRORS = (ValueError, OSError, InvalidInstance, BoundExceeded, GroupValidationError,
-                 NotAutomorphism, NotHomomorphic, DomainMismatch, ShapeMismatch)
+                 NotAutomorphism, NotHomomorphic, DomainMismatch)
 
 
 def _add_source_args(parser: argparse.ArgumentParser) -> None:
@@ -161,10 +156,9 @@ def _cmd_invert(args: argparse.Namespace) -> int:
     if not decided.invertible:
         _emit(args, {"invertible": False, "inverse": None, "method": None}, ["not invertible"])
         return 1
-    method = _INVERT_METHODS[decided.method]
     inverse = matrix_to_dict(decided.inverse)
-    payload = {"invertible": True, "method": method, "inverse": inverse}
-    _emit(args, payload, [f"inverted via {method}", json.dumps(inverse, sort_keys=True)])
+    payload = {"invertible": True, "method": decided.method, "inverse": inverse}
+    _emit(args, payload, [f"inverted via {decided.method}", json.dumps(inverse, sort_keys=True)])
     return 0
 
 
@@ -173,7 +167,7 @@ def _cmd_factor(args: argparse.Namespace) -> int:
     matrix = _load_matrix_checked(args.matrix, product)
     try:
         factors = factor_abcd(matrix)
-    except (NotAutomorphismMatrix, DiagonalNotInvertible) as err:
+    except PreconditionFailed as err:
         _emit(args, {"factored": False, "reason": str(err)}, [f"not factorable: {err}"])
         return 1
     # factor_abcd certifies the four memberships and the reassembly before it returns.

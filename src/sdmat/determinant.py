@@ -22,23 +22,18 @@ An invertible matrix has one inverse, so when both sides apply the
 combined form takes one column from each, and each determinant's inverse
 can be read off the other side's diagonal (the duality).
 
-:func:`is_invertible` is the one place that chooses a route: det_K when
-alpha is bijective, else det_H when delta is bijective, else bijectivity of
-the described endomorphism.  It returns the inverse from the route it chose.
+:func:`is_invertible` is the one place that chooses a route: ``det_k`` when
+alpha is bijective, else ``det_h`` when delta is bijective, else ``brute``,
+bijectivity of the described endomorphism.  It returns the inverse from the
+route it chose.  Every precondition of this module is a map that is not
+bijective, and each raises PreconditionFailed.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import (
-    AlphaNotInvertible,
-    DeltaNotInvertible,
-    DetHNotInvertible,
-    DetKNotInvertible,
-    PreconditionFailed,
-    VerificationFailed,
-)
+from .errors import PreconditionFailed, VerificationFailed
 from .maps import FMap, identity_map, map_add, map_compose, map_inverse, map_neg
 from .matrices import EndoMatrix, endo_to_matrix, is_automorphism_matrix, matrix_to_endo
 
@@ -56,14 +51,14 @@ __all__ = [
 
 class InvertibilityResult(NamedTuple):
     invertible: bool
-    method: str  # "detK", "detH" or "direct"
+    method: str  # the route: "det_k", "det_h" or "brute" (bijectivity of theta)
     inverse: EndoMatrix | None  # from the chosen route; None when not invertible
 
 
 def det_k(matrix: EndoMatrix) -> FMap:
     """K-valued determinant: k -> gamma(alpha^-1(beta(k)))^-1 * delta(k)."""
     if not matrix.alpha.is_bijective:
-        raise AlphaNotInvertible("alpha must be bijective to form the K-side determinant")
+        raise PreconditionFailed("alpha must be bijective to form the K-side determinant")
     ainv = map_inverse(matrix.alpha)
     return map_add(map_neg(map_compose(matrix.gamma, map_compose(ainv, matrix.beta))), matrix.delta)
 
@@ -71,7 +66,7 @@ def det_k(matrix: EndoMatrix) -> FMap:
 def det_h(matrix: EndoMatrix) -> FMap:
     """H-valued determinant: h -> alpha(h) * beta(delta^-1(gamma(h)))^-1."""
     if not matrix.delta.is_bijective:
-        raise DeltaNotInvertible("delta must be bijective to form the H-side determinant")
+        raise PreconditionFailed("delta must be bijective to form the H-side determinant")
     dinv = map_inverse(matrix.delta)
     return map_add(matrix.alpha, map_neg(map_compose(matrix.beta, map_compose(dinv, matrix.gamma))))
 
@@ -84,12 +79,11 @@ def invert_via_det_k(matrix: EndoMatrix) -> EndoMatrix:
         ( alpha^-1 - alpha^-1 beta gamma',  -alpha^-1 beta D^-1 )
         ( gamma' = D^-1 (-gamma alpha^-1),   D^-1               )
 
-    Raises AlphaNotInvertible or DetKNotInvertible when the formula does
-    not apply.
+    Raises PreconditionFailed when alpha or D is not bijective.
     """
     dk = det_k(matrix)
     if not dk.is_bijective:
-        raise DetKNotInvertible("the K-side determinant is not bijective")
+        raise PreconditionFailed("the K-side determinant is not bijective")
     ainv = map_inverse(matrix.alpha)
     dkinv = map_inverse(dk)
     gprime = map_compose(dkinv, map_neg(map_compose(matrix.gamma, ainv)))
@@ -106,12 +100,12 @@ def invert_via_det_h(matrix: EndoMatrix) -> EndoMatrix:
         ( D^-1,                   beta' = D^-1 (-beta delta^-1)      )
         ( -delta^-1 gamma D^-1,   -(delta^-1 gamma beta') + delta^-1 )
 
-    the mirror image of :func:`invert_via_det_k`.  Raises
-    DeltaNotInvertible or DetHNotInvertible when the formula does not apply.
+    the mirror image of :func:`invert_via_det_k`.  Raises PreconditionFailed
+    when delta or D is not bijective.
     """
     dh = det_h(matrix)
     if not dh.is_bijective:
-        raise DetHNotInvertible("the H-side determinant is not bijective")
+        raise PreconditionFailed("the H-side determinant is not bijective")
     dinv = map_inverse(matrix.delta)
     dhinv = map_inverse(dh)
     bprime = map_compose(dhinv, map_neg(map_compose(matrix.beta, dinv)))
@@ -129,18 +123,18 @@ def is_invertible(matrix: EndoMatrix) -> InvertibilityResult:
     inverse of the endomorphism's image table.
     """
     if matrix.alpha.is_bijective:
-        method, invert, singular = "detK", invert_via_det_k, DetKNotInvertible
+        method, invert = "det_k", invert_via_det_k
     elif matrix.delta.is_bijective:
-        method, invert, singular = "detH", invert_via_det_h, DetHNotInvertible
+        method, invert = "det_h", invert_via_det_h
     else:
         theta = matrix_to_endo(matrix)
         if not theta.is_bijective:
-            return InvertibilityResult(False, "direct", None)
+            return InvertibilityResult(False, "brute", None)
         inverse = endo_to_matrix(map_inverse(theta), matrix.context)
-        return InvertibilityResult(True, "direct", inverse)
+        return InvertibilityResult(True, "brute", inverse)
     try:
         return InvertibilityResult(True, method, invert(matrix))
-    except singular:
+    except PreconditionFailed:  # the determinant is not bijective
         return InvertibilityResult(False, method, None)
 
 

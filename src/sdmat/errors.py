@@ -1,8 +1,15 @@
 """Exception types shared across the package.
 
-Every validation error carries the witnessing data as attributes so that
-callers (and test suites) can inspect exactly what failed, not just that
-something did.
+A class exists for each distinction a caller makes: what the command line
+maps to an exit code, and what carries a witness a caller reads.  Everything
+else is told apart by its message.  Every validation error carries the
+witnessing data as attributes so that callers (and test suites) can inspect
+exactly what failed, not just that something did.
+
+The command line exits 2 on bad input: ``GroupValidationError`` (with
+``NotAssociative``), ``NotAutomorphism``, ``NotHomomorphic``,
+``DomainMismatch``, ``BoundExceeded`` and ``InvalidInstance``.  Any other
+``SdmatError`` is a claim of the theory failing on valid input and exits 1.
 """
 
 from __future__ import annotations
@@ -18,17 +25,6 @@ class SdmatError(Exception):
 
 class GroupValidationError(SdmatError):
     """A multiplication table fails one of the group axioms."""
-
-
-class NoIdentity(GroupValidationError):
-    def __init__(self) -> None:
-        super().__init__("no two-sided identity element exists")
-
-
-class MissingInverse(GroupValidationError):
-    def __init__(self, element: int) -> None:
-        self.element = element
-        super().__init__(f"element {element} has no two-sided inverse")
 
 
 class NotAssociative(GroupValidationError):
@@ -59,35 +55,15 @@ class NotHomomorphic(SdmatError):
 
 
 # ---------------------------------------------------------------------------
-# Maps between groups
+# Maps and matrices
 
 
 class DomainMismatch(SdmatError):
-    """Operands of a map operation live on incompatible domains/codomains."""
+    """Operands live on incompatible groups: maps, matrix entries or products."""
 
 
 class NotBijective(SdmatError):
     """A map that must be invertible as a set map is not."""
-
-
-class NotHomomorphism(SdmatError):
-    """A map that must satisfy the homomorphism law does not."""
-
-
-class GroupMismatch(SdmatError):
-    """Two endomorphisms of different groups cannot be combined."""
-
-
-# ---------------------------------------------------------------------------
-# Matrices of maps
-
-
-class ShapeMismatch(SdmatError):
-    """Matrix entries do not have the required domains and codomains."""
-
-
-class ContextMismatch(SdmatError):
-    """Matrices over different semidirect products cannot be multiplied."""
 
 
 class ConditionsViolated(SdmatError):
@@ -100,27 +76,11 @@ class ConditionsViolated(SdmatError):
 
 
 # ---------------------------------------------------------------------------
-# Determinants and inversion
-
-
-class AlphaNotInvertible(SdmatError):
-    """The (H,H) entry is not bijective, so the K-side determinant is undefined."""
-
-
-class DeltaNotInvertible(SdmatError):
-    """The (K,K) entry is not bijective, so the H-side determinant is undefined."""
-
-
-class DetKNotInvertible(SdmatError):
-    """The K-side determinant is not bijective."""
-
-
-class DetHNotInvertible(SdmatError):
-    """The H-side determinant is not bijective."""
+# Determinants, inversion and factorization
 
 
 class PreconditionFailed(SdmatError):
-    """A stated precondition of the requested operation does not hold."""
+    """A precondition fails, mostly a map that must be bijective: alpha, delta, a determinant or theta."""
 
 
 class VerificationFailed(SdmatError):
@@ -134,18 +94,6 @@ class VerificationFailed(SdmatError):
         self.what = what
         self.witness = witness
         super().__init__(f"verification failed: {what}" + (f" at {witness}" if witness else ""))
-
-
-# ---------------------------------------------------------------------------
-# Factorization
-
-
-class NotAutomorphismMatrix(SdmatError):
-    """The matrix does not describe a bijective endomorphism."""
-
-
-class DiagonalNotInvertible(SdmatError):
-    """Factorization needs both diagonal entries bijective and one is not."""
 
 
 # ---------------------------------------------------------------------------

@@ -18,12 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (
-    DiagonalNotInvertible,
-    NotAutomorphismMatrix,
-    VerificationFailed,
-)
-from .groups import center
+from .errors import PreconditionFailed, VerificationFailed
 from .maps import (
     identity_map,
     is_crossed_hom,
@@ -33,7 +28,6 @@ from .maps import (
     map_neg,
 )
 from .matrices import EndoMatrix, identity_matrix, is_automorphism_matrix, mat_mul
-from .semidirect import action_kernel
 
 __all__ = [
     "SubsetTag",
@@ -124,7 +118,7 @@ def classify(matrix: EndoMatrix) -> SubsetTag:
     if w is None and not is_crossed_hom(beta, identity_map(K), act):
         w = ("beta_not_crossed_hom",)
     if w is None:
-        zh = center(H)
+        zh = H.center
         w = next(
             (("beta_not_central", k, beta.image[k]) for k in range(K.order) if beta.image[k] not in zh),
             None,
@@ -138,7 +132,7 @@ def classify(matrix: EndoMatrix) -> SubsetTag:
     if w is None and not gamma.is_hom:
         w = ("gamma_not_hom",)
     if w is None:
-        kernel = action_kernel(act)
+        kernel = act.kernel
         g = gamma.image
         w = next(
             (("gamma_not_in_kernel", h, g[h]) for h in range(H.order) if g[h] not in kernel),
@@ -165,7 +159,7 @@ def classify(matrix: EndoMatrix) -> SubsetTag:
     if w is None and not (delta.is_hom and delta.is_bijective):
         w = ("delta_not_automorphism",)
     if w is None:
-        kernel = action_kernel(act)
+        kernel = act.kernel
         kt, kinv = K.table, K.inverses
         d = delta.image
         w = next(
@@ -181,9 +175,9 @@ def classify(matrix: EndoMatrix) -> SubsetTag:
 
 def _require_unit_diagonal_auto(matrix: EndoMatrix) -> None:
     if not (_is_identity(matrix.alpha) and _is_identity(matrix.delta)):
-        raise ValueError("matrix must have identity diagonal entries")
+        raise PreconditionFailed("matrix must have identity diagonal entries")
     if not is_automorphism_matrix(matrix):
-        raise NotAutomorphismMatrix("unit-diagonal matrix does not describe an automorphism")
+        raise PreconditionFailed("unit-diagonal matrix does not describe an automorphism")
 
 
 def _one_minus_beta_gamma(matrix: EndoMatrix):
@@ -236,9 +230,9 @@ def factor_abcd(matrix: EndoMatrix) -> ABCDFactors:
     returning.
     """
     if not is_automorphism_matrix(matrix):
-        raise NotAutomorphismMatrix("only automorphism matrices factor")
+        raise PreconditionFailed("only automorphism matrices factor")
     if not (matrix.alpha.is_bijective and matrix.delta.is_bijective):
-        raise DiagonalNotInvertible("factorization requires bijective alpha and delta")
+        raise PreconditionFailed("factorization requires bijective alpha and delta")
     P = matrix.context
     ainv = map_inverse(matrix.alpha)
     dinv = map_inverse(matrix.delta)

@@ -16,7 +16,7 @@ from functools import cached_property
 from operator import itemgetter
 from typing import Sequence
 
-from .errors import MissingInverse, NoIdentity, NotAssociative
+from .errors import GroupValidationError, NotAssociative
 from .maps import FMap, twisted_law_witness
 
 __all__ = [
@@ -24,7 +24,6 @@ __all__ = [
     "make_group",
     "index_row",
     "associativity_witness",
-    "center",
     "greedy_generators",
     "word_sequence",
     "enumerate_twisted_maps",
@@ -58,6 +57,12 @@ class FiniteGroup:
         t = self.table
         return all(t[a][b] == t[b][a] for a in range(self.order) for b in range(a))
 
+    @cached_property
+    def center(self) -> frozenset[int]:
+        """Elements commuting with everything."""
+        t = self.table
+        return frozenset(a for a in range(self.order) if all(t[a][b] == t[b][a] for b in range(self.order)))
+
     def element_name(self, a: int) -> str:
         return self.names[a] if self.names else str(a)
 
@@ -87,8 +92,9 @@ def make_group(
 ) -> FiniteGroup:
     """Validate a multiplication table and build the group.
 
-    Raises ValueError for malformed tables, then NoIdentity, MissingInverse
-    or NotAssociative (in that checking order) for axiom violations.
+    Raises ValueError for malformed tables, then GroupValidationError for a
+    missing identity or a missing inverse and NotAssociative, in that
+    checking order, for axiom violations.
     """
     n = len(table)
     if n == 0:
@@ -102,7 +108,7 @@ def make_group(
 
     identity = _identity(rows)
     if identity is None:
-        raise NoIdentity()
+        raise GroupValidationError("no two-sided identity element exists")
 
     inverses = []
     for a, row in enumerate(rows):
@@ -112,7 +118,7 @@ def make_group(
             try:
                 b = row.index(identity, b + 1)
             except ValueError:
-                raise MissingInverse(a) from None
+                raise GroupValidationError(f"element {a} has no two-sided inverse") from None
             if rows[b][a] == identity:
                 break
         inverses.append(b)
@@ -174,14 +180,6 @@ def _is_good(rows: tuple[tuple[int, ...], ...], g: int) -> bool:
     """Whether (xg)y = x(gy) for all x, y, in a table of two or more tuple rows."""
     x_gy = itemgetter(*rows[g])  # row x -> the row y -> x(gy); a tuple, as row g has 2+ entries
     return all(rows[row_x[g]] == x_gy(row_x) for row_x in rows)
-
-
-def center(group: FiniteGroup) -> frozenset[int]:
-    """Elements commuting with everything."""
-    t = group.table
-    return frozenset(
-        a for a in range(group.order) if all(t[a][b] == t[b][a] for b in range(group.order))
-    )
 
 
 def greedy_generators(group: FiniteGroup) -> tuple[int, ...]:

@@ -7,11 +7,10 @@ carries a group structure under the pointwise product
     (phi + psi)(u) = phi(u) * psi(u)
 
 with the constant-identity map as zero and pointwise inversion as negation.
-Composition and two twisting operations (conjugation in a shared codomain,
-and twisting through an action) complete the toolbox used by the matrix
-calculus.  Addition is written additively even though values multiply,
-because the codomain is rarely abelian and the notation keeps sums, negation
-and composition visually distinct.
+Composition and twisting through an action (:func:`map_act`) complete the
+toolbox used by the matrix calculus.  Addition is written additively even
+though values multiply, because the codomain is rarely abelian and the
+notation keeps sums, negation and composition visually distinct.
 
 An endomorphism is an FMap whose ``dom is cod``.  Its homomorphism law is
 checked where it first appears: in the oracle's census
@@ -36,11 +35,9 @@ __all__ = [
     "FMap",
     "identity_map",
     "zero_map",
-    "constant_map",
     "map_add",
     "map_neg",
     "map_compose",
-    "map_twist",
     "map_act",
     "map_inverse",
     "twisted_law_witness",
@@ -104,10 +101,6 @@ def zero_map(dom: "FiniteGroup", cod: "FiniteGroup") -> FMap:
     return FMap(dom, cod, (cod.identity,) * dom.order)
 
 
-def constant_map(dom: "FiniteGroup", cod: "FiniteGroup", value: int) -> FMap:
-    return FMap(dom, cod, (value,) * dom.order)
-
-
 def _require_parallel(phi: FMap, psi: FMap) -> None:
     if phi.dom is not psi.dom or phi.cod is not psi.cod:
         raise DomainMismatch("operands must share domain and codomain")
@@ -133,21 +126,12 @@ def map_compose(eta: FMap, phi: FMap) -> FMap:
     return FMap(phi.dom, eta.cod, tuple(eta.image[v] for v in phi.image))
 
 
-def map_twist(phi: FMap, psi: FMap) -> FMap:
-    """Conjugation twist in a shared codomain: u -> psi(u) phi(u) psi(u)^-1."""
-    _require_parallel(phi, psi)
-    ct, inv = phi.cod.table, phi.cod.inverses
-    out = tuple(ct[ct[s][v]][inv[s]] for v, s in zip(phi.image, psi.image))
-    return FMap(phi.dom, phi.cod, out)
-
-
 def map_act(phi: FMap, steer: FMap, action: "GroupAction") -> FMap:
     """Twist a map into H through an action, steered by a map into K.
 
     Returns u -> f_{steer(u)}(phi(u)) where f is the action of K on H.  When
     both groups sit inside the semidirect product this is conjugation of
-    phi(u) by steer(u), so it plays the same role as :func:`map_twist` with
-    mixed codomains.
+    phi(u) by steer(u).
     """
     if phi.dom is not steer.dom:
         raise DomainMismatch("map and steering map must share a domain")

@@ -34,14 +34,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import (
-    BoundExceeded,
-    ConditionsViolated,
-    ContextMismatch,
-    GroupMismatch,
-    NotHomomorphism,
-    ShapeMismatch,
-)
+from .errors import BoundExceeded, ConditionsViolated, DomainMismatch, VerificationFailed
 from .groups import enumerate_homs, enumerate_twisted_maps
 from .maps import (
     FMap,
@@ -99,7 +92,7 @@ class EndoMatrix:
         )
         for label, entry, dom, cod in shapes:
             if entry.dom is not dom or entry.cod is not cod:
-                raise ShapeMismatch(f"entry {label} must be a map {dom!r} -> {cod!r}")
+                raise DomainMismatch(f"entry {label} must be a map {dom!r} -> {cod!r}")
 
     def key(self) -> tuple[tuple[int, ...], ...]:
         """Serialized form used for ordering, hashing and equality."""
@@ -128,7 +121,7 @@ class EndoMatrix:
         on_k = [P.encode(b, d) for b, d in zip(self.beta.image, self.delta.image)]
         theta = FMap(P.group, P.group, tuple(gt[x][y] for x in on_h for y in on_k))
         if not theta.is_hom:
-            raise NotHomomorphism("matrix passes its conditions but describes no homomorphism")
+            raise VerificationFailed("matrix passes its conditions but describes no homomorphism")
         return theta
 
     def __repr__(self) -> str:
@@ -225,7 +218,7 @@ def mat_mul(left: EndoMatrix, right: EndoMatrix) -> EndoMatrix:
     exponent twists through the action.
     """
     if left.context is not right.context:
-        raise ContextMismatch("matrices live over different products")
+        raise DomainMismatch("matrices live over different products")
     act = left.context.action
     a2, b2, g2, d2 = left.entries()
     a1, b1, g1, d1 = right.entries()
@@ -241,8 +234,8 @@ def matrix_to_endo(matrix: EndoMatrix) -> FMap:
 
     Raises ConditionsViolated if the matrix fails its compatibility
     conditions.  The result is an FMap from the product group to itself,
-    checked once against the homomorphism law (NotHomomorphism otherwise)
-    and cached on the matrix.
+    checked once against the homomorphism law (VerificationFailed otherwise,
+    as the four conditions imply it) and cached on the matrix.
     """
     return matrix._endo
 
@@ -250,7 +243,7 @@ def matrix_to_endo(matrix: EndoMatrix) -> FMap:
 def endo_to_matrix(theta: FMap, product: SdProduct) -> EndoMatrix:
     """Read the four entry maps of an endomorphism of the product off the embedded copies of H and K."""
     if theta.dom is not product.group or theta.cod is not product.group:
-        raise GroupMismatch("endomorphism does not belong to this product group")
+        raise DomainMismatch("endomorphism does not belong to this product group")
     H, K = product.H, product.K
     img = theta.image
     alpha = [0] * H.order

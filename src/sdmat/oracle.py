@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import BoundExceeded, GroupMismatch, NotBijective
+from .errors import BoundExceeded, DomainMismatch, NotBijective
 from .groups import FiniteGroup
 from .maps import FMap
 
@@ -46,10 +46,6 @@ class EndCensus:
     @property
     def n_autos(self) -> int:
         return len(self.autos)
-
-    @property
-    def counts(self) -> dict[str, int]:
-        return {"end": len(self.endos), "aut": len(self.autos)}
 
 
 def _oracle_generators(t: tuple[tuple[int, ...], ...], identity: int) -> list[int]:
@@ -169,7 +165,7 @@ def _group_of(*thetas: FMap) -> FiniteGroup:
     """The one group that every given map sends to itself."""
     group = thetas[0].dom
     if any(t.dom is not group or t.cod is not group for t in thetas):
-        raise GroupMismatch("endomorphisms must map one group to itself")
+        raise DomainMismatch("endomorphisms must map one group to itself")
     return group
 
 

@@ -6,13 +6,15 @@ pairs (h, k) encoded as the single index ``h * |K| + k`` and multiplication
 
     (h1, k1) (h2, k2) = (h1 * f_{k1}(h2), k1 k2).
 
-Conjugating an H-element by a K-element inside G recovers the action, which
-is what makes the matrix calculus built on top of this file work.
+Conjugating h by k inside G gives ``images[k][h]``: the action is
+conjugation, which is what makes the matrix calculus built on top of this
+file work.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .errors import NotAutomorphism, NotHomomorphic
@@ -25,8 +27,6 @@ __all__ = [
     "make_action",
     "trivial_action",
     "semidirect",
-    "conj_action",
-    "action_kernel",
 ]
 
 
@@ -37,6 +37,16 @@ class GroupAction:
     H: FiniteGroup
     K: FiniteGroup
     images: tuple[tuple[int, ...], ...]
+
+    @cached_property
+    def kernel(self) -> frozenset[int]:
+        """Elements of K acting trivially on H.
+
+        Inside the product this is the centralizer of the H-copy in the K-copy;
+        it is the kernel of the action homomorphism, hence a subgroup.
+        """
+        identity_row = tuple(range(self.H.order))
+        return frozenset(k for k in range(self.K.order) if self.images[k] == identity_row)
 
 
 def make_action(H: FiniteGroup, K: FiniteGroup, images: Sequence[Sequence[int]]) -> GroupAction:
@@ -130,18 +140,3 @@ def semidirect(action: GroupAction, name: str = "") -> SdProduct:
     )
     group = make_group(table, names=names, name=name)
     return SdProduct(H=H, K=K, action=action, group=group, name=name)
-
-
-def conj_action(product: SdProduct, h: int, k: int) -> int:
-    """The conjugate of (embedded) h by (embedded) k, i.e. f_k(h)."""
-    return product.action.images[k][h]
-
-
-def action_kernel(action: GroupAction) -> frozenset[int]:
-    """Elements of K acting trivially on H.
-
-    Inside the product this is the centralizer of the H-copy in the K-copy;
-    it is the kernel of the action homomorphism, hence a subgroup.
-    """
-    identity_row = tuple(range(action.H.order))
-    return frozenset(k for k in range(action.K.order) if action.images[k] == identity_row)

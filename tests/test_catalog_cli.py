@@ -12,8 +12,6 @@ from sdmat import (
     InvalidInstance,
     VerificationFailed,
     build_instance,
-    catalog_entries,
-    center,
     cli_main,
     cyclic_group,
     enumerate_matrices,
@@ -35,11 +33,6 @@ def test_default_instances_all_build():
         assert P.group.order == P.H.order * P.K.order
 
 
-def test_catalog_entries_cover_defaults():
-    names = {e.name for e in catalog_entries()}
-    assert set(DEFAULT_INSTANCES) <= names
-
-
 def test_instance_structure():
     assert build_instance("trivial").group.order == 1
     assert build_instance("cyclic:5").group.is_abelian
@@ -48,7 +41,7 @@ def test_instance_structure():
     assert not d3.group.is_abelian
     g21 = build_instance("metacyclic:7:3:2")
     assert g21.group.order == 21
-    assert len(center(g21.group)) == 1
+    assert len(g21.group.center) == 1
 
 
 def test_bad_instances_rejected():
@@ -249,7 +242,7 @@ def _write_matrix(path, P, alpha, beta, gamma, delta):
 
 
 def test_cli_invert_names_each_route_of_is_invertible(tmp_path, capsys):
-    # direct:3:3 has invertible matrices on all three routes, the swap (0, 1; 1, 0) on "direct".
+    # direct:3:3 has invertible matrices on all three routes, the swap (0, 1; 1, 0) on "brute".
     printed = {}
     for m in sorted(enumerate_matrices(build_instance("direct:3:3")), key=lambda m: m.key()):
         decided = is_invertible(m)
@@ -257,7 +250,7 @@ def test_cli_invert_names_each_route_of_is_invertible(tmp_path, capsys):
             save_matrix(m, tmp_path / "m.json")
             assert cli_main(["invert", "--instance", "direct:3:3", "--matrix", str(tmp_path / "m.json")]) == 0
             printed[decided.method] = json.loads(capsys.readouterr().out)["method"]
-    assert printed == {"detK": "det_k", "detH": "det_h", "direct": "brute"}
+    assert printed == {"det_k": "det_k", "det_h": "det_h", "brute": "brute"}
 
 
 def test_cli_builds_its_parser_once():
@@ -313,6 +306,17 @@ def test_cli_action_file_without_images_exits_2(tmp_path, capsys, s3):
     (tmp_path / "self.json").write_text(json.dumps({"H": "h.json", "K": "k.json"}))
     assert cli_main(["census", "--action", str(tmp_path / "self.json")]) == 2
     assert "images" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("table, message", [
+    ([[0, 0], [0, 0]], "no two-sided identity element exists"),
+    ([[0, 1], [1, 1]], "element 1 has no two-sided inverse"),
+])
+def test_cli_action_file_with_a_non_group_exits_2(tmp_path, capsys, table, message):
+    action = {"H": {"table": table}, "K": {"table": [[0]]}, "images": [[0, 1]]}
+    (tmp_path / "act.json").write_text(json.dumps(action))
+    assert cli_main(["census", "--action", str(tmp_path / "act.json")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_cli_catalog_report_matches_fixture(capsys):

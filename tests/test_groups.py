@@ -9,7 +9,6 @@ from sdmat import (
     GroupValidationError,
     NotAssociative,
     build_instance,
-    center,
     cyclic_group,
     enumerate_autos,
     enumerate_homs,
@@ -43,6 +42,15 @@ def test_broken_table_rejected():
         make_group(table)
 
 
+@pytest.mark.parametrize("table, message", [
+    ([[0, 0], [0, 0]], "no two-sided identity element exists"),
+    ([[0, 1], [1, 1]], "element 1 has no two-sided inverse"),
+])
+def test_make_group_names_the_missing_axiom(table, message):
+    with pytest.raises(GroupValidationError, match=f"^{message}$"):
+        make_group(table)
+
+
 def test_non_square_table_rejected():
     with pytest.raises(ValueError):
         make_group([[0, 1], [1, 0], [0, 1]])
@@ -62,26 +70,26 @@ def test_identity_detected_anywhere():
 
 def test_center_abelian_is_everything():
     z3 = cyclic_group(3)
-    assert sorted(center(z3)) == [0, 1, 2]
+    assert sorted(z3.center) == [0, 1, 2]
 
 
 def test_center_s3_trivial(s3):
-    zc = center(s3.group)
+    zc = s3.group.center
     assert list(zc) == [s3.group.identity]
 
 
 def test_center_klein_full(klein):
-    assert len(center(klein.group)) == 4
+    assert len(klein.group.center) == 4
 
 
 def test_center_d4_order_two(d4):
-    assert len(center(d4.group)) == 2
+    assert len(d4.group.center) == 2
 
 
 def test_center_elements_commute(s3, d4):
     for P in (s3, d4):
         g = P.group
-        for z in center(g):
+        for z in g.center:
             assert all(g.mul(z, x) == g.mul(x, z) for x in g.elements())
 
 

@@ -5,7 +5,6 @@ from sdmat import (
     FMap,
     NotBijective,
     build_instance,
-    constant_map,
     cyclic_group,
     identity_map,
     is_crossed_hom,
@@ -14,7 +13,6 @@ from sdmat import (
     map_compose,
     map_inverse,
     map_neg,
-    map_twist,
     trivial_action,
     twisted_hom_witness,
     zero_map,
@@ -57,28 +55,6 @@ def test_compose():
 def test_compose_domain_mismatch():
     with pytest.raises(DomainMismatch):
         map_compose(FMap(Z2, Z2, (0, 1)), FMap(Z2, Z3, (0, 1)))
-
-
-def test_twist_abelian_is_identity_op():
-    phi = FMap(Z2, Z3, (0, 2))
-    psi = FMap(Z2, Z3, (1, 1))
-    assert map_twist(phi, psi) == phi
-
-
-def test_twist_by_constant_identity():
-    phi = FMap(Z3, Z3, (1, 0, 2))
-    assert map_twist(phi, zero_map(Z3, Z3)) == phi
-
-
-def test_twist_in_s3(s3):
-    # conjugating a rotation by a reflection inverts it
-    G = s3.group
-    r = s3.embed_h(1)
-    s = s3.embed_k(1)
-    r2 = s3.embed_h(2)
-    phi = constant_map(G, G, r)
-    psi = constant_map(G, G, s)
-    assert map_twist(phi, psi) == constant_map(G, G, r2)
 
 
 def test_map_act_trivial_action():

@@ -4,11 +4,10 @@ from sdmat import (
     BoundExceeded,
     CONDITION_NAMES,
     ConditionsViolated,
-    ContextMismatch,
+    DomainMismatch,
     EndoMatrix,
     FMap,
-    NotHomomorphism,
-    ShapeMismatch,
+    VerificationFailed,
     build_instance,
     check_conditions,
     endo_to_matrix,
@@ -109,12 +108,12 @@ def test_matrix_to_endo_certifies_the_homomorphism_law(s3, monkeypatch):
     # with the conditions check bypassed, matrix_to_endo must still refuse it.
     m = _matrix(s3, (0, 0, 1), (0, 0), (0, 0, 0), (0, 1))
     monkeypatch.setattr("sdmat.matrices.check_conditions", lambda matrix: None)
-    with pytest.raises(NotHomomorphism):
+    with pytest.raises(VerificationFailed, match="verification failed: matrix passes its conditions but describes no homomorphism"):
         matrix_to_endo(m)
 
 
 def test_shape_validation(s3):
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(DomainMismatch, match="entry alpha must be a map"):
         EndoMatrix(
             alpha=identity_map(s3.K),
             beta=zero_map(s3.K, s3.H),
@@ -155,7 +154,7 @@ def test_zero_matrix_absorbs(s3, s3_matrices):
 
 
 def test_context_mismatch(s3, klein):
-    with pytest.raises(ContextMismatch):
+    with pytest.raises(DomainMismatch, match="matrices live over different products"):
         mat_mul(identity_matrix(s3), identity_matrix(klein))
 
 

@@ -2,7 +2,7 @@ import pytest
 
 from sdmat import (
     BoundExceeded,
-    GroupMismatch,
+    DomainMismatch,
     NotBijective,
     build_instance,
     compose_endos,
@@ -31,7 +31,6 @@ def test_trivial_group_census():
 def test_s3_census(s3_census):
     assert s3_census.n_endos == 10
     assert s3_census.n_autos == 6
-    assert s3_census.counts == {"end": 10, "aut": 6}
 
 
 def test_klein_census(klein_census):
@@ -127,7 +126,7 @@ def test_compose_associativity(s3_census):
 def test_compose_group_mismatch(s3, klein):
     a = FMap(s3.group, s3.group, tuple(range(6)))
     b = FMap(klein.group, klein.group, tuple(range(4)))
-    with pytest.raises(GroupMismatch):
+    with pytest.raises(DomainMismatch, match="endomorphisms must map one group to itself"):
         compose_endos(a, b)
 
 
@@ -137,11 +136,11 @@ def test_endo_ops_reject_maps_off_one_group(s3):
     into_g = FMap(s3.H, s3.group, tuple(s3.embed_h(h) for h in range(3)))
     onto_h = FMap(s3.group, s3.H, tuple(s3.decode(g)[0] for g in range(6)))
     for other in (into_g, onto_h):
-        for call in (
-            lambda: compose_endos(ident, other),
-            lambda: compose_endos(other, ident),
-            lambda: invert_endo(other),
-            lambda: endo_to_matrix(other, s3),
+        for call, message in (
+            (lambda: compose_endos(ident, other), "endomorphisms must map one group to itself"),
+            (lambda: compose_endos(other, ident), "endomorphisms must map one group to itself"),
+            (lambda: invert_endo(other), "endomorphisms must map one group to itself"),
+            (lambda: endo_to_matrix(other, s3), "endomorphism does not belong to this product group"),
         ):
-            with pytest.raises(GroupMismatch):
+            with pytest.raises(DomainMismatch, match=message):
                 call()

@@ -3,7 +3,8 @@ build only the shared data they read."""
 
 import pytest
 
-from sdmat import cli_main
+from sdmat import FMap, build_instance, cli_main, enumerate_matrices, identity_matrix
+from sdmat.oracle import EndCensus, enumerate_endos
 from sdmat.verify import CHECK_NAMES, run_verification
 
 
@@ -51,3 +52,44 @@ def test_verify_bound_exceeded_exits_2(capsys):
 def test_empty_check_selection_rejected(checks):
     with pytest.raises(ValueError, match="no checks selected"):
         run_verification("klein", checks=checks)
+
+
+def _correspondence(instance):
+    (check,) = run_verification(instance, checks=["endo_matrix_correspondence"]).checks
+    return check
+
+
+def test_correspondence_fails_on_a_short_census(monkeypatch):
+    def short(group, bound):
+        census = enumerate_endos(group, bound=bound)
+        return EndCensus(group, census.endos[1:], census.autos)
+
+    monkeypatch.setattr("sdmat.verify.enumerate_endos", short)
+    check = _correspondence("dihedral:4")
+    assert (check.status, check.witness) == ("fail", {"matrix_count": 36, "endo_count": 35})
+
+
+def test_correspondence_fails_on_an_image_the_matrices_do_not_give(monkeypatch):
+    group = build_instance("dihedral:4").group
+    auto = enumerate_endos(group).autos[-1].image
+    swapped = (auto[0], auto[2], auto[1], *auto[3:])  # a bijection, but no homomorphism
+
+    def swap_one(group, bound):
+        census = enumerate_endos(group, bound=bound)
+        endos = tuple(FMap(group, group, swapped) if e.image == auto else e for e in census.endos)
+        return EndCensus(group, endos, census.autos)
+
+    assert not FMap(group, group, swapped).is_hom
+    monkeypatch.setattr("sdmat.verify.enumerate_endos", swap_one)
+    check = _correspondence("dihedral:4")
+    assert (check.status, check.witness) == ("fail", {"image_mismatch": [list(auto)]})
+
+
+def test_correspondence_fails_on_a_wrong_round_trip(monkeypatch):
+    monkeypatch.setattr("sdmat.verify.endo_to_matrix", lambda theta, product: identity_matrix(product))
+    check = _correspondence("dihedral:4")
+    first = min(enumerate_matrices(build_instance("dihedral:4")), key=lambda m: m.key())
+    assert check.status == "fail"
+    assert check.witness["detail"] == "round trip through endomorphism"
+    assert check.witness["alpha"] == list(first.alpha.image)
+    assert check.witness["delta"] == list(first.delta.image)
