@@ -94,6 +94,9 @@ def _load_matrix_checked(path: str, product: SdProduct) -> EndoMatrix:
     if failed is not None:
         name, witness = failed
         raise ValueError(f"matrix violates condition {name}: witness {witness}")
+    for label, entry in (("gamma", matrix.gamma), ("delta", matrix.delta)):
+        if not entry.is_hom:
+            raise ValueError(f"matrix entry {label} is not a homomorphism")
     return matrix
 
 
@@ -106,7 +109,7 @@ def _emit(args: argparse.Namespace, payload: dict, text_lines: list[str]) -> Non
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     product = _resolve_product(args)
-    mats = enumerate_matrices(product, bound=args.bound, exhaustive=args.exhaustive)
+    mats = enumerate_matrices(product, bound=args.bound)
     mats.sort(key=lambda m: m.key())
     autos = [m for m in mats if matrix_to_endo(m).is_bijective]
     payload = {
@@ -249,7 +252,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="list all endomorphism matrices")
     _add_source_args(p)
     _add_format_arg(p, "json")
-    p.add_argument("--exhaustive", action="store_true", help="slow full map-space scan")
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("det", help="determinants and invertibility of a matrix")

@@ -26,7 +26,10 @@ A run over a selection of checks (``checks=[...]``, ``--theorems`` on the
 command line) builds the oracle census and the pairwise product table only
 when a selected check reads them: ``endo_matrix_correspondence`` reads both,
 ``monoid_laws``, ``abcd_subgroup_closure`` and ``abcd_normalization`` the
-table.
+table.  Each matrix's two closed-form inverses, through det_k and through
+det_h, are built once, the first time a selected check reads them:
+``inverse_formula_det_k``, ``inverse_formula_det_h``,
+``determinant_duality`` and ``combined_inverse`` all compare the same ones.
 """
 
 from __future__ import annotations
@@ -39,8 +42,6 @@ from .catalog import build_instance
 from .determinant import (
     det_h,
     det_k,
-    dual_det_inverses,
-    invert_combined,
     invert_via_det_h,
     invert_via_det_k,
     is_invertible,
@@ -142,8 +143,8 @@ class _Context:
     The core is built once, up front: the sorted matrices and their
     endomorphisms, both determinants of every matrix, and the automorphism
     index sets the checks and the counts read.  The oracle census, the
-    pairwise product table and the inverse indices are built the first time
-    a check reads them.
+    pairwise product table, the inverse indices and the closed-form inverses
+    are built the first time a check reads them.
     """
 
     def __init__(self, product: SdProduct, bound: int) -> None:
@@ -192,6 +193,18 @@ class _Context:
                 key = mat_mul(self.mats[i], self.mats[j]).key()
                 return {"left": i, "right": j, "product": [list(x) for x in key]}
         return None
+
+    @cached_property
+    def inverse_k(self) -> list[EndoMatrix | None]:
+        """Each matrix's K-side closed-form inverse; None where det_k is undefined or not bijective."""
+        return [invert_via_det_k(m) if dk is not None and dk.is_bijective else None
+                for m, dk in zip(self.mats, self.detk)]
+
+    @cached_property
+    def inverse_h(self) -> list[EndoMatrix | None]:
+        """Each matrix's H-side closed-form inverse; None where det_h is undefined or not bijective."""
+        return [invert_via_det_h(m) if dh is not None and dh.is_bijective else None
+                for m, dh in zip(self.mats, self.deth)]
 
     @cached_property
     def inv_idx(self) -> dict[int, int]:
@@ -332,11 +345,11 @@ def _check_inverse_k(ctx: _Context) -> CheckResult:
     id_k = identity_map(P.K)
     seen = False
     for i, m in enumerate(ctx.mats):
-        dk = ctx.detk[i]
-        if dk is None or not dk.is_bijective:
+        inverse = ctx.inverse_k[i]
+        if inverse is None:
             continue
         seen = True
-        inverse = invert_via_det_k(m)
+        dk = ctx.detk[i]
         if mat_mul(m, inverse) != ident or mat_mul(inverse, m) != ident:
             return CheckResult(name, "fail", witness=_mat_witness(m, detail="two-sided inverse law"))
         j = ctx.key_to_idx.get(inverse.key())
@@ -365,11 +378,11 @@ def _check_inverse_h(ctx: _Context) -> CheckResult:
     ident = identity_matrix(P)
     seen = False
     for i, m in enumerate(ctx.mats):
-        dh = ctx.deth[i]
-        if dh is None or not dh.is_bijective:
+        inverse = ctx.inverse_h[i]
+        if inverse is None:
             continue
         seen = True
-        inverse = invert_via_det_h(m)
+        dh = ctx.deth[i]
         if mat_mul(m, inverse) != ident or mat_mul(inverse, m) != ident:
             return CheckResult(name, "fail", witness=_mat_witness(m, detail="two-sided inverse law"))
         j = ctx.key_to_idx.get(inverse.key())
@@ -399,11 +412,11 @@ def _check_duality(ctx: _Context) -> CheckResult:
             )
         if not dh.is_bijective:
             continue
-        # dual_det_inverses proves both two-sided inverse laws, and a bijection has one inverse.
-        try:
-            dual_det_inverses(m)
-        except SdmatError as err:
-            return CheckResult(name, "fail", witness=_mat_witness(m, detail=str(err)))
+        # Each side's inverse carries the other determinant's inverse on its diagonal.
+        if ctx.inverse_k[i].alpha != map_inverse(dh):
+            return CheckResult(name, "fail", witness=_mat_witness(m, detail="H-side determinant inverse identity"))
+        if ctx.inverse_h[i].delta != map_inverse(dk):
+            return CheckResult(name, "fail", witness=_mat_witness(m, detail="K-side determinant inverse identity"))
     return CheckResult(name, "pass")
 
 
@@ -415,10 +428,10 @@ def _check_combined(ctx: _Context) -> CheckResult:
     h_side = k_side = True
     for i in eligible:
         m = ctx.mats[i]
-        combined = invert_combined(m)
-        via_k = invert_via_det_k(m)
-        via_h = invert_via_det_h(m)
-        if combined != via_k or combined != via_h:
+        # The combined form is the H-side left column next to the K-side right
+        # column, so it equals both one-sided inverses exactly when they agree.
+        combined = ctx.inverse_k[i]
+        if combined != ctx.inverse_h[i]:
             return CheckResult(name, "fail", witness=_mat_witness(m, detail="three-way inverse mismatch"))
         if det_h(combined) != map_inverse(m.alpha):
             h_side = False

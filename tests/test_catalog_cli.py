@@ -12,6 +12,7 @@ from sdmat import (
     InvalidInstance,
     VerificationFailed,
     build_instance,
+    check_conditions,
     cli_main,
     cyclic_group,
     enumerate_matrices,
@@ -164,6 +165,20 @@ def test_cli_rejects_condition_violations(tmp_path, capsys, s3):
     assert cli_main(["det", "--instance", "dihedral:3", "--matrix", str(path)]) == 2
     err = capsys.readouterr().err
     assert "alpha_twisted_by_gamma" in err
+
+
+@pytest.mark.parametrize("command", ["det", "invert", "factor"])
+@pytest.mark.parametrize("entry", ["gamma", "delta"])
+def test_cli_rejects_a_non_homomorphic_gamma_or_delta(tmp_path, capsys, klein, command, entry):
+    # Each matrix passes the four conditions, but its entry maps the identity to 1.
+    data = {"alpha": [0, 1], "beta": [0, 0], "gamma": [0, 0], "delta": [0, 1], entry: [1, 1]}
+    assert check_conditions(matrix_from_dict(data, klein)) is None
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(data))
+    assert cli_main([command, "--instance", "klein", "--matrix", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: matrix entry {entry} is not a homomorphism\n"
 
 
 def test_cli_reports_the_first_failing_condition(tmp_path, capsys, s3):
@@ -493,3 +508,9 @@ def test_cli_verify_has_no_jobs_option():
     proc = _python("-m", "sdmat", "verify", "--jobs", "2")
     assert proc.returncode == 2
     assert "unrecognized arguments: --jobs 2" in proc.stderr
+
+
+def test_cli_enumerate_has_no_exhaustive_option():
+    proc = _python("-m", "sdmat", "enumerate", "--instance", "klein", "--exhaustive")
+    assert proc.returncode == 2
+    assert "unrecognized arguments: --exhaustive" in proc.stderr

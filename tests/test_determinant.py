@@ -221,15 +221,19 @@ def test_det_h_route_inverts_to_oracle_on_direct_3_3(direct33_matrices):
         assert matrix_to_endo(invert_via_det_h(m)) == invert_endo(matrix_to_endo(m))
 
 
-def test_det_h_inverse_sum_order_with_nonabelian_k():
-    # Z3 acted on by S3 through the sign map.  The delta' entry is a sum of
-    # two maps into the nonabelian S3; on some automorphisms only the order
-    # -(delta^-1 gamma beta') + delta^-1 gives the inverse.
+def _z3_by_s3_sign():
+    """Z3 acted on by S3 through the sign map: 18 elements, nonabelian K, 730 matrices."""
     s3 = build_instance("dihedral:3")
     H = cyclic_group(3)
     sign = [s3.decode(g)[1] for g in range(s3.group.order)]
     images = [[h if s == 0 else (-h) % 3 for h in range(3)] for s in sign]
-    P = semidirect(make_action(H, s3.group, images))
+    return semidirect(make_action(H, s3.group, images))
+
+
+def test_det_h_inverse_sum_order_with_nonabelian_k():
+    # The delta' entry is a sum of two maps into the nonabelian S3; on some
+    # automorphisms only the order -(delta^-1 gamma beta') + delta^-1 gives the inverse.
+    P = _z3_by_s3_sign()
     ident = identity_matrix(P)
     swapped_sum_fails = 0
     for m in enumerate_matrices(P):
@@ -244,6 +248,8 @@ def test_det_h_inverse_sum_order_with_nonabelian_k():
 
 
 def test_verify_passes_off_catalog_direct_products():
-    for name in ("direct:3:3", "direct:4:8"):
-        report = run_verification(name)
+    # Z3 x| S3 is no direct product, but like them it is off the catalog, and its
+    # nonabelian K is where the order of the sums in the inverse formulas matters.
+    for instance in ("direct:3:3", "direct:4:8", _z3_by_s3_sign()):
+        report = run_verification(instance)
         assert report.passed, [c for c in report.checks if c.status == "fail"]

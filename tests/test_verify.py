@@ -1,9 +1,11 @@
 """The verification harness: selected checks agree with a full run and
 build only the shared data they read."""
 
+from collections import Counter
+
 import pytest
 
-from sdmat import FMap, build_instance, cli_main, enumerate_matrices, identity_matrix
+from sdmat import FMap, build_instance, cli_main, determinant, enumerate_matrices, identity_matrix
 from sdmat.oracle import EndCensus, enumerate_endos
 from sdmat.verify import CHECK_NAMES, run_verification
 
@@ -93,3 +95,34 @@ def test_correspondence_fails_on_a_wrong_round_trip(monkeypatch):
     assert check.witness["detail"] == "round trip through endomorphism"
     assert check.witness["alpha"] == list(first.alpha.image)
     assert check.witness["delta"] == list(first.delta.image)
+
+
+_INVERSE_CHECKS = ["inverse_formula_det_k", "inverse_formula_det_h", "determinant_duality", "combined_inverse"]
+
+
+def test_inverse_checks_fail_on_a_wrong_h_side_inverse(monkeypatch):
+    monkeypatch.setattr("sdmat.verify.invert_via_det_h", lambda matrix: identity_matrix(matrix.context))
+    report = run_verification("direct:3:3", checks=_INVERSE_CHECKS)
+    outcomes = {c.name: (c.status, c.witness and c.witness["detail"]) for c in report.checks}
+    assert outcomes == {
+        "inverse_formula_det_k": ("pass", None),
+        "inverse_formula_det_h": ("fail", "two-sided inverse law"),
+        "determinant_duality": ("fail", "K-side determinant inverse identity"),
+        "combined_inverse": ("fail", "three-way inverse mismatch"),
+    }
+
+
+def test_full_run_builds_each_closed_form_inverse_once(monkeypatch):
+    # Counts the inverses verify builds itself; is_invertible reaches determinant's own names.
+    calls = Counter()
+    for side in ("k", "h"):
+        invert = getattr(determinant, f"invert_via_det_{side}")
+
+        def counted(matrix, side=side, invert=invert):
+            calls[side, matrix.key()] += 1
+            return invert(matrix)
+
+        monkeypatch.setattr(f"sdmat.verify.invert_via_det_{side}", counted)
+    assert run_verification("direct:3:3").passed
+    assert {side for side, _ in calls} == {"k", "h"}
+    assert max(calls.values()) == 1
