@@ -8,9 +8,9 @@ carries a group structure under the pointwise product
 
 with the constant-identity map as zero and pointwise inversion as negation.
 Composition and twisting through an action (:func:`map_act`) complete the
-toolbox used by the matrix calculus.  Addition is written additively even
-though values multiply, because the codomain is rarely abelian and the
-notation keeps sums, negation and composition visually distinct.
+toolbox the matrix calculus is stated in.  The determinants are built from
+it; ``matrices.mat_mul`` reads the image tables itself.  Sums are written
+additively though values multiply, as the codomain is rarely abelian.
 
 An endomorphism is an FMap whose ``dom is cod``.  Its homomorphism law is
 checked where it first appears: in the oracle's census

@@ -36,15 +36,7 @@ from functools import cached_property
 
 from .errors import BoundExceeded, ConditionsViolated, DomainMismatch, VerificationFailed
 from .groups import enumerate_homs, enumerate_twisted_maps
-from .maps import (
-    FMap,
-    identity_map,
-    map_act,
-    map_add,
-    map_compose,
-    twisted_hom_witness,
-    zero_map,
-)
+from .maps import FMap, identity_map, twisted_hom_witness, zero_map
 from .semidirect import GroupAction, SdProduct
 
 __all__ = [
@@ -215,18 +207,23 @@ def mat_mul(left: EndoMatrix, right: EndoMatrix) -> EndoMatrix:
         d = gamma' beta  + delta' delta
 
     where + is the pointwise product, juxtaposition is composition and the
-    exponent twists through the action.
+    exponent twists through the action.  Each entry is built in one pass over
+    the image tables, with no intermediate maps; the four results are still
+    FMaps checked against their codomains, in a shape-checked matrix.
     """
     if left.context is not right.context:
         raise DomainMismatch("matrices live over different products")
-    act = left.context.action
-    a2, b2, g2, d2 = left.entries()
-    a1, b1, g1, d1 = right.entries()
-    a = map_add(map_compose(a2, a1), map_act(map_compose(b2, g1), map_compose(g2, a1), act))
-    b = map_add(map_compose(a2, b1), map_act(map_compose(b2, d1), map_compose(g2, b1), act))
-    c = map_add(map_compose(g2, a1), map_compose(d2, g1))
-    d = map_add(map_compose(g2, b1), map_compose(d2, d1))
-    return EndoMatrix(alpha=a, beta=b, gamma=c, delta=d, context=left.context)
+    P = left.context
+    H, K = P.H, P.K
+    ht, kt, rows = H.table, K.table, P.action.images
+    a2, b2, g2, d2 = left.key()  # the four image tables
+    a1, b1, g1, d1 = right.key()
+    # Column (x; y) of the right factor maps to (a2 x + (b2 y)^{g2 x}; g2 x + d2 y).
+    a = tuple(ht[a2[x]][rows[g2[x]][b2[y]]] for x, y in zip(a1, g1))
+    b = tuple(ht[a2[x]][rows[g2[x]][b2[y]]] for x, y in zip(b1, d1))
+    c = tuple(kt[g2[x]][d2[y]] for x, y in zip(a1, g1))
+    d = tuple(kt[g2[x]][d2[y]] for x, y in zip(b1, d1))
+    return EndoMatrix(alpha=FMap(H, H, a), beta=FMap(K, H, b), gamma=FMap(H, K, c), delta=FMap(K, K, d), context=P)
 
 
 def matrix_to_endo(matrix: EndoMatrix) -> FMap:

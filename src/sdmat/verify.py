@@ -27,9 +27,10 @@ command line) builds the oracle census and the pairwise product table only
 when a selected check reads them: ``endo_matrix_correspondence`` reads both,
 ``monoid_laws``, ``abcd_subgroup_closure`` and ``abcd_normalization`` the
 table.  Each matrix's two closed-form inverses, through det_k and through
-det_h, are built once, the first time a selected check reads them:
-``inverse_formula_det_k``, ``inverse_formula_det_h``,
-``determinant_duality`` and ``combined_inverse`` all compare the same ones.
+det_h, are built once, the first time a selected check reads them, and
+the one on the route ``is_invertible`` takes is the inverse it returned:
+the two invertibility checks, the two inverse formulas,
+``determinant_duality`` and ``combined_inverse`` all read the same ones.
 """
 
 from __future__ import annotations
@@ -39,13 +40,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .catalog import build_instance
-from .determinant import (
-    det_h,
-    det_k,
-    invert_via_det_h,
-    invert_via_det_k,
-    is_invertible,
-)
+from .determinant import InvertibilityResult, det_h, det_k, invert_via_det_h, is_invertible
 from .errors import SdmatError
 from .factorization import classify, factor_abcd, unit_diagonal_a_factor, unit_diagonal_b_factor
 from .groups import associativity_witness
@@ -143,8 +138,9 @@ class _Context:
     The core is built once, up front: the sorted matrices and their
     endomorphisms, both determinants of every matrix, and the automorphism
     index sets the checks and the counts read.  The oracle census, the
-    pairwise product table, the inverse indices and the closed-form inverses
-    are built the first time a check reads them.
+    pairwise product table, the inverse indices, the ``is_invertible``
+    results and the closed-form inverses are built the first time a check
+    reads them.
     """
 
     def __init__(self, product: SdProduct, bound: int) -> None:
@@ -195,16 +191,23 @@ class _Context:
         return None
 
     @cached_property
+    def decided(self) -> list[InvertibilityResult | None]:
+        """Each matrix's ``is_invertible`` with its route's inverse; None where alpha and delta are not bijective."""
+        return [is_invertible(m) if dk is not None or dh is not None else None
+                for m, dk, dh in zip(self.mats, self.detk, self.deth)]
+
+    @cached_property
     def inverse_k(self) -> list[EndoMatrix | None]:
         """Each matrix's K-side closed-form inverse; None where det_k is undefined or not bijective."""
-        return [invert_via_det_k(m) if dk is not None and dk.is_bijective else None
-                for m, dk in zip(self.mats, self.detk)]
+        return [r.inverse if dk is not None else None for r, dk in zip(self.decided, self.detk)]
 
     @cached_property
     def inverse_h(self) -> list[EndoMatrix | None]:
         """Each matrix's H-side closed-form inverse; None where det_h is undefined or not bijective."""
-        return [invert_via_det_h(m) if dh is not None and dh.is_bijective else None
-                for m, dh in zip(self.mats, self.deth)]
+        # Where alpha is not bijective, is_invertible took the det_h route and holds this inverse.
+        return [r.inverse if dk is None and dh is not None
+                else invert_via_det_h(m) if dh is not None and dh.is_bijective else None
+                for m, r, dk, dh in zip(self.mats, self.decided, self.detk, self.deth)]
 
     @cached_property
     def inv_idx(self) -> dict[int, int]:
@@ -306,7 +309,7 @@ def _check_invertibility_k(ctx: _Context) -> CheckResult:
                 "fail",
                 witness=_mat_witness(m, det_bijective=dk.is_bijective, endo_bijective=ctx.bijective[i]),
             )
-        decided = is_invertible(m)
+        decided = ctx.decided[i]
         if decided.method != "det_k" or decided.invertible != ctx.bijective[i]:
             return CheckResult(name, "fail", witness=_mat_witness(m, method=decided.method))
     if not seen:
@@ -330,7 +333,7 @@ def _check_invertibility_h(ctx: _Context) -> CheckResult:
             )
         if m.alpha.is_bijective:
             continue  # is_invertible takes det_k here, checked by invertibility_via_det_k
-        decided = is_invertible(m)
+        decided = ctx.decided[i]
         if decided.method != "det_h" or decided.invertible != ctx.bijective[i]:
             return CheckResult(name, "fail", witness=_mat_witness(m, method=decided.method))
     if not seen:

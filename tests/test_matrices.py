@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from sdmat import (
@@ -10,17 +12,25 @@ from sdmat import (
     VerificationFailed,
     build_instance,
     check_conditions,
+    cyclic_group,
     endo_to_matrix,
     enumerate_matrices,
     identity_map,
     identity_matrix,
     is_automorphism_matrix,
+    make_action,
+    map_act,
+    map_add,
+    map_compose,
     mat_mul,
     matrix_to_endo,
+    semidirect,
     twisted_hom_witness,
     zero_map,
 )
 from sdmat.matrices import _compat_witness, _intertwine_witness
+from sdmat.oracle import compose_endos
+from test_determinant import _z3_by_s3_sign
 
 
 def _matrix(P, alpha, beta, gamma, delta):
@@ -156,6 +166,62 @@ def test_zero_matrix_absorbs(s3, s3_matrices):
 def test_context_mismatch(s3, klein):
     with pytest.raises(DomainMismatch, match="matrices live over different products"):
         mat_mul(identity_matrix(s3), identity_matrix(klein))
+
+
+def _s3_by_conjugation(K):
+    """S3 acted on by K, k acting as conjugation by the element of S3 with index k.
+
+    That is an action for K = Z2, as 1 is a reflection (nonabelian H, 64
+    matrices), and for K = S3 (484 matrices).  There gamma(f_k h) =
+    delta(k) gamma(h) delta(k)^-1, so unlike in a direct product the images
+    of gamma and delta need not commute.
+    """
+    s3 = build_instance("dihedral:3").group
+    t, inv = s3.table, s3.inverses
+    rows = [[t[t[k][h]][inv[k]] for h in range(s3.order)] for k in range(K.order)]
+    return semidirect(make_action(s3, K, rows))
+
+
+_NONABELIAN = {
+    "z3_by_s3_sign": _z3_by_s3_sign,
+    "s3_by_z2_conjugation": lambda: _s3_by_conjugation(cyclic_group(2)),
+    "s3_by_s3_conjugation": lambda: _s3_by_conjugation(build_instance("dihedral:3").group),
+}
+
+
+def _product_by_map_algebra(left, right):
+    """The product's entry formula written out with map_add, map_compose and map_act."""
+    act = left.context.action
+    a2, b2, g2, d2 = left.entries()
+    a1, b1, g1, d1 = right.entries()
+    return EndoMatrix(
+        alpha=map_add(map_compose(a2, a1), map_act(map_compose(b2, g1), map_compose(g2, a1), act)),
+        beta=map_add(map_compose(a2, b1), map_act(map_compose(b2, d1), map_compose(g2, b1), act)),
+        gamma=map_add(map_compose(g2, a1), map_compose(d2, g1)),
+        delta=map_add(map_compose(g2, b1), map_compose(d2, d1)),
+        context=left.context,
+    )
+
+
+@pytest.mark.parametrize("instance", ["klein", "direct:3:3", "dihedral:3", "s3_by_z2_conjugation"])
+def test_mat_mul_matches_the_map_algebra_formula(instance):
+    P = _NONABELIAN[instance]() if instance in _NONABELIAN else build_instance(instance)
+    mats = enumerate_matrices(P)
+    for left in mats:
+        for right in mats:
+            assert mat_mul(left, right).key() == _product_by_map_algebra(left, right).key()
+
+
+@pytest.mark.parametrize("instance", sorted(_NONABELIAN))
+def test_mat_mul_is_composition_with_nonabelian_factors(instance):
+    # In S3 the order of a pointwise product matters, so a product with swapped
+    # operands shows: in H on S3 x| Z2, in K on Z3 x| S3 and, for the gamma entry,
+    # whose two terms commute on the other instances, on S3 x| S3.
+    mats = enumerate_matrices(_NONABELIAN[instance]())
+    rng = random.Random(13)
+    for _ in range(2000):
+        left, right = rng.choice(mats), rng.choice(mats)
+        assert matrix_to_endo(mat_mul(left, right)) == compose_endos(matrix_to_endo(left), matrix_to_endo(right))
 
 
 def test_matrix_to_endo_identity(s3):

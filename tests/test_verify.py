@@ -113,7 +113,8 @@ def test_inverse_checks_fail_on_a_wrong_h_side_inverse(monkeypatch):
 
 
 def test_full_run_builds_each_closed_form_inverse_once(monkeypatch):
-    # Counts the inverses verify builds itself; is_invertible reaches determinant's own names.
+    # Counts every closed-form inverse of the run: those verify builds itself and
+    # those is_invertible builds for the invertibility checks.
     calls = Counter()
     for side in ("k", "h"):
         invert = getattr(determinant, f"invert_via_det_{side}")
@@ -122,7 +123,8 @@ def test_full_run_builds_each_closed_form_inverse_once(monkeypatch):
             calls[side, matrix.key()] += 1
             return invert(matrix)
 
-        monkeypatch.setattr(f"sdmat.verify.invert_via_det_{side}", counted)
+        monkeypatch.setattr(determinant, f"invert_via_det_{side}", counted)
+    monkeypatch.setattr("sdmat.verify.invert_via_det_h", determinant.invert_via_det_h)
     assert run_verification("direct:3:3").passed
     assert {side for side, _ in calls} == {"k", "h"}
     assert max(calls.values()) == 1
