@@ -25,8 +25,9 @@ can be read off the other side's diagonal (the duality).
 :func:`is_invertible` is the one place that chooses a route: ``det_k`` when
 alpha is bijective, else ``det_h`` when delta is bijective, else ``brute``,
 bijectivity of the described endomorphism.  It returns the inverse from the
-route it chose.  Every precondition of this module is a map that is not
-bijective, and each raises PreconditionFailed.
+route it chose; ``sdmat det`` also reads the determinant that route built,
+so that each determinant is built once.  Every precondition of this module
+is a map that is not bijective, and each raises PreconditionFailed.
 """
 
 from __future__ import annotations
@@ -81,7 +82,11 @@ def invert_via_det_k(matrix: EndoMatrix) -> EndoMatrix:
 
     Raises PreconditionFailed when alpha or D is not bijective.
     """
-    dk = det_k(matrix)
+    return _inverse_via_det_k(matrix, det_k(matrix))
+
+
+def _inverse_via_det_k(matrix: EndoMatrix, dk: FMap) -> EndoMatrix:
+    """:func:`invert_via_det_k` given ``dk = det_k(matrix)``."""
     if not dk.is_bijective:
         raise PreconditionFailed("the K-side determinant is not bijective")
     ainv = map_inverse(matrix.alpha)
@@ -103,7 +108,11 @@ def invert_via_det_h(matrix: EndoMatrix) -> EndoMatrix:
     the mirror image of :func:`invert_via_det_k`.  Raises PreconditionFailed
     when delta or D is not bijective.
     """
-    dh = det_h(matrix)
+    return _inverse_via_det_h(matrix, det_h(matrix))
+
+
+def _inverse_via_det_h(matrix: EndoMatrix, dh: FMap) -> EndoMatrix:
+    """:func:`invert_via_det_h` given ``dh = det_h(matrix)``."""
     if not dh.is_bijective:
         raise PreconditionFailed("the H-side determinant is not bijective")
     dinv = map_inverse(matrix.delta)
@@ -122,20 +131,28 @@ def is_invertible(matrix: EndoMatrix) -> InvertibilityResult:
     inverse comes from the same route: the closed form of that side, or the
     inverse of the endomorphism's image table.
     """
+    return _decide(matrix)[0]
+
+
+def _decide(matrix: EndoMatrix) -> tuple[InvertibilityResult, FMap | None]:
+    """:func:`is_invertible` and the determinant its route built, None on the brute route.
+
+    The result does not carry the determinant, so that callers who keep
+    results, such as ``verify`` for every matrix, do not keep it too.
+    """
     if matrix.alpha.is_bijective:
-        method, invert = "det_k", invert_via_det_k
+        method, det, invert = "det_k", det_k(matrix), _inverse_via_det_k
     elif matrix.delta.is_bijective:
-        method, invert = "det_h", invert_via_det_h
+        method, det, invert = "det_h", det_h(matrix), _inverse_via_det_h
     else:
         theta = matrix_to_endo(matrix)
         if not theta.is_bijective:
-            return InvertibilityResult(False, "brute", None)
+            return InvertibilityResult(False, "brute", None), None
         inverse = endo_to_matrix(map_inverse(theta), matrix.context)
-        return InvertibilityResult(True, "brute", inverse)
-    try:
-        return InvertibilityResult(True, method, invert(matrix))
-    except PreconditionFailed:  # the determinant is not bijective
-        return InvertibilityResult(False, method, None)
+        return InvertibilityResult(True, "brute", inverse), None
+    if not det.is_bijective:
+        return InvertibilityResult(False, method, None), det
+    return InvertibilityResult(True, method, invert(matrix, det)), det
 
 
 def _require_automorphism_with_bijective_diagonal(matrix: EndoMatrix) -> None:

@@ -5,7 +5,9 @@ The identity is detected, never assumed to be 0.  Construction via
 :func:`make_group` checks every axiom exhaustively and reports the first
 witnessing elements on failure: the identity and the inverses by a scan
 of the table, associativity by Light's test over a generating set read
-off the table (see :func:`associativity_witness`).
+off the table (see :func:`associativity_witness`).  The group keeps that
+generating set, so laws over all pairs of elements can be decided on the
+generators (see :mod:`sdmat.maps`).
 """
 
 from __future__ import annotations
@@ -34,12 +36,18 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class FiniteGroup:
-    """Immutable group data; compare by object identity."""
+    """Immutable group data; compare by object identity.
+
+    ``generators`` is the greedy generating set of :func:`greedy_generators`:
+    every element is a product of them, each reached from the identity by
+    right multiplication.
+    """
 
     order: int
     table: tuple[tuple[int, ...], ...]
     identity: int
     inverses: tuple[int, ...]
+    generators: tuple[int, ...]
     names: tuple[str, ...] | None = None
     name: str = ""
 
@@ -51,6 +59,11 @@ class FiniteGroup:
 
     def elements(self) -> range:
         return range(self.order)
+
+    @cached_property
+    def columns(self) -> tuple[tuple[int, ...], ...]:
+        """The table read by columns: ``columns[b][a] = a*b``."""
+        return tuple(zip(*self.table))
 
     @cached_property
     def is_abelian(self) -> bool:
@@ -123,7 +136,8 @@ def make_group(
                 break
         inverses.append(b)
 
-    triple = associativity_witness(rows)
+    generators = _greedy_generators(rows, identity)
+    triple = _associativity_witness(rows, generators)
     if triple is not None:
         raise NotAssociative(*triple)
 
@@ -132,6 +146,7 @@ def make_group(
         table=rows,
         identity=identity,
         inverses=tuple(inverses),
+        generators=generators,
         names=tuple(names) if names is not None else None,
         name=name,
     )
@@ -164,7 +179,14 @@ def associativity_witness(table: Sequence[Sequence[int]]) -> tuple[int, int, int
     """
     rows = tuple(map(tuple, table))
     identity = _identity(rows)
-    if identity is not None and all(_is_good(rows, g) for g in _greedy_generators(rows, identity)):
+    return _associativity_witness(rows, None if identity is None else _greedy_generators(rows, identity))
+
+
+def _associativity_witness(
+    rows: tuple[tuple[int, ...], ...], generators: Sequence[int] | None
+) -> tuple[int, int, int] | None:
+    """:func:`associativity_witness` given the table's greedy generators, None if it has no identity."""
+    if generators is not None and all(_is_good(rows, g) for g in generators):
         return None
     n = len(rows)
     for a, row_a in enumerate(rows):
@@ -183,8 +205,11 @@ def _is_good(rows: tuple[tuple[int, ...], ...], g: int) -> bool:
 
 
 def greedy_generators(group: FiniteGroup) -> tuple[int, ...]:
-    """A generating set built greedily: keep adding the first element not yet generated."""
-    return _greedy_generators(group.table, group.identity)
+    """A generating set built greedily: keep adding the first element not yet generated.
+
+    ``make_group`` builds it once, for Light's test, and the group keeps it.
+    """
+    return group.generators
 
 
 def word_sequence(group: FiniteGroup, gens: Sequence[int]) -> list[tuple[int, int, int]]:

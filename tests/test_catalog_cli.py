@@ -107,6 +107,35 @@ def test_cli_det_identity(tmp_path, capsys, s3):
     assert data["inverse"]["alpha"] == [0, 1, 2]
 
 
+def test_cli_det_builds_each_determinant_once(tmp_path, capsys, monkeypatch):
+    # Both diagonal entries of the identity are bijective, so det prints both determinants
+    # and is_invertible inverts through det_k; each determinant is built once all the same.
+    from sdmat import determinant
+
+    calls = {"det_k": 0, "det_h": 0}
+
+    def counted(name):
+        original = getattr(determinant, name)
+
+        def wrapper(matrix):
+            calls[name] += 1
+            return original(matrix)
+
+        return wrapper
+
+    for name in calls:
+        wrapper = counted(name)
+        for module in (determinant, cli):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapper)
+    path = tmp_path / "ident.json"
+    save_matrix(identity_matrix(build_instance("direct:3:3")), path)
+    assert cli_main(["det", "--instance", "direct:3:3", "--matrix", str(path)]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["det_H"] == [0, 1, 2] and data["det_K"] == [0, 1, 2] and data["invertible"] is True
+    assert calls == {"det_k": 1, "det_h": 1}
+
+
 def test_cli_invert_and_factor(tmp_path, capsys, s3, s3_matrices):
     involution = next(
         m for m in s3_matrices if m.alpha.image == (0, 2, 1) and m.beta.image == (0, 1)

@@ -1,7 +1,9 @@
 """The verification harness: selected checks agree with a full run and
 build only the shared data they read."""
 
+import json
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -114,17 +116,41 @@ def test_inverse_checks_fail_on_a_wrong_h_side_inverse(monkeypatch):
 
 def test_full_run_builds_each_closed_form_inverse_once(monkeypatch):
     # Counts every closed-form inverse of the run: those verify builds itself and
-    # those is_invertible builds for the invertibility checks.
+    # those is_invertible builds for the invertibility checks.  Both go through the
+    # builder that takes the determinant, so that is what is counted.
     calls = Counter()
     for side in ("k", "h"):
-        invert = getattr(determinant, f"invert_via_det_{side}")
+        invert = getattr(determinant, f"_inverse_via_det_{side}")
 
-        def counted(matrix, side=side, invert=invert):
+        def counted(matrix, det, side=side, invert=invert):
             calls[side, matrix.key()] += 1
-            return invert(matrix)
+            return invert(matrix, det)
 
-        monkeypatch.setattr(determinant, f"invert_via_det_{side}", counted)
-    monkeypatch.setattr("sdmat.verify.invert_via_det_h", determinant.invert_via_det_h)
+        monkeypatch.setattr(determinant, f"_inverse_via_det_{side}", counted)
     assert run_verification("direct:3:3").passed
     assert {side for side, _ in calls} == {"k", "h"}
     assert max(calls.values()) == 1
+
+
+OFFCATALOG = ("metacyclic:8:2:5", "metacyclic:9:3:4", "direct:3:3")
+OFFCATALOG_FIXTURE = Path(__file__).parent / "data" / "offcatalog_verify.json"
+
+
+def _offcatalog_reports() -> str:
+    reports = [run_verification(name).to_dict() for name in OFFCATALOG]
+    return json.dumps({"instances": reports}, indent=2, sort_keys=True) + "\n"
+
+
+def test_offcatalog_reports_match_fixture():
+    # Off the catalog: the two metacyclic instances fail inverse_formula_det_h and
+    # abcd_factorization (ROADMAP item 1), direct:3:3 passes.  The reports, failure witnesses
+    # included, are frozen byte for byte; regenerate with
+    #     PYTHONPATH=src python tests/test_verify.py
+    # only when a change to them is intended.
+    expected = OFFCATALOG_FIXTURE.read_text()
+    assert '"detail": "condition alpha_twisted_by_gamma fails at (1, 1, 2, 6)"' in expected
+    assert _offcatalog_reports() == expected
+
+
+if __name__ == "__main__":
+    OFFCATALOG_FIXTURE.write_text(_offcatalog_reports())
