@@ -32,7 +32,7 @@ from .catalog import (
     load_matrix,
     matrix_to_dict,
 )
-from .determinant import _decide, det_h, is_invertible
+from .determinant import det_h, det_k, is_invertible
 from .errors import (
     BoundExceeded,
     DomainMismatch,
@@ -130,12 +130,9 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 def _cmd_det(args: argparse.Namespace) -> int:
     product = _resolve_product(args)
     matrix = _load_matrix_checked(args.matrix, product)
-    decided, det = _decide(matrix)
-    # The route's determinant is built once: det_k whenever alpha is bijective, else det_h.
-    dk = det if decided.method == "det_k" else None
-    dh = det if decided.method == "det_h" else None
-    if dh is None and matrix.delta.is_bijective:
-        dh = det_h(matrix)
+    decided = is_invertible(matrix)
+    dk = det_k(matrix) if matrix.alpha.is_bijective else None
+    dh = det_h(matrix) if matrix.delta.is_bijective else None
     dh_image = None if dh is None else list(dh.image)
     dk_image = None if dk is None else list(dk.image)
     payload = {

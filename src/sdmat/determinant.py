@@ -24,10 +24,13 @@ can be read off the other side's diagonal (the duality).
 
 :func:`is_invertible` is the one place that chooses a route: ``det_k`` when
 alpha is bijective, else ``det_h`` when delta is bijective, else ``brute``,
-bijectivity of the described endomorphism.  It returns the inverse from the
-route it chose; ``sdmat det`` also reads the determinant that route built,
-so that each determinant is built once.  Every precondition of this module
-is a map that is not bijective, and each raises PreconditionFailed.
+bijectivity of the described endomorphism.  Both determinants and both
+closed-form inverses are values of their matrix: each is built on the first
+call and kept on the matrix object (``maps.memo``), so the inverse
+``is_invertible`` returns is the one :func:`invert_via_det_k` or
+:func:`invert_via_det_h` returns, and no caller passes them along.  Every
+precondition of this module is a map that is not bijective, and each raises
+PreconditionFailed, on every call.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import PreconditionFailed, VerificationFailed
-from .maps import FMap, identity_map, map_add, map_compose, map_inverse, map_neg
+from .maps import FMap, identity_map, map_add, map_compose, map_inverse, map_neg, memo
 from .matrices import EndoMatrix, endo_to_matrix, is_automorphism_matrix, matrix_to_endo
 
 __all__ = [
@@ -56,6 +59,7 @@ class InvertibilityResult(NamedTuple):
     inverse: EndoMatrix | None  # from the chosen route; None when not invertible
 
 
+@memo
 def det_k(matrix: EndoMatrix) -> FMap:
     """K-valued determinant: k -> gamma(alpha^-1(beta(k)))^-1 * delta(k)."""
     if not matrix.alpha.is_bijective:
@@ -64,6 +68,7 @@ def det_k(matrix: EndoMatrix) -> FMap:
     return map_add(map_neg(map_compose(matrix.gamma, map_compose(ainv, matrix.beta))), matrix.delta)
 
 
+@memo
 def det_h(matrix: EndoMatrix) -> FMap:
     """H-valued determinant: h -> alpha(h) * beta(delta^-1(gamma(h)))^-1."""
     if not matrix.delta.is_bijective:
@@ -72,6 +77,7 @@ def det_h(matrix: EndoMatrix) -> FMap:
     return map_add(matrix.alpha, map_neg(map_compose(matrix.beta, map_compose(dinv, matrix.gamma))))
 
 
+@memo
 def invert_via_det_k(matrix: EndoMatrix) -> EndoMatrix:
     """Closed-form inverse from the K-side determinant.
 
@@ -82,11 +88,7 @@ def invert_via_det_k(matrix: EndoMatrix) -> EndoMatrix:
 
     Raises PreconditionFailed when alpha or D is not bijective.
     """
-    return _inverse_via_det_k(matrix, det_k(matrix))
-
-
-def _inverse_via_det_k(matrix: EndoMatrix, dk: FMap) -> EndoMatrix:
-    """:func:`invert_via_det_k` given ``dk = det_k(matrix)``."""
+    dk = det_k(matrix)
     if not dk.is_bijective:
         raise PreconditionFailed("the K-side determinant is not bijective")
     ainv = map_inverse(matrix.alpha)
@@ -97,6 +99,7 @@ def _inverse_via_det_k(matrix: EndoMatrix, dk: FMap) -> EndoMatrix:
     return EndoMatrix(alpha=aprime, beta=bprime, gamma=gprime, delta=dkinv, context=matrix.context)
 
 
+@memo
 def invert_via_det_h(matrix: EndoMatrix) -> EndoMatrix:
     """Closed-form inverse from the H-side determinant.
 
@@ -108,11 +111,7 @@ def invert_via_det_h(matrix: EndoMatrix) -> EndoMatrix:
     the mirror image of :func:`invert_via_det_k`.  Raises PreconditionFailed
     when delta or D is not bijective.
     """
-    return _inverse_via_det_h(matrix, det_h(matrix))
-
-
-def _inverse_via_det_h(matrix: EndoMatrix, dh: FMap) -> EndoMatrix:
-    """:func:`invert_via_det_h` given ``dh = det_h(matrix)``."""
+    dh = det_h(matrix)
     if not dh.is_bijective:
         raise PreconditionFailed("the H-side determinant is not bijective")
     dinv = map_inverse(matrix.delta)
@@ -131,28 +130,18 @@ def is_invertible(matrix: EndoMatrix) -> InvertibilityResult:
     inverse comes from the same route: the closed form of that side, or the
     inverse of the endomorphism's image table.
     """
-    return _decide(matrix)[0]
-
-
-def _decide(matrix: EndoMatrix) -> tuple[InvertibilityResult, FMap | None]:
-    """:func:`is_invertible` and the determinant its route built, None on the brute route.
-
-    The result does not carry the determinant, so that callers who keep
-    results, such as ``verify`` for every matrix, do not keep it too.
-    """
     if matrix.alpha.is_bijective:
-        method, det, invert = "det_k", det_k(matrix), _inverse_via_det_k
+        method, det, invert = "det_k", det_k, invert_via_det_k
     elif matrix.delta.is_bijective:
-        method, det, invert = "det_h", det_h(matrix), _inverse_via_det_h
+        method, det, invert = "det_h", det_h, invert_via_det_h
     else:
         theta = matrix_to_endo(matrix)
         if not theta.is_bijective:
-            return InvertibilityResult(False, "brute", None), None
-        inverse = endo_to_matrix(map_inverse(theta), matrix.context)
-        return InvertibilityResult(True, "brute", inverse), None
-    if not det.is_bijective:
-        return InvertibilityResult(False, method, None), det
-    return InvertibilityResult(True, method, invert(matrix, det)), det
+            return InvertibilityResult(False, "brute", None)
+        return InvertibilityResult(True, "brute", endo_to_matrix(map_inverse(theta), matrix.context))
+    if not det(matrix).is_bijective:
+        return InvertibilityResult(False, method, None)
+    return InvertibilityResult(True, method, invert(matrix))
 
 
 def _require_automorphism_with_bijective_diagonal(matrix: EndoMatrix) -> None:

@@ -49,7 +49,7 @@ was decided.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 from operator import itemgetter
 from typing import TYPE_CHECKING, Sequence
 
@@ -120,8 +120,26 @@ class FMap:
         return f"FMap({list(self.image)})"
 
 
+def memo(fn):
+    """``fn(obj)``, computed on the first call and then kept in ``obj.__dict__``.
+
+    As with :class:`functools.cached_property`, the value lives exactly as
+    long as ``obj``, and a call that raises keeps nothing.
+    """
+    key = f"{fn.__module__}.{fn.__qualname__}"
+
+    @wraps(fn)
+    def kept(obj):
+        if key not in obj.__dict__:
+            obj.__dict__[key] = fn(obj)
+        return obj.__dict__[key]
+
+    return kept
+
+
+@memo
 def identity_map(group: "FiniteGroup") -> FMap:
-    """The identity endomap of a group."""
+    """The identity endomap of a group, one per group."""
     return FMap(group, group, tuple(range(group.order)))
 
 

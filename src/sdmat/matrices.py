@@ -32,11 +32,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import BoundExceeded, ConditionsViolated, DomainMismatch, VerificationFailed
 from .groups import enumerate_homs, enumerate_twisted_maps
-from .maps import FMap, identity_map, twisted_hom_witness, zero_map
+from .maps import FMap, identity_map, memo, twisted_hom_witness, zero_map
 from .semidirect import GroupAction, SdProduct
 
 __all__ = [
@@ -100,21 +99,6 @@ class EndoMatrix:
 
     def __hash__(self) -> int:
         return hash((id(self.context), self.key()))
-
-    @cached_property
-    def _endo(self) -> FMap:
-        failed = check_conditions(self)
-        if failed is not None:
-            raise ConditionsViolated(*failed)
-        # theta(h, k) = theta(h, 1) * theta(1, k), with h outer as in the pair encoding.
-        P = self.context
-        gt = P.group.table
-        on_h = [P.encode(a, g) for a, g in zip(self.alpha.image, self.gamma.image)]
-        on_k = [P.encode(b, d) for b, d in zip(self.beta.image, self.delta.image)]
-        theta = FMap(P.group, P.group, tuple(gt[x][y] for x in on_h for y in on_k))
-        if not theta.is_hom:
-            raise VerificationFailed("matrix passes its conditions but describes no homomorphism")
-        return theta
 
     def __repr__(self) -> str:
         return f"EndoMatrix(alpha={list(self.alpha.image)}, beta={list(self.beta.image)}, gamma={list(self.gamma.image)}, delta={list(self.delta.image)})"
@@ -226,15 +210,27 @@ def mat_mul(left: EndoMatrix, right: EndoMatrix) -> EndoMatrix:
     return EndoMatrix(alpha=FMap(H, H, a), beta=FMap(K, H, b), gamma=FMap(H, K, c), delta=FMap(K, K, d), context=P)
 
 
+@memo
 def matrix_to_endo(matrix: EndoMatrix) -> FMap:
     """The endomorphism (h, k) -> (alpha(h) * f_{gamma(h)}(beta(k)), gamma(h) delta(k)).
 
     Raises ConditionsViolated if the matrix fails its compatibility
     conditions.  The result is an FMap from the product group to itself,
     checked once against the homomorphism law (VerificationFailed otherwise,
-    as the four conditions imply it) and cached on the matrix.
+    as the four conditions imply it) and kept on the matrix.
     """
-    return matrix._endo
+    failed = check_conditions(matrix)
+    if failed is not None:
+        raise ConditionsViolated(*failed)
+    # theta(h, k) = theta(h, 1) * theta(1, k), with h outer as in the pair encoding.
+    P = matrix.context
+    gt = P.group.table
+    on_h = [P.encode(a, g) for a, g in zip(matrix.alpha.image, matrix.gamma.image)]
+    on_k = [P.encode(b, d) for b, d in zip(matrix.beta.image, matrix.delta.image)]
+    theta = FMap(P.group, P.group, tuple(gt[x][y] for x in on_h for y in on_k))
+    if not theta.is_hom:
+        raise VerificationFailed("matrix passes its conditions but describes no homomorphism")
+    return theta
 
 
 def endo_to_matrix(theta: FMap, product: SdProduct) -> EndoMatrix:

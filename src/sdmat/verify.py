@@ -26,11 +26,10 @@ A run over a selection of checks (``checks=[...]``, ``--theorems`` on the
 command line) builds the oracle census and the pairwise product table only
 when a selected check reads them: ``endo_matrix_correspondence`` reads both,
 ``monoid_laws``, ``abcd_subgroup_closure`` and ``abcd_normalization`` the
-table.  Each matrix's two closed-form inverses, through det_k and through
-det_h, are built once, the first time a selected check reads them, and
-the one on the route ``is_invertible`` takes is the inverse it returned:
-the two invertibility checks, the two inverse formulas,
-``determinant_duality`` and ``combined_inverse`` all read the same ones.
+table.  The determinants and closed-form inverses are values of their
+matrix (``sdmat.determinant``), built on first use and kept on it, so the
+two invertibility checks, the two inverse formulas, ``determinant_duality``
+and ``combined_inverse`` all read the same ones, whichever runs first.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .catalog import build_instance
-from .determinant import InvertibilityResult, det_h, det_k, invert_via_det_h, is_invertible
+from .determinant import det_h, det_k, invert_via_det_h, invert_via_det_k, is_invertible
 from .errors import SdmatError
 from .factorization import classify, factor_abcd, unit_diagonal_a_factor, unit_diagonal_b_factor
 from .groups import associativity_witness
@@ -138,9 +137,8 @@ class _Context:
     The core is built once, up front: the sorted matrices and their
     endomorphisms, both determinants of every matrix, and the automorphism
     index sets the checks and the counts read.  The oracle census, the
-    pairwise product table, the inverse indices, the ``is_invertible``
-    results and the closed-form inverses are built the first time a check
-    reads them.
+    pairwise product table and the inverse indices are built the first time
+    a check reads them.  The checks read closed-form inverses off each matrix.
     """
 
     def __init__(self, product: SdProduct, bound: int) -> None:
@@ -189,25 +187,6 @@ class _Context:
                 key = mat_mul(self.mats[i], self.mats[j]).key()
                 return {"left": i, "right": j, "product": [list(x) for x in key]}
         return None
-
-    @cached_property
-    def decided(self) -> list[InvertibilityResult | None]:
-        """Each matrix's ``is_invertible`` with its route's inverse; None where alpha and delta are not bijective."""
-        return [is_invertible(m) if dk is not None or dh is not None else None
-                for m, dk, dh in zip(self.mats, self.detk, self.deth)]
-
-    @cached_property
-    def inverse_k(self) -> list[EndoMatrix | None]:
-        """Each matrix's K-side closed-form inverse; None where det_k is undefined or not bijective."""
-        return [r.inverse if dk is not None else None for r, dk in zip(self.decided, self.detk)]
-
-    @cached_property
-    def inverse_h(self) -> list[EndoMatrix | None]:
-        """Each matrix's H-side closed-form inverse; None where det_h is undefined or not bijective."""
-        # Where alpha is not bijective, is_invertible took the det_h route and holds this inverse.
-        return [r.inverse if dk is None and dh is not None
-                else invert_via_det_h(m) if dh is not None and dh.is_bijective else None
-                for m, r, dk, dh in zip(self.mats, self.decided, self.detk, self.deth)]
 
     @cached_property
     def inv_idx(self) -> dict[int, int]:
@@ -309,7 +288,7 @@ def _check_invertibility_k(ctx: _Context) -> CheckResult:
                 "fail",
                 witness=_mat_witness(m, det_bijective=dk.is_bijective, endo_bijective=ctx.bijective[i]),
             )
-        decided = ctx.decided[i]
+        decided = is_invertible(m)
         if decided.method != "det_k" or decided.invertible != ctx.bijective[i]:
             return CheckResult(name, "fail", witness=_mat_witness(m, method=decided.method))
     if not seen:
@@ -333,7 +312,7 @@ def _check_invertibility_h(ctx: _Context) -> CheckResult:
             )
         if m.alpha.is_bijective:
             continue  # is_invertible takes det_k here, checked by invertibility_via_det_k
-        decided = ctx.decided[i]
+        decided = is_invertible(m)
         if decided.method != "det_h" or decided.invertible != ctx.bijective[i]:
             return CheckResult(name, "fail", witness=_mat_witness(m, method=decided.method))
     if not seen:
@@ -348,11 +327,11 @@ def _check_inverse_k(ctx: _Context) -> CheckResult:
     id_k = identity_map(P.K)
     seen = False
     for i, m in enumerate(ctx.mats):
-        inverse = ctx.inverse_k[i]
-        if inverse is None:
+        dk = ctx.detk[i]
+        if dk is None or not dk.is_bijective:
             continue
         seen = True
-        dk = ctx.detk[i]
+        inverse = invert_via_det_k(m)
         if mat_mul(m, inverse) != ident or mat_mul(inverse, m) != ident:
             return CheckResult(name, "fail", witness=_mat_witness(m, detail="two-sided inverse law"))
         j = ctx.key_to_idx.get(inverse.key())
@@ -381,11 +360,11 @@ def _check_inverse_h(ctx: _Context) -> CheckResult:
     ident = identity_matrix(P)
     seen = False
     for i, m in enumerate(ctx.mats):
-        inverse = ctx.inverse_h[i]
-        if inverse is None:
+        dh = ctx.deth[i]
+        if dh is None or not dh.is_bijective:
             continue
         seen = True
-        dh = ctx.deth[i]
+        inverse = invert_via_det_h(m)
         if mat_mul(m, inverse) != ident or mat_mul(inverse, m) != ident:
             return CheckResult(name, "fail", witness=_mat_witness(m, detail="two-sided inverse law"))
         j = ctx.key_to_idx.get(inverse.key())
@@ -416,9 +395,9 @@ def _check_duality(ctx: _Context) -> CheckResult:
         if not dh.is_bijective:
             continue
         # Each side's inverse carries the other determinant's inverse on its diagonal.
-        if ctx.inverse_k[i].alpha != map_inverse(dh):
+        if invert_via_det_k(m).alpha != map_inverse(dh):
             return CheckResult(name, "fail", witness=_mat_witness(m, detail="H-side determinant inverse identity"))
-        if ctx.inverse_h[i].delta != map_inverse(dk):
+        if invert_via_det_h(m).delta != map_inverse(dk):
             return CheckResult(name, "fail", witness=_mat_witness(m, detail="K-side determinant inverse identity"))
     return CheckResult(name, "pass")
 
@@ -433,12 +412,13 @@ def _check_combined(ctx: _Context) -> CheckResult:
         m = ctx.mats[i]
         # The combined form is the H-side left column next to the K-side right
         # column, so it equals both one-sided inverses exactly when they agree.
-        combined = ctx.inverse_k[i]
-        if combined != ctx.inverse_h[i]:
+        combined, via_h = invert_via_det_k(m), invert_via_det_h(m)
+        if combined != via_h:
             return CheckResult(name, "fail", witness=_mat_witness(m, detail="three-way inverse mismatch"))
         if det_h(combined) != map_inverse(m.alpha):
             h_side = False
-        if det_k(combined) != map_inverse(m.delta):
+        # via_h equals combined; inverse_formula_det_h may already have built its det_k.
+        if det_k(via_h) != map_inverse(m.delta):
             k_side = False
     ctx.notes["det_reading"] = {
         "det_h_of_inverse_is_alpha_inv": h_side,
@@ -585,11 +565,14 @@ def run_verification(
 ) -> VerifyReport:
     """Run the named checks (default all) over one instance.
 
-    Raises ValueError for an unknown or empty selection.
+    Raises ValueError for an unknown or empty selection, and for a string
+    other than ``"all"``.
     """
     started = time.perf_counter()
     if checks == "all":
         selected = list(CHECK_NAMES)
+    elif isinstance(checks, str):
+        raise ValueError(f"checks must be 'all' or a list of check names, not {checks!r}")
     else:
         unknown = [c for c in checks if c not in _CHECK_FUNCS]
         if unknown:

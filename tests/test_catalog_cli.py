@@ -109,31 +109,34 @@ def test_cli_det_identity(tmp_path, capsys, s3):
 
 def test_cli_det_builds_each_determinant_once(tmp_path, capsys, monkeypatch):
     # Both diagonal entries of the identity are bijective, so det prints both determinants
-    # and is_invertible inverts through det_k; each determinant is built once all the same.
+    # and is_invertible inverts through det_k.  However often a determinant is asked for,
+    # every call returns the one map built for the matrix.
     from sdmat import determinant
 
-    calls = {"det_k": 0, "det_h": 0}
+    returned = {"det_k": [], "det_h": []}
 
-    def counted(name):
+    def recording(name):
         original = getattr(determinant, name)
 
         def wrapper(matrix):
-            calls[name] += 1
-            return original(matrix)
+            result = original(matrix)
+            returned[name].append((matrix, result))
+            return result
 
         return wrapper
 
-    for name in calls:
-        wrapper = counted(name)
+    for name in returned:
+        wrapper = recording(name)
         for module in (determinant, cli):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, wrapper)
+            monkeypatch.setattr(module, name, wrapper)
     path = tmp_path / "ident.json"
     save_matrix(identity_matrix(build_instance("direct:3:3")), path)
     assert cli_main(["det", "--instance", "direct:3:3", "--matrix", str(path)]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["det_H"] == [0, 1, 2] and data["det_K"] == [0, 1, 2] and data["invertible"] is True
-    assert calls == {"det_k": 1, "det_h": 1}
+    for name, calls in returned.items():
+        matrix, det = calls[0]
+        assert all(m is matrix and d is det for m, d in calls), name
 
 
 def test_cli_invert_and_factor(tmp_path, capsys, s3, s3_matrices):

@@ -1,3 +1,4 @@
+import weakref
 from collections import Counter
 
 import pytest
@@ -123,6 +124,51 @@ def test_is_invertible_method_tags(s3):
     collapse = _matrix(s3, (0, 0, 0), (0, 1), (0, 0, 0), (0, 1))
     decided = is_invertible(collapse)
     assert not decided.invertible and decided.method == "det_h"
+
+
+# Determinants and closed-form inverses are values of their matrix object.
+
+
+def test_determinants_and_inverses_are_kept_on_the_matrix(s3):
+    m = involution_matrix(s3)
+    assert det_k(m) is det_k(m) and det_h(m) is det_h(m)
+    assert invert_via_det_k(m) is invert_via_det_k(m) and invert_via_det_h(m) is invert_via_det_h(m)
+    assert is_invertible(m).inverse is invert_via_det_k(m)
+
+
+def test_is_invertible_returns_the_kept_det_h_inverse(direct33_matrices):
+    m = next(m for m in direct33_matrices if _takes_det_h_route(m))
+    decided = is_invertible(m)
+    assert decided.method == "det_h"
+    assert decided.inverse is invert_via_det_h(m)
+
+
+def test_equal_matrices_keep_their_own_values(s3):
+    m, twin = involution_matrix(s3), involution_matrix(s3)
+    assert m == twin and m is not twin
+    assert det_k(m) == det_k(twin) and det_k(m) is not det_k(twin)
+    assert det_h(m) is not det_h(twin)
+    assert invert_via_det_k(m) == invert_via_det_k(twin) and invert_via_det_k(m) is not invert_via_det_k(twin)
+
+
+def test_kept_values_die_with_their_matrix(s3):
+    m = involution_matrix(s3)
+    invert_via_det_k(m), invert_via_det_h(m), matrix_to_endo(m)
+    ref = weakref.ref(m)
+    del m
+    assert ref() is None
+
+
+def test_failed_preconditions_are_not_kept(s3, klein):
+    zero = _matrix(s3, (0, 0, 0), (0, 0), (0, 0, 0), (0, 0))
+    singular = _matrix(klein, (0, 1), (0, 1), (0, 1), (0, 1))  # det_K is the zero map
+    for _ in range(2):
+        with pytest.raises(PreconditionFailed, match="alpha must be bijective"):
+            det_k(zero)
+        with pytest.raises(PreconditionFailed, match="alpha must be bijective"):
+            invert_via_det_k(zero)
+        with pytest.raises(PreconditionFailed, match="the K-side determinant is not bijective"):
+            invert_via_det_k(singular)
 
 
 def test_is_invertible_agrees_with_oracle(s3_matrices, klein_matrices, d4_matrices, direct33_matrices):

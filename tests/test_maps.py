@@ -36,6 +36,14 @@ def test_add_id_id_z2_is_zero():
     assert map_add(identity_map(Z2), identity_map(Z2)) == zero_map(Z2, Z2)
 
 
+def test_identity_map_is_kept_on_its_group():
+    ident = identity_map(Z3)
+    assert ident.is_hom and "is_hom" in vars(ident)
+    assert identity_map(Z3) is ident
+    other = identity_map(cyclic_group(3, "Z3"))
+    assert other == FMap(other.dom, other.dom, (0, 1, 2)) and other is not ident
+
+
 def test_neg_zero_and_involution():
     assert map_neg(zero_map(Z2, Z3)) == zero_map(Z2, Z3)
     assert map_neg(identity_map(Z3)).image == (0, 2, 1)

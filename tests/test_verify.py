@@ -2,12 +2,12 @@
 build only the shared data they read."""
 
 import json
-from collections import Counter
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
 
-from sdmat import FMap, build_instance, cli_main, determinant, enumerate_matrices, identity_matrix
+from sdmat import FMap, build_instance, cli_main, determinant, enumerate_matrices, identity_matrix, verify
 from sdmat.oracle import EndCensus, enumerate_endos
 from sdmat.verify import CHECK_NAMES, run_verification
 
@@ -63,6 +63,11 @@ def _correspondence(instance):
     return check
 
 
+def test_check_selection_given_as_one_name_rejected():
+    with pytest.raises(ValueError, match="checks must be 'all' or a list of check names, not 'monoid_laws'"):
+        run_verification("klein", checks="monoid_laws")
+
+
 def test_correspondence_fails_on_a_short_census(monkeypatch):
     def short(group, bound):
         census = enumerate_endos(group, bound=bound)
@@ -115,21 +120,24 @@ def test_inverse_checks_fail_on_a_wrong_h_side_inverse(monkeypatch):
 
 
 def test_full_run_builds_each_closed_form_inverse_once(monkeypatch):
-    # Counts every closed-form inverse of the run: those verify builds itself and
-    # those is_invertible builds for the invertibility checks.  Both go through the
-    # builder that takes the determinant, so that is what is counted.
-    calls = Counter()
+    # Records every closed-form inverse the run asks for: those the inverse checks read
+    # and those is_invertible returns to the invertibility checks.  Each matrix and side
+    # gets one inverse object, however often and from wherever it is asked for.
+    returned = defaultdict(list)
     for side in ("k", "h"):
-        invert = getattr(determinant, f"_inverse_via_det_{side}")
+        invert = getattr(determinant, f"invert_via_det_{side}")
 
-        def counted(matrix, det, side=side, invert=invert):
-            calls[side, matrix.key()] += 1
-            return invert(matrix, det)
+        def recording(matrix, side=side, invert=invert):
+            inverse = invert(matrix)
+            returned[side, matrix.key()].append(inverse)
+            return inverse
 
-        monkeypatch.setattr(determinant, f"_inverse_via_det_{side}", counted)
+        for module in (determinant, verify):
+            monkeypatch.setattr(module, f"invert_via_det_{side}", recording)
     assert run_verification("direct:3:3").passed
-    assert {side for side, _ in calls} == {"k", "h"}
-    assert max(calls.values()) == 1
+    assert {side for side, _ in returned} == {"k", "h"}
+    assert all(inverse is inverses[0] for inverses in returned.values() for inverse in inverses)
+    assert max(map(len, returned.values())) > 1
 
 
 OFFCATALOG = ("metacyclic:8:2:5", "metacyclic:9:3:4", "direct:3:3")
