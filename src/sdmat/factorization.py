@@ -9,24 +9,28 @@ Four distinguished families of matrices sit inside the automorphisms:
     D  (1, 0; 0, delta)  delta an automorphism of K moving nothing out of
                          the action kernel (k^-1 delta(k) acts trivially)
 
-A, B and D are subgroups; C need not be closed.  Every automorphism matrix
+A, B and D are subgroups; C need not be closed.  An automorphism matrix m
 whose diagonal entries are bijective factors as a product a*b*c*d with one
-factor from each family, via a reduction of the unit-diagonal case.
+factor from each family, read off m and its H-side determinant (a block LDU,
+or Schur-complement, factorization):
+
+    a = (det_H(m), 0; 0, 1)          b = (1, det_H(m)^-1 beta delta^-1; 0, 1)
+    c = (1, 0; gamma, 1)             d = (1, 0; 0, delta)
+
+Multiplying out a product p = a*b*c*d gives gamma_p = gamma_c,
+delta_p = delta_d, beta_p = alpha_a beta_b delta_d and, as alpha_a is a
+homomorphism, det_H(p) = alpha_a.  So m = a*b*c*d forces the four factors
+above: they exist exactly when these four matrices land in their families,
+and then they are unique.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .determinant import det_h
 from .errors import PreconditionFailed, VerificationFailed
-from .maps import (
-    identity_map,
-    is_crossed_hom,
-    map_add,
-    map_compose,
-    map_inverse,
-    map_neg,
-)
+from .maps import identity_map, is_crossed_hom, map_compose, map_inverse
 from .matrices import EndoMatrix, identity_matrix, is_automorphism_matrix, mat_mul
 
 __all__ = [
@@ -180,19 +184,14 @@ def _require_unit_diagonal_auto(matrix: EndoMatrix) -> None:
         raise PreconditionFailed("unit-diagonal matrix does not describe an automorphism")
 
 
-def _one_minus_beta_gamma(matrix: EndoMatrix):
-    """h -> h * beta(gamma(h))^-1, the candidate A-entry of the reduction."""
-    H = matrix.context.H
-    return map_add(identity_map(H), map_neg(map_compose(matrix.beta, matrix.gamma)))
-
-
 def unit_diagonal_a_factor(matrix: EndoMatrix) -> EndoMatrix:
     """From a unit-diagonal automorphism matrix (1, beta; gamma, 1), the A-part.
 
-    Returns (1 - beta gamma, 0; 0, 1) and verifies it lands in family A.
+    Returns (1 - beta gamma, 0; 0, 1), which is (det_H, 0; 0, 1) as delta = 1,
+    and verifies it lands in family A.
     """
     _require_unit_diagonal_auto(matrix)
-    result = identity_matrix(matrix.context, alpha=_one_minus_beta_gamma(matrix))
+    result = identity_matrix(matrix.context, alpha=det_h(matrix))
     tag = classify(result)
     if not tag.in_a:
         raise VerificationFailed("A-part of unit-diagonal reduction", tag.witnesses.get("A"))
@@ -208,7 +207,7 @@ def unit_diagonal_b_factor(matrix: EndoMatrix) -> EndoMatrix:
     """
     _require_unit_diagonal_auto(matrix)
     P = matrix.context
-    a0 = _one_minus_beta_gamma(matrix)
+    a0 = det_h(matrix)
     if not a0.is_bijective:
         raise VerificationFailed("bijectivity of 1 - beta gamma", tuple(a0.image))
     b0 = map_compose(map_inverse(a0), matrix.beta)
@@ -218,41 +217,34 @@ def unit_diagonal_b_factor(matrix: EndoMatrix) -> EndoMatrix:
     return result
 
 
+def _certified(letter: str, factor: EndoMatrix) -> EndoMatrix:
+    if letter in classify(factor).witnesses:
+        raise VerificationFailed(f"{letter}-factor membership", factor.key())
+    return factor
+
+
 def factor_abcd(matrix: EndoMatrix) -> ABCDFactors:
     """Factor an automorphism matrix with bijective diagonal as a*b*c*d.
 
-    The matrix is first split off its diagonal,
-
-        m = (alpha, 0; 0, 1) * (1, alpha^-1 beta delta^-1; gamma, 1) * (1, 0; 0, delta),
-
-    and the unit-diagonal middle is reduced through the A- and B-part
-    constructions.  Family memberships and reassembly are verified before
-    returning.
+    The four factors are read off the matrix and :func:`det_h` (see the
+    module docstring).  Each family membership is verified, in the order
+    A, B, C, D, and then the reassembly, before returning.
     """
     if not is_automorphism_matrix(matrix):
         raise PreconditionFailed("only automorphism matrices factor")
     if not (matrix.alpha.is_bijective and matrix.delta.is_bijective):
         raise PreconditionFailed("factorization requires bijective alpha and delta")
     P = matrix.context
-    ainv = map_inverse(matrix.alpha)
-    dinv = map_inverse(matrix.delta)
-    beta_mid = map_compose(ainv, map_compose(matrix.beta, dinv))
-    mid = identity_matrix(P, beta=beta_mid, gamma=matrix.gamma)
-    a1 = identity_matrix(P, alpha=matrix.alpha)
-    d = identity_matrix(P, delta=matrix.delta)
-    c = identity_matrix(P, gamma=matrix.gamma)
-    a2 = unit_diagonal_a_factor(mid)
-    b = unit_diagonal_b_factor(mid)
-    a = mat_mul(a1, a2)
-    factors = ABCDFactors(a=a, b=b, c=c, d=d)
-    for letter, factor, flag in (
-        ("A", a, classify(a).in_a),
-        ("B", b, classify(b).in_b),
-        ("C", c, classify(c).in_c),
-        ("D", d, classify(d).in_d),
-    ):
-        if not flag:
-            raise VerificationFailed(f"{letter}-factor membership", factor.key())
+    dh = det_h(matrix)
+    # A-membership makes det_H bijective, so b can be built only after it.
+    a = _certified("A", identity_matrix(P, alpha=dh))
+    beta_b = map_compose(map_inverse(dh), map_compose(matrix.beta, map_inverse(matrix.delta)))
+    factors = ABCDFactors(
+        a=a,
+        b=_certified("B", identity_matrix(P, beta=beta_b)),
+        c=_certified("C", identity_matrix(P, gamma=matrix.gamma)),
+        d=_certified("D", identity_matrix(P, delta=matrix.delta)),
+    )
     if factors.product() != matrix:
         raise VerificationFailed("factor reassembly", matrix.key())
     return factors

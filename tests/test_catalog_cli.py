@@ -321,15 +321,17 @@ def test_cli_invert_det_h_route_direct_3_3(tmp_path, capsys):
 
 
 def test_cli_factor_own_condition_failure_exits_1(tmp_path, capsys):
-    # A known fault: factor_abcd's unit-diagonal middle matrix violates a
-    # matrix condition here.  The input is valid, so this is exit 1, not 2.
+    # A known fault: the A-factor (det_H, 0; 0, 1) read off this automorphism
+    # is not in family A.  The input is valid, so this is exit 1, not 2.
     P = build_instance("metacyclic:8:2:5")
     path = _write_matrix(
         tmp_path / "m.json", P, [0, 1, 6, 7, 4, 5, 2, 3], [0, 0], [0, 1, 0, 1, 0, 1, 0, 1], [0, 1]
     )
     assert cli_main(["factor", "--instance", "metacyclic:8:2:5", "--matrix", path]) == 1
-    err = capsys.readouterr().err
-    assert "alpha_twisted_by_gamma" in err and "(1, 1, 2, 6)" in err
+    assert capsys.readouterr().err == (
+        "error: verification failed: A-factor membership at "
+        "((0, 1, 6, 7, 4, 5, 2, 3), (0, 0), (0, 0, 0, 0, 0, 0, 0, 0), (0, 1))\n"
+    )
 
 
 def test_cli_verification_failed_exits_1(tmp_path, capsys, monkeypatch, s3):

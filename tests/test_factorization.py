@@ -1,19 +1,29 @@
 import pytest
 
 from sdmat import (
+    ABCDFactors,
     EndoMatrix,
     FMap,
     PreconditionFailed,
+    SdmatError,
+    build_instance,
     classify,
+    cyclic_group,
+    det_h,
+    enumerate_matrices,
     factor_abcd,
     identity_map,
     identity_matrix,
     is_automorphism_matrix,
+    map_compose,
+    map_inverse,
     mat_mul,
     unit_diagonal_a_factor,
     unit_diagonal_b_factor,
     zero_map,
 )
+from test_determinant import _z3_by_s3_sign
+from test_matrices import _s3_by_conjugation
 
 
 def _matrix(P, alpha, beta, gamma, delta):
@@ -154,3 +164,53 @@ def test_b_family_product_twists(s3):
     assert classify(prod).in_b
     assert prod.alpha == identity_map(s3.H)
     assert prod.gamma == zero_map(s3.H, s3.K)
+
+
+def _factor_by_unit_diagonal_reduction(m):
+    """The two-step route, kept as a reference: None where it finds no certified factors.
+
+    m = (alpha, 0; 0, 1) * (1, alpha^-1 beta delta^-1; gamma, 1) * (1, 0; 0, delta),
+    and the unit-diagonal middle is reduced to its A- and B-parts.
+    """
+    if not (is_automorphism_matrix(m) and m.alpha.is_bijective and m.delta.is_bijective):
+        return None
+    P = m.context
+    beta_mid = map_compose(map_inverse(m.alpha), map_compose(m.beta, map_inverse(m.delta)))
+    mid = identity_matrix(P, beta=beta_mid, gamma=m.gamma)
+    try:
+        a = mat_mul(identity_matrix(P, alpha=m.alpha), unit_diagonal_a_factor(mid))
+        b = unit_diagonal_b_factor(mid)
+    except SdmatError:
+        return None
+    factors = ABCDFactors(a=a, b=b, c=identity_matrix(P, gamma=m.gamma), d=identity_matrix(P, delta=m.delta))
+    members = (classify(a).in_a, classify(b).in_b, classify(factors.c).in_c, classify(factors.d).in_d)
+    return factors if all(members) and factors.product() == m else None
+
+
+@pytest.mark.parametrize(
+    "instance",
+    [
+        "klein",
+        "direct:3:3",
+        "metacyclic:8:2:5",
+        _z3_by_s3_sign,
+        lambda: _s3_by_conjugation(cyclic_group(2)),
+    ],
+    ids=["klein", "direct:3:3", "metacyclic:8:2:5", "z3_by_s3_sign", "s3_by_z2_conjugation"],
+)
+def test_factors_read_off_det_h_match_the_reduction(instance):
+    P = build_instance(instance) if isinstance(instance, str) else instance()
+    factored = 0
+    for m in enumerate_matrices(P):
+        expected = _factor_by_unit_diagonal_reduction(m)
+        try:
+            factors = factor_abcd(m)
+        except SdmatError:
+            assert expected is None
+            continue
+        assert factors == expected
+        assert factors.a.alpha == det_h(m)
+        assert factors.c.gamma == m.gamma
+        assert factors.d.delta == m.delta
+        factored += 1
+    assert factored > 0
