@@ -13,10 +13,10 @@ it; ``matrices.mat_mul`` reads the image tables itself.  Sums are written
 additively though values multiply, as the codomain is rarely abelian.
 
 An endomorphism is an FMap whose ``dom is cod``.  Its homomorphism law is
-checked where it first appears: in the oracle's census
-(``oracle.enumerate_endos``) and when a matrix is turned into its
-endomorphism (``matrices.matrix_to_endo``).  Composites and inverses of
-these are homomorphisms by construction and are not checked again.
+checked where it first appears: in the oracle's census, on the oracle's own
+generators (``oracle.enumerate_endos``), and by :attr:`FMap.is_hom` in
+``matrices.matrix_to_endo``.  Composites and inverses of these are
+homomorphisms by construction and are not checked again.
 
 The twisted law ``phi(xy) = phi(x) * t_x(phi(y))`` for all pairs is decided
 on the generating set S the domain carries (``FiniteGroup.generators``), in
@@ -189,8 +189,9 @@ def map_act(phi: FMap, steer: FMap, action: "GroupAction") -> FMap:
     return FMap(phi.dom, phi.cod, out)
 
 
+@memo
 def map_inverse(phi: FMap) -> FMap:
-    """Inverse of a bijective map (as a set map; no homomorphy implied)."""
+    """Inverse of a bijective map (as a set map; no homomorphy implied), kept on ``phi``."""
     if not phi.is_bijective:
         raise NotBijective(f"map {list(phi.image)} is not bijective")
     inv = [0] * phi.cod.order

@@ -86,8 +86,12 @@ def test_map_inverse():
     assert map_inverse(inv) == inv
     squaring = FMap(Z3, Z3, (0, 2, 1))
     assert map_inverse(squaring) == squaring
-    with pytest.raises(NotBijective):
-        map_inverse(zero_map(Z3, Z3))
+    assert map_inverse(squaring) is map_inverse(squaring)  # kept on the map
+    # A call that raises keeps nothing, so the next one raises again.
+    zero = zero_map(Z3, Z3)
+    for _ in range(2):
+        with pytest.raises(NotBijective):
+            map_inverse(zero)
 
 
 def test_crossed_hom_zero_map(s3):

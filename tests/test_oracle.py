@@ -1,6 +1,11 @@
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdmat import (
+    DEFAULT_INSTANCES,
     BoundExceeded,
     DomainMismatch,
     NotBijective,
@@ -10,9 +15,13 @@ from sdmat import (
     endo_to_matrix,
     enumerate_endos,
     invert_endo,
+    make_group,
     trivial_group,
 )
 from sdmat.maps import FMap
+from test_determinant import _z3_by_s3_sign
+from test_map_properties import _quaternion_group
+from test_matrices import _s3_by_conjugation
 
 
 def inner_automorphism(G, g):
@@ -53,11 +62,92 @@ def test_census_order_deterministic(s3):
     assert images == sorted(images)
 
 
-def test_exhaustive_route_agrees(s3, klein, d4):
-    for P in (s3, klein, d4):
-        fast = enumerate_endos(P.group)
-        slow = enumerate_endos(P.group, exhaustive=True)
+def test_exhaustive_route_agrees():
+    # Every catalog group of order <= 8: trivial, Z2-Z5, the Klein group, Z6, S3 and D4.
+    groups = [g for g in (build_instance(x).group for x in DEFAULT_INSTANCES) if g.order <= 8]
+    assert len(groups) == 9
+    for G in groups:
+        fast = enumerate_endos(G)
+        slow = enumerate_endos(G, exhaustive=True)
         assert [e.image for e in fast.endos] == [e.image for e in slow.endos]
+
+
+# ---------------------------------------------------------------------------
+# The census decides each candidate on its Cayley-graph edges; the reference
+# here grows every map from generator images and scans all n^2 pairs.
+
+
+def reference_endos(G):
+    """Every endomorphism of G: each choice of generator images, grown breadth first, kept iff all pairs obey the law."""
+    n, e = G.order, G.identity
+    found = set()
+    for images in itertools.product(range(n), repeat=len(G.generators)):
+        img = {e: e}
+        frontier = [e]
+        while frontier:
+            step = []
+            for x in frontier:
+                for g, v in zip(G.generators, images):
+                    y = G.mul(x, g)
+                    if y not in img:
+                        img[y] = G.mul(img[x], v)
+                        step.append(y)
+            frontier = step
+        image = tuple(img[x] for x in range(n))
+        if all(image[G.mul(a, b)] == G.mul(image[a], image[b]) for a in range(n) for b in range(n)):
+            found.add(image)
+    return found
+
+
+CENSUS_GROUPS = {
+    "s3": build_instance("dihedral:3").group,
+    "d4": build_instance("dihedral:4").group,
+    "q8": _quaternion_group(),
+    "s3_by_z2_conjugation": _s3_by_conjugation(cyclic_group(2)).group,
+    "z3_by_s3_sign": _z3_by_s3_sign().group,
+}
+
+
+@pytest.mark.parametrize("G", list(CENSUS_GROUPS.values()), ids=list(CENSUS_GROUPS))
+def test_census_is_the_full_pair_scan(G):
+    images = [e.image for e in enumerate_endos(G).endos]
+    expected = reference_endos(G)
+    assert set(images) == expected
+    assert len(images) == len(expected)
+
+
+def _relabelled(G, perm):
+    t = G.table
+    out = [[0] * G.order for _ in range(G.order)]
+    for a, b in itertools.product(range(G.order), repeat=2):
+        out[perm[a]][perm[b]] = perm[t[a][b]]
+    return make_group(out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_census_of_a_relabelled_table_is_the_full_pair_scan(data):
+    G = data.draw(st.sampled_from(list(CENSUS_GROUPS.values())), label="group")
+    perm = data.draw(st.permutations(range(G.order)), label="perm")
+    R = _relabelled(G, perm)
+    images = {e.image for e in enumerate_endos(R).endos}
+    assert images == reference_endos(R)
+    # The same endomorphisms as G's, carried across the relabelling.
+    moved = set()
+    for e in enumerate_endos(G).endos:
+        image = [0] * G.order
+        for x, v in enumerate(e.image):
+            image[perm[x]] = perm[v]
+        moved.add(tuple(image))
+    assert images == moved
+
+
+@pytest.mark.parametrize(
+    "name,n_endos,n_autos", [("dihedral:64", 4356, 2048), ("direct:32:4", 2048, 512)]
+)
+def test_order_128_census(name, n_endos, n_autos):
+    census = enumerate_endos(build_instance(name, bound=128).group, bound=128)
+    assert (census.n_endos, census.n_autos) == (n_endos, n_autos)
 
 
 def test_bound_guard(d4):

@@ -2,12 +2,13 @@
 build only the shared data they read."""
 
 import json
+import sys
 from collections import defaultdict
 from pathlib import Path
 
 import pytest
 
-from sdmat import FMap, build_instance, cli_main, determinant, enumerate_matrices, identity_matrix, verify
+from sdmat import FMap, build_instance, cli_main, determinant, enumerate_matrices, identity_matrix, maps, verify
 from sdmat.oracle import EndCensus, enumerate_endos
 from sdmat.verify import CHECK_NAMES, run_verification
 
@@ -138,6 +139,24 @@ def test_full_run_builds_each_closed_form_inverse_once(monkeypatch):
     assert {side for side, _ in returned} == {"k", "h"}
     assert all(inverse is inverses[0] for inverses in returned.values() for inverse in inverses)
     assert max(map(len, returned.values())) > 1
+
+
+def test_full_run_builds_each_maps_inverse_once():
+    # Records each run of map_inverse's body (the function under its memo) by the map it inverts.
+    body = maps.map_inverse.__wrapped__.__code__
+    inverted = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is body:
+            inverted.append(frame.f_locals["phi"])  # kept alive, so ids stay distinct
+
+    sys.setprofile(profile)
+    try:
+        assert run_verification("dihedral:30").passed
+    finally:
+        sys.setprofile(None)
+    assert len(inverted) > 100
+    assert len({id(phi) for phi in inverted}) == len(inverted)
 
 
 OFFCATALOG = ("metacyclic:8:2:5", "metacyclic:9:3:4", "direct:3:3")
