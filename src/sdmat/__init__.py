@@ -61,7 +61,6 @@ from .groups import (
     FiniteGroup,
     enumerate_autos,
     enumerate_homs,
-    greedy_generators,
     make_group,
 )
 from .maps import (
@@ -141,7 +140,6 @@ __all__ = [
     "enumerate_homs",
     "enumerate_matrices",
     "factor_abcd",
-    "greedy_generators",
     "group_from_dict",
     "group_to_dict",
     "identity_map",

@@ -6,8 +6,9 @@ The identity is detected, never assumed to be 0.  Construction via
 witnessing elements on failure: the identity and the inverses by a scan
 of the table, associativity by Light's test over a generating set read
 off the table (see :func:`associativity_witness`).  The group keeps that
-generating set, so laws over all pairs of elements can be decided on the
-generators (see :mod:`sdmat.maps`).
+generating set and its walk, so laws over all pairs of elements are decided
+on the generators (see :mod:`sdmat.maps`), and searches extend images of the
+generators along the walk (:func:`enumerate_twisted_maps`).
 """
 
 from __future__ import annotations
@@ -19,15 +20,13 @@ from operator import itemgetter
 from typing import Sequence
 
 from .errors import GroupValidationError, NotAssociative
-from .maps import FMap, twisted_law_witness
+from .maps import FMap, law_holds_on_generators
 
 __all__ = [
     "FiniteGroup",
     "make_group",
     "index_row",
     "associativity_witness",
-    "greedy_generators",
-    "word_sequence",
     "enumerate_twisted_maps",
     "enumerate_homs",
     "enumerate_autos",
@@ -38,9 +37,11 @@ __all__ = [
 class FiniteGroup:
     """Immutable group data; compare by object identity.
 
-    ``generators`` is the greedy generating set of :func:`greedy_generators`:
-    every element is a product of them, each reached from the identity by
-    right multiplication.
+    Each of the ``generators`` is the first element the earlier ones do not
+    reach from the identity by right multiplication.  ``walk`` is the
+    breadth-first walk over them from the identity: its step ``(y, x, i)``
+    first reaches y as ``x * generators[i]``, x the identity or an earlier y.
+    Every element but the identity is the y of exactly one step.
     """
 
     order: int
@@ -48,6 +49,7 @@ class FiniteGroup:
     identity: int
     inverses: tuple[int, ...]
     generators: tuple[int, ...]
+    walk: tuple[tuple[int, int, int], ...]
     names: tuple[str, ...] | None = None
     name: str = ""
 
@@ -136,7 +138,7 @@ def make_group(
                 break
         inverses.append(b)
 
-    generators = _greedy_generators(rows, identity)
+    generators, walk = _greedy_walk(rows, identity)
     triple = _associativity_witness(rows, generators)
     if triple is not None:
         raise NotAssociative(*triple)
@@ -147,6 +149,7 @@ def make_group(
         identity=identity,
         inverses=tuple(inverses),
         generators=generators,
+        walk=walk,
         names=tuple(names) if names is not None else None,
         name=name,
     )
@@ -173,13 +176,13 @@ def associativity_witness(table: Sequence[Sequence[int]]) -> tuple[int, int, int
     using a, b, a and b in turn.  The identity is good.  So if every g in a
     set S is good, so is every element reached from the identity by right
     multiplication by S, and S is read off the table by the same greedy
-    walk as :func:`greedy_generators`: if it passes, the whole table is
+    walk as ``FiniteGroup.generators``: if it passes, the whole table is
     associative.  Only when some generator fails, or the table has no
     identity, is the witness found by the a-outermost scan of all triples.
     """
     rows = tuple(map(tuple, table))
     identity = _identity(rows)
-    return _associativity_witness(rows, None if identity is None else _greedy_generators(rows, identity))
+    return _associativity_witness(rows, None if identity is None else _greedy_walk(rows, identity)[0])
 
 
 def _associativity_witness(
@@ -204,35 +207,18 @@ def _is_good(rows: tuple[tuple[int, ...], ...], g: int) -> bool:
     return all(rows[row_x[g]] == x_gy(row_x) for row_x in rows)
 
 
-def greedy_generators(group: FiniteGroup) -> tuple[int, ...]:
-    """A generating set built greedily: keep adding the first element not yet generated.
-
-    ``make_group`` builds it once, for Light's test, and the group keeps it.
-    """
-    return group.generators
-
-
-def word_sequence(group: FiniteGroup, gens: Sequence[int]) -> list[tuple[int, int, int]]:
-    """Breadth-first discovery order of the group from its generators.
-
-    Each entry ``(y, x, i)`` says element y was first reached as x * gens[i],
-    with x already discovered.  Iterating the list in order lets a search
-    propagate candidate images from generator images deterministically.
-    """
-    order = _walk(group.table, group.identity, gens)
-    if len(order) != group.order - 1:
-        raise ValueError("generators do not generate the group")
-    return order
-
-
-def _greedy_generators(table: Sequence[Sequence[int]], identity: int) -> tuple[int, ...]:
-    """Generators of a square table with an identity, by right multiplication, chosen greedily."""
+def _greedy_walk(
+    table: Sequence[Sequence[int]], identity: int
+) -> tuple[tuple[int, ...], tuple[tuple[int, int, int], ...]]:
+    """Greedy generators of a square table with an identity, and the walk over them that reaches every element."""
     gens: list[int] = []
+    walk: list[tuple[int, int, int]] = []
     reached = {identity}
     while len(reached) < len(table):
         gens.append(next(a for a in range(len(table)) if a not in reached))
-        reached = {identity, *(y for y, _, _ in _walk(table, identity, gens))}
-    return tuple(gens)
+        walk = _walk(table, identity, gens)
+        reached = {identity, *(y for y, _, _ in walk)}
+    return tuple(gens), tuple(walk)
 
 
 def _walk(table: Sequence[Sequence[int]], identity: int, gens: Sequence[int]) -> list[tuple[int, int, int]]:
@@ -256,23 +242,23 @@ def _walk(table: Sequence[Sequence[int]], identity: int, gens: Sequence[int]) ->
 def enumerate_twisted_maps(
     dom: FiniteGroup, cod: FiniteGroup, twist: Sequence[Sequence[int]]
 ) -> list[FMap]:
-    """All maps phi: dom -> cod with phi(xy) = phi(x) * t_x(phi(y)).
+    """All maps phi: dom -> cod with phi(xy) = phi(x) * t_x(phi(y)), sorted by image table.
 
-    ``twist[x]`` is the image table of the endomap t_x of cod.  Candidate
-    images of a greedy generating set are propagated along the word
-    sequence and then verified on every pair, so no unverified map is ever
-    returned.  Results are sorted by image table.
+    ``twist[x]`` is the image table of the endomap t_x of cod, under the
+    premise of :func:`sdmat.maps.law_holds_on_generators`: every t_x an
+    automorphism and x -> t_x multiplicative.  Each choice of images of
+    ``dom.generators`` is extended along ``dom.walk`` by the law itself, and
+    the map it gives is kept iff the law holds on the generators, which
+    under the premise is the law on every pair.
     """
-    gens = greedy_generators(dom)
-    seq = word_sequence(dom, gens)
     ct = cod.table
     out: list[FMap] = []
-    for images in itertools.product(range(cod.order), repeat=len(gens)):
+    for images in itertools.product(range(cod.order), repeat=len(dom.generators)):
         img = [0] * dom.order
         img[dom.identity] = cod.identity
-        for y, x, i in seq:
+        for y, x, i in dom.walk:
             img[y] = ct[img[x]][twist[x][images[i]]]
-        if twisted_law_witness(dom, cod, img, twist) is None:
+        if law_holds_on_generators(dom, cod, img, twist):
             out.append(FMap(dom, cod, tuple(img)))
     out.sort(key=lambda m: m.image)
     return out

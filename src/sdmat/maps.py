@@ -37,13 +37,15 @@ holds for y, then
               = phi(x) * t_x(phi(y) * t_y(phi(s)))      (t_x an endomorphism)
               = phi(x) * t_x(phi(ys))                   (generator law at y).
 
-The identity twist gives :attr:`FMap.is_hom`.  t_x = f_{steer(x)} meets the
+:func:`law_holds_on_generators` decides every such law outside the oracle.
+The identity twist gives :attr:`FMap.is_hom`, which also decides each
+action row (``semidirect.make_action``).  t_x = f_{steer(x)} meets the
 premises when steer is a homomorphism: the rows of a validated action are
-automorphisms that compose like K (``semidirect.make_action``), so
-f_{steer(xy)} = f_{steer(x)} f_{steer(y)}; see :func:`twisted_hom_witness`.
-A witness is only ever named by the full x-outermost scan of
-:func:`twisted_law_witness`, so it is the first one whichever way the law
-was decided.
+automorphisms that compose like K, so f_{steer(xy)} = f_{steer(x)}
+f_{steer(y)}; see :func:`twisted_hom_witness` and the searches of
+``groups.enumerate_twisted_maps``.  A witness is only ever named by the
+full x-outermost scan of :func:`twisted_law_witness`, so it is the first
+one whichever way the law was decided.
 """
 
 from __future__ import annotations
@@ -69,6 +71,7 @@ __all__ = [
     "map_act",
     "map_inverse",
     "twisted_law_witness",
+    "law_holds_on_generators",
     "twisted_hom_witness",
     "is_crossed_hom",
 ]
@@ -101,7 +104,7 @@ class FMap:
         for every x and generator s, which is equivalent (module docstring).
         Computed once, lazily.
         """
-        return _law_holds_on_generators(self.dom, self.cod, self.image)
+        return law_holds_on_generators(self.dom, self.cod, self.image)
 
     @cached_property
     def is_bijective(self) -> bool:
@@ -201,15 +204,17 @@ def map_inverse(phi: FMap) -> FMap:
 
 
 def twisted_law_witness(
-    dom: "FiniteGroup", cod: "FiniteGroup", image: Sequence[int], twist: Sequence[Sequence[int]]
+    dom: "FiniteGroup", cod: "FiniteGroup", image: Sequence[int], twist: Sequence[Sequence[int]] | None = None
 ) -> tuple | None:
     """First (x, y, lhs, rhs) violating phi(xy) = phi(x) * t_x(phi(y)), or None.
 
     ``image`` is the image table of phi: dom -> cod and ``twist[x]`` that of
-    the endomap t_x of cod.  Every t_x the identity gives the homomorphism
-    law; t_x = f_{steer(x)} gives the twisted and crossed laws of the matrix
-    conditions.  Pairs are scanned with x outermost.
+    the endomap t_x of cod.  Every t_x the identity (``twist`` None) gives
+    the homomorphism law; t_x = f_{steer(x)} gives the twisted and crossed
+    laws of the matrix conditions.  Pairs are scanned with x outermost.
     """
+    if twist is None:
+        twist = (range(cod.order),) * dom.order
     ct = cod.table
     for x, row in enumerate(dom.table):
         row_fx, tx = ct[image[x]], twist[x]
@@ -219,15 +224,18 @@ def twisted_law_witness(
     return None
 
 
-def _law_holds_on_generators(
+def law_holds_on_generators(
     dom: "FiniteGroup", cod: "FiniteGroup", image: Sequence[int], twist: Sequence[Sequence[int]] | None = None
 ) -> bool:
     """Whether phi(e) = e and phi(xs) = phi(x) * t_x(phi(s)) for every x and generator s of dom.
 
     The twisted law of :func:`twisted_law_witness` in |S|·n steps; ``twist``
-    None stands for every t_x the identity.  It is equivalent to the law for
-    all pairs only when every t_x is an automorphism and x -> t_x is
-    multiplicative (module docstring).
+    None stands for every t_x the identity.  Premise: every t_x is an
+    automorphism of cod and x -> t_x is multiplicative; under it, this is
+    the law on all pairs (module docstring), without it a map can pass here
+    and fail the law.  Every caller meets it: the identity twist, or
+    t_x = f_{steer(x)} with f a validated action and steer a homomorphism
+    (gamma or delta in ``matrices.enumerate_matrices``).
     """
     if image[dom.identity] != cod.identity:
         return False
@@ -264,7 +272,7 @@ def twisted_hom_witness(phi: FMap, steer: FMap, action: "GroupAction") -> tuple 
         raise DomainMismatch("map must land in the acted-on group, steering map in the acting group")
     rows = action.images
     twist = [rows[s] for s in steer.image]
-    if steer.is_hom and _law_holds_on_generators(phi.dom, phi.cod, phi.image, twist):
+    if steer.is_hom and law_holds_on_generators(phi.dom, phi.cod, phi.image, twist):
         return None
     return twisted_law_witness(phi.dom, phi.cod, phi.image, twist)
 

@@ -6,26 +6,28 @@ embedded copies of H and K:
     theta(h, 1) = (alpha(h), gamma(h))      theta(1, k) = (beta(k), delta(k))
 
 so theta corresponds to the matrix (alpha beta; gamma delta) with
-alpha: H -> H, beta: K -> H both arbitrary set maps, gamma: H -> K a
-homomorphism and delta: K -> K an endomorphism.  Such a quadruple describes
-an endomorphism exactly when four compatibility conditions hold:
+alpha: H -> H, beta: K -> H, gamma: H -> K and delta: K -> K.  Such a
+quadruple describes an endomorphism exactly when these six conditions hold:
 
     alpha_twisted_by_gamma   alpha(h h') = alpha(h) * f_{gamma(h)}(alpha(h'))
     beta_crossed_by_delta    beta(k k')  = beta(k)  * f_{delta(k)}(beta(k'))
     gamma_delta_intertwine   gamma(f_k(h)) delta(k) = delta(k) gamma(h)
     alpha_beta_compatible    alpha(f_k(h)) * f_{gamma(f_k(h))}(beta(k))
                                          = beta(k) * f_{delta(k)}(alpha(h))
+    gamma_homomorphism       gamma(h h') = gamma(h) gamma(h')
+    delta_endomorphism       delta(k k') = delta(k) delta(k')
 
 Composition of endomorphisms then becomes a matrix product whose entries mix
 map addition, composition and twisting, and the set of valid matrices is a
 monoid under it.
 
-An endomorphism of G is an FMap from G to itself.  :func:`matrix_to_endo`
-checks the four conditions and then the homomorphism law of the map it
-builds, once per matrix; :func:`endo_to_matrix` checks the conditions of the
-matrix it reads off.  :func:`check_conditions` takes the conditions in the
-order of ``CONDITION_NAMES`` and returns the first that fails as
-``(name, witness)``, or None when all four hold.
+A matrix is valid when all six hold, as decided here.  An endomorphism of
+G is an FMap from G to itself.  :func:`matrix_to_endo` checks the
+conditions and then the homomorphism law of the map it builds, once per
+matrix; :func:`endo_to_matrix` checks the conditions of the matrix it
+reads off.  :func:`check_conditions` takes the conditions in the order of
+``CONDITION_NAMES`` and returns the first that fails as
+``(name, witness)``, or None when all six hold.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 
 from .errors import BoundExceeded, ConditionsViolated, DomainMismatch, VerificationFailed
 from .groups import enumerate_homs, enumerate_twisted_maps
-from .maps import FMap, identity_map, memo, twisted_hom_witness, zero_map
+from .maps import FMap, identity_map, memo, twisted_hom_witness, twisted_law_witness, zero_map
 from .semidirect import GroupAction, SdProduct
 
 __all__ = [
@@ -55,6 +57,8 @@ CONDITION_NAMES = (
     "beta_crossed_by_delta",
     "gamma_delta_intertwine",
     "alpha_beta_compatible",
+    "gamma_homomorphism",
+    "delta_endomorphism",
 )
 
 
@@ -167,7 +171,8 @@ def check_conditions(matrix: EndoMatrix) -> tuple[str, tuple] | None:
     """The first failing compatibility condition as (name, witness), or None.
 
     Conditions are taken in ``CONDITION_NAMES`` order; the witness is the
-    first violating (x, y, lhs, rhs) of that condition.
+    first violating (x, y, lhs, rhs) of that condition.  The last two read
+    ``is_hom``, which the first two have already computed.
     """
     a, b, g, d = matrix.entries()
     act = matrix.context.action
@@ -176,6 +181,8 @@ def check_conditions(matrix: EndoMatrix) -> tuple[str, tuple] | None:
         twisted_hom_witness(b, d, act),
         _intertwine_witness(g, d, act),
         _compat_witness(a, b, g, d, act),
+        None if g.is_hom else twisted_law_witness(g.dom, g.cod, g.image),
+        None if d.is_hom else twisted_law_witness(d.dom, d.cod, d.image),
     )
     return next(((name, w) for name, w in zip(CONDITION_NAMES, witnesses) if w is not None), None)
 
@@ -217,7 +224,7 @@ def matrix_to_endo(matrix: EndoMatrix) -> FMap:
     Raises ConditionsViolated if the matrix fails its compatibility
     conditions.  The result is an FMap from the product group to itself,
     checked once against the homomorphism law (VerificationFailed otherwise,
-    as the four conditions imply it) and kept on the matrix.
+    as the six conditions imply it) and kept on the matrix.
     """
     failed = check_conditions(matrix)
     if failed is not None:

@@ -576,7 +576,7 @@ def run_verification(
     else:
         unknown = [c for c in checks if c not in _CHECK_FUNCS]
         if unknown:
-            raise ValueError(f"unknown checks: {unknown}")
+            raise ValueError(f"unknown checks: {', '.join(unknown)}; known: {', '.join(CHECK_NAMES)}")
         if not checks:
             raise ValueError("no checks selected")
         selected = [c for c in CHECK_NAMES if c in set(checks)]

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from sdmat import (
+    CHECK_NAMES,
     DEFAULT_INSTANCES,
     BoundExceeded,
     InvalidInstance,
@@ -202,15 +203,16 @@ def test_cli_rejects_condition_violations(tmp_path, capsys, s3):
 @pytest.mark.parametrize("command", ["det", "invert", "factor"])
 @pytest.mark.parametrize("entry", ["gamma", "delta"])
 def test_cli_rejects_a_non_homomorphic_gamma_or_delta(tmp_path, capsys, klein, command, entry):
-    # Each matrix passes the four conditions, but its entry maps the identity to 1.
+    # Each matrix passes the first four conditions, but its entry maps the identity to 1.
     data = {"alpha": [0, 1], "beta": [0, 0], "gamma": [0, 0], "delta": [0, 1], entry: [1, 1]}
-    assert check_conditions(matrix_from_dict(data, klein)) is None
+    name = {"gamma": "gamma_homomorphism", "delta": "delta_endomorphism"}[entry]
+    assert check_conditions(matrix_from_dict(data, klein)) == (name, (0, 0, 1, 0))
     path = tmp_path / "m.json"
     path.write_text(json.dumps(data))
     assert cli_main([command, "--instance", "klein", "--matrix", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: matrix entry {entry} is not a homomorphism\n"
+    assert captured.err == f"error: matrix violates condition {name}: witness (0, 0, 1, 0)\n"
 
 
 def test_cli_reports_the_first_failing_condition(tmp_path, capsys, s3):
@@ -243,8 +245,9 @@ def test_cli_verify_check_subset(capsys):
 
 
 def test_cli_verify_unknown_check(capsys):
-    assert cli_main(["verify", "--instance", "klein", "--theorems", "bogus"]) == 2
-    capsys.readouterr()
+    assert cli_main(["verify", "--instance", "klein", "--theorems", "bogus,monoid_laws"]) == 2
+    # run_verification names the unknown and the known checks; the CLI has no copy of the rule.
+    assert capsys.readouterr().err == f"error: unknown checks: bogus; known: {', '.join(CHECK_NAMES)}\n"
 
 
 def test_cli_verify_output_deterministic(capsys):
@@ -279,6 +282,31 @@ def test_cli_verify_file_sourced_product(tmp_path, capsys, s3):
     assert code == 0
     data = json.loads(capsys.readouterr().out)
     assert data["instances"][0]["counts"]["end"] == 10
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--group-k", "k.json"], "--group-h and --group-k go together, and with --action"),
+    (["census", "--group-h", "h.json", "--action", "act.json"], "--group-h and --group-k go together, and with --action"),
+    (["census", "--instance", "klein", "--group-h", "h.json", "--group-k", "k.json"],
+     "--group-h and --group-k go together, and with --action"),
+    (["census", "--instance", "klein", "--action", "act.json"], "give --instance or --action, not both"),
+    (["verify", "--instance", "all", "--action", "act.json"], "give --instance or --action, not both"),
+], ids=["verify-k-only", "census-h-only", "census-groups-without-action", "census-instance-and-action",
+        "verify-all-and-action"])
+def test_cli_rejects_conflicting_or_partial_sources(tmp_path, monkeypatch, capsys, argv, message):
+    # Each file is valid: only the combination is bad input.
+    monkeypatch.chdir(tmp_path)
+    save_group(cyclic_group(4), tmp_path / "h.json")
+    save_group(cyclic_group(2), tmp_path / "k.json")
+    action = {"H": "h.json", "K": "k.json", "images": [[0, 1, 2, 3], [0, 3, 2, 1]]}
+    (tmp_path / "act.json").write_text(json.dumps(action))
+    assert cli_main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    for valid in (["--action", "act.json"], ["--group-h", "h.json", "--group-k", "k.json", "--action", "act.json"]):
+        assert cli_main(["census", *valid]) == 0
+    capsys.readouterr()
 
 
 def _write_matrix(path, P, alpha, beta, gamma, delta):

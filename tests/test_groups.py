@@ -12,12 +12,11 @@ from sdmat import (
     cyclic_group,
     enumerate_autos,
     enumerate_homs,
-    greedy_generators,
     make_group,
     semidirect,
     trivial_group,
 )
-from sdmat.groups import associativity_witness, word_sequence
+from sdmat.groups import associativity_witness
 
 
 def test_trivial_table():
@@ -126,19 +125,32 @@ def test_aut_z3_maps():
     assert images == {(0, 1, 2), (0, 2, 1)}
 
 
-def test_greedy_generators_close():
-    # the identity seeds the search, so every other element gets one entry
-    for n in (1, 2, 5, 6):
-        g = cyclic_group(n)
-        gens = greedy_generators(g)
-        seq = word_sequence(g, gens)
-        assert len(seq) == g.order - 1
+def _reached(group, gens):
+    """The elements reached from the identity by right multiplication by gens."""
+    seen, todo = {group.identity}, [group.identity]
+    while todo:
+        x = todo.pop()
+        for g in gens:
+            y = group.mul(x, g)
+            if y not in seen:
+                seen.add(y)
+                todo.append(y)
+    return seen
 
 
-def test_greedy_generators_s3(s3):
-    gens = greedy_generators(s3.group)
-    assert len(word_sequence(s3.group, gens)) == 5
-    assert len(gens) <= 2
+def test_walk_reaches_each_element_once():
+    groups = [trivial_group(), *map(cyclic_group, (2, 5, 6))]
+    groups += [build_instance(name).group for name in ("dihedral:3", "metacyclic:8:2:5", "direct:4:4")]
+    for g in groups:
+        reached = [g.identity]
+        for y, x, i in g.walk:
+            assert x in reached  # x is reached before y
+            assert y == g.mul(x, g.generators[i])
+            reached.append(y)
+        assert sorted(reached) == list(g.elements())  # every element once, the identity as the start
+        # Greedy: each generator is the first element the earlier ones do not reach.
+        for j, gen in enumerate(g.generators):
+            assert gen == min(set(g.elements()) - _reached(g, g.generators[:j]))
 
 
 GROUP_TABLES = [build_instance(name).group.table

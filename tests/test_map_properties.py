@@ -22,8 +22,9 @@ from sdmat import (
     twisted_hom_witness,
     zero_map,
 )
-from sdmat.groups import word_sequence
+from sdmat.groups import enumerate_twisted_maps
 from sdmat.maps import twisted_law_witness
+from test_determinant import _z3_by_s3_sign
 from test_matrices import _s3_by_conjugation
 
 Z2 = cyclic_group(2, "Z2")
@@ -218,9 +219,9 @@ def test_is_hom_on_generators_is_the_full_pair_scan(data):
 
 
 def _grown(dom, cod, twist, gen_images):
-    """The map grown from generator images along the word sequence: it obeys the law on the walk's edges."""
+    """The map grown from generator images along the domain's walk: it obeys the law on the walk's edges."""
     image = [cod.identity] * dom.order
-    for y, x, i in word_sequence(dom, dom.generators):
+    for y, x, i in dom.walk:
         image[y] = cod.mul(image[x], twist[x][gen_images[i]])
     return tuple(image)
 
@@ -284,3 +285,61 @@ def test_a_map_from_the_trivial_group_off_the_identity_is_no_homomorphism():
     assert FMap(one, Z2, (0,)).is_hom
     assert not FMap(one, Z2, (1,)).is_hom
     assert not FMap(one, S3, (4,)).is_hom
+
+
+# ---------------------------------------------------------------------------
+# The twisted-map search (groups.enumerate_twisted_maps) against a filter of every map
+
+
+def _relabelled(G, perm):
+    """G with element a renamed perm[a]."""
+    t = G.table
+    out = [[0] * G.order for _ in range(G.order)]
+    for a, b in itertools.product(range(G.order), repeat=2):
+        out[perm[a]][perm[b]] = perm[t[a][b]]
+    return make_group(out)
+
+
+@functools.cache
+def _law_maps(dom, cod, twist):
+    """Every map dom -> cod obeying the law on every pair, in image-table order."""
+    pairs = list(itertools.product(dom.elements(), repeat=2))
+    return [image for image in itertools.product(range(cod.order), repeat=dom.order)
+            if all(image[dom.mul(x, y)] == cod.mul(image[x], twist[x][image[y]]) for x, y in pairs)]
+
+
+def _untwisted(dom, cod):
+    return (tuple(range(cod.order)),) * dom.order
+
+
+# The alpha search of an action twists maps H -> H by f_{gamma(h)}, the beta search
+# maps K -> H by f_{delta(k)}; gamma and delta are homomorphisms into K.
+SEARCH_ACTIONS = [S3_BY_S3.action, _z3_by_s3_sign().action, S3_BY_Z2.action, build_instance("dihedral:4").action]
+SEARCH_PAIRS = [(dom, cod) for dom in (Z2, Z3, Z4, K4, S3) for cod in (Z2, Z3, K4, S3)
+                if cod.order ** dom.order <= 6 ** 6]
+
+
+@st.composite
+def _search_cases(draw):
+    """(dom, cod, twist): the identity twist, or t_x = f_{steer(x)} for a homomorphism steer."""
+    if draw(st.booleans()):
+        dom, cod = draw(st.sampled_from(SEARCH_PAIRS))
+        return dom, cod, _untwisted(dom, cod)
+    action = draw(st.sampled_from(SEARCH_ACTIONS))
+    dom = draw(st.sampled_from((action.H, action.K)))
+    steer = draw(st.sampled_from(_law_maps(dom, action.K, _untwisted(dom, action.K))))
+    return dom, action.H, tuple(action.images[k] for k in steer)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_search_cases(), st.data())
+def test_twisted_map_search_is_the_filter_of_every_map(case, data):
+    dom, cod, twist = case
+    expected = _law_maps(dom, cod, twist)
+    assert [phi.image for phi in enumerate_twisted_maps(dom, cod, twist)] == expected
+    # Under a relabelling of the domain, its generators and walk change; the maps move with it.
+    perm = data.draw(st.permutations(range(dom.order)), label="perm")
+    back = [perm.index(x) for x in range(dom.order)]
+    moved = sorted(tuple(image[back[x]] for x in range(dom.order)) for image in expected)
+    found = enumerate_twisted_maps(_relabelled(dom, perm), cod, [twist[back[x]] for x in range(dom.order)])
+    assert [phi.image for phi in found] == moved

@@ -15,6 +15,7 @@ from sdmat import (
     cyclic_group,
     endo_to_matrix,
     enumerate_matrices,
+    factor_abcd,
     identity_map,
     identity_matrix,
     is_automorphism_matrix,
@@ -54,7 +55,18 @@ def test_condition_names_fixed():
         "beta_crossed_by_delta",
         "gamma_delta_intertwine",
         "alpha_beta_compatible",
+        "gamma_homomorphism",
+        "delta_endomorphism",
     )
+
+
+def test_a_matrix_with_a_non_homomorphic_gamma_violates_its_conditions(klein):
+    # alpha, beta and delta make the first four conditions hold, but gamma(0) = 1.
+    m = _matrix(klein, (0, 1), (0, 0), (1, 0), (0, 1))
+    assert check_conditions(m) == ("gamma_homomorphism", (0, 0, 1, 0))
+    for entry_point in (matrix_to_endo, is_automorphism_matrix, factor_abcd):
+        with pytest.raises(ConditionsViolated, match=r"condition gamma_homomorphism fails at \(0, 0, 1, 0\)"):
+            entry_point(m)
 
 
 def test_identity_matrix_with_given_entries_is_the_literal(s3):

@@ -15,12 +15,11 @@ from sdmat import (
     endo_to_matrix,
     enumerate_endos,
     invert_endo,
-    make_group,
     trivial_group,
 )
 from sdmat.maps import FMap
 from test_determinant import _z3_by_s3_sign
-from test_map_properties import _quaternion_group
+from test_map_properties import _quaternion_group, _relabelled
 from test_matrices import _s3_by_conjugation
 
 
@@ -114,14 +113,6 @@ def test_census_is_the_full_pair_scan(G):
     expected = reference_endos(G)
     assert set(images) == expected
     assert len(images) == len(expected)
-
-
-def _relabelled(G, perm):
-    t = G.table
-    out = [[0] * G.order for _ in range(G.order)]
-    for a, b in itertools.product(range(G.order), repeat=2):
-        out[perm[a]][perm[b]] = perm[t[a][b]]
-    return make_group(out)
 
 
 @settings(max_examples=60, deadline=None)
