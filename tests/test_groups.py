@@ -153,6 +153,20 @@ def test_walk_reaches_each_element_once():
             assert gen == min(set(g.elements()) - _reached(g, g.generators[:j]))
 
 
+def test_greedy_generators_close():
+    # the identity seeds the walk, so every other element gets one step
+    for n in (1, 2, 5, 6):
+        g = cyclic_group(n)
+        assert len(g.walk) == g.order - 1
+        assert _reached(g, g.generators) == set(g.elements())
+
+
+def test_greedy_generators_s3(s3):
+    g = s3.group
+    assert len(g.walk) == 5
+    assert len(g.generators) <= 2
+
+
 GROUP_TABLES = [build_instance(name).group.table
                 for name in ("trivial", "cyclic:2", "cyclic:3", "cyclic:4", "klein", "dihedral:3")]
 
