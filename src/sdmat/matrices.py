@@ -28,12 +28,18 @@ matrix; :func:`endo_to_matrix` checks the conditions of the matrix it
 reads off.  :func:`check_conditions` takes the conditions in the order of
 ``CONDITION_NAMES`` and returns the first that fails as
 ``(name, witness)``, or None when all six hold.
+
+The product's entry formula is written once, in ``_product_images``.
+:func:`mat_mul` evaluates it on the columns of one right factor;
+:func:`product_table` evaluates it once per left factor on every column
+of H x K and reads each of the n² products off that map by index.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import BoundExceeded, ConditionsViolated, DomainMismatch, VerificationFailed
 from .groups import enumerate_homs, enumerate_twisted_maps
@@ -46,6 +52,7 @@ __all__ = [
     "identity_matrix",
     "check_conditions",
     "mat_mul",
+    "product_table",
     "matrix_to_endo",
     "endo_to_matrix",
     "enumerate_matrices",
@@ -187,6 +194,23 @@ def check_conditions(matrix: EndoMatrix) -> tuple[str, tuple] | None:
     return next(((name, w) for name, w in zip(CONDITION_NAMES, witnesses) if w is not None), None)
 
 
+def _product_images(left: EndoMatrix, a1, b1, g1, d1) -> tuple[tuple[int, ...], ...]:
+    """The four image tables of ``left`` times the right factor with image tables a1, b1, g1, d1.
+
+    Column (x; y) of the right factor maps to (a2 x + (b2 y)^{g2 x}; g2 x + d2 y),
+    so the tables may be any columns: :func:`mat_mul` passes the right
+    factor's own, :func:`product_table` the whole H x K grid.
+    """
+    P = left.context
+    ht, kt, rows = P.H.table, P.K.table, P.action.images
+    a2, b2, g2, d2 = left.key()  # the four image tables
+    a = tuple(ht[a2[x]][rows[g2[x]][b2[y]]] for x, y in zip(a1, g1))
+    b = tuple(ht[a2[x]][rows[g2[x]][b2[y]]] for x, y in zip(b1, d1))
+    c = tuple(kt[g2[x]][d2[y]] for x, y in zip(a1, g1))
+    d = tuple(kt[g2[x]][d2[y]] for x, y in zip(b1, d1))
+    return a, b, c, d
+
+
 def mat_mul(left: EndoMatrix, right: EndoMatrix) -> EndoMatrix:
     """Matrix product corresponding to composition (left after right).
 
@@ -206,15 +230,42 @@ def mat_mul(left: EndoMatrix, right: EndoMatrix) -> EndoMatrix:
         raise DomainMismatch("matrices live over different products")
     P = left.context
     H, K = P.H, P.K
-    ht, kt, rows = H.table, K.table, P.action.images
-    a2, b2, g2, d2 = left.key()  # the four image tables
-    a1, b1, g1, d1 = right.key()
-    # Column (x; y) of the right factor maps to (a2 x + (b2 y)^{g2 x}; g2 x + d2 y).
-    a = tuple(ht[a2[x]][rows[g2[x]][b2[y]]] for x, y in zip(a1, g1))
-    b = tuple(ht[a2[x]][rows[g2[x]][b2[y]]] for x, y in zip(b1, d1))
-    c = tuple(kt[g2[x]][d2[y]] for x, y in zip(a1, g1))
-    d = tuple(kt[g2[x]][d2[y]] for x, y in zip(b1, d1))
+    a, b, c, d = _product_images(left, *right.key())
     return EndoMatrix(alpha=FMap(H, H, a), beta=FMap(K, H, b), gamma=FMap(H, K, c), delta=FMap(K, K, d), context=P)
+
+
+def product_table(mats: list[EndoMatrix]) -> list[list[int]]:
+    """``table[i][j]``: the index of ``mats[i] * mats[j]`` in ``mats``, -1 if it is not there.
+
+    A matrix is its columns, (alpha h; gamma h) for each h in H and
+    (beta k; delta k) for each k in K, each coded as the product element
+    ``h * |K| + k`` it names; two matrices over one product are equal iff
+    their column codes are.  A left factor sends every column through the
+    same map (:func:`_product_images`), so it is evaluated once per left
+    factor on the whole H x K grid, and each product is then one gather of
+    the right factor's column codes from it, with no maps or matrices built.
+    """
+    if not mats:
+        return []
+    P = mats[0].context
+    if any(m.context is not P for m in mats):
+        raise DomainMismatch("matrices live over different products")
+    nH, nK = P.H.order, P.K.order
+    xs = tuple(h for h in range(nH) for _ in range(nK))
+    ys = tuple(range(nK)) * nH
+    codes = [
+        tuple(x * nK + y for x, y in zip(m.alpha.image + m.beta.image, m.gamma.image + m.delta.image))
+        for m in mats
+    ]
+    index = {c: j for j, c in enumerate(codes)}
+    # |H| + |K| >= 2 codes, so each gather returns a tuple.
+    gathers = [itemgetter(*c) for c in codes]
+    table = []
+    for left in mats:
+        a, _, c, _ = _product_images(left, xs, (), ys, ())
+        colmap = [x * nK + y for x, y in zip(a, c)]
+        table.append([index.get(gather(colmap), -1) for gather in gathers])
+    return table
 
 
 @memo
@@ -240,25 +291,27 @@ def matrix_to_endo(matrix: EndoMatrix) -> FMap:
     return theta
 
 
-def endo_to_matrix(theta: FMap, product: SdProduct) -> EndoMatrix:
-    """Read the four entry maps of an endomorphism of the product off the embedded copies of H and K."""
+def _entry_images(theta: FMap, product: SdProduct) -> tuple[tuple[int, ...], ...]:
+    """The image tables (alpha, beta, gamma, delta) of an endomorphism, read off the embedded copies of H and K."""
     if theta.dom is not product.group or theta.cod is not product.group:
         raise DomainMismatch("endomorphism does not belong to this product group")
-    H, K = product.H, product.K
     img = theta.image
-    alpha = [0] * H.order
-    gamma = [0] * H.order
-    for h in range(H.order):
-        alpha[h], gamma[h] = product.decode(img[product.embed_h(h)])
-    beta = [0] * K.order
-    delta = [0] * K.order
-    for k in range(K.order):
-        beta[k], delta[k] = product.decode(img[product.embed_k(k)])
+    on_h = [product.decode(img[product.embed_h(h)]) for h in range(product.H.order)]
+    on_k = [product.decode(img[product.embed_k(k)]) for k in range(product.K.order)]
+    alpha, gamma = zip(*on_h)
+    beta, delta = zip(*on_k)
+    return (alpha, beta, gamma, delta)
+
+
+def endo_to_matrix(theta: FMap, product: SdProduct) -> EndoMatrix:
+    """Read the four entry maps of an endomorphism of the product off the embedded copies of H and K."""
+    alpha, beta, gamma, delta = _entry_images(theta, product)
+    H, K = product.H, product.K
     matrix = EndoMatrix(
-        alpha=FMap(H, H, tuple(alpha)),
-        beta=FMap(K, H, tuple(beta)),
-        gamma=FMap(H, K, tuple(gamma)),
-        delta=FMap(K, K, tuple(delta)),
+        alpha=FMap(H, H, alpha),
+        beta=FMap(K, H, beta),
+        gamma=FMap(H, K, gamma),
+        delta=FMap(K, K, delta),
         context=product,
     )
     failed = check_conditions(matrix)

@@ -33,18 +33,27 @@ An endomorphism is a plain :class:`~sdmat.maps.FMap` from the group to
 itself.  Each census entry has passed the edge check, so the law holds on
 all pairs; :func:`compose_endos` and :func:`invert_endo` take such maps and
 return their composite and inverse without re-checking them.
+
+:func:`composition_table` composes every ordered pair of a list of such
+maps: ``table[i][j]`` is the index of ``endos[i]`` after ``endos[j]`` in the
+list, or -1.  A composite is the outer image table gathered at the inner
+map's images (one ``itemgetter`` per inner map), looked up in a dict of
+the listed image tables.  It reads the image tables over the product group
+only, so ``verify`` can set it against the matrix side's product table as
+an independent computation of the same n² products.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import BoundExceeded, DomainMismatch, NotBijective
 from .groups import FiniteGroup
 from .maps import FMap
 
-__all__ = ["EndCensus", "enumerate_endos", "invert_endo", "compose_endos"]
+__all__ = ["EndCensus", "enumerate_endos", "invert_endo", "compose_endos", "composition_table"]
 
 _EXHAUSTIVE_LIMIT = 8
 
@@ -202,3 +211,21 @@ def compose_endos(outer: FMap, inner: FMap) -> FMap:
     """Composition outer after inner, as endomorphisms of the same group."""
     group = _group_of(outer, inner)
     return FMap(group, group, tuple(outer.image[v] for v in inner.image))
+
+
+def composition_table(endos: list[FMap]) -> list[list[int]]:
+    """``table[i][j]``: the index of ``endos[i]`` after ``endos[j]`` in ``endos``, -1 if it is not there.
+
+    Each composite is the image table of the outer map gathered at the
+    inner map's images, looked up among the given image tables.
+    """
+    if not endos:
+        return []
+    group = _group_of(*endos)
+    index = {t.image: i for i, t in enumerate(endos)}
+    if group.order == 1:
+        # itemgetter of a single index returns a bare value, not a tuple.
+        gathers = [lambda image, v=t.image[0]: (image[v],) for t in endos]
+    else:
+        gathers = [itemgetter(*t.image) for t in endos]
+    return [[index.get(gather(outer.image), -1) for gather in gathers] for outer in endos]

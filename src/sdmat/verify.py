@@ -26,7 +26,19 @@ A run over a selection of checks (``checks=[...]``, ``--theorems`` on the
 command line) builds the oracle census and the pairwise product table only
 when a selected check reads them: ``endo_matrix_correspondence`` reads both,
 ``monoid_laws``, ``abcd_subgroup_closure`` and ``abcd_normalization`` the
-table.  The determinants and closed-form inverses are values of their
+table.
+
+The two n² tables that ``endo_matrix_correspondence`` compares are built
+independently.  ``matrices.product_table`` evaluates ``mat_mul``'s entry
+formula from the H and K tables and the action rows, once per left factor
+on every column of H x K, and reads each product's index off that map.
+``oracle.composition_table`` gathers image tables of the endomorphisms over
+the product group.  Neither reads the other's data, so their agreement is
+evidence that composition is the matrix product, not a restatement of it.
+The round trip compares the entry tables read back off each endomorphism
+with the matrix's own key.
+
+The determinants and closed-form inverses are values of their
 matrix (``sdmat.determinant``), built on first use and kept on it, so the
 two invertibility checks, the two inverse formulas, ``determinant_duality``
 and ``combined_inverse`` all read the same ones, whichever runs first.
@@ -46,13 +58,14 @@ from .groups import associativity_witness
 from .maps import identity_map, map_add, map_compose, map_inverse
 from .matrices import (
     EndoMatrix,
-    endo_to_matrix,
+    _entry_images,
     enumerate_matrices,
     identity_matrix,
     mat_mul,
     matrix_to_endo,
+    product_table,
 )
-from .oracle import compose_endos, enumerate_endos, invert_endo
+from .oracle import composition_table, enumerate_endos, invert_endo
 from .semidirect import SdProduct
 
 __all__ = ["CheckResult", "VerifyReport", "CHECK_NAMES", "run_verification"]
@@ -176,7 +189,7 @@ class _Context:
         """Index of every pairwise product, -1 outside the enumeration; None above the pairwise bound."""
         if self.n > _PAIR_LIMIT:
             return None
-        return [[self.key_to_idx.get(mat_mul(mi, mj).key(), -1) for mj in self.mats] for mi in self.mats]
+        return product_table(self.mats)
 
     @cached_property
     def closure_witness(self) -> dict | None:
@@ -228,9 +241,11 @@ def _check_correspondence(ctx: _Context) -> CheckResult:
         extra = sorted(matrix_images - oracle_images) + sorted(oracle_images - matrix_images)
         return CheckResult(name, "fail", witness={"image_mismatch": [list(x) for x in extra[:1]]})
     P = ctx.product
-    # endo_to_matrix reads only theta.image, so with equal image sets this covers every census endomorphism.
+    # The read-off uses only theta.image, so with equal image sets this covers every census
+    # endomorphism.  Matrices over one product are equal iff their keys are, so equal tables
+    # mean the read-back matrix is m, whose conditions matrix_to_endo has already decided.
     for i, m in enumerate(ctx.mats):
-        if endo_to_matrix(ctx.thetas[i], P) != m:
+        if _entry_images(ctx.thetas[i], P) != m.key():
             return CheckResult(name, "fail", witness=_mat_witness(m, detail="round trip through endomorphism"))
     if ctx.identity_idx is None:
         return CheckResult(name, "fail", witness={"detail": "identity matrix missing from enumeration"})
@@ -242,17 +257,16 @@ def _check_correspondence(ctx: _Context) -> CheckResult:
         return _pairwise_skip(name, ctx.n)
     if ctx.closure_witness is not None:
         return CheckResult(name, "fail", witness=ctx.closure_witness)
-    for i in range(ctx.n):
-        ti = ctx.thetas[i]
-        row = ctx.ptable[i]
-        for j in range(ctx.n):
-            composed = compose_endos(ti, ctx.thetas[j])
-            if ctx.theta_to_idx.get(composed.image) != row[j]:
-                return CheckResult(
-                    name,
-                    "fail",
-                    witness={"left": i, "right": j, "detail": "matrix product differs from composition"},
-                )
+    # The matrix side composes by the entry formula over the H and K tables and the
+    # action rows, the oracle side by gathering image tables over the product group.
+    for i, (composed, row) in enumerate(zip(composition_table(ctx.thetas), ctx.ptable)):
+        if composed != row:
+            j = next(j for j, (c, p) in enumerate(zip(composed, row)) if c != p)
+            return CheckResult(
+                name,
+                "fail",
+                witness={"left": i, "right": j, "detail": "matrix product differs from composition"},
+            )
     return CheckResult(name, "pass")
 
 

@@ -29,7 +29,7 @@ from sdmat import (
     twisted_hom_witness,
     zero_map,
 )
-from sdmat.matrices import _compat_witness, _intertwine_witness
+from sdmat.matrices import _compat_witness, _intertwine_witness, product_table
 from sdmat.oracle import compose_endos
 from test_determinant import _z3_by_s3_sign
 
@@ -234,6 +234,28 @@ def test_mat_mul_is_composition_with_nonabelian_factors(instance):
     for _ in range(2000):
         left, right = rng.choice(mats), rng.choice(mats)
         assert matrix_to_endo(mat_mul(left, right)) == compose_endos(matrix_to_endo(left), matrix_to_endo(right))
+
+
+@pytest.mark.parametrize(
+    "instance", ["trivial", "klein", "dihedral:4", "direct:3:3", "z3_by_s3_sign", "s3_by_z2_conjugation"]
+)
+def test_product_table_is_mat_mul_looked_up(instance):
+    # Z3 x| S3 (nonabelian K) has 730 matrices; a sample of them keeps the test short and
+    # leaves many products outside the list, so the -1 entries are exercised as well.
+    P = _NONABELIAN[instance]() if instance in _NONABELIAN else build_instance(instance)
+    mats = enumerate_matrices(P)
+    if len(mats) > 90:
+        mats = random.Random(19).sample(mats, 90)
+    key_to_idx = {m.key(): i for i, m in enumerate(mats)}
+    expected = [[key_to_idx.get(mat_mul(left, right).key(), -1) for right in mats] for left in mats]
+    assert product_table(mats) == expected
+    assert (-1 in sum(expected, [])) == (instance == "z3_by_s3_sign")
+
+
+def test_product_table_rejects_mixed_products(s3, klein):
+    assert product_table([]) == []
+    with pytest.raises(DomainMismatch):
+        product_table([identity_matrix(s3), identity_matrix(klein)])
 
 
 def test_matrix_to_endo_identity(s3):

@@ -18,6 +18,7 @@ from sdmat import (
     trivial_group,
 )
 from sdmat.maps import FMap
+from sdmat.oracle import composition_table
 from test_determinant import _z3_by_s3_sign
 from test_map_properties import _quaternion_group, _relabelled
 from test_matrices import _s3_by_conjugation
@@ -225,3 +226,19 @@ def test_endo_ops_reject_maps_off_one_group(s3):
         ):
             with pytest.raises(DomainMismatch, match=message):
                 call()
+
+
+@pytest.mark.parametrize("instance", ["trivial", "klein", "dihedral:4", "metacyclic:3:4:2"])
+def test_composition_table_is_compose_endos_looked_up(instance):
+    # The trivial group has one endomorphism of order 1, where a gather of one index is no tuple.
+    endos = list(enumerate_endos(build_instance(instance).group).endos)
+    for subset in (endos, endos[::3]):
+        index = {t.image: i for i, t in enumerate(subset)}
+        expected = [[index.get(compose_endos(a, b).image, -1) for b in subset] for a in subset]
+        assert composition_table(subset) == expected
+    assert composition_table([]) == []
+
+
+def test_composition_table_rejects_maps_off_one_group(s3, klein):
+    with pytest.raises(DomainMismatch, match="endomorphisms must map one group to itself"):
+        composition_table([FMap(s3.group, s3.group, tuple(range(6))), FMap(klein.group, klein.group, tuple(range(4)))])

@@ -1,14 +1,20 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sdmat import (
     NotAutomorphism,
     NotHomomorphic,
     build_instance,
     cyclic_group,
+    enumerate_endos,
     make_action,
     semidirect,
     trivial_action,
 )
+from sdmat.maps import FMap, twisted_law_witness
+from test_determinant import _z3_by_s3_sign
+from test_matrices import _s3_by_conjugation
 
 
 def test_trivial_action_gives_direct_product():
@@ -124,3 +130,94 @@ def test_action_kernel_through_quotient():
     # Z4 acting on Z4 through its order-2 quotient: kernel {0, 2}
     P = build_instance("metacyclic:4:4:3")
     assert sorted(P.action.kernel) == [0, 2]
+
+
+def _make_action_by_full_scan(H, K, images):
+    """make_action with the row composition law scanned over all |K|^2 pairs, k1 outermost."""
+    rows = tuple(tuple(row) for row in images)
+    for k, row in enumerate(rows):
+        if len(set(row)) != H.order:
+            raise NotAutomorphism(k, "row is not a bijection")
+        if not FMap(H, H, row).is_hom:
+            x, y, _, _ = twisted_law_witness(H, H, row)
+            raise NotAutomorphism(k, f"row is not a homomorphism at ({x}, {y})")
+    for k1 in range(K.order):
+        for k2 in range(K.order):
+            r12, r1, r2 = rows[K.table[k1][k2]], rows[k1], rows[k2]
+            if any(r12[h] != r1[r2[h]] for h in range(H.order)):
+                raise NotHomomorphic(k1, k2)
+    return rows
+
+
+_ACTIONS = [
+    build_instance(name).action
+    for name in ("cyclic:2", "klein", "dihedral:4", "dihedral:5", "metacyclic:3:4:2", "metacyclic:7:6:3", "metacyclic:9:3:4")
+] + [
+    _z3_by_s3_sign().action,
+    _s3_by_conjugation(cyclic_group(2)).action,
+    _s3_by_conjugation(build_instance("dihedral:3").group).action,
+    trivial_action(build_instance("dihedral:3").group, build_instance("klein").group),
+    trivial_action(build_instance("klein").group, build_instance("klein").group),
+]
+_AUTOS = {id(act.H): sorted(a.image for a in enumerate_endos(act.H).autos) for act in _ACTIONS}
+
+
+@st.composite
+def _action_tables(draw):
+    """A valid action table, one with one entry changed or one row replaced by another, or
+    automorphisms of H given to K's generators and extended along K's walk.
+
+    The last kind obeys f(ks) = f(k) o f(s) on every step of the walk, so only the
+    generator equations off the walk can tell it from an action.
+    """
+    act = draw(st.sampled_from(_ACTIONS))
+    rows = [list(row) for row in act.images]
+    change = draw(st.sampled_from(["none", "entry", "row", "walk"]))
+    k = draw(st.integers(0, act.K.order - 1))
+    if change == "entry":
+        rows[k][draw(st.integers(0, act.H.order - 1))] = draw(st.integers(0, act.H.order - 1))
+    elif change == "row":
+        rows[k] = list(act.images[draw(st.integers(0, act.K.order - 1))])
+    elif change == "walk":
+        rows = _walk_table(act.H, act.K, [draw(st.sampled_from(_AUTOS[id(act.H)])) for _ in act.K.generators])
+    return act.H, act.K, rows
+
+
+def _walk_table(H, K, generator_rows):
+    """Rows f(e) = 1 and f(y) = f(x) o f(s_i) along each step (y, x, i) of K's walk."""
+    rows = [None] * K.order
+    rows[K.identity] = list(range(H.order))
+    for y, x, i in K.walk:
+        rows[y] = [rows[x][v] for v in generator_rows[i]]
+    return rows
+
+
+# Klein acting on Klein with the first generator trivial and the second of order 3: every
+# equation at the first generator holds, but f(s2 s2) = f(e) = 1 fails.
+_V4 = build_instance("klein").group
+_ORDER_3_AUTO = next(a.image for a in enumerate_endos(_V4).autos if a.image[a.image[a.image[1]]] == 1 != a.image[1])
+_FAILS_ONLY_AT_THE_SECOND_GENERATOR = (_V4, _V4, _walk_table(_V4, _V4, [tuple(range(4)), _ORDER_3_AUTO]))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (NotAutomorphism, NotHomomorphic) as err:
+        return type(err), str(err)
+
+
+@given(_action_tables())
+@example(_FAILS_ONLY_AT_THE_SECOND_GENERATOR)
+@settings(max_examples=300, deadline=None)
+def test_make_action_agrees_with_the_full_row_scan(case):
+    H, K, rows = case
+    made = _outcome(make_action, H, K, rows)
+    expected = _outcome(_make_action_by_full_scan, H, K, rows)
+    assert (made.images if hasattr(made, "images") else made) == expected
+
+
+def test_a_non_identity_row_over_a_trivial_group_is_not_an_action():
+    # A trivial K has no generators, so f(e) = 1 is the whole generator test there.
+    with pytest.raises(NotHomomorphic) as err:
+        make_action(cyclic_group(3), cyclic_group(1), [[0, 2, 1]])
+    assert err.value.pair == (0, 0)

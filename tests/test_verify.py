@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from sdmat import FMap, build_instance, cli_main, determinant, enumerate_matrices, identity_matrix, maps, verify
+from sdmat.matrices import mat_mul, product_table
 from sdmat.oracle import EndCensus, enumerate_endos
 from sdmat.verify import CHECK_NAMES, run_verification
 
@@ -39,7 +40,7 @@ def test_selected_check_builds_no_census_or_product_table(monkeypatch):
         raise AssertionError("built for a check that does not read it")
 
     monkeypatch.setattr("sdmat.verify.enumerate_endos", unused)
-    monkeypatch.setattr("sdmat.verify.mat_mul", unused)
+    monkeypatch.setattr("sdmat.verify.product_table", unused)
     report = run_verification("dihedral:4", checks=["invertibility_via_det_k"])
     assert [c.status for c in report.checks] == ["pass"]
     # The checks that do read them still reach the patched functions.
@@ -96,13 +97,41 @@ def test_correspondence_fails_on_an_image_the_matrices_do_not_give(monkeypatch):
 
 
 def test_correspondence_fails_on_a_wrong_round_trip(monkeypatch):
-    monkeypatch.setattr("sdmat.verify.endo_to_matrix", lambda theta, product: identity_matrix(product))
+    monkeypatch.setattr("sdmat.verify._entry_images", lambda theta, product: identity_matrix(product).key())
     check = _correspondence("dihedral:4")
     first = min(enumerate_matrices(build_instance("dihedral:4")), key=lambda m: m.key())
     assert check.status == "fail"
     assert check.witness["detail"] == "round trip through endomorphism"
     assert check.witness["alpha"] == list(first.alpha.image)
     assert check.witness["delta"] == list(first.delta.image)
+
+
+def _patch_one_table_entry(monkeypatch, i, j, value):
+    def patched(mats):
+        table = product_table(mats)
+        table[i][j] = value(table[i][j], len(mats))
+        return table
+
+    monkeypatch.setattr("sdmat.verify.product_table", patched)
+
+
+def test_correspondence_fails_at_a_wrong_product_table_entry(monkeypatch):
+    # One entry off by one still lies in the enumeration, so only the composition
+    # table disagrees, first at that pair.
+    _patch_one_table_entry(monkeypatch, 7, 3, lambda v, n: (v + 1) % n)
+    check = _correspondence("dihedral:4")
+    assert (check.status, check.witness) == (
+        "fail",
+        {"left": 7, "right": 3, "detail": "matrix product differs from composition"},
+    )
+
+
+def test_correspondence_reports_the_closure_witness_at_a_minus_one_entry(monkeypatch):
+    _patch_one_table_entry(monkeypatch, 5, 2, lambda v, n: -1)
+    mats = sorted(enumerate_matrices(build_instance("dihedral:4")), key=lambda m: m.key())
+    product = [list(x) for x in mat_mul(mats[5], mats[2]).key()]
+    check = _correspondence("dihedral:4")
+    assert (check.status, check.witness) == ("fail", {"left": 5, "right": 2, "product": product})
 
 
 _INVERSE_CHECKS = ["inverse_formula_det_k", "inverse_formula_det_h", "determinant_duality", "combined_inverse"]
