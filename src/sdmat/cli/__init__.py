@@ -15,6 +15,11 @@ the factor files ``--group-h FILE --group-k FILE`` both or neither.  Exit
 codes: 0 success, 1 a failed or unsatisfiable mathematical claim (a failed
 check or internal verification, not invertible, not factorable), 2 input
 that fails validation, and nothing else.
+
+This is a package so that ``python -m sdmat.cli`` runs its ``__main__``.
+The package ``sdmat`` imports this module to export ``cli_main``, and
+``-m`` on a plain module that its package has already imported executes a
+second copy of it (a RuntimeWarning under ``-W error``).
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ import json
 import sys
 from pathlib import Path
 
-from .catalog import (
+from ..catalog import (
     DEFAULT_INSTANCES,
     build_instance,
     load_action,
@@ -33,8 +38,8 @@ from .catalog import (
     load_matrix,
     matrix_to_dict,
 )
-from .determinant import det_h, det_k, is_invertible
-from .errors import (
+from ..determinant import det_h, det_k, is_invertible
+from ..errors import (
     BoundExceeded,
     DomainMismatch,
     GroupValidationError,
@@ -44,16 +49,16 @@ from .errors import (
     PreconditionFailed,
     SdmatError,
 )
-from .factorization import factor_abcd
-from .matrices import (
+from ..factorization import factor_abcd
+from ..matrices import (
     EndoMatrix,
     check_conditions,
     enumerate_matrices,
     matrix_to_endo,
 )
-from .oracle import enumerate_endos
-from .semidirect import SdProduct, semidirect
-from .verify import run_verification
+from ..oracle import enumerate_endos
+from ..semidirect import SdProduct, semidirect
+from ..verify import run_verification
 
 __all__ = ["cli_main", "main"]
 
@@ -296,7 +301,3 @@ def cli_main(argv: list[str] | None = None) -> int:
 
 def main() -> None:
     sys.exit(cli_main(sys.argv[1:]))
-
-
-if __name__ == "__main__":
-    main()

@@ -22,6 +22,29 @@ delta_p = delta_d, beta_p = alpha_a beta_b delta_d and, as alpha_a is a
 homomorphism, det_H(p) = alpha_a.  So m = a*b*c*d forces the four factors
 above: they exist exactly when these four matrices land in their families,
 and then they are unique.
+
+Each family has its own predicate, and :func:`classify` is the four of
+them; a factor is certified against its own family only.  Two of the
+predicates range over all pairs (h, k) of H x K, and like the matrix
+conditions 3 and 4 (:mod:`sdmat.matrices`) they are decided on the pairs
+S_H x S_K of the kept generators, once the entry they constrain is a
+homomorphism:
+
+    A   alpha(f_k h) = f_k(alpha h)            alpha a homomorphism
+    C   gamma(f_k h) = k gamma(h) k^-1          gamma a homomorphism
+
+For a fixed k both sides are homomorphisms in h (alpha after f_k and f_k
+after alpha; gamma after f_k and conjugation by k after gamma), so the h
+where they agree form a subgroup, generated by S_H.  The k for which it
+holds for every h contain e and are closed under products, as the rows
+compose like K:
+
+    alpha f_kk' = alpha f_k f_k' = f_k alpha f_k' = f_k f_k' alpha = f_kk' alpha
+    gamma f_kk' = gamma f_k f_k' = k (gamma f_k') k^-1 = kk' gamma (kk')^-1
+
+(the last with conjugation applied pointwise), so S_K suffices.  Only a
+failure on the generator pairs is followed by the full scan, h outermost,
+which names the first witness.
 """
 
 from __future__ import annotations
@@ -31,7 +54,7 @@ from dataclasses import dataclass
 from .determinant import det_h
 from .errors import PreconditionFailed, VerificationFailed
 from .maps import identity_map, is_crossed_hom, map_compose, map_inverse
-from .matrices import EndoMatrix, identity_matrix, is_automorphism_matrix, mat_mul
+from .matrices import EndoMatrix, first_pair_witness, identity_matrix, is_automorphism_matrix, mat_mul
 
 __all__ = [
     "SubsetTag",
@@ -76,105 +99,99 @@ def _is_identity(phi) -> bool:
 
 
 def _is_zero(phi) -> bool:
-    return all(v == phi.cod.identity for v in phi.image)
+    return phi.image == (phi.cod.identity,) * phi.dom.order
+
+
+def _shape_witness(matrix: EndoMatrix, free: str) -> tuple | None:
+    """The first entry of ``matrix``, other than ``free``, that differs from the identity matrix's."""
+    if free != "alpha" and not _is_identity(matrix.alpha):
+        return ("alpha_not_identity",)
+    if free != "beta" and not _is_zero(matrix.beta):
+        return ("beta_not_zero",)
+    if free != "gamma" and not _is_zero(matrix.gamma):
+        return ("gamma_not_zero",)
+    if free != "delta" and not _is_identity(matrix.delta):
+        return ("delta_not_identity",)
+    return None
+
+
+def _a_witness(matrix: EndoMatrix) -> tuple | None:
+    """A: bijective homomorphism alpha commuting with every action map."""
+    w = _shape_witness(matrix, "alpha")
+    if w is not None:
+        return w
+    alpha = matrix.alpha
+    if not (alpha.is_hom and alpha.is_bijective):
+        return ("alpha_not_automorphism",)
+    act = matrix.context.action
+    rows, a = act.images, alpha.image
+
+    def scan(hs, ks):
+        return next((("alpha_action", h, k) for h in hs for k in ks if a[rows[k][h]] != rows[k][a[h]]), None)
+
+    return first_pair_witness(scan, act, True)
+
+
+def _b_witness(matrix: EndoMatrix) -> tuple | None:
+    """B: crossed homomorphism with image inside the center of H."""
+    w = _shape_witness(matrix, "beta")
+    if w is not None:
+        return w
+    P = matrix.context
+    beta = matrix.beta
+    if not is_crossed_hom(beta, identity_map(P.K), P.action):
+        return ("beta_not_crossed_hom",)
+    zh = P.H.center
+    return next((("beta_not_central", k, b) for k, b in enumerate(beta.image) if b not in zh), None)
+
+
+def _c_witness(matrix: EndoMatrix) -> tuple | None:
+    """C: homomorphism gamma into the action kernel, compatible with conjugation."""
+    w = _shape_witness(matrix, "gamma")
+    if w is not None:
+        return w
+    gamma = matrix.gamma
+    if not gamma.is_hom:
+        return ("gamma_not_hom",)
+    P = matrix.context
+    act = P.action
+    kernel = act.kernel
+    g = gamma.image
+    w = next((("gamma_not_in_kernel", h, gh) for h, gh in enumerate(g) if gh not in kernel), None)
+    if w is not None:
+        return w
+    kt, kinv, rows = P.K.table, P.K.inverses, act.images
+
+    def scan(hs, ks):
+        return next(
+            (("gamma_action", h, k) for h in hs for k in ks if g[rows[k][h]] != kt[kt[k][g[h]]][kinv[k]]), None
+        )
+
+    return first_pair_witness(scan, act, True)
+
+
+def _d_witness(matrix: EndoMatrix) -> tuple | None:
+    """D: automorphism delta with k^-1 delta(k) in the action kernel."""
+    w = _shape_witness(matrix, "delta")
+    if w is not None:
+        return w
+    delta = matrix.delta
+    if not (delta.is_hom and delta.is_bijective):
+        return ("delta_not_automorphism",)
+    P = matrix.context
+    kernel = P.action.kernel
+    kt, kinv = P.K.table, P.K.inverses
+    displacements = (("delta_displacement", k, kt[kinv[k]][dk]) for k, dk in enumerate(delta.image))
+    return next((w for w in displacements if w[2] not in kernel), None)
+
+
+_FAMILY_WITNESSES = {"A": _a_witness, "B": _b_witness, "C": _c_witness, "D": _d_witness}
 
 
 def classify(matrix: EndoMatrix) -> SubsetTag:
     """Evaluate the four family predicates on a condition-satisfying matrix."""
-    P = matrix.context
-    H, K, act = P.H, P.K, P.action
-    alpha, beta, gamma, delta = matrix.entries()
-    witnesses: dict[str, tuple] = {}
-
-    def shape_witness(family: str, want_alpha_id: bool, want_delta_id: bool) -> tuple | None:
-        if want_alpha_id and not _is_identity(alpha):
-            return ("alpha_not_identity",)
-        if not _is_zero(beta) and family != "B":
-            return ("beta_not_zero",)
-        if not _is_zero(gamma) and family != "C":
-            return ("gamma_not_zero",)
-        if want_delta_id and not _is_identity(delta):
-            return ("delta_not_identity",)
-        return None
-
-    # A: bijective homomorphism alpha commuting with every action map.
-    w = shape_witness("A", want_alpha_id=False, want_delta_id=True)
-    if w is None and not (alpha.is_hom and alpha.is_bijective):
-        w = ("alpha_not_automorphism",)
-    if w is None:
-        rows = act.images
-        a = alpha.image
-        w = next(
-            (
-                ("alpha_action", h, k)
-                for h in range(H.order)
-                for k in range(K.order)
-                if a[rows[k][h]] != rows[k][a[h]]
-            ),
-            None,
-        )
-    in_a = w is None
-    if w is not None:
-        witnesses["A"] = w
-
-    # B: crossed homomorphism with image inside the center of H.
-    w = shape_witness("B", want_alpha_id=True, want_delta_id=True)
-    if w is None and not is_crossed_hom(beta, identity_map(K), act):
-        w = ("beta_not_crossed_hom",)
-    if w is None:
-        zh = H.center
-        w = next(
-            (("beta_not_central", k, beta.image[k]) for k in range(K.order) if beta.image[k] not in zh),
-            None,
-        )
-    in_b = w is None
-    if w is not None:
-        witnesses["B"] = w
-
-    # C: homomorphism gamma into the action kernel, compatible with conjugation.
-    w = shape_witness("C", want_alpha_id=True, want_delta_id=True)
-    if w is None and not gamma.is_hom:
-        w = ("gamma_not_hom",)
-    if w is None:
-        kernel = act.kernel
-        g = gamma.image
-        w = next(
-            (("gamma_not_in_kernel", h, g[h]) for h in range(H.order) if g[h] not in kernel),
-            None,
-        )
-        if w is None:
-            kt, kinv = K.table, K.inverses
-            rows = act.images
-            w = next(
-                (
-                    ("gamma_action", h, k)
-                    for h in range(H.order)
-                    for k in range(K.order)
-                    if g[rows[k][h]] != kt[kt[k][g[h]]][kinv[k]]
-                ),
-                None,
-            )
-    in_c = w is None
-    if w is not None:
-        witnesses["C"] = w
-
-    # D: automorphism delta with k^-1 delta(k) in the action kernel.
-    w = shape_witness("D", want_alpha_id=True, want_delta_id=False)
-    if w is None and not (delta.is_hom and delta.is_bijective):
-        w = ("delta_not_automorphism",)
-    if w is None:
-        kernel = act.kernel
-        kt, kinv = K.table, K.inverses
-        d = delta.image
-        w = next(
-            (("delta_displacement", k, kt[kinv[k]][d[k]]) for k in range(K.order) if kt[kinv[k]][d[k]] not in kernel),
-            None,
-        )
-    in_d = w is None
-    if w is not None:
-        witnesses["D"] = w
-
-    return SubsetTag(in_a=in_a, in_b=in_b, in_c=in_c, in_d=in_d, witnesses=witnesses)
+    witnesses = {letter: w for letter, family in _FAMILY_WITNESSES.items() if (w := family(matrix)) is not None}
+    return SubsetTag(*(letter not in witnesses for letter in "ABCD"), witnesses=witnesses)
 
 
 def _require_unit_diagonal_auto(matrix: EndoMatrix) -> None:
@@ -192,9 +209,9 @@ def unit_diagonal_a_factor(matrix: EndoMatrix) -> EndoMatrix:
     """
     _require_unit_diagonal_auto(matrix)
     result = identity_matrix(matrix.context, alpha=det_h(matrix))
-    tag = classify(result)
-    if not tag.in_a:
-        raise VerificationFailed("A-part of unit-diagonal reduction", tag.witnesses.get("A"))
+    w = _a_witness(result)
+    if w is not None:
+        raise VerificationFailed("A-part of unit-diagonal reduction", w)
     return result
 
 
@@ -218,7 +235,7 @@ def unit_diagonal_b_factor(matrix: EndoMatrix) -> EndoMatrix:
 
 
 def _certified(letter: str, factor: EndoMatrix) -> EndoMatrix:
-    if letter in classify(factor).witnesses:
+    if _FAMILY_WITNESSES[letter](factor) is not None:
         raise VerificationFailed(f"{letter}-factor membership", factor.key())
     return factor
 

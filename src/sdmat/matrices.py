@@ -29,6 +29,41 @@ reads off.  :func:`check_conditions` takes the conditions in the order of
 ``CONDITION_NAMES`` and returns the first that fails as
 ``(name, witness)``, or None when all six hold.
 
+Conditions 1, 2, 5 and 6 are laws of one map each, decided on the
+generators of its domain (:mod:`sdmat.maps`).  Conditions 3 and 4 range
+over all pairs (h, k) of H x K, and are decided on the pairs S_H x S_K of
+the kept generators (``FiniteGroup.generators``).  Write
+
+    A(h) = (alpha h, gamma h)        B(k) = (beta k, delta k)
+
+for the images of the embedded copies.  Conditions 1 and 5 say that
+A: H -> G is a homomorphism, conditions 2 and 6 the same of B: K -> G, and
+conditions 3 and 4 at (h, k) are the K- and H-components of
+
+    B(k) A(h) = A(f_k h) B(k),   i.e.   B(k) A(h) B(k)^-1 = A(f_k h).
+
+When A and B are homomorphisms this holds for all pairs iff it holds on
+S_H x S_K.  For a fixed k both sides are homomorphisms H -> G in h
+(conjugation by B(k) after A, and A after the automorphism f_k), so the h
+where they agree form a subgroup, and S_H generates it.  The k for which it holds
+for every h contain e and are closed under products: if it holds for k
+and k', then
+
+    B(kk') A(h) B(kk')^-1 = B(k) B(k') A(h) B(k')^-1 B(k)^-1   (B a homomorphism)
+                          = B(k) A(f_k' h) B(k)^-1             (it holds for k')
+                          = A(f_k f_k' h) = A(f_kk' h)          (it holds for k; rows compose like K)
+
+so they are all of K, as every element is a positive word in S_K.  The
+same argument, with the K-components alone and gamma and delta
+homomorphisms, decides condition 3 on S_H x S_K; with it holding on all
+pairs, condition 4 on S_H x S_K is the equation above there.  The
+matrix search (:func:`enumerate_matrices`) meets these premises by
+construction; :func:`check_conditions` reaches condition 3 only when 1 and
+2 hold, and uses the generator pairs only when 5 and 6 hold as well.  As
+for the laws of one map, a witness is only ever named by the full scan of
+all pairs, h outermost (:func:`first_pair_witness`), so it is the first
+one whichever way the condition was decided.
+
 The product's entry formula is written once, in ``_product_images``.
 :func:`mat_mul` evaluates it on the columns of one right factor;
 :func:`product_table` evaluates it once per left factor on every column
@@ -51,6 +86,7 @@ __all__ = [
     "CONDITION_NAMES",
     "identity_matrix",
     "check_conditions",
+    "first_pair_witness",
     "mat_mul",
     "product_table",
     "matrix_to_endo",
@@ -138,60 +174,85 @@ def identity_matrix(
     )
 
 
-def _intertwine_witness(gamma: FMap, delta: FMap, action: GroupAction) -> tuple | None:
-    """First (h, k, lhs, rhs) violating gamma(f_k(h)) delta(k) = delta(k) gamma(h)."""
-    K = action.K
-    kt = K.table
+def first_pair_witness(scan, action: GroupAction, on_generators: bool) -> tuple | None:
+    """``scan`` over every pair of H x K, decided first on S_H x S_K if ``on_generators``.
+
+    ``scan(hs, ks)`` returns the first violating pair of a condition over
+    ``hs`` x ``ks``, h outermost, or None.  ``on_generators`` asserts that the
+    condition holds on all pairs once it holds on the generator pairs (see
+    the module docstring); the full scan then runs only to name a witness.
+    """
+    H, K = action.H, action.K
+    if on_generators and scan(H.generators, K.generators) is None:
+        return None
+    return scan(range(H.order), range(K.order))
+
+
+def _intertwine_scan(gamma: FMap, delta: FMap, action: GroupAction):
+    """``scan(hs, ks)``: the first (h, k, lhs, rhs) violating gamma(f_k(h)) delta(k) = delta(k) gamma(h)."""
+    kt = action.K.table
     rows = action.images
     g, d = gamma.image, delta.image
-    for h in range(action.H.order):
-        gh = g[h]
-        for k in range(K.order):
-            dk = d[k]
-            lhs = kt[g[rows[k][h]]][dk]
-            rhs = kt[dk][gh]
-            if lhs != rhs:
-                return (h, k, lhs, rhs)
-    return None
+
+    def scan(hs, ks):
+        for h in hs:
+            gh = g[h]
+            for k in ks:
+                dk = d[k]
+                lhs = kt[g[rows[k][h]]][dk]
+                rhs = kt[dk][gh]
+                if lhs != rhs:
+                    return (h, k, lhs, rhs)
+        return None
+
+    return scan
 
 
-def _compat_witness(
-    alpha: FMap, beta: FMap, gamma: FMap, delta: FMap, action: GroupAction
-) -> tuple | None:
-    """First (h, k, lhs, rhs) violating the alpha/beta compatibility condition."""
-    H = action.H
-    ht = H.table
+def _compat_scan(alpha: FMap, beta: FMap, gamma: FMap, delta: FMap, action: GroupAction):
+    """``scan(hs, ks)``: the first (h, k, lhs, rhs) violating the alpha/beta compatibility condition."""
+    ht = action.H.table
     rows = action.images
     a, b, g, d = alpha.image, beta.image, gamma.image, delta.image
-    for h in range(H.order):
-        ah = a[h]
-        for k in range(action.K.order):
-            hk = rows[k][h]
-            lhs = ht[a[hk]][rows[g[hk]][b[k]]]
-            rhs = ht[b[k]][rows[d[k]][ah]]
-            if lhs != rhs:
-                return (h, k, lhs, rhs)
-    return None
+
+    def scan(hs, ks):
+        for h in hs:
+            ah = a[h]
+            for k in ks:
+                hk = rows[k][h]
+                lhs = ht[a[hk]][rows[g[hk]][b[k]]]
+                rhs = ht[b[k]][rows[d[k]][ah]]
+                if lhs != rhs:
+                    return (h, k, lhs, rhs)
+        return None
+
+    return scan
+
+
+def _condition_witnesses(matrix: EndoMatrix):
+    """The witness of each condition in ``CONDITION_NAMES`` order, each computed when asked for."""
+    a, b, g, d = matrix.entries()
+    act = matrix.context.action
+    yield twisted_hom_witness(a, g, act)
+    yield twisted_hom_witness(b, d, act)
+    # Conditions 1 and 2 hold from here on, and 3 as well when 4 is reached.
+    homs = g.is_hom and d.is_hom
+    yield first_pair_witness(_intertwine_scan(g, d, act), act, homs)
+    yield first_pair_witness(_compat_scan(a, b, g, d, act), act, homs)
+    yield None if g.is_hom else twisted_law_witness(g.dom, g.cod, g.image)
+    yield None if d.is_hom else twisted_law_witness(d.dom, d.cod, d.image)
 
 
 def check_conditions(matrix: EndoMatrix) -> tuple[str, tuple] | None:
     """The first failing compatibility condition as (name, witness), or None.
 
-    Conditions are taken in ``CONDITION_NAMES`` order; the witness is the
-    first violating (x, y, lhs, rhs) of that condition.  The last two read
-    ``is_hom``, which the first two have already computed.
+    Conditions are taken in ``CONDITION_NAMES`` order, and each is decided
+    only once the earlier ones hold; the witness is the first violating
+    (x, y, lhs, rhs) of that condition.  The last two read ``is_hom``, which
+    the first two have already computed.
     """
-    a, b, g, d = matrix.entries()
-    act = matrix.context.action
-    witnesses = (
-        twisted_hom_witness(a, g, act),
-        twisted_hom_witness(b, d, act),
-        _intertwine_witness(g, d, act),
-        _compat_witness(a, b, g, d, act),
-        None if g.is_hom else twisted_law_witness(g.dom, g.cod, g.image),
-        None if d.is_hom else twisted_law_witness(d.dom, d.cod, d.image),
+    return next(
+        ((name, w) for name, w in zip(CONDITION_NAMES, _condition_witnesses(matrix)) if w is not None), None
     )
-    return next(((name, w) for name, w in zip(CONDITION_NAMES, witnesses) if w is not None), None)
 
 
 def _product_images(left: EndoMatrix, a1, b1, g1, d1) -> tuple[tuple[int, ...], ...]:
@@ -328,6 +389,8 @@ def enumerate_matrices(product: SdProduct, bound: int = 64, exhaustive: bool = F
     delta come from homomorphism enumeration, the gamma/delta intertwining
     prunes pairs early, beta and alpha come from twisted-map searches, and
     the remaining compatibility condition filters the final quadruples.
+    Both are decided on S_H x S_K alone, as every candidate meets the
+    premises of the module docstring.
 
     With ``exhaustive=True`` the beta and alpha searches are replaced by a
     filter over the full map spaces (only sensible for |H|, |K| <= 4); this
@@ -353,14 +416,14 @@ def enumerate_matrices(product: SdProduct, bound: int = 64, exhaustive: bool = F
                         if check_conditions(m) is None:
                             out.append(m)
                 continue
-            if _intertwine_witness(gamma, delta, act) is not None:
+            if _intertwine_scan(gamma, delta, act)(H.generators, K.generators) is not None:
                 continue
             # beta and alpha are twisted through t_x = f_{delta(x)} and f_{gamma(x)}.
             betas = enumerate_twisted_maps(K, H, [act.images[s] for s in delta.image])
             alphas = enumerate_twisted_maps(H, H, [act.images[s] for s in gamma.image])
             for beta in betas:
                 for alpha in alphas:
-                    if _compat_witness(alpha, beta, gamma, delta, act) is None:
+                    if _compat_scan(alpha, beta, gamma, delta, act)(H.generators, K.generators) is None:
                         out.append(
                             EndoMatrix(alpha=alpha, beta=beta, gamma=gamma, delta=delta, context=product)
                         )

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
+from operator import itemgetter
 from typing import Sequence
 
 from .errors import NotAutomorphism, NotHomomorphic
@@ -141,18 +143,14 @@ def semidirect(action: GroupAction, name: str = "") -> SdProduct:
     H, K = action.H, action.K
     nK = K.order
     ht, kt, rows = H.table, K.table, action.images
-    order = H.order * nK
-    table = []
-    for g1 in range(order):
-        h1, k1 = divmod(g1, nK)
-        act1 = rows[k1]
-        row_out = []
-        h1row = ht[h1]
-        k1row = kt[k1]
-        for g2 in range(order):
-            h2, k2 = divmod(g2, nK)
-            row_out.append(h1row[act1[h2]] * nK + k1row[k2])
-        table.append(row_out)
+    # Row (h1, k1) sends (h2, k2) to (h1 f_k1(h2), k1 k2): first to (f_k1(h2), k1 k2),
+    # a map of k1 alone, then (h, k) to (h1 h, k), a map of h1 alone.  So each row is
+    # the second map gathered at the positions the first one names.
+    by_k = [itemgetter(*(h * nK + k for h in row for k in kt[k1])) for k1, row in enumerate(rows)]
+    codes = [range(h * nK, h * nK + nK) for h in range(H.order)]  # (h, k) for every k
+    by_h = [tuple(chain.from_iterable(map(codes.__getitem__, row))) for row in ht]
+    # An itemgetter of one index returns the entry, not a tuple: the one-element case.
+    table = [gather(left) for left in by_h for gather in by_k] if H.order * nK > 1 else [[0]]
     names = tuple(
         f"({H.element_name(h)},{K.element_name(k)})"
         for h in range(H.order)

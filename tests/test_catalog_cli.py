@@ -561,6 +561,14 @@ def _python(*args: str) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120)
 
 
+def test_python_m_sdmat_cli_runs_without_warnings():
+    # The package sdmat imports sdmat.cli; -m runs the cli package's __main__, not a second copy.
+    proc = _python("-W", "error", "-m", "sdmat.cli", "census", "--instance", "klein")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout) == {"aut": 6, "end": 16, "group_order": 4, "instance": "klein"}
+
+
 def test_import_leaves_multiprocessing_out():
     proc = _python("-c", "import sys, sdmat; print('multiprocessing' in sys.modules)")
     assert proc.stdout == "False\n", proc.stderr

@@ -29,7 +29,7 @@ from sdmat import (
     twisted_hom_witness,
     zero_map,
 )
-from sdmat.matrices import _compat_witness, _intertwine_witness, product_table
+from sdmat.matrices import product_table
 from sdmat.oracle import compose_endos
 from test_determinant import _z3_by_s3_sign
 
@@ -42,6 +42,31 @@ def _matrix(P, alpha, beta, gamma, delta):
         delta=FMap(P.K, P.K, tuple(delta)),
         context=P,
     )
+
+
+def full_intertwine_witness(gamma, delta, action):
+    """Condition 3 scanned over every pair (h, k), h outermost: the reference for its generator-pair decision."""
+    kt, rows = action.K.table, action.images
+    g, d = gamma.image, delta.image
+    for h in range(action.H.order):
+        for k in range(action.K.order):
+            lhs, rhs = kt[g[rows[k][h]]][d[k]], kt[d[k]][g[h]]
+            if lhs != rhs:
+                return (h, k, lhs, rhs)
+    return None
+
+
+def full_compat_witness(alpha, beta, gamma, delta, action):
+    """Condition 4 scanned over every pair (h, k), h outermost: the reference for its generator-pair decision."""
+    ht, rows = action.H.table, action.images
+    a, b, g, d = alpha.image, beta.image, gamma.image, delta.image
+    for h in range(action.H.order):
+        for k in range(action.K.order):
+            hk = rows[k][h]
+            lhs, rhs = ht[a[hk]][rows[g[hk]][b[k]]], ht[b[k]][rows[d[k]][a[h]]]
+            if lhs != rhs:
+                return (h, k, lhs, rhs)
+    return None
 
 
 def involution_matrix(P):
@@ -112,13 +137,13 @@ def test_check_conditions_returns_the_first_failure_in_order(s3):
     m = _matrix(s3, (0, 2, 1), (0, 1), (0, 1, 0), (0, 0))
     act = s3.action
     assert twisted_hom_witness(m.beta, m.delta, act) is not None
-    assert _intertwine_witness(m.gamma, m.delta, act) is not None
-    assert _compat_witness(m.alpha, m.beta, m.gamma, m.delta, act) is not None
+    assert full_intertwine_witness(m.gamma, m.delta, act) is not None
+    assert full_compat_witness(m.alpha, m.beta, m.gamma, m.delta, act) is not None
     assert check_conditions(m) == ("alpha_twisted_by_gamma", (1, 1, 1, 0))
     # Fails conditions 2 and 4 only: the second is returned.
     m = _matrix(s3, (0, 1, 2), (0, 1), (0, 0, 0), (0, 0))
     assert twisted_hom_witness(m.alpha, m.gamma, act) is None
-    assert _compat_witness(m.alpha, m.beta, m.gamma, m.delta, act) is not None
+    assert full_compat_witness(m.alpha, m.beta, m.gamma, m.delta, act) is not None
     assert check_conditions(m) == ("beta_crossed_by_delta", (1, 1, 0, 2))
     with pytest.raises(ConditionsViolated) as err:
         matrix_to_endo(m)

@@ -3,6 +3,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sdmat import (
+    DEFAULT_INSTANCES,
     NotAutomorphism,
     NotHomomorphic,
     build_instance,
@@ -15,6 +16,18 @@ from sdmat import (
 from sdmat.maps import FMap, twisted_law_witness
 from test_determinant import _z3_by_s3_sign
 from test_matrices import _s3_by_conjugation
+
+
+@pytest.mark.parametrize("instance", [*DEFAULT_INSTANCES, "z3_by_s3_sign"])
+def test_product_table_is_the_defining_formula(instance):
+    # The table is built by gathers; entry by entry it is (h1 f_k1(h2), k1 k2).
+    P = _z3_by_s3_sign() if instance == "z3_by_s3_sign" else build_instance(instance)
+    ht, kt, rows = P.H.table, P.K.table, P.action.images
+    pairs = [P.decode(g) for g in range(P.group.order)]
+    expected = tuple(
+        tuple(P.encode(ht[h1][rows[k1][h2]], kt[k1][k2]) for h2, k2 in pairs) for h1, k1 in pairs
+    )
+    assert P.group.table == expected
 
 
 def test_trivial_action_gives_direct_product():
