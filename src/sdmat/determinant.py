@@ -31,6 +31,17 @@ call and kept on the matrix object (``maps.memo``), so the inverse
 :func:`invert_via_det_h` returns, and no caller passes them along.  Every
 precondition of this module is a map that is not bijective, and each raises
 PreconditionFailed, on every call.
+
+The formulas are evaluated on the image tables of the entries, in one
+pass per returned entry: each point of the result is one chain of table
+lookups, and each pointwise product keeps the formula's order
+(-gamma alpha^-1 beta + delta at k is ``kt[kinv[g[ainv[b[k]]]]][d[k]]``).
+Each returned entry is one map, built unchecked (``maps._trusted``), as
+every chain ends in a table of the entry's codomain; no intermediate map
+is built.  The checks of these results do not reuse these passes:
+:func:`dual_det_inverses` and the rearranged det_K identity of
+``sdmat.verify`` compose maps with :mod:`sdmat.maps`, and the inverse
+checks multiply each inverse back with ``mat_mul``.
 """
 
 from __future__ import annotations
@@ -38,7 +49,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import PreconditionFailed, VerificationFailed
-from .maps import FMap, identity_map, map_add, map_compose, map_inverse, map_neg, memo
+from .maps import FMap, _trusted, identity_map, map_compose, map_inverse, memo
 from .matrices import EndoMatrix, endo_to_matrix, is_automorphism_matrix, matrix_to_endo
 
 __all__ = [
@@ -64,8 +75,11 @@ def det_k(matrix: EndoMatrix) -> FMap:
     """K-valued determinant: k -> gamma(alpha^-1(beta(k)))^-1 * delta(k)."""
     if not matrix.alpha.is_bijective:
         raise PreconditionFailed("alpha must be bijective to form the K-side determinant")
-    ainv = map_inverse(matrix.alpha)
-    return map_add(map_neg(map_compose(matrix.gamma, map_compose(ainv, matrix.beta))), matrix.delta)
+    P = matrix.context
+    kt, kinv = P.K.table, P.K.inverses
+    ainv = map_inverse(matrix.alpha).image
+    _, b, g, d = matrix.key()
+    return _trusted(P.K, P.K, tuple([kt[kinv[g[ainv[b[k]]]]][d[k]] for k in range(P.K.order)]))
 
 
 @memo
@@ -73,8 +87,11 @@ def det_h(matrix: EndoMatrix) -> FMap:
     """H-valued determinant: h -> alpha(h) * beta(delta^-1(gamma(h)))^-1."""
     if not matrix.delta.is_bijective:
         raise PreconditionFailed("delta must be bijective to form the H-side determinant")
-    dinv = map_inverse(matrix.delta)
-    return map_add(matrix.alpha, map_neg(map_compose(matrix.beta, map_compose(dinv, matrix.gamma))))
+    P = matrix.context
+    ht, hinv = P.H.table, P.H.inverses
+    dinv = map_inverse(matrix.delta).image
+    a, b, g, _ = matrix.key()
+    return _trusted(P.H, P.H, tuple([ht[a[h]][hinv[b[dinv[g[h]]]]] for h in range(P.H.order)]))
 
 
 @memo
@@ -91,12 +108,19 @@ def invert_via_det_k(matrix: EndoMatrix) -> EndoMatrix:
     dk = det_k(matrix)
     if not dk.is_bijective:
         raise PreconditionFailed("the K-side determinant is not bijective")
-    ainv = map_inverse(matrix.alpha)
+    P = matrix.context
+    H, K = P.H, P.K
+    ht, hinv, kinv = H.table, H.inverses, K.inverses
+    ainv = map_inverse(matrix.alpha).image
     dkinv = map_inverse(dk)
-    gprime = map_compose(dkinv, map_neg(map_compose(matrix.gamma, ainv)))
-    bprime = map_neg(map_compose(ainv, map_compose(matrix.beta, dkinv)))
-    aprime = map_add(ainv, map_neg(map_compose(ainv, map_compose(matrix.beta, gprime))))
-    return EndoMatrix(alpha=aprime, beta=bprime, gamma=gprime, delta=dkinv, context=matrix.context)
+    di = dkinv.image
+    _, b, g, _ = matrix.key()
+    gp = tuple([di[kinv[g[ainv[h]]]] for h in range(H.order)])
+    bp = tuple([hinv[ainv[b[di[k]]]] for k in range(K.order)])
+    ap = tuple([ht[ainv[h]][hinv[ainv[b[gp[h]]]]] for h in range(H.order)])
+    return EndoMatrix(
+        alpha=_trusted(H, H, ap), beta=_trusted(K, H, bp), gamma=_trusted(H, K, gp), delta=dkinv, context=P
+    )
 
 
 @memo
@@ -114,12 +138,19 @@ def invert_via_det_h(matrix: EndoMatrix) -> EndoMatrix:
     dh = det_h(matrix)
     if not dh.is_bijective:
         raise PreconditionFailed("the H-side determinant is not bijective")
-    dinv = map_inverse(matrix.delta)
+    P = matrix.context
+    H, K = P.H, P.K
+    hinv, kt, kinv = H.inverses, K.table, K.inverses
+    dinv = map_inverse(matrix.delta).image
     dhinv = map_inverse(dh)
-    bprime = map_compose(dhinv, map_neg(map_compose(matrix.beta, dinv)))
-    gprime = map_neg(map_compose(dinv, map_compose(matrix.gamma, dhinv)))
-    dprime = map_add(map_neg(map_compose(dinv, map_compose(matrix.gamma, bprime))), dinv)
-    return EndoMatrix(alpha=dhinv, beta=bprime, gamma=gprime, delta=dprime, context=matrix.context)
+    hi = dhinv.image
+    _, b, g, _ = matrix.key()
+    bp = tuple([hi[hinv[b[dinv[k]]]] for k in range(K.order)])
+    gp = tuple([kinv[dinv[g[hi[h]]]] for h in range(H.order)])
+    dp = tuple([kt[kinv[dinv[g[bp[k]]]]][dinv[k]] for k in range(K.order)])
+    return EndoMatrix(
+        alpha=dhinv, beta=_trusted(K, H, bp), gamma=_trusted(H, K, gp), delta=_trusted(K, K, dp), context=P
+    )
 
 
 def is_invertible(matrix: EndoMatrix) -> InvertibilityResult:

@@ -8,9 +8,24 @@ carries a group structure under the pointwise product
 
 with the constant-identity map as zero and pointwise inversion as negation.
 Composition and twisting through an action (:func:`map_act`) complete the
-toolbox the matrix calculus is stated in.  The determinants are built from
-it; ``matrices.mat_mul`` reads the image tables itself.  Sums are written
-additively though values multiply, as the codomain is rarely abelian.
+toolbox the matrix calculus is stated in.  Sums are written additively
+though values multiply, as the codomain is rarely abelian.
+
+A public ``FMap(...)`` checks its table: one entry per domain element, each
+an index into the codomain.  The private ``_trusted`` builds the same FMap
+without that check, for a table that cannot fail it: a gather, one entry
+per domain element, of entries read from tables of the codomain.  Its
+callers, and why each table passes:
+
+- :func:`map_add`, :func:`map_neg`, :func:`map_compose` and :func:`map_act`
+  read one entry of a codomain table (the multiplication table, the
+  inverses, the outer map, an action row) per entry of a domain-length
+  operand;
+- :func:`map_inverse` puts each domain index u at the position of its
+  image, and a bijection hits every position of the codomain once;
+- the determinants and closed-form inverses (``determinant``), the entries
+  of a matrix product and the endomorphism of a matrix (``matrices``) are
+  such gathers as well, written out in one pass over the image tables.
 
 An endomorphism is an FMap whose ``dom is cod``.  Its homomorphism law is
 checked where it first appears: in the oracle's census, on the oracle's own
@@ -123,6 +138,24 @@ class FMap:
         return f"FMap({list(self.image)})"
 
 
+_new = object.__new__
+
+
+def _trusted(dom: "FiniteGroup", cod: "FiniteGroup", image: tuple[int, ...]) -> FMap:
+    """``FMap(dom, cod, image)`` without its range check, for a table that cannot fail it.
+
+    ``image`` must be a tuple with one entry per element of ``dom``, each
+    read from a table of ``cod`` (module docstring).  The result is a plain
+    FMap: equal to, and hashed as, the checked one.
+    """
+    phi = _new(FMap)
+    fields = phi.__dict__
+    fields["dom"] = dom
+    fields["cod"] = cod
+    fields["image"] = image
+    return phi
+
+
 def memo(fn):
     """``fn(obj)``, computed on the first call and then kept in ``obj.__dict__``.
 
@@ -160,20 +193,21 @@ def map_add(phi: FMap, psi: FMap) -> FMap:
     """Pointwise product: u -> phi(u) * psi(u), in that order."""
     _require_parallel(phi, psi)
     ct = phi.cod.table
-    return FMap(phi.dom, phi.cod, tuple(ct[a][b] for a, b in zip(phi.image, psi.image)))
+    return _trusted(phi.dom, phi.cod, tuple([ct[a][b] for a, b in zip(phi.image, psi.image)]))
 
 
 def map_neg(phi: FMap) -> FMap:
     """Pointwise inverse: u -> phi(u)^-1."""
     inv = phi.cod.inverses
-    return FMap(phi.dom, phi.cod, tuple(inv[v] for v in phi.image))
+    return _trusted(phi.dom, phi.cod, tuple([inv[v] for v in phi.image]))
 
 
 def map_compose(eta: FMap, phi: FMap) -> FMap:
     """Composition eta o phi: first apply phi, then eta."""
     if phi.cod is not eta.dom:
         raise DomainMismatch("codomain of the inner map must be the domain of the outer map")
-    return FMap(phi.dom, eta.cod, tuple(eta.image[v] for v in phi.image))
+    outer = eta.image
+    return _trusted(phi.dom, eta.cod, tuple([outer[v] for v in phi.image]))
 
 
 def map_act(phi: FMap, steer: FMap, action: "GroupAction") -> FMap:
@@ -188,8 +222,7 @@ def map_act(phi: FMap, steer: FMap, action: "GroupAction") -> FMap:
     if phi.cod is not action.H or steer.cod is not action.K:
         raise DomainMismatch("map must land in the acted-on group, steering map in the acting group")
     rows = action.images
-    out = tuple(rows[s][v] for v, s in zip(phi.image, steer.image))
-    return FMap(phi.dom, phi.cod, out)
+    return _trusted(phi.dom, phi.cod, tuple([rows[s][v] for v, s in zip(phi.image, steer.image)]))
 
 
 @memo
@@ -200,7 +233,7 @@ def map_inverse(phi: FMap) -> FMap:
     inv = [0] * phi.cod.order
     for u, v in enumerate(phi.image):
         inv[v] = u
-    return FMap(phi.cod, phi.dom, tuple(inv))
+    return _trusted(phi.cod, phi.dom, tuple(inv))
 
 
 def twisted_law_witness(

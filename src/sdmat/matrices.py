@@ -78,7 +78,7 @@ from operator import itemgetter
 
 from .errors import BoundExceeded, ConditionsViolated, DomainMismatch, VerificationFailed
 from .groups import enumerate_homs, enumerate_twisted_maps
-from .maps import FMap, identity_map, memo, twisted_hom_witness, twisted_law_witness, zero_map
+from .maps import FMap, _trusted, identity_map, memo, twisted_hom_witness, twisted_law_witness, zero_map
 from .semidirect import GroupAction, SdProduct
 
 __all__ = [
@@ -265,10 +265,10 @@ def _product_images(left: EndoMatrix, a1, b1, g1, d1) -> tuple[tuple[int, ...], 
     P = left.context
     ht, kt, rows = P.H.table, P.K.table, P.action.images
     a2, b2, g2, d2 = left.key()  # the four image tables
-    a = tuple(ht[a2[x]][rows[g2[x]][b2[y]]] for x, y in zip(a1, g1))
-    b = tuple(ht[a2[x]][rows[g2[x]][b2[y]]] for x, y in zip(b1, d1))
-    c = tuple(kt[g2[x]][d2[y]] for x, y in zip(a1, g1))
-    d = tuple(kt[g2[x]][d2[y]] for x, y in zip(b1, d1))
+    a = tuple([ht[a2[x]][rows[g2[x]][b2[y]]] for x, y in zip(a1, g1)])
+    b = tuple([ht[a2[x]][rows[g2[x]][b2[y]]] for x, y in zip(b1, d1)])
+    c = tuple([kt[g2[x]][d2[y]] for x, y in zip(a1, g1)])
+    d = tuple([kt[g2[x]][d2[y]] for x, y in zip(b1, d1)])
     return a, b, c, d
 
 
@@ -284,15 +284,18 @@ def mat_mul(left: EndoMatrix, right: EndoMatrix) -> EndoMatrix:
 
     where + is the pointwise product, juxtaposition is composition and the
     exponent twists through the action.  Each entry is built in one pass over
-    the image tables, with no intermediate maps; the four results are still
-    FMaps checked against their codomains, in a shape-checked matrix.
+    the image tables, with no intermediate maps, as a gather from tables of
+    its codomain with one entry per column of the right factor, so its FMap
+    is built unchecked (``maps._trusted``); the matrix still checks shapes.
     """
     if left.context is not right.context:
         raise DomainMismatch("matrices live over different products")
     P = left.context
     H, K = P.H, P.K
     a, b, c, d = _product_images(left, *right.key())
-    return EndoMatrix(alpha=FMap(H, H, a), beta=FMap(K, H, b), gamma=FMap(H, K, c), delta=FMap(K, K, d), context=P)
+    return EndoMatrix(
+        alpha=_trusted(H, H, a), beta=_trusted(K, H, b), gamma=_trusted(H, K, c), delta=_trusted(K, K, d), context=P
+    )
 
 
 def product_table(mats: list[EndoMatrix]) -> list[list[int]]:
@@ -342,11 +345,13 @@ def matrix_to_endo(matrix: EndoMatrix) -> FMap:
     if failed is not None:
         raise ConditionsViolated(*failed)
     # theta(h, k) = theta(h, 1) * theta(1, k), with h outer as in the pair encoding.
+    # Pairs are coded h*|K| + k (``SdProduct.encode``).
     P = matrix.context
-    gt = P.group.table
-    on_h = [P.encode(a, g) for a, g in zip(matrix.alpha.image, matrix.gamma.image)]
-    on_k = [P.encode(b, d) for b, d in zip(matrix.beta.image, matrix.delta.image)]
-    theta = FMap(P.group, P.group, tuple(gt[x][y] for x in on_h for y in on_k))
+    gt, nK = P.group.table, P.K.order
+    on_h = [a * nK + g for a, g in zip(matrix.alpha.image, matrix.gamma.image)]
+    on_k = [b * nK + d for b, d in zip(matrix.beta.image, matrix.delta.image)]
+    # A gather from the product's table, one entry per (h, k): built unchecked.
+    theta = _trusted(P.group, P.group, tuple([gt[x][y] for x in on_h for y in on_k]))
     if not theta.is_hom:
         raise VerificationFailed("matrix passes its conditions but describes no homomorphism")
     return theta
@@ -356,11 +361,11 @@ def _entry_images(theta: FMap, product: SdProduct) -> tuple[tuple[int, ...], ...
     """The image tables (alpha, beta, gamma, delta) of an endomorphism, read off the embedded copies of H and K."""
     if theta.dom is not product.group or theta.cod is not product.group:
         raise DomainMismatch("endomorphism does not belong to this product group")
-    img = theta.image
-    on_h = [product.decode(img[product.embed_h(h)]) for h in range(product.H.order)]
-    on_k = [product.decode(img[product.embed_k(k)]) for k in range(product.K.order)]
-    alpha, gamma = zip(*on_h)
-    beta, delta = zip(*on_k)
+    # (h, 1) and (1, k) are coded h*|K| + e_K and e_H*|K| + k (``SdProduct.encode``).
+    img, nK = theta.image, product.K.order
+    eK, start = product.K.identity, product.H.identity * nK
+    alpha, gamma = zip(*[divmod(v, nK) for v in img[eK::nK]])
+    beta, delta = zip(*[divmod(v, nK) for v in img[start : start + nK]])
     return (alpha, beta, gamma, delta)
 
 
