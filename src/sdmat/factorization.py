@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 from .determinant import det_h
 from .errors import PreconditionFailed, VerificationFailed
-from .maps import identity_map, is_crossed_hom, map_compose, map_inverse
+from .maps import FMap, _trusted, identity_map, is_crossed_hom, map_inverse
 from .matrices import EndoMatrix, first_pair_witness, identity_matrix, is_automorphism_matrix, mat_mul
 
 __all__ = [
@@ -215,6 +215,17 @@ def unit_diagonal_a_factor(matrix: EndoMatrix) -> EndoMatrix:
     return result
 
 
+def _b_entry(dh: FMap, matrix: EndoMatrix) -> FMap:
+    """The B-factor's entry det_H(m)^-1 beta delta^-1, for bijective ``dh`` = det_H(m) and delta.
+
+    One pass, k -> dh^-1(beta(delta^-1 k)): a gather from a table of H, one
+    entry per element of K, so its FMap is built unchecked (``maps._trusted``).
+    """
+    P = matrix.context
+    hi, b, dinv = map_inverse(dh).image, matrix.beta.image, map_inverse(matrix.delta).image
+    return _trusted(P.K, P.H, tuple([hi[b[x]] for x in dinv]))
+
+
 def unit_diagonal_b_factor(matrix: EndoMatrix) -> EndoMatrix:
     """From a unit-diagonal automorphism matrix, the B-part of its reduction.
 
@@ -227,7 +238,7 @@ def unit_diagonal_b_factor(matrix: EndoMatrix) -> EndoMatrix:
     a0 = det_h(matrix)
     if not a0.is_bijective:
         raise VerificationFailed("bijectivity of 1 - beta gamma", tuple(a0.image))
-    b0 = map_compose(map_inverse(a0), matrix.beta)
+    b0 = _b_entry(a0, matrix)
     result = identity_matrix(P, beta=b0)
     if not is_crossed_hom(b0, identity_map(P.K), P.action):
         raise VerificationFailed("crossed-homomorphism law of the B-part", tuple(b0.image))
@@ -255,10 +266,9 @@ def factor_abcd(matrix: EndoMatrix) -> ABCDFactors:
     dh = det_h(matrix)
     # A-membership makes det_H bijective, so b can be built only after it.
     a = _certified("A", identity_matrix(P, alpha=dh))
-    beta_b = map_compose(map_inverse(dh), map_compose(matrix.beta, map_inverse(matrix.delta)))
     factors = ABCDFactors(
         a=a,
-        b=_certified("B", identity_matrix(P, beta=beta_b)),
+        b=_certified("B", identity_matrix(P, beta=_b_entry(dh, matrix))),
         c=_certified("C", identity_matrix(P, gamma=matrix.gamma)),
         d=_certified("D", identity_matrix(P, delta=matrix.delta)),
     )

@@ -23,9 +23,11 @@ callers, and why each table passes:
   operand;
 - :func:`map_inverse` puts each domain index u at the position of its
   image, and a bijection hits every position of the codomain once;
+- :func:`zero_map` repeats the codomain's identity once per domain element;
 - the determinants and closed-form inverses (``determinant``), the entries
-  of a matrix product and the endomorphism of a matrix (``matrices``) are
-  such gathers as well, written out in one pass over the image tables.
+  of a matrix product and the endomorphism of a matrix (``matrices``) and
+  the B-factor's entry (``factorization``) are such gathers as well,
+  written out in one pass over the image tables.
 
 An endomorphism is an FMap whose ``dom is cod``.  Its homomorphism law is
 checked where it first appears: in the oracle's census, on the oracle's own
@@ -181,7 +183,7 @@ def identity_map(group: "FiniteGroup") -> FMap:
 
 def zero_map(dom: "FiniteGroup", cod: "FiniteGroup") -> FMap:
     """The constant map at the codomain identity (the zero of map addition)."""
-    return FMap(dom, cod, (cod.identity,) * dom.order)
+    return _trusted(dom, cod, (cod.identity,) * dom.order)
 
 
 def _require_parallel(phi: FMap, psi: FMap) -> None:

@@ -72,7 +72,6 @@ of H x K and reads each of the n² products off that map by index.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -387,7 +386,7 @@ def endo_to_matrix(theta: FMap, product: SdProduct) -> EndoMatrix:
     return matrix
 
 
-def enumerate_matrices(product: SdProduct, bound: int = 64, exhaustive: bool = False) -> list[EndoMatrix]:
+def enumerate_matrices(product: SdProduct, bound: int = 64) -> list[EndoMatrix]:
     """All valid matrices over the product, i.e. its full endomorphism monoid.
 
     The search runs over gamma, then delta, then beta, then alpha: gamma and
@@ -395,32 +394,18 @@ def enumerate_matrices(product: SdProduct, bound: int = 64, exhaustive: bool = F
     prunes pairs early, beta and alpha come from twisted-map searches, and
     the remaining compatibility condition filters the final quadruples.
     Both are decided on S_H x S_K alone, as every candidate meets the
-    premises of the module docstring.
-
-    With ``exhaustive=True`` the beta and alpha searches are replaced by a
-    filter over the full map spaces (only sensible for |H|, |K| <= 4); this
-    second, dumber route exists to cross-check the pruned search.
+    premises of the module docstring.  This is the search's only route; the
+    tests set it against a reference filter of every (alpha, beta) table
+    through :func:`check_conditions`.
     """
     if product.group.order > bound:
         raise BoundExceeded(f"product order {product.group.order} exceeds bound {bound}")
     H, K, act = product.H, product.K, product.action
-    if exhaustive and (H.order > 4 or K.order > 4):
-        raise BoundExceeded("exhaustive matrix enumeration is limited to |H|, |K| <= 4")
     gammas = enumerate_homs(H, K)
     deltas = enumerate_homs(K, K)
-    if exhaustive:
-        all_alphas = [FMap(H, H, img) for img in itertools.product(range(H.order), repeat=H.order)]
-        all_betas = [FMap(K, H, img) for img in itertools.product(range(H.order), repeat=K.order)]
     out: list[EndoMatrix] = []
     for gamma in gammas:
         for delta in deltas:
-            if exhaustive:
-                for beta in all_betas:
-                    for alpha in all_alphas:
-                        m = EndoMatrix(alpha=alpha, beta=beta, gamma=gamma, delta=delta, context=product)
-                        if check_conditions(m) is None:
-                            out.append(m)
-                continue
             if _intertwine_scan(gamma, delta, act)(H.generators, K.generators) is not None:
                 continue
             # beta and alpha are twisted through t_x = f_{delta(x)} and f_{gamma(x)}.

@@ -45,6 +45,9 @@ def test_identity_map_is_kept_on_its_group():
 
 
 def test_neg_zero_and_involution():
+    # zero_map is built unchecked (maps._trusted), and is the checked map of its table.
+    zero, checked = zero_map(Z2, Z3), FMap(Z2, Z3, (0, 0))
+    assert type(zero) is FMap and zero == checked and hash(zero) == hash(checked)
     assert map_neg(zero_map(Z2, Z3)) == zero_map(Z2, Z3)
     assert map_neg(identity_map(Z3)).image == (0, 2, 1)
     phi = FMap(Z2, Z3, (2, 1))

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from sdmat import (
     check_conditions,
     cyclic_group,
     endo_to_matrix,
+    enumerate_homs,
     enumerate_matrices,
     factor_abcd,
     identity_map,
@@ -327,11 +329,26 @@ def test_enumeration_counts(s3_matrices, klein_matrices):
     assert len(enumerate_matrices(build_instance("trivial"))) == 1
 
 
+def filtered_matrix_keys(P):
+    """Every valid matrix's key, sorted: homomorphisms gamma and delta, every (alpha, beta) table, kept iff all conditions hold."""
+    H, K = P.H, P.K
+    alphas = [FMap(H, H, img) for img in itertools.product(range(H.order), repeat=H.order)]
+    betas = [FMap(K, H, img) for img in itertools.product(range(H.order), repeat=K.order)]
+    found = []
+    for gamma in enumerate_homs(H, K):
+        for delta in enumerate_homs(K, K):
+            for beta in betas:
+                for alpha in alphas:
+                    m = EndoMatrix(alpha=alpha, beta=beta, gamma=gamma, delta=delta, context=P)
+                    if check_conditions(m) is None:
+                        found.append(m.key())
+    return sorted(found)
+
+
 def test_exhaustive_route_agrees(s3, klein, d4):
+    # The twisted-map searches for beta and alpha against the filter of every table (|H|, |K| <= 4).
     for P in (s3, klein, d4):
-        fast = sorted(m.key() for m in enumerate_matrices(P))
-        slow = sorted(m.key() for m in enumerate_matrices(P, exhaustive=True))
-        assert fast == slow
+        assert sorted(m.key() for m in enumerate_matrices(P)) == filtered_matrix_keys(P)
 
 
 def test_bound_guard(d4):
