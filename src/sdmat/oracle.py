@@ -6,9 +6,10 @@ sharing them with the rest of the package: the whole point of the oracle is
 that agreement with the matrix-based enumeration is evidence, and shared
 search code would make that agreement partly tautological.
 
-The default search assigns images to the oracle's own generating set S,
-extends them along a breadth-first spanning tree of the Cayley graph, and
-keeps a candidate ``img`` iff it respects every edge of that graph:
+The search assigns images to the oracle's own generating set
+S = g_0, ..., g_{m-1}, chosen greedily so that each G_k = <g_0..g_k> is
+larger than G_{k-1}, and keeps a candidate ``img`` iff it respects every
+edge of the Cayley graph of S:
 
     img(xs) = img(x) * img(s)   for every element x and every s in S,
 
@@ -23,8 +24,20 @@ then for s in S
               = img(x) * img(y) * img(s)     (law for y)
               = img(x) * img(ys)             (edge at y).
 
-A homomorphism is fixed by its images of S, and the tree extension of those
-images is that homomorphism, so every endomorphism is found exactly once.
+The edges are walked in stages, built once per group.  Stage k holds every
+edge (x, g_j) with j <= k and x in G_k that no earlier stage took, in
+breadth-first order from the elements of G_{k-1}; so every edge lies in
+exactly one stage, and an edge of stage k reads only the images of
+g_0..g_k.  An edge whose end y is reached first is a tree edge and assigns
+img(y) = img(x) * img(g_j); every other edge is a check edge, whose two
+ends are already assigned.  The search is depth first: choose img(g_0) and
+run stage 0; only for a survivor choose img(g_1) and run stage 1; and so
+on.  A candidate is dropped at its first broken edge, and with it every
+choice of the later images, as none of them changes that edge.
+
+A homomorphism is fixed by its images of S and respects every edge, so no
+stage drops it and its tree edges assign exactly its images: every
+endomorphism is found exactly once.
 This is the census's only route.  The tests keep reference searches to set
 against it: one grows generator images and scans all n² pairs, the other
 scans the full map space depth first, pruned on partial homomorphism
@@ -46,7 +59,6 @@ an independent computation of the same n² products.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -74,75 +86,77 @@ class EndCensus:
         return len(self.autos)
 
 
-def _oracle_generators(t: tuple[tuple[int, ...], ...], identity: int) -> list[int]:
-    """Greedy generating set: repeatedly adopt the first non-generated element."""
+def _edge_walk(t: tuple[tuple[int, ...], ...], identity: int) -> tuple[list[int], list[list[tuple]]]:
+    """The oracle's generators and the stages of their Cayley-graph edges (module docstring).
+
+    Each generator is the first element the earlier ones do not generate.
+    Stage k walks <gens[0..k]> breadth first from the elements of earlier
+    stages, whose edges of gens[k] are new; a new element adds its edges of
+    gens[0..k].  Each edge y = x * gens[j] is one step ``(y, x, j, tree)``:
+    a tree step reaches y first, a check step finds it reached.
+    """
     n = len(t)
     gens: list[int] = []
-    generated = {identity}
-    while len(generated) < n:
-        gens.append(next(a for a in range(n) if a not in generated))
-        generated = {identity}
-        frontier = [identity]
+    stages: list[list[tuple]] = []
+    seen = {identity}
+    reached = [identity]
+    while len(seen) < n:
+        k = len(gens)
+        gens.append(next(a for a in range(n) if a not in seen))
+        before = set(seen)
+        steps = []
+        frontier = list(reached)
         while frontier:
             step = []
             for x in frontier:
-                for g in gens:
-                    y = t[x][g]
-                    if y not in generated:
-                        generated.add(y)
+                for j in (k,) if x in before else range(k + 1):
+                    y = t[x][gens[j]]
+                    tree = y not in seen
+                    if tree:
+                        seen.add(y)
+                        reached.append(y)
                         step.append(y)
+                    steps.append((y, x, j, tree))
             frontier = step
-    return gens
+        stages.append(steps)
+    return gens, stages
 
 
-def _holds_on_edges(cols: list[tuple[int, ...]], gens: list[int], img: list[int]) -> bool:
-    """Whether img(xg) = img(x) * img(g) on every edge (x, g) of the Cayley graph of gens."""
-    for g in gens:
-        right = cols[img[g]]  # v -> v * img(g)
-        for xg, ix in zip(cols[g], img):
-            if img[xg] != right[ix]:
-                return False
-    return True
+def _descend(
+    stages: list[list[tuple]], k: int, cols: list[tuple[int, ...]], rights: list, img: list[int], found: list
+) -> None:
+    """Run stage k for every image of generator k, and the later stages for each survivor."""
+    if k == len(stages):
+        found.append(tuple(img))
+        return
+    steps = stages[k]
+    for right in cols:
+        rights[k] = right
+        for y, x, j, tree in steps:
+            w = rights[j][img[x]]
+            if tree:
+                img[y] = w
+            elif img[y] != w:
+                break
+        else:
+            _descend(stages, k + 1, cols, rights, img, found)
 
 
 def _endos_by_generators(group: FiniteGroup) -> list[tuple[int, ...]]:
-    t = group.table
-    n = group.order
-    e = group.identity
-    gens = _oracle_generators(t, e)
-    cols = list(zip(*t))  # cols[a][x] = x * a
-    # Reach every element once as (known element) * generator, breadth first.
-    reach: list[tuple[int, int, int]] = []
-    seen = {e}
-    frontier = [e]
-    while frontier:
-        step = []
-        for x in frontier:
-            for g in gens:
-                y = t[x][g]
-                if y not in seen:
-                    seen.add(y)
-                    reach.append((y, x, g))
-                    step.append(y)
-        frontier = step
+    gens, stages = _edge_walk(group.table, group.identity)
+    cols = list(zip(*group.table))  # cols[a][x] = x * a
+    rights = [cols[0]] * len(gens)  # rights[j]: v -> v * img(gens[j])
     found: list[tuple[int, ...]] = []
-    for images in itertools.product(range(n), repeat=len(gens)):
-        assigned = dict(zip(gens, images))
-        img = [0] * n
-        img[e] = e
-        for y, x, g in reach:
-            img[y] = t[img[x]][assigned[g]]
-        if _holds_on_edges(cols, gens, img):
-            found.append(tuple(img))
+    _descend(stages, 0, cols, rights, [group.identity] * group.order, found)
     return found
 
 
 def enumerate_endos(group: FiniteGroup, bound: int = 64) -> EndCensus:
     """All endomorphisms of a group, sorted by image table.
 
-    ``bound`` guards the group order.  The search runs over images of the
-    oracle's generators (module docstring); its reference copies live in
-    the tests.
+    ``bound`` guards the group order.  The search walks the Cayley-graph
+    edges of the oracle's generators stage by stage (module docstring); its
+    reference copies live in the tests.
     """
     if group.order > bound:
         raise BoundExceeded(f"group order {group.order} exceeds bound {bound}")

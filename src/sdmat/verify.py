@@ -151,7 +151,8 @@ class _Context:
     endomorphisms, both determinants of every matrix, and the automorphism
     index sets the checks and the counts read.  The oracle census, the
     pairwise product table and the inverse indices are built the first time
-    a check reads them.  The checks read closed-form inverses off each matrix.
+    a check reads them.  The checks read closed-form inverses off each matrix;
+    the two inverse formulas share one verdict on each (matrix, inverse) pair.
     """
 
     def __init__(self, product: SdProduct, bound: int) -> None:
@@ -164,7 +165,9 @@ class _Context:
         self.key_to_idx = {m.key(): i for i, m in enumerate(mats)}
         self.thetas = [matrix_to_endo(m) for m in mats]
         self.theta_to_idx = {t.image: i for i, t in enumerate(self.thetas)}
-        self.identity_idx = self.key_to_idx.get(identity_matrix(product).key())
+        self.identity = identity_matrix(product)
+        self.identity_idx = self.key_to_idx.get(self.identity.key())
+        self._inverse_verdicts: dict[tuple, str | None] = {}
         self.bijective = [t.is_bijective for t in self.thetas]
         self.auto_idx = [i for i in range(self.n) if self.bijective[i]]
         # Determinants per index; None marks an undefined side.
@@ -213,6 +216,27 @@ class _Context:
             if j is not None:
                 out[i] = j
         return out
+
+    def inverse_failure(self, i: int, inverse: EndoMatrix) -> str | None:
+        """Why ``inverse`` is not the inverse of matrix ``i``, or None.
+
+        It must be two-sided under ``mat_mul`` and be the matrix of the
+        oracle's inverse of endomorphism ``i``.  Both inverse formulas ask,
+        and where their closed forms agree they ask about the same matrix, so
+        the verdict is kept per ``(i, inverse)``.
+        """
+        memo_key = (i, inverse.key())
+        if memo_key not in self._inverse_verdicts:
+            m, ident = self.mats[i], self.identity
+            verdict = None
+            if mat_mul(m, inverse) != ident or mat_mul(inverse, m) != ident:
+                verdict = "two-sided inverse law"
+            else:
+                j = self.key_to_idx.get(inverse.key())
+                if j is None or self.thetas[j] != invert_endo(self.thetas[i]):
+                    verdict = "disagrees with brute-force inverse"
+            self._inverse_verdicts[memo_key] = verdict
+        return self._inverse_verdicts[memo_key]
 
 
 def _pairwise_skip(name: str, n: int) -> CheckResult:
@@ -336,9 +360,7 @@ def _check_invertibility_h(ctx: _Context) -> CheckResult:
 
 def _check_inverse_k(ctx: _Context) -> CheckResult:
     name = "inverse_formula_det_k"
-    P = ctx.product
-    ident = identity_matrix(P)
-    id_k = identity_map(P.K)
+    id_k = identity_map(ctx.product.K)
     seen = False
     for i, m in enumerate(ctx.mats):
         dk = ctx.detk[i]
@@ -346,11 +368,9 @@ def _check_inverse_k(ctx: _Context) -> CheckResult:
             continue
         seen = True
         inverse = invert_via_det_k(m)
-        if mat_mul(m, inverse) != ident or mat_mul(inverse, m) != ident:
-            return CheckResult(name, "fail", witness=_mat_witness(m, detail="two-sided inverse law"))
-        j = ctx.key_to_idx.get(inverse.key())
-        if j is None or ctx.thetas[j] != invert_endo(ctx.thetas[i]):
-            return CheckResult(name, "fail", witness=_mat_witness(m, detail="disagrees with brute-force inverse"))
+        failure = ctx.inverse_failure(i, inverse)
+        if failure is not None:
+            return CheckResult(name, "fail", witness=_mat_witness(m, detail=failure))
         if det_h(inverse) != map_inverse(m.alpha):
             return CheckResult(name, "fail", witness=_mat_witness(m, detail="det_h of inverse is not alpha^-1"))
         if not dk.is_hom:
@@ -370,8 +390,6 @@ def _check_inverse_k(ctx: _Context) -> CheckResult:
 
 def _check_inverse_h(ctx: _Context) -> CheckResult:
     name = "inverse_formula_det_h"
-    P = ctx.product
-    ident = identity_matrix(P)
     seen = False
     for i, m in enumerate(ctx.mats):
         dh = ctx.deth[i]
@@ -379,11 +397,9 @@ def _check_inverse_h(ctx: _Context) -> CheckResult:
             continue
         seen = True
         inverse = invert_via_det_h(m)
-        if mat_mul(m, inverse) != ident or mat_mul(inverse, m) != ident:
-            return CheckResult(name, "fail", witness=_mat_witness(m, detail="two-sided inverse law"))
-        j = ctx.key_to_idx.get(inverse.key())
-        if j is None or ctx.thetas[j] != invert_endo(ctx.thetas[i]):
-            return CheckResult(name, "fail", witness=_mat_witness(m, detail="disagrees with brute-force inverse"))
+        failure = ctx.inverse_failure(i, inverse)
+        if failure is not None:
+            return CheckResult(name, "fail", witness=_mat_witness(m, detail=failure))
         if det_k(inverse) != map_inverse(m.delta):
             return CheckResult(name, "fail", witness=_mat_witness(m, detail="det_k of inverse is not delta^-1"))
         if not dh.is_hom:

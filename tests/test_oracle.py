@@ -15,10 +15,12 @@ from sdmat import (
     endo_to_matrix,
     enumerate_endos,
     invert_endo,
+    semidirect,
+    trivial_action,
     trivial_group,
 )
 from sdmat.maps import FMap
-from sdmat.oracle import composition_table
+from sdmat.oracle import _edge_walk, composition_table
 from test_determinant import _z3_by_s3_sign
 from test_map_properties import _quaternion_group, _relabelled
 from test_matrices import _s3_by_conjugation
@@ -32,8 +34,11 @@ def inner_automorphism(G, g):
 
 
 def test_trivial_group_census():
-    census = enumerate_endos(trivial_group())
-    assert census.n_endos == 1
+    # No oracle generator: the search keeps the one table it starts from.
+    G = trivial_group()
+    assert _edge_walk(G.table, G.identity) == ([], [])
+    census = enumerate_endos(G)
+    assert [e.image for e in census.endos] == [(0,)]
     assert census.n_autos == 1
 
 
@@ -136,15 +141,53 @@ CENSUS_GROUPS = {
     "q8": _quaternion_group(),
     "s3_by_z2_conjugation": _s3_by_conjugation(cyclic_group(2)).group,
     "z3_by_s3_sign": _z3_by_s3_sign().group,
+    "z2_cubed": semidirect(trivial_action(build_instance("klein").group, cyclic_group(2))).group,
 }
 
 
-@pytest.mark.parametrize("G", list(CENSUS_GROUPS.values()), ids=list(CENSUS_GROUPS))
+@pytest.mark.parametrize(
+    "G",
+    [*CENSUS_GROUPS.values(), build_instance("dihedral:10").group],
+    ids=[*CENSUS_GROUPS, "d10"],
+)
 def test_census_is_the_full_pair_scan(G):
     images = [e.image for e in enumerate_endos(G).endos]
     expected = reference_endos(G)
     assert set(images) == expected
     assert len(images) == len(expected)
+
+
+def test_census_of_z2_cubed_rejects_no_candidate():
+    # Three oracle generators, and every one of the 8^3 choices of their images is an endomorphism.
+    G = CENSUS_GROUPS["z2_cubed"]
+    assert len(_edge_walk(G.table, G.identity)[0]) == 3
+    census = enumerate_endos(G)
+    assert (census.n_endos, census.n_autos) == (512, 168)
+
+
+@pytest.mark.parametrize(
+    "G",
+    [trivial_group(), *CENSUS_GROUPS.values(), build_instance("dihedral:10").group],
+    ids=["trivial", *CENSUS_GROUPS, "d10"],
+)
+def test_edge_walk_steps_every_edge_once_on_known_ends(G):
+    t, e = G.table, G.identity
+    gens, stages = _edge_walk(t, e)
+    assert len(stages) == len(gens)
+    assigned = {e}
+    edges = []
+    for k, steps in enumerate(stages):
+        # Each generator is the first element the earlier ones do not generate.
+        assert gens[k] == min(set(range(G.order)) - assigned)
+        for y, x, j, tree in steps:
+            assert j <= k and x in assigned and y == t[x][gens[j]]
+            assert tree == (y not in assigned)
+            assigned.add(y)
+            edges.append((x, j))
+        # Stage k ends with every element of <gens[0..k]> assigned: a set closed under them.
+        assert all(t[x][gens[j]] in assigned for x in assigned for j in range(k + 1))
+    assert assigned == set(range(G.order))
+    assert sorted(edges) == [(x, j) for x in range(G.order) for j in range(len(gens))]
 
 
 @settings(max_examples=60, deadline=None)

@@ -150,6 +150,43 @@ def test_inverse_checks_fail_on_a_wrong_h_side_inverse(monkeypatch):
     }
 
 
+def test_full_run_with_a_wrong_h_side_inverse_fails_its_formula(monkeypatch):
+    # Wrong only where alpha is bijective too, so the K-side check has already decided the
+    # inverse of each matrix the H-side check gets wrong; it must still decide its own.
+    invert = determinant.invert_via_det_h
+    monkeypatch.setattr(
+        "sdmat.verify.invert_via_det_h",
+        lambda matrix: identity_matrix(matrix.context) if matrix.alpha.is_bijective else invert(matrix),
+    )
+    full = {c.name: c for c in run_verification("direct:3:3").checks}["inverse_formula_det_h"]
+    (alone,) = run_verification("direct:3:3", checks=["inverse_formula_det_h"]).checks
+    for check in (full, alone):
+        assert (check.status, check.witness["detail"]) == ("fail", "two-sided inverse law")
+    assert full == alone
+
+
+def test_full_run_decides_each_inverse_once(monkeypatch):
+    # Each matrix with an inverse check costs two products, m * inverse and inverse * m, even
+    # when both closed forms apply: on a passing instance they give the same inverse.
+    calls = []
+
+    def counting(left, right):
+        calls.append((left, right))
+        return mat_mul(left, right)
+
+    monkeypatch.setattr(verify, "mat_mul", counting)
+    assert run_verification("dihedral:4").passed
+    checked = [
+        m
+        for m in enumerate_matrices(build_instance("dihedral:4"))
+        if (m.alpha.is_bijective and determinant.det_k(m).is_bijective)
+        or (m.delta.is_bijective and determinant.det_h(m).is_bijective)
+    ]
+    both = [m for m in checked if m.alpha.is_bijective and m.delta.is_bijective]
+    assert len(both) > 0
+    assert len(calls) == 2 * len(checked)
+
+
 def test_full_run_builds_each_closed_form_inverse_once(monkeypatch):
     # Records every closed-form inverse the run asks for: those the inverse checks read
     # and those is_invertible returns to the invertibility checks.  Each matrix and side
