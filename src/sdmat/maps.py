@@ -27,7 +27,9 @@ callers, and why each table passes:
 - the determinants and closed-form inverses (``determinant``), the entries
   of a matrix product and the endomorphism of a matrix (``matrices``) and
   the B-factor's entry (``factorization``) are such gathers as well,
-  written out in one pass over the image tables.
+  written out in one pass over the image tables;
+- the oracle census (``oracle.enumerate_endos``) sets each image to the
+  identity or to an entry of a column of the Cayley table.
 
 An endomorphism is an FMap whose ``dom is cod``.  Its homomorphism law is
 checked where it first appears: in the oracle's census, on the oracle's own

@@ -46,25 +46,44 @@ violations, with no generating set at all.
 An endomorphism is a plain :class:`~sdmat.maps.FMap` from the group to
 itself.  Each census entry has passed the edge check, so the law holds on
 all pairs; :func:`compose_endos` and :func:`invert_endo` take such maps and
-return their composite and inverse without re-checking them.
+return their composite and inverse without re-checking them.  The census
+builds its tables unchecked (``maps._trusted``): every entry is read from a
+column of the Cayley table, or is the identity.
 
 :func:`composition_table` composes every ordered pair of a list of such
 maps: ``table[i][j]`` is the index of ``endos[i]`` after ``endos[j]`` in the
-list, or -1.  A composite is the outer image table gathered at the inner
-map's images (one ``itemgetter`` per inner map), looked up in a dict of
-the listed image tables.  It reads the image tables over the product group
-only, so ``verify`` can set it against the matrix side's product table as
-an independent computation of the same n² products.
+list, or -1.  Each map is keyed by its images of the oracle's generators S,
+not by its whole image table, so a composite's key is |S| entries of the
+outer image table, at the inner map's images of S, and not |G| entries.
+The table reads these a column at a time, for one inner map and every
+outer map at once.  It returns exactly the index that a lookup of the full
+image table returns, or -1 where that does:
+
+- a composite of two endomorphisms is an endomorphism;
+- an endomorphism is fixed by its images of S, which generate the group;
+- so two listed endomorphisms with the same key are the same map, and the
+  composite's key finds a listed map iff the composite is that map (with
+  repeats, both lookups keep the last index).
+
+Every listed map must therefore be an endomorphism.  The table checks that
+first on the same Cayley-graph edges the census walks, |S|·n steps per map:
+the edge at (e, g_0) gives img(g_0) = img(e) * img(g_0), so img(e) = e, and
+the induction above gives the law on all pairs.  It raises
+``PreconditionFailed`` on a map that breaks an edge rather than return a
+wrong table.  It reads the image tables over the product group only, so
+``verify`` can set it against the matrix side's product table as an
+independent computation of the same n² products.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
+from itertools import repeat
+from operator import getitem
 
-from .errors import BoundExceeded, DomainMismatch, NotBijective
+from .errors import BoundExceeded, DomainMismatch, NotBijective, PreconditionFailed
 from .groups import FiniteGroup
-from .maps import FMap
+from .maps import FMap, _trusted
 
 __all__ = ["EndCensus", "enumerate_endos", "invert_endo", "compose_endos", "composition_table"]
 
@@ -162,7 +181,7 @@ def enumerate_endos(group: FiniteGroup, bound: int = 64) -> EndCensus:
         raise BoundExceeded(f"group order {group.order} exceeds bound {bound}")
     tables = _endos_by_generators(group)
     tables.sort()
-    endos = tuple(FMap(group, group, img) for img in tables)
+    endos = tuple(_trusted(group, group, img) for img in tables)
     autos = tuple(e for e in endos if e.is_bijective)
     return EndCensus(group=group, endos=endos, autos=autos)
 
@@ -195,16 +214,25 @@ def compose_endos(outer: FMap, inner: FMap) -> FMap:
 def composition_table(endos: list[FMap]) -> list[list[int]]:
     """``table[i][j]``: the index of ``endos[i]`` after ``endos[j]`` in ``endos``, -1 if it is not there.
 
-    Each composite is the image table of the outer map gathered at the
-    inner map's images, looked up among the given image tables.
+    Each map is keyed by its images of the oracle's generators.  Column j
+    reads the keys of every composite with ``endos[j]`` inside off the image
+    tables of all the maps at ``endos[j]``'s images of the generators.
+    Raises PreconditionFailed if a listed map is not an endomorphism, as the
+    keys identify endomorphisms only (module docstring).
     """
     if not endos:
         return []
     group = _group_of(*endos)
-    index = {t.image: i for i, t in enumerate(endos)}
-    if group.order == 1:
-        # itemgetter of a single index returns a bare value, not a tuple.
-        gathers = [lambda image, v=t.image[0]: (image[v],) for t in endos]
-    else:
-        gathers = [itemgetter(*t.image) for t in endos]
-    return [[index.get(gather(outer.image), -1) for gather in gathers] for outer in endos]
+    t = group.table
+    images_at = list(zip(*[e.image for e in endos]))  # images_at[x][i] = endos[i].image[x]
+    gens, stages = _edge_walk(t, group.identity)
+    for steps in stages:
+        for y, x, j, _ in steps:
+            at_y, at_x, at_g = images_at[y], images_at[x], images_at[gens[j]]
+            if at_y != tuple(map(getitem, map(t.__getitem__, at_x), at_g)):
+                i = next(i for i, v in enumerate(at_y) if v != t[at_x[i]][at_g[i]])
+                raise PreconditionFailed(f"map {i} is not an endomorphism: it breaks the edge {x} * {gens[j]} = {y}")
+    gens = gens or [group.identity]  # the trivial group is generated by its identity
+    get = {key: i for i, key in enumerate(zip(*[images_at[g] for g in gens]))}.get
+    columns = [list(map(get, zip(*[images_at[e.image[g]] for g in gens]), repeat(-1))) for e in endos]
+    return [list(row) for row in zip(*columns)]

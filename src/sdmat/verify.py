@@ -31,12 +31,16 @@ table.
 The two n² tables that ``endo_matrix_correspondence`` compares are built
 independently.  ``matrices.product_table`` evaluates ``mat_mul``'s entry
 formula from the H and K tables and the action rows, once per left factor
-on every column of H x K, and reads each product's index off that map.
-``oracle.composition_table`` gathers image tables of the endomorphisms over
-the product group.  Neither reads the other's data, so their agreement is
+on every column of H x K, and reads each product's index off that map, so
+the formula is checked on every column.  ``oracle.composition_table``
+composes the endomorphisms' image tables over the product group, each
+composite keyed by its images of the oracle's own generators, which fix an
+endomorphism.  Neither reads the other's data, so their agreement is
 evidence that composition is the matrix product, not a restatement of it.
 The round trip compares the entry tables read back off each endomorphism
-with the matrix's own key.
+with the matrix's own key.  ``monoid_laws`` decides associativity of the
+product table by Light's test on a small generating set of the monoid
+(``groups.associativity_witness``).
 
 The determinants and closed-form inverses are values of their
 matrix (``sdmat.determinant``), built on first use and kept on it, so the

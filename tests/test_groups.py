@@ -1,4 +1,5 @@
 import itertools
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -12,11 +13,15 @@ from sdmat import (
     cyclic_group,
     enumerate_autos,
     enumerate_homs,
+    enumerate_matrices,
     make_group,
     semidirect,
     trivial_group,
 )
-from sdmat.groups import associativity_witness
+from sdmat.catalog import DEFAULT_INSTANCES
+from sdmat.groups import _monoid_generators, associativity_witness
+from sdmat.matrices import product_table
+from test_matrices import _s3_by_conjugation
 
 
 def test_trivial_table():
@@ -151,6 +156,81 @@ def test_walk_reaches_each_element_once():
         # Greedy: each generator is the first element the earlier ones do not reach.
         for j, gen in enumerate(g.generators):
             assert gen == min(set(g.elements()) - _reached(g, g.generators[:j]))
+
+
+def _greedy_reference(group):
+    """Each generator the first index the earlier ones do not reach, and the breadth-first walk over them."""
+    gens = []
+    while len(_reached(group, gens)) < group.order:
+        gens.append(min(set(group.elements()) - _reached(group, gens)))
+    walk, seen, frontier = [], {group.identity}, [group.identity]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for i, g in enumerate(gens):
+                y = group.mul(x, g)
+                if y not in seen:
+                    seen.add(y)
+                    walk.append((y, x, i))
+                    nxt.append(y)
+        frontier = nxt
+    return tuple(gens), tuple(walk)
+
+
+def _catalog_groups():
+    """H, K and the product of every catalog instance (dihedral:3 is S3) and of S3 x| Z2."""
+    products = [build_instance(name) for name in DEFAULT_INSTANCES]
+    products.append(_s3_by_conjugation(cyclic_group(2)))
+    return [g for p in products for g in (p.H, p.K, p.group)]
+
+
+def test_make_group_keeps_the_greedy_generators_and_walk():
+    for g in _catalog_groups():
+        assert (g.generators, g.walk) == _greedy_reference(g)
+        # Rows of a group table are permutations, so the monoid pick is the same greedy pick.
+        assert _monoid_generators(g.table, g.identity) == list(g.generators)
+
+
+def _monoid_table(name):
+    mats = sorted(enumerate_matrices(build_instance(name)), key=lambda m: m.key())
+    return product_table(mats)
+
+
+MONOIDS = ["klein", "dihedral:4", "direct:3:2"]
+
+
+@pytest.mark.parametrize("name", MONOIDS)
+def test_monoid_generators_reach_the_monoid_largest_rows_first(name):
+    table = _monoid_table(name)
+    e = table.index(list(range(len(table))))
+    gens = _monoid_generators(tuple(map(tuple, table)), e)
+    sizes = [len(set(table[g])) for g in gens]
+    assert sizes == sorted(sizes, reverse=True)
+    monoid = SimpleNamespace(identity=e, mul=lambda a, b: table[a][b])
+    for j, g in enumerate(gens):
+        assert g not in _reached(monoid, gens[:j])
+    assert _reached(monoid, gens) == set(range(len(table)))
+    assert len(gens) < len(table)
+
+
+@pytest.mark.parametrize("name", MONOIDS)
+def test_associativity_witness_on_monoid_product_tables(name):
+    table = _monoid_table(name)
+    n = len(table)
+    assert -1 not in {v for row in table for v in row}
+    assert associativity_witness(table) is None
+    e = table.index(list(range(n)))
+    # One entry changed off the identity's row and column: Light's test runs and must fail,
+    # and the witness is the first brute-force triple.
+    cells = [(a, b) for a, b in ((n - 1, n - 1), (n // 2, 1), (1, n // 2)) if e not in (a, b)]
+    assert cells
+    for a, b in cells:
+        changed = [list(row) for row in table]
+        changed[a][b] = (changed[a][b] + 1) % n
+        first = next((t for t in itertools.product(range(n), repeat=3)
+                      if changed[changed[t[0]][t[1]]][t[2]] != changed[t[0]][changed[t[1]][t[2]]]), None)
+        assert first is not None
+        assert associativity_witness(changed) == first
 
 
 def test_greedy_generators_close():

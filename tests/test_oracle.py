@@ -9,6 +9,7 @@ from sdmat import (
     BoundExceeded,
     DomainMismatch,
     NotBijective,
+    PreconditionFailed,
     build_instance,
     compose_endos,
     cyclic_group,
@@ -300,15 +301,46 @@ def test_endo_ops_reject_maps_off_one_group(s3):
                 call()
 
 
-@pytest.mark.parametrize("instance", ["trivial", "klein", "dihedral:4", "metacyclic:3:4:2"])
+def _composition_product(instance):
+    return _s3_by_conjugation(cyclic_group(2)) if instance == "s3_by_z2_conjugation" else build_instance(instance)
+
+
+# trivial has no oracle generator and cyclic:5 one, so its keys have one entry; S3 x| Z2
+# (conjugation) is nonabelian with two.  The list with repeats keeps the last index of each map.
+@pytest.mark.parametrize(
+    "instance", ["trivial", "klein", "dihedral:4", "metacyclic:3:4:2", "cyclic:5", "s3_by_z2_conjugation"]
+)
 def test_composition_table_is_compose_endos_looked_up(instance):
-    # The trivial group has one endomorphism of order 1, where a gather of one index is no tuple.
-    endos = list(enumerate_endos(build_instance(instance).group).endos)
-    for subset in (endos, endos[::3]):
+    endos = list(enumerate_endos(_composition_product(instance).group).endos)
+    for subset in (endos, endos[::3], endos[::2] + endos[::3]):
         index = {t.image: i for i, t in enumerate(subset)}
         expected = [[index.get(compose_endos(a, b).image, -1) for b in subset] for a in subset]
         assert composition_table(subset) == expected
     assert composition_table([]) == []
+
+
+def test_composition_table_rejects_a_map_that_is_not_an_endomorphism():
+    G = build_instance("cyclic:5").group
+    endos = list(enumerate_endos(G).endos)
+    swapped = FMap(G, G, (0, 1, 3, 2, 4))  # fixes 0, but 1 + 1 = 2 goes to 3 = 1 + 1 + 1
+    constant = FMap(G, G, (1,) * 5)  # misses img(0) = 0
+    for bad in (swapped, constant):
+        with pytest.raises(PreconditionFailed, match="map 2 is not an endomorphism"):
+            composition_table(endos[:2] + [bad] + endos[2:])
+    S = _s3_by_conjugation(cyclic_group(2)).group
+    transposition = list(range(S.order))
+    transposition[1], transposition[2] = 2, 1
+    assert not FMap(S, S, tuple(transposition)).is_hom
+    with pytest.raises(PreconditionFailed, match="map 0 is not an endomorphism"):
+        composition_table([FMap(S, S, tuple(transposition))])
+
+
+@pytest.mark.parametrize("instance", ["dihedral:10", "s3_by_z2_conjugation"])
+def test_census_maps_are_plain_checked_fmaps(instance):
+    G = _composition_product(instance).group
+    for theta in enumerate_endos(G).endos:
+        checked = FMap(G, G, theta.image)
+        assert type(theta) is FMap and theta == checked and hash(theta) == hash(checked)
 
 
 def test_composition_table_rejects_maps_off_one_group(s3, klein):
