@@ -67,13 +67,14 @@ one whichever way the condition was decided.
 The product's entry formula is written once, in ``_product_images``.
 :func:`mat_mul` evaluates it on the columns of one right factor;
 :func:`product_table` evaluates it once per left factor on every column
-of H x K and reads each of the n² products off that map by index.
+of H x K and reads each of the n² products off those maps by index, one
+right factor at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
+from itertools import repeat
 
 from .errors import BoundExceeded, ConditionsViolated, DomainMismatch, VerificationFailed
 from .groups import enumerate_homs, enumerate_twisted_maps
@@ -305,8 +306,9 @@ def product_table(mats: list[EndoMatrix]) -> list[list[int]]:
     ``h * |K| + k`` it names; two matrices over one product are equal iff
     their column codes are.  A left factor sends every column through the
     same map (:func:`_product_images`), so it is evaluated once per left
-    factor on the whole H x K grid, and each product is then one gather of
-    the right factor's column codes from it, with no maps or matrices built.
+    factor on the whole H x K grid, with no maps or matrices built.  Column
+    j then reads the codes of every product with ``mats[j]`` on the right
+    off those maps at once, at ``mats[j]``'s column codes.
     """
     if not mats:
         return []
@@ -320,15 +322,14 @@ def product_table(mats: list[EndoMatrix]) -> list[list[int]]:
         tuple(x * nK + y for x, y in zip(m.alpha.image + m.beta.image, m.gamma.image + m.delta.image))
         for m in mats
     ]
-    index = {c: j for j, c in enumerate(codes)}
-    # |H| + |K| >= 2 codes, so each gather returns a tuple.
-    gathers = [itemgetter(*c) for c in codes]
-    table = []
+    get = {c: j for j, c in enumerate(codes)}.get
+    colmaps = []
     for left in mats:
         a, _, c, _ = _product_images(left, xs, (), ys, ())
-        colmap = [x * nK + y for x, y in zip(a, c)]
-        table.append([index.get(gather(colmap), -1) for gather in gathers])
-    return table
+        colmaps.append([x * nK + y for x, y in zip(a, c)])
+    at = list(zip(*colmaps))  # at[x][i]: where mats[i] sends the column coded x
+    columns = [list(map(get, zip(*map(at.__getitem__, c)), repeat(-1))) for c in codes]
+    return [list(row) for row in zip(*columns)]
 
 
 @memo
@@ -398,9 +399,9 @@ def enumerate_matrices(product: SdProduct, bound: int = 64) -> list[EndoMatrix]:
     tests set it against a reference filter of every (alpha, beta) table
     through :func:`check_conditions`.
     """
-    if product.group.order > bound:
-        raise BoundExceeded(f"product order {product.group.order} exceeds bound {bound}")
     H, K, act = product.H, product.K, product.action
+    if H.order * K.order > bound:
+        raise BoundExceeded(f"product order {H.order * K.order} exceeds bound {bound}")
     gammas = enumerate_homs(H, K)
     deltas = enumerate_homs(K, K)
     out: list[EndoMatrix] = []

@@ -9,6 +9,32 @@ pairs (h, k) encoded as the single index ``h * |K| + k`` and multiplication
 Conjugating h by k inside G gives ``images[k][h]``: the action is
 conjugation, which is what makes the matrix calculus built on top of this
 file work.
+
+The table of G is built and validated through ``groups.make_group`` when
+:attr:`SdProduct.group` is first read, not when :func:`semidirect` returns:
+``det`` and ``invert`` work on the four entry maps of a matrix alone and
+never read it.  Deferring it changes no outcome, because the table of a
+valid action is always a group, so make_group cannot fail on it.  With
+every f_k an automorphism of H and f(k1 k2) = f(k1) o f(k2) (so f(e) = 1):
+
+- (e, e) is the identity: (e, e)(h, k) = (f_e(h), k) = (h, k), and
+  (h, k)(e, e) = (h f_k(e), k) = (h, k), as f_k(e) = e;
+- (f_{k^-1}(h^-1), k^-1) is the inverse of (h, k): on the right,
+  (h f_k(f_{k^-1}(h^-1)), e) = (h f_e(h^-1), e) = (e, e); on the left,
+  (f_{k^-1}(h^-1) f_{k^-1}(h), e) = (f_{k^-1}(h^-1 h), e) = (e, e);
+- the product is associative:
+
+      ((h1, k1)(h2, k2))(h3, k3) = (h1 f_k1(h2) f_{k1 k2}(h3), k1 k2 k3)
+      (h1, k1)((h2, k2)(h3, k3)) = (h1 f_k1(h2 f_k2(h3)), k1 k2 k3)
+                                 = (h1 f_k1(h2) f_k1(f_k2(h3)), k1 k2 k3),
+
+  equal as f_{k1 k2} = f_k1 o f_k2.
+
+make_group still runs every check on that first read.  A ``GroupAction``
+built by hand, bypassing :func:`make_action`, may not be an action, so
+:func:`semidirect` first passes its table through make_action, and for one
+that fails there it builds and validates the table at once: the exception
+make_group raises on such a table is raised by :func:`semidirect` itself.
 """
 
 from __future__ import annotations
@@ -108,13 +134,37 @@ def trivial_action(H: FiniteGroup, K: FiniteGroup) -> GroupAction:
 
 @dataclass(frozen=True, eq=False)
 class SdProduct:
-    """A semidirect product with its pair encoding and embedded copies."""
+    """A semidirect product with its pair encoding and embedded copies.
+
+    Only :func:`semidirect` constructs it, having checked that ``action``
+    is an action or read :attr:`group` at once (module docstring).
+    """
 
     H: FiniteGroup
     K: FiniteGroup
     action: GroupAction
-    group: FiniteGroup
     name: str = ""
+
+    @cached_property
+    def group(self) -> FiniteGroup:
+        """The product group: its table gathered and validated through make_group on first read."""
+        H, K = self.H, self.K
+        nK = K.order
+        ht, kt, rows = H.table, K.table, self.action.images
+        # Row (h1, k1) sends (h2, k2) to (h1 f_k1(h2), k1 k2): first to (f_k1(h2), k1 k2),
+        # a map of k1 alone, then (h, k) to (h1 h, k), a map of h1 alone.  So each row is
+        # the second map gathered at the positions the first one names.
+        by_k = [itemgetter(*(h * nK + k for h in row for k in kt[k1])) for k1, row in enumerate(rows)]
+        codes = [range(h * nK, h * nK + nK) for h in range(H.order)]  # (h, k) for every k
+        by_h = [tuple(chain.from_iterable(map(codes.__getitem__, row))) for row in ht]
+        # An itemgetter of one index returns the entry, not a tuple: the one-element case.
+        table = [gather(left) for left in by_h for gather in by_k] if H.order * nK > 1 else [[0]]
+        names = tuple(
+            f"({H.element_name(h)},{K.element_name(k)})"
+            for h in range(H.order)
+            for k in range(nK)
+        )
+        return make_group(table, names=names, name=self.name)
 
     def encode(self, h: int, k: int) -> int:
         return h * self.K.order + k
@@ -129,32 +179,25 @@ class SdProduct:
         return self.H.identity * self.K.order + k
 
     def __repr__(self) -> str:
-        return f"SdProduct({self.name or self.group.order})"
+        return f"SdProduct({self.name or self.H.order * self.K.order})"
 
 
 def semidirect(action: GroupAction, name: str = "") -> SdProduct:
-    """Build the semidirect product group of a validated action.
+    """The semidirect product of an action; its group is built on first read.
 
-    The product table is validated again through make_group.  That guards
-    against a hand-built ``GroupAction`` whose rows do not compose like K,
-    which yields a table that is not associative, and it is cheap: Light's
-    test checks associativity in |S|·n² steps for a generating set S.
+    ``action`` is checked again by :func:`make_action` (rows bijective
+    endomorphisms of H, decided on H's generators; f(e) = 1 and rows that
+    compose like K, decided on K's generators).  If it passes, the table is
+    a group (proof in the module docstring), and make_group gathers and
+    validates it when :attr:`SdProduct.group` is first read.  If not, as
+    for a hand-built ``GroupAction`` whose rows do not compose like K, the
+    table is gathered and validated here, so the ValueError,
+    GroupValidationError or NotAssociative of make_group (or the IndexError
+    of an entry past the end of H) is raised by this call.
     """
-    H, K = action.H, action.K
-    nK = K.order
-    ht, kt, rows = H.table, K.table, action.images
-    # Row (h1, k1) sends (h2, k2) to (h1 f_k1(h2), k1 k2): first to (f_k1(h2), k1 k2),
-    # a map of k1 alone, then (h, k) to (h1 h, k), a map of h1 alone.  So each row is
-    # the second map gathered at the positions the first one names.
-    by_k = [itemgetter(*(h * nK + k for h in row for k in kt[k1])) for k1, row in enumerate(rows)]
-    codes = [range(h * nK, h * nK + nK) for h in range(H.order)]  # (h, k) for every k
-    by_h = [tuple(chain.from_iterable(map(codes.__getitem__, row))) for row in ht]
-    # An itemgetter of one index returns the entry, not a tuple: the one-element case.
-    table = [gather(left) for left in by_h for gather in by_k] if H.order * nK > 1 else [[0]]
-    names = tuple(
-        f"({H.element_name(h)},{K.element_name(k)})"
-        for h in range(H.order)
-        for k in range(nK)
-    )
-    group = make_group(table, names=names, name=name)
-    return SdProduct(H=H, K=K, action=action, group=group, name=name)
+    product = SdProduct(H=action.H, K=action.K, action=action, name=name)
+    try:
+        make_action(action.H, action.K, action.images)
+    except (ValueError, NotAutomorphism, NotHomomorphic):
+        product.group  # not an action: build and validate the table now
+    return product

@@ -31,7 +31,7 @@ table.
 The two n² tables that ``endo_matrix_correspondence`` compares are built
 independently.  ``matrices.product_table`` evaluates ``mat_mul``'s entry
 formula from the H and K tables and the action rows, once per left factor
-on every column of H x K, and reads each product's index off that map, so
+on every column of H x K, and reads each product's index off those maps, so
 the formula is checked on every column.  ``oracle.composition_table``
 composes the endomorphisms' image tables over the product group, each
 composite keyed by its images of the oracle's own generators, which fix an

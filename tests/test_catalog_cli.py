@@ -21,6 +21,7 @@ from sdmat import (
     group_to_dict,
     identity_matrix,
     is_invertible,
+    make_group,
     matrix_from_dict,
     matrix_to_dict,
     run_verification,
@@ -326,6 +327,47 @@ def test_cli_invert_names_each_route_of_is_invertible(tmp_path, capsys):
             assert cli_main(["invert", "--instance", "direct:3:3", "--matrix", str(tmp_path / "m.json")]) == 0
             printed[decided.method] = json.loads(capsys.readouterr().out)["method"]
     assert printed == {"det_k": "det_k", "det_h": "det_h", "brute": "brute"}
+
+
+# dihedral:32 is Z32 acted on by Z2 through inversion.  Multiplying by 3 commutes with
+# inversion, so (h, k) -> (3h, k) is an automorphism with alpha bijective (the det_k route);
+# (h, k) -> (e, k) has only delta bijective (det_h); the zero matrix has neither (brute).
+_D32_MATRICES = {
+    "alpha_bijective": ([3 * h % 32 for h in range(32)], [0, 0], [0] * 32, [0, 1]),
+    "delta_only_bijective": ([0] * 32, [0, 0], [0] * 32, [0, 1]),
+    "neither_bijective": ([0] * 32, [0, 0], [0] * 32, [0, 0]),
+}
+
+
+@pytest.mark.parametrize(
+    ("command", "matrix", "code", "product_builds"),
+    [
+        ("det", "alpha_bijective", 0, 0),
+        ("invert", "alpha_bijective", 0, 0),
+        ("det", "delta_only_bijective", 0, 0),
+        ("invert", "delta_only_bijective", 1, 0),
+        ("factor", "alpha_bijective", 0, 1),
+        ("invert", "neither_bijective", 1, 1),
+    ],
+)
+def test_cli_builds_the_product_group_only_where_it_is_read(
+    tmp_path, capsys, monkeypatch, command, matrix, code, product_builds
+):
+    # det and invert decide from the four entries alone on the det_k and det_h routes; factor
+    # and the brute route read the product group, which is then built exactly once.
+    path = _write_matrix(tmp_path / "m.json", build_instance("dihedral:32"), *_D32_MATRICES[matrix])
+    built = []
+
+    def counting(table, *args, **kwargs):
+        built.append(len(table))
+        return make_group(table, *args, **kwargs)
+
+    # The package exports the function semidirect under the module's name.
+    for module in (sys.modules["sdmat.catalog"], sys.modules["sdmat.semidirect"]):
+        monkeypatch.setattr(module, "make_group", counting)
+    assert cli_main([command, "--instance", "dihedral:32", "--matrix", path]) == code
+    capsys.readouterr()
+    assert sorted(built) == sorted([32, 2] + [64] * product_builds)
 
 
 def test_cli_builds_its_parser_once():

@@ -1,33 +1,50 @@
+import importlib
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sdmat import (
     DEFAULT_INSTANCES,
+    GroupValidationError,
     NotAutomorphism,
     NotHomomorphic,
     build_instance,
     cyclic_group,
     enumerate_endos,
     make_action,
+    make_group,
     semidirect,
     trivial_action,
 )
 from sdmat.maps import FMap, twisted_law_witness
+from sdmat.semidirect import GroupAction
 from test_determinant import _z3_by_s3_sign
 from test_matrices import _s3_by_conjugation
 
 
-@pytest.mark.parametrize("instance", [*DEFAULT_INSTANCES, "z3_by_s3_sign"])
+_HELPER_PRODUCTS = {
+    "z3_by_s3_sign": _z3_by_s3_sign,
+    "s3_by_z2_conjugation": lambda: _s3_by_conjugation(cyclic_group(2)),
+    "s3_by_s3_conjugation": lambda: _s3_by_conjugation(build_instance("dihedral:3").group),
+}
+
+
+@pytest.mark.parametrize("instance", [*DEFAULT_INSTANCES, *_HELPER_PRODUCTS])
 def test_product_table_is_the_defining_formula(instance):
-    # The table is built by gathers; entry by entry it is (h1 f_k1(h2), k1 k2).
-    P = _z3_by_s3_sign() if instance == "z3_by_s3_sign" else build_instance(instance)
+    # The table is built by gathers, on the group's first read; entry by entry it is
+    # (h1 f_k1(h2), k1 k2), and the group is what make_group builds from that table.
+    P = _HELPER_PRODUCTS[instance]() if instance in _HELPER_PRODUCTS else build_instance(instance)
     ht, kt, rows = P.H.table, P.K.table, P.action.images
-    pairs = [P.decode(g) for g in range(P.group.order)]
+    pairs = [P.decode(g) for g in range(P.H.order * P.K.order)]
     expected = tuple(
         tuple(P.encode(ht[h1][rows[k1][h2]], kt[k1][k2]) for h2, k2 in pairs) for h1, k1 in pairs
     )
-    assert P.group.table == expected
+    names = [f"({P.H.element_name(h)},{P.K.element_name(k)})" for h, k in pairs]
+    eager, lazy = make_group(expected, names=names, name=P.name), P.group
+    assert lazy.table == expected
+    for field in ("order", "identity", "inverses", "generators", "walk", "names", "name"):
+        assert getattr(lazy, field) == getattr(eager, field), field
 
 
 def test_trivial_action_gives_direct_product():
@@ -234,3 +251,68 @@ def test_a_non_identity_row_over_a_trivial_group_is_not_an_action():
     with pytest.raises(NotHomomorphic) as err:
         make_action(cyclic_group(3), cyclic_group(1), [[0, 2, 1]])
     assert err.value.pair == (0, 0)
+
+
+# The product group is built on first read (semidirect.py docstring).
+
+
+def _counting_product_builds(monkeypatch):
+    """Patch the make_group the product group is built with; the returned list grows by one per build."""
+    built = []
+
+    def counting(table, *args, **kwargs):
+        built.append(len(table))
+        return make_group(table, *args, **kwargs)
+
+    # The package exports the function semidirect under the module's name.
+    monkeypatch.setattr(importlib.import_module("sdmat.semidirect"), "make_group", counting)
+    return built
+
+
+def test_semidirect_of_an_action_builds_its_group_once_on_first_read(monkeypatch):
+    built = _counting_product_builds(monkeypatch)
+    P = semidirect(make_action(cyclic_group(3), cyclic_group(2), [[0, 1, 2], [0, 2, 1]]), name="s3")
+    assert built == [] and repr(P) == "SdProduct(s3)"
+    assert repr(semidirect(trivial_action(cyclic_group(3), cyclic_group(4)))) == "SdProduct(12)"
+    assert built == []
+    G = P.group
+    assert P.group is G and built == [6]
+
+
+# GroupActions built by hand, bypassing make_action, that are no actions.  semidirect gathers
+# and validates their tables at once, and raises what it raised when it always did so: the
+# error make_group raises, or the gather's own IndexError at an entry past the end of H.
+# Each case: the action, make_action's error, semidirect's error and the tables make_group saw.
+_NOT_ACTIONS = {
+    # A bijection of Z4 fixing 0 and 1 but swapping 2 and 3: 1 + 1 = 2 goes to 3.
+    "bijective_row_not_a_homomorphism": (
+        (cyclic_group(4), cyclic_group(2), ((0, 1, 2, 3), (0, 1, 3, 2))),
+        NotAutomorphism,
+        (GroupValidationError, "element 3 has no two-sided inverse"),
+        [8],
+    ),
+    "entry_out_of_range": (
+        (cyclic_group(3), cyclic_group(2), ((0, 1, 2), (0, 2, 3))),
+        ValueError,
+        (IndexError, "tuple index out of range"),
+        [],
+    ),
+    "row_of_the_wrong_length": (
+        (cyclic_group(3), cyclic_group(2), ((0, 1, 2), (0, 2))),
+        ValueError,
+        (ValueError, "row 1 has 4 entries, expected 6"),
+        [6],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", _NOT_ACTIONS)
+def test_semidirect_validates_a_hand_built_non_action_at_once(case, monkeypatch):
+    (H, K, rows), rejected_by_make_action, (error, message), tables = _NOT_ACTIONS[case]
+    with pytest.raises(rejected_by_make_action):
+        make_action(H, K, rows)
+    built = _counting_product_builds(monkeypatch)
+    with pytest.raises(error) as err:
+        semidirect(GroupAction(H, K, rows))
+    assert type(err.value) is error and str(err.value) == message
+    assert built == tables
