@@ -5,16 +5,11 @@ The identity is detected, never assumed to be 0.  Construction via
 :func:`make_group` checks every axiom exhaustively and reports the first
 witnessing elements on failure: the identity and the inverses by a scan
 of the table, associativity by Light's test (see
-:func:`associativity_witness`) over the greedy generating set, each
+:func:`_associativity_witness`) over the greedy generating set, each
 generator the first element the earlier ones do not reach.  The group keeps
 that generating set and its walk, so laws over all pairs of elements are
 decided on the generators (see :mod:`sdmat.maps`), and searches extend
 images of the generators along the walk (:func:`enumerate_twisted_maps`).
-
-The public :func:`associativity_witness` runs Light's test on any square
-table, such as the product table of an endomorphism monoid, over a small
-generating set of the monoid instead (:func:`_monoid_generators`); a monoid
-needs only that set's reach, not a walk.
 """
 
 from __future__ import annotations
@@ -32,7 +27,6 @@ __all__ = [
     "FiniteGroup",
     "make_group",
     "index_row",
-    "associativity_witness",
     "enumerate_twisted_maps",
     "enumerate_homs",
     "enumerate_autos",
@@ -170,32 +164,25 @@ def _identity(table: Sequence[Sequence[int]]) -> int | None:
     return None
 
 
-def associativity_witness(table: Sequence[Sequence[int]]) -> tuple[int, int, int] | None:
-    """The first (a, b, c), a outermost, with (ab)c != a(bc) in a square table; None if there is none.
-
-    Light's test decides whether there is one in |S|·n² steps rather than
-    n³.  Call an element g good when (xg)y = x(gy) for all x, y.  The good
-    elements are closed under the product: for good a and b,
-
-        (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by)) = x((ab)y),
-
-    using a, b, a and b in turn.  The identity is good.  So if every g in a
-    set S is good, so is every element reached from the identity by right
-    multiplication by S, and if S reaches every element, the whole table is
-    associative.  Any such S will do; :func:`_monoid_generators` picks a
-    small one, so the test runs few of its n² steps.  Only when some
-    generator fails, or the table has no identity, is the witness found by
-    the a-outermost scan of all triples, so it does not depend on S.
-    """
-    rows = tuple(map(tuple, table))
-    identity = _identity(rows)
-    return _associativity_witness(rows, None if identity is None else _monoid_generators(rows, identity))
-
-
 def _associativity_witness(
     rows: tuple[tuple[int, ...], ...], generators: Sequence[int] | None
 ) -> tuple[int, int, int] | None:
-    """:func:`associativity_witness` given elements that reach the whole table, None if it has no identity."""
+    """The first (a, b, c), a outermost, with (ab)c != a(bc) in a square table; None if there is none.
+
+    ``generators`` must reach every element from the identity by right
+    multiplication, or be None for a table with no identity.  Light's test
+    decides whether there is a triple in |S|·n² steps rather than n³.  Call
+    an element g good when (xg)y = x(gy) for all x, y.  The good elements
+    are closed under the product: for good a and b,
+
+        (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by)) = x((ab)y),
+
+    using a, b, a and b in turn.  The identity is good.  So if every
+    generator is good, so is every element they reach, and the whole table
+    is associative.  Only when some generator fails, or ``generators`` is
+    None, is the witness found by the a-outermost scan of all triples, so it
+    does not depend on the generators.
+    """
     if generators is not None and all(_is_good(rows, g) for g in generators):
         return None
     n = len(rows)
@@ -212,35 +199,6 @@ def _is_good(rows: tuple[tuple[int, ...], ...], g: int) -> bool:
     """Whether (xg)y = x(gy) for all x, y, in a table of two or more tuple rows."""
     x_gy = itemgetter(*rows[g])  # row x -> the row y -> x(gy); a tuple, as row g has 2+ entries
     return all(rows[row_x[g]] == x_gy(row_x) for row_x in rows)
-
-
-def _monoid_generators(rows: tuple[tuple[int, ...], ...], identity: int) -> list[int]:
-    """Elements that reach every element of a table with an identity from it by right multiplication.
-
-    Candidates come in order of decreasing row image ``len(set(row))``, ties
-    by index, and each one the earlier ones do not reach is kept.  An element
-    whose row hits many values reaches many elements, so few are kept: on an
-    endomorphism monoid, the automorphisms of largest orbit first.  A group
-    table's rows are permutations, so there the order is the index order.
-    """
-    n = len(rows)
-    gens: list[int] = []
-    reached = {identity}
-    for g in sorted(range(n), key=lambda a: -len(set(rows[a]))):
-        if len(reached) == n:
-            break
-        if g in reached:
-            continue
-        gens.append(g)
-        # reached was closed under the earlier gens: add its products by g, and close under all gens.
-        todo = [row[g] for row in map(rows.__getitem__, reached)]
-        while todo:
-            y = todo.pop()
-            if y not in reached:
-                reached.add(y)
-                row_y = rows[y]
-                todo.extend(row_y[s] for s in gens)
-    return gens
 
 
 def _greedy_walk(

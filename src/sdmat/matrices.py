@@ -64,17 +64,16 @@ for the laws of one map, a witness is only ever named by the full scan of
 all pairs, h outermost (:func:`first_pair_witness`), so it is the first
 one whichever way the condition was decided.
 
-The product's entry formula is written once, in ``_product_images``.
-:func:`mat_mul` evaluates it on the columns of one right factor;
-:func:`product_table` evaluates it once per left factor on every column
-of H x K and reads each of the n² products off those maps by index, one
-right factor at a time.
+The product's entry formula is written once, in ``_product_images``.  It
+sends each column of the right factor through one map of the left factor,
+whatever the columns are: :func:`mat_mul` passes the right factor's own,
+and ``verify`` the whole H x K grid, on which the map must be the left
+factor's endomorphism (the ``sdmat.verify`` docstring).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 
 from .errors import BoundExceeded, ConditionsViolated, DomainMismatch, VerificationFailed
 from .groups import enumerate_homs, enumerate_twisted_maps
@@ -88,7 +87,6 @@ __all__ = [
     "check_conditions",
     "first_pair_witness",
     "mat_mul",
-    "product_table",
     "matrix_to_endo",
     "endo_to_matrix",
     "enumerate_matrices",
@@ -260,7 +258,7 @@ def _product_images(left: EndoMatrix, a1, b1, g1, d1) -> tuple[tuple[int, ...], 
 
     Column (x; y) of the right factor maps to (a2 x + (b2 y)^{g2 x}; g2 x + d2 y),
     so the tables may be any columns: :func:`mat_mul` passes the right
-    factor's own, :func:`product_table` the whole H x K grid.
+    factor's own, ``verify`` the whole H x K grid.
     """
     P = left.context
     ht, kt, rows = P.H.table, P.K.table, P.action.images
@@ -296,40 +294,6 @@ def mat_mul(left: EndoMatrix, right: EndoMatrix) -> EndoMatrix:
     return EndoMatrix(
         alpha=_trusted(H, H, a), beta=_trusted(K, H, b), gamma=_trusted(H, K, c), delta=_trusted(K, K, d), context=P
     )
-
-
-def product_table(mats: list[EndoMatrix]) -> list[list[int]]:
-    """``table[i][j]``: the index of ``mats[i] * mats[j]`` in ``mats``, -1 if it is not there.
-
-    A matrix is its columns, (alpha h; gamma h) for each h in H and
-    (beta k; delta k) for each k in K, each coded as the product element
-    ``h * |K| + k`` it names; two matrices over one product are equal iff
-    their column codes are.  A left factor sends every column through the
-    same map (:func:`_product_images`), so it is evaluated once per left
-    factor on the whole H x K grid, with no maps or matrices built.  Column
-    j then reads the codes of every product with ``mats[j]`` on the right
-    off those maps at once, at ``mats[j]``'s column codes.
-    """
-    if not mats:
-        return []
-    P = mats[0].context
-    if any(m.context is not P for m in mats):
-        raise DomainMismatch("matrices live over different products")
-    nH, nK = P.H.order, P.K.order
-    xs = tuple(h for h in range(nH) for _ in range(nK))
-    ys = tuple(range(nK)) * nH
-    codes = [
-        tuple(x * nK + y for x, y in zip(m.alpha.image + m.beta.image, m.gamma.image + m.delta.image))
-        for m in mats
-    ]
-    get = {c: j for j, c in enumerate(codes)}.get
-    colmaps = []
-    for left in mats:
-        a, _, c, _ = _product_images(left, xs, (), ys, ())
-        colmaps.append([x * nK + y for x, y in zip(a, c)])
-    at = list(zip(*colmaps))  # at[x][i]: where mats[i] sends the column coded x
-    columns = [list(map(get, zip(*map(at.__getitem__, c)), repeat(-1))) for c in codes]
-    return [list(row) for row in zip(*columns)]
 
 
 @memo

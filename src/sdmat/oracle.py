@@ -50,42 +50,23 @@ return their composite and inverse without re-checking them.  The census
 builds its tables unchecked (``maps._trusted``): every entry is read from a
 column of the Cayley table, or is the identity.
 
-:func:`composition_table` composes every ordered pair of a list of such
-maps: ``table[i][j]`` is the index of ``endos[i]`` after ``endos[j]`` in the
-list, or -1.  Each map is keyed by its images of the oracle's generators S,
-not by its whole image table, so a composite's key is |S| entries of the
-outer image table, at the inner map's images of S, and not |G| entries.
-The table reads these a column at a time, for one inner map and every
-outer map at once.  It returns exactly the index that a lookup of the full
-image table returns, or -1 where that does:
-
-- a composite of two endomorphisms is an endomorphism;
-- an endomorphism is fixed by its images of S, which generate the group;
-- so two listed endomorphisms with the same key are the same map, and the
-  composite's key finds a listed map iff the composite is that map (with
-  repeats, both lookups keep the last index).
-
-Every listed map must therefore be an endomorphism.  The table checks that
-first on the same Cayley-graph edges the census walks, |S|·n steps per map:
-the edge at (e, g_0) gives img(g_0) = img(e) * img(g_0), so img(e) = e, and
-the induction above gives the law on all pairs.  It raises
-``PreconditionFailed`` on a map that breaks an edge rather than return a
-wrong table.  It reads the image tables over the product group only, so
-``verify`` can set it against the matrix side's product table as an
-independent computation of the same n² products.
+``verify`` sets the census against the matrix side: its image tables must
+be exactly the endomorphisms of the enumerated matrices, and
+:func:`invert_endo` gives the inverse that each automorphism's matrix must
+have.  No product of two census entries is formed there: their composite
+is an endomorphism, so it is in the census (the ``sdmat.verify``
+docstring).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
-from operator import getitem
 
-from .errors import BoundExceeded, DomainMismatch, NotBijective, PreconditionFailed
+from .errors import BoundExceeded, DomainMismatch, NotBijective
 from .groups import FiniteGroup
 from .maps import FMap, _trusted
 
-__all__ = ["EndCensus", "enumerate_endos", "invert_endo", "compose_endos", "composition_table"]
+__all__ = ["EndCensus", "enumerate_endos", "invert_endo", "compose_endos"]
 
 
 @dataclass(frozen=True)
@@ -209,30 +190,3 @@ def compose_endos(outer: FMap, inner: FMap) -> FMap:
     """Composition outer after inner, as endomorphisms of the same group."""
     group = _group_of(outer, inner)
     return FMap(group, group, tuple(outer.image[v] for v in inner.image))
-
-
-def composition_table(endos: list[FMap]) -> list[list[int]]:
-    """``table[i][j]``: the index of ``endos[i]`` after ``endos[j]`` in ``endos``, -1 if it is not there.
-
-    Each map is keyed by its images of the oracle's generators.  Column j
-    reads the keys of every composite with ``endos[j]`` inside off the image
-    tables of all the maps at ``endos[j]``'s images of the generators.
-    Raises PreconditionFailed if a listed map is not an endomorphism, as the
-    keys identify endomorphisms only (module docstring).
-    """
-    if not endos:
-        return []
-    group = _group_of(*endos)
-    t = group.table
-    images_at = list(zip(*[e.image for e in endos]))  # images_at[x][i] = endos[i].image[x]
-    gens, stages = _edge_walk(t, group.identity)
-    for steps in stages:
-        for y, x, j, _ in steps:
-            at_y, at_x, at_g = images_at[y], images_at[x], images_at[gens[j]]
-            if at_y != tuple(map(getitem, map(t.__getitem__, at_x), at_g)):
-                i = next(i for i, v in enumerate(at_y) if v != t[at_x[i]][at_g[i]])
-                raise PreconditionFailed(f"map {i} is not an endomorphism: it breaks the edge {x} * {gens[j]} = {y}")
-    gens = gens or [group.identity]  # the trivial group is generated by its identity
-    get = {key: i for i, key in enumerate(zip(*[images_at[g] for g in gens]))}.get
-    columns = [list(map(get, zip(*[images_at[e.image[g]] for g in gens]), repeat(-1))) for e in endos]
-    return [list(row) for row in zip(*columns)]

@@ -32,9 +32,8 @@ every f_k an automorphism of H and f(k1 k2) = f(k1) o f(k2) (so f(e) = 1):
 
 make_group still runs every check on that first read.  A ``GroupAction``
 built by hand, bypassing :func:`make_action`, may not be an action, so
-:func:`semidirect` first passes its table through make_action, and for one
-that fails there it builds and validates the table at once: the exception
-make_group raises on such a table is raised by :func:`semidirect` itself.
+:func:`semidirect` first passes its table through make_action and raises
+its error.
 """
 
 from __future__ import annotations
@@ -137,7 +136,7 @@ class SdProduct:
     """A semidirect product with its pair encoding and embedded copies.
 
     Only :func:`semidirect` constructs it, having checked that ``action``
-    is an action or read :attr:`group` at once (module docstring).
+    is an action (module docstring).
     """
 
     H: FiniteGroup
@@ -185,19 +184,11 @@ class SdProduct:
 def semidirect(action: GroupAction, name: str = "") -> SdProduct:
     """The semidirect product of an action; its group is built on first read.
 
-    ``action`` is checked again by :func:`make_action` (rows bijective
-    endomorphisms of H, decided on H's generators; f(e) = 1 and rows that
-    compose like K, decided on K's generators).  If it passes, the table is
-    a group (proof in the module docstring), and make_group gathers and
-    validates it when :attr:`SdProduct.group` is first read.  If not, as
-    for a hand-built ``GroupAction`` whose rows do not compose like K, the
-    table is gathered and validated here, so the ValueError,
-    GroupValidationError or NotAssociative of make_group (or the IndexError
-    of an entry past the end of H) is raised by this call.
+    ``action`` is checked again by :func:`make_action`, which raises its
+    ValueError, NotAutomorphism or NotHomomorphic for a hand-built
+    ``GroupAction`` that is no action.  An action's table is a group (proof
+    in the module docstring), and make_group gathers and validates it when
+    :attr:`SdProduct.group` is first read.
     """
-    product = SdProduct(H=action.H, K=action.K, action=action, name=name)
-    try:
-        make_action(action.H, action.K, action.images)
-    except (ValueError, NotAutomorphism, NotHomomorphic):
-        product.group  # not an action: build and validate the table now
-    return product
+    make_action(action.H, action.K, action.images)
+    return SdProduct(H=action.H, K=action.K, action=action, name=name)

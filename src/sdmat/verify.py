@@ -23,24 +23,62 @@ fixed everywhere and wall-clock timing is kept out of the canonical
 serialization (pass ``include_timing=True`` to add it).
 
 A run over a selection of checks (``checks=[...]``, ``--theorems`` on the
-command line) builds the oracle census and the pairwise product table only
-when a selected check reads them: ``endo_matrix_correspondence`` reads both,
-``monoid_laws``, ``abcd_subgroup_closure`` and ``abcd_normalization`` the
-table.
+command line) builds the oracle census only when a selected check reads
+it: ``endo_matrix_correspondence``, and ``monoid_laws``, which reads the
+correspondence's verdict.
 
-The two n² tables that ``endo_matrix_correspondence`` compares are built
-independently.  ``matrices.product_table`` evaluates ``mat_mul``'s entry
-formula from the H and K tables and the action rows, once per left factor
-on every column of H x K, and reads each product's index off those maps, so
-the formula is checked on every column.  ``oracle.composition_table``
-composes the endomorphisms' image tables over the product group, each
-composite keyed by its images of the oracle's own generators, which fix an
-endomorphism.  Neither reads the other's data, so their agreement is
-evidence that composition is the matrix product, not a restatement of it.
-The round trip compares the entry tables read back off each endomorphism
-with the matrix's own key.  ``monoid_laws`` decides associativity of the
-product table by Light's test on a small generating set of the monoid
-(``groups.associativity_witness``).
+``endo_matrix_correspondence`` decides the n² products of the n matrices
+with one pass per matrix.  Write theta_i for the endomorphism of matrix
+m_i (:func:`~sdmat.matrices.matrix_to_endo`, gathered from the product
+group's table and checked as a homomorphism).  The check decides, in
+order:
+
+1. census: the oracle's census (:mod:`sdmat.oracle`, raw Cayley tables
+   only) has n endomorphisms, and their image tables are the theta_i;
+2. round trip: the entries read back off theta_i are m_i's own, so the
+   columns of m_i, (alpha h; gamma h) and (beta k; delta k), are theta_i
+   at (h, e) and (e, k);
+3. kernel: the identity matrix is enumerated, and its theta is the only
+   one that is the identity map;
+4. per left factor: ``mat_mul`` sends every column of the right factor
+   through one map F_i of the left factor (``matrices._product_images``,
+   the entry formula over the H and K tables and the action rows).
+   Evaluated on every element of H x K and read as element codes, F_i
+   equals theta_i.
+
+Then m_i * m_j is the enumerated matrix of theta_i o theta_j for every i
+and j:
+
+- by 2, the columns of m_j are theta_j on the embedded copies of H and K;
+- ``mat_mul`` computes the columns of m_i * m_j as F_i at those, which
+  by 4 is theta_i, so they are theta_i o theta_j on the embedded copies;
+- theta_i o theta_j is an endomorphism, so it is in the census, and by 1
+  it is some theta_l;
+- by 2, the columns of m_l are theta_l on the embedded copies too, and a
+  matrix is its columns, so m_i * m_j = m_l.
+
+By 1 and 2, i -> theta_i is a bijection onto End(G), so it is an
+isomorphism from the matrices under ``mat_mul`` onto (End(G), o).  The
+two sides are computed apart: F_i from the entry formula, theta_i from the
+product group's table, the census by the oracle's own search, so their
+agreement is evidence that composition is the matrix product, not a
+restatement of it.
+
+``monoid_laws`` follows from the correspondence.  Closure is the m_l
+above.  By 3, the theta of the identity matrix m_e is the identity map, so
+m_e * m_j and m_j * m_e are the matrix of theta_j, which is m_j.  Both
+(m_i m_j) m_k and m_i (m_j m_k) are the matrix of
+theta_i o theta_j o theta_k, as composition of maps is associative.  So
+the check reads the correspondence's verdict, decided once per run, and
+passes exactly when it passes; if the correspondence fails, the laws are
+not established and the check fails with it.
+
+``abcd_subgroup_closure`` and ``abcd_normalization`` multiply family
+members through the same isomorphism, with no matrix built
+(``_Context.product_index``): the product of m_i and m_j is the index of
+theta_i o theta_j, looked up by its images of the product group's
+generators, which fix an endomorphism.  The inverse of an automorphism is
+the index of the oracle's inverse of its theta (``oracle.invert_endo``).
 
 The determinants and closed-form inverses are values of their
 matrix (``sdmat.determinant``), built on first use and kept on it, so the
@@ -58,23 +96,21 @@ from .catalog import build_instance
 from .determinant import det_h, det_k, invert_via_det_h, invert_via_det_k, is_invertible
 from .errors import SdmatError
 from .factorization import classify, factor_abcd, unit_diagonal_a_factor, unit_diagonal_b_factor
-from .groups import associativity_witness
 from .maps import identity_map, map_add, map_compose, map_inverse
 from .matrices import (
     EndoMatrix,
     _entry_images,
+    _product_images,
     enumerate_matrices,
     identity_matrix,
     mat_mul,
     matrix_to_endo,
-    product_table,
 )
-from .oracle import composition_table, enumerate_endos, invert_endo
+from .oracle import enumerate_endos, invert_endo
 from .semidirect import SdProduct
 
 __all__ = ["CheckResult", "VerifyReport", "CHECK_NAMES", "run_verification"]
 
-_PAIR_LIMIT = 200
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -154,8 +190,9 @@ class _Context:
     The core is built once, up front: the sorted matrices and their
     endomorphisms, both determinants of every matrix, and the automorphism
     index sets the checks and the counts read.  The oracle census, the
-    pairwise product table and the inverse indices are built the first time
-    a check reads them.  The checks read closed-form inverses off each matrix;
+    correspondence's verdict, the generator-image lookup of
+    :meth:`product_index` and each inverse index are built the first time a
+    check reads them.  The checks read closed-form inverses off each matrix;
     the two inverse formulas share one verdict on each (matrix, inverse) pair.
     """
 
@@ -172,6 +209,7 @@ class _Context:
         self.identity = identity_matrix(product)
         self.identity_idx = self.key_to_idx.get(self.identity.key())
         self._inverse_verdicts: dict[tuple, str | None] = {}
+        self._inverse_idx: dict[int, int | None] = {}
         self.bijective = [t.is_bijective for t in self.thetas]
         self.auto_idx = [i for i in range(self.n) if self.bijective[i]]
         # Determinants per index; None marks an undefined side.
@@ -192,34 +230,36 @@ class _Context:
         return enumerate_endos(self.product.group, bound=self.bound)
 
     @cached_property
-    def ptable(self) -> list[list[int]] | None:
-        """Index of every pairwise product, -1 outside the enumeration; None above the pairwise bound."""
-        if self.n > _PAIR_LIMIT:
-            return None
-        return product_table(self.mats)
+    def correspondence(self) -> CheckResult:
+        """The verdict of ``endo_matrix_correspondence``, which ``monoid_laws`` also reads."""
+        return _correspondence(self)
 
     @cached_property
-    def closure_witness(self) -> dict | None:
-        """The first pair whose product falls outside the enumeration, if any."""
-        for i, row in enumerate(self.ptable):
-            if -1 in row:
-                j = row.index(-1)
-                key = mat_mul(self.mats[i], self.mats[j]).key()
-                return {"left": i, "right": j, "product": [list(x) for x in key]}
-        return None
+    def _generator_images(self) -> list[tuple[int, ...]]:
+        """Each endomorphism's images of the product group's generators."""
+        gens = self.product.group.generators
+        return [tuple(map(t.image.__getitem__, gens)) for t in self.thetas]
 
     @cached_property
-    def inv_idx(self) -> dict[int, int]:
-        """The index of each automorphism's two-sided inverse, read off the product table."""
-        pt, e = self.ptable, self.identity_idx
-        out: dict[int, int] = {}
-        if pt is None or e is None:
-            return out
-        for i in self.auto_idx:
-            j = next((j for j in range(self.n) if pt[i][j] == e and pt[j][i] == e), None)
-            if j is not None:
-                out[i] = j
-        return out
+    def _index_by_generators(self) -> dict[tuple[int, ...], int]:
+        return {images: i for i, images in enumerate(self._generator_images)}
+
+    def product_index(self, i: int, j: int) -> int | None:
+        """The index of the endomorphism theta_i after theta_j, or None if it is not enumerated.
+
+        An endomorphism is fixed by its images of the generators, so the
+        composite is looked up by its |S| images, theta_i at theta_j's.  With
+        the correspondence this is the index of ``mats[i] * mats[j]``
+        (module docstring).
+        """
+        outer = self.thetas[i].image.__getitem__
+        return self._index_by_generators.get(tuple(map(outer, self._generator_images[j])))
+
+    def inverse_index(self, i: int) -> int | None:
+        """The index of the oracle's inverse of automorphism i, or None if it is not enumerated."""
+        if i not in self._inverse_idx:
+            self._inverse_idx[i] = self.theta_to_idx.get(invert_endo(self.thetas[i]).image)
+        return self._inverse_idx[i]
 
     def inverse_failure(self, i: int, inverse: EndoMatrix) -> str | None:
         """Why ``inverse`` is not the inverse of matrix ``i``, or None.
@@ -237,29 +277,25 @@ class _Context:
                 verdict = "two-sided inverse law"
             else:
                 j = self.key_to_idx.get(inverse.key())
-                if j is None or self.thetas[j] != invert_endo(self.thetas[i]):
+                if j is None or j != self.inverse_index(i):
                     verdict = "disagrees with brute-force inverse"
             self._inverse_verdicts[memo_key] = verdict
         return self._inverse_verdicts[memo_key]
 
 
-def _pairwise_skip(name: str, n: int) -> CheckResult:
-    return CheckResult(name, "skip", reason=f"matrix count {n} exceeds pairwise bound {_PAIR_LIMIT}")
-
-
-def _first_escape(pt: list[list[int]], members: set[int], inv_idx: dict[int, int] | None = None) -> dict | None:
-    """The first member whose inverse (when ``inv_idx`` is given) or product with a member escapes."""
+def _first_escape(ctx: _Context, members: set[int], inverses: bool = False) -> dict | None:
+    """The first member whose inverse (when ``inverses``) or product with a member escapes."""
     ordered = sorted(members)
     for i in ordered:
-        if inv_idx is not None and inv_idx.get(i) not in members:
+        if inverses and ctx.inverse_index(i) not in members:
             return {"index": i, "detail": "inverse escapes"}
         for j in ordered:
-            if pt[i][j] not in members:
+            if ctx.product_index(i, j) not in members:
                 return {"pair": [i, j]}
     return None
 
 
-def _check_correspondence(ctx: _Context) -> CheckResult:
+def _correspondence(ctx: _Context) -> CheckResult:
     name = "endo_matrix_correspondence"
     if len(ctx.census.endos) != ctx.n:
         return CheckResult(name, "fail", witness={"matrix_count": ctx.n, "endo_count": len(ctx.census.endos)})
@@ -281,38 +317,34 @@ def _check_correspondence(ctx: _Context) -> CheckResult:
     kernel = [i for i, t in enumerate(ctx.thetas) if t.image == identity_image]
     if kernel != [ctx.identity_idx]:
         return CheckResult(name, "fail", witness={"kernel_indices": kernel})
-    if ctx.ptable is None:
-        return _pairwise_skip(name, ctx.n)
-    if ctx.closure_witness is not None:
-        return CheckResult(name, "fail", witness=ctx.closure_witness)
-    # The matrix side composes by the entry formula over the H and K tables and the
-    # action rows, the oracle side by gathering image tables over the product group.
-    for i, (composed, row) in enumerate(zip(composition_table(ctx.thetas), ctx.ptable)):
-        if composed != row:
-            j = next(j for j, (c, p) in enumerate(zip(composed, row)) if c != p)
+    # Each left factor's map on every column (h; k) of H x K, coded h*|K| + k like the
+    # product's elements, must be its endomorphism (module docstring).
+    nH, nK = P.H.order, P.K.order
+    hs = tuple(h for h in range(nH) for _ in range(nK))
+    ks = tuple(range(nK)) * nH
+    for i, m in enumerate(ctx.mats):
+        a, _, c, _ = _product_images(m, hs, (), ks, ())
+        image = ctx.thetas[i].image
+        codes = tuple([x * nK + y for x, y in zip(a, c)])
+        if codes != image:
+            column = next(g for g, (u, v) in enumerate(zip(codes, image)) if u != v)
             return CheckResult(
                 name,
                 "fail",
-                witness={"left": i, "right": j, "detail": "matrix product differs from composition"},
+                witness={"left": i, "column": column, "detail": "matrix product differs from composition"},
             )
     return CheckResult(name, "pass")
 
 
+def _check_correspondence(ctx: _Context) -> CheckResult:
+    return ctx.correspondence
+
+
 def _check_monoid(ctx: _Context) -> CheckResult:
     name = "monoid_laws"
-    if ctx.ptable is None:
-        return _pairwise_skip(name, ctx.n)
-    if ctx.closure_witness is not None:
-        return CheckResult(name, "fail", witness=ctx.closure_witness)
-    e = ctx.identity_idx
-    if e is None:
-        return CheckResult(name, "fail", witness={"detail": "no identity matrix"})
-    for j in range(ctx.n):
-        if ctx.ptable[e][j] != j or ctx.ptable[j][e] != j:
-            return CheckResult(name, "fail", witness={"index": j, "detail": "identity law"})
-    triple = associativity_witness(ctx.ptable)
-    if triple is not None:
-        return CheckResult(name, "fail", witness={"triple": list(triple)})
+    # The laws are derived from the correspondence (module docstring).
+    if ctx.correspondence.status != "pass":
+        return CheckResult(name, "fail", witness={"detail": "endo_matrix_correspondence fails"})
     return CheckResult(name, "pass")
 
 
@@ -515,29 +547,27 @@ def _check_factorization(ctx: _Context) -> CheckResult:
 
 def _check_subgroups(ctx: _Context) -> CheckResult:
     name = "abcd_subgroup_closure"
-    if ctx.ptable is None:
-        return _pairwise_skip(name, ctx.n)
     families = ctx.families
-    pt = ctx.ptable
+    product = ctx.product_index
     for letter in ("A", "B", "D"):
         members = set(families[letter])
         if ctx.identity_idx not in members:
             return CheckResult(name, "fail", witness={"family": letter, "detail": "identity missing"})
-        witness = _first_escape(pt, members, ctx.inv_idx)
+        witness = _first_escape(ctx, members, inverses=True)
         if witness is not None:
             return CheckResult(name, "fail", witness={"family": letter, **witness})
-    c_witness = _first_escape(pt, set(families["C"]))
+    c_witness = _first_escape(ctx, set(families["C"]))
     ctx.notes["c_family_closed"] = c_witness is None
     if c_witness is not None:
         ctx.notes["c_family_witness"] = c_witness
     abcd = set()
     for a in families["A"]:
         for b in families["B"]:
-            ab = pt[a][b]
+            ab = product(a, b)
             for c in families["C"]:
-                abc = pt[ab][c]
+                abc = product(ab, c)
                 for d in families["D"]:
-                    abcd.add(pt[abc][d])
+                    abcd.add(product(abc, d))
     ctx.notes["abcd_product_set"] = {
         "size": len(abcd),
         "aut_size": len(ctx.auto_idx),
@@ -548,18 +578,16 @@ def _check_subgroups(ctx: _Context) -> CheckResult:
 
 def _check_normalization(ctx: _Context) -> CheckResult:
     name = "abcd_normalization"
-    if ctx.ptable is None:
-        return _pairwise_skip(name, ctx.n)
-    pt = ctx.ptable
+    product = ctx.product_index
     conjugators = sorted(set(ctx.families["A"]) | set(ctx.families["D"]))
     for x in conjugators:
-        xi = ctx.inv_idx.get(x)
+        xi = ctx.inverse_index(x)
         if xi is None:
             return CheckResult(name, "fail", witness={"index": x, "detail": "conjugator has no inverse"})
         for letter in ("B", "C"):
             members = set(ctx.families[letter])
             for y in sorted(members):
-                if pt[pt[x][y]][xi] not in members:
+                if product(product(x, y), xi) not in members:
                     return CheckResult(name, "fail", witness={"family": letter, "conjugator": x, "member": y})
     return CheckResult(name, "pass")
 

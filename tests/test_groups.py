@@ -9,6 +9,7 @@ from sdmat import (
     GroupAction,
     GroupValidationError,
     NotAssociative,
+    NotHomomorphic,
     build_instance,
     cyclic_group,
     enumerate_autos,
@@ -19,8 +20,7 @@ from sdmat import (
     trivial_group,
 )
 from sdmat.catalog import DEFAULT_INSTANCES
-from sdmat.groups import _monoid_generators, associativity_witness
-from sdmat.matrices import product_table
+from pairwise_reference import associativity_witness, monoid_generators, product_table
 from test_matrices import _s3_by_conjugation
 
 
@@ -61,8 +61,13 @@ def test_non_square_table_rejected():
 
 
 def test_out_of_range_entry_rejected():
-    with pytest.raises(ValueError):
-        make_group([[0, 1], [1, 7]])
+    # Only exact ints in 0..n-1 are indices: not a bool, not a float equal to one.
+    for bad in (7, 2, -1, True, 1.0):
+        with pytest.raises(ValueError, match=f"^row 1 contains invalid entry {bad!r}$"):
+            make_group([[0, 1], [1, bad]])
+    # The first invalid entry is named.
+    with pytest.raises(ValueError, match=r"^row 0 contains invalid entry -1$"):
+        make_group([[0, -1, 5], [1, 2, 0], [2, 0, 1]])
 
 
 def test_identity_detected_anywhere():
@@ -188,7 +193,7 @@ def test_make_group_keeps_the_greedy_generators_and_walk():
     for g in _catalog_groups():
         assert (g.generators, g.walk) == _greedy_reference(g)
         # Rows of a group table are permutations, so the monoid pick is the same greedy pick.
-        assert _monoid_generators(g.table, g.identity) == list(g.generators)
+        assert monoid_generators(g.table, g.identity) == list(g.generators)
 
 
 def _monoid_table(name):
@@ -203,7 +208,7 @@ MONOIDS = ["klein", "dihedral:4", "direct:3:2"]
 def test_monoid_generators_reach_the_monoid_largest_rows_first(name):
     table = _monoid_table(name)
     e = table.index(list(range(len(table))))
-    gens = _monoid_generators(tuple(map(tuple, table)), e)
+    gens = monoid_generators(tuple(map(tuple, table)), e)
     sizes = [len(set(table[g])) for g in gens]
     assert sizes == sorted(sizes, reverse=True)
     monoid = SimpleNamespace(identity=e, mul=lambda a, b: table[a][b])
@@ -353,14 +358,17 @@ def test_make_group_rejects_a_non_associative_loop(table):
 
 def test_semidirect_rejects_an_action_that_does_not_compose_like_k():
     # Both non-identity elements of Z3 act on Z3 by inversion, but f_1 o f_1 is
-    # the identity, not f_2.  GroupAction bypasses make_action's check, so the
-    # product table reaches make_group, which must reject it.
+    # the identity, not f_2.  GroupAction bypasses make_action's check, so semidirect
+    # runs it and raises its error; make_group rejects the product table as well.
     z3 = cyclic_group(3)
     inversion = (0, 2, 1)
     action = GroupAction(z3, z3, ((0, 1, 2), inversion, inversion))
     table = [[0] * 9 for _ in range(9)]
     for (h1, k1), (h2, k2) in itertools.product(itertools.product(range(3), repeat=2), repeat=2):
         table[h1 * 3 + k1][h2 * 3 + k2] = (h1 + action.images[k1][h2]) % 3 * 3 + (k1 + k2) % 3
-    with pytest.raises(NotAssociative) as err:
+    with pytest.raises(NotHomomorphic) as err:
         semidirect(action)
+    assert err.value.pair == (1, 1)
+    with pytest.raises(NotAssociative) as err:
+        make_group(table)
     assert err.value.triple == _assoc_violations(table)[0]

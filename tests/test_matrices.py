@@ -31,8 +31,8 @@ from sdmat import (
     twisted_hom_witness,
     zero_map,
 )
-from sdmat.matrices import product_table
 from sdmat.oracle import compose_endos
+from pairwise_reference import product_table
 from test_determinant import _z3_by_s3_sign
 
 

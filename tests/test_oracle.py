@@ -21,7 +21,8 @@ from sdmat import (
     trivial_group,
 )
 from sdmat.maps import FMap
-from sdmat.oracle import _edge_walk, composition_table
+from sdmat.oracle import _edge_walk
+from pairwise_reference import composition_table
 from test_determinant import _z3_by_s3_sign
 from test_map_properties import _quaternion_group, _relabelled
 from test_matrices import _s3_by_conjugation

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from sdmat import (
     DEFAULT_INSTANCES,
-    GroupValidationError,
     NotAutomorphism,
     NotHomomorphic,
     build_instance,
@@ -279,40 +278,38 @@ def test_semidirect_of_an_action_builds_its_group_once_on_first_read(monkeypatch
     assert P.group is G and built == [6]
 
 
-# GroupActions built by hand, bypassing make_action, that are no actions.  semidirect gathers
-# and validates their tables at once, and raises what it raised when it always did so: the
-# error make_group raises, or the gather's own IndexError at an entry past the end of H.
-# Each case: the action, make_action's error, semidirect's error and the tables make_group saw.
+# GroupActions built by hand, bypassing make_action, that are no actions.  semidirect passes
+# them through make_action and raises its error, naming the row and the entry, before any
+# table is built.  Each case: the action and the error make_action and semidirect raise.
 _NOT_ACTIONS = {
     # A bijection of Z4 fixing 0 and 1 but swapping 2 and 3: 1 + 1 = 2 goes to 3.
     "bijective_row_not_a_homomorphism": (
         (cyclic_group(4), cyclic_group(2), ((0, 1, 2, 3), (0, 1, 3, 2))),
-        NotAutomorphism,
-        (GroupValidationError, "element 3 has no two-sided inverse"),
-        [8],
+        (NotAutomorphism, "action of element 1 is not an automorphism: row is not a homomorphism at (1, 1)"),
     ),
     "entry_out_of_range": (
         (cyclic_group(3), cyclic_group(2), ((0, 1, 2), (0, 2, 3))),
-        ValueError,
-        (IndexError, "tuple index out of range"),
-        [],
+        (ValueError, "row 1 contains invalid entry 3"),
+    ),
+    "negative_entry": (
+        (cyclic_group(3), cyclic_group(2), ((0, 1, 2), (0, 2, -1))),
+        (ValueError, "row 1 contains invalid entry -1"),
     ),
     "row_of_the_wrong_length": (
         (cyclic_group(3), cyclic_group(2), ((0, 1, 2), (0, 2))),
-        ValueError,
-        (ValueError, "row 1 has 4 entries, expected 6"),
-        [6],
+        (ValueError, "row 1 has 2 entries, expected 3"),
     ),
 }
 
 
 @pytest.mark.parametrize("case", _NOT_ACTIONS)
 def test_semidirect_validates_a_hand_built_non_action_at_once(case, monkeypatch):
-    (H, K, rows), rejected_by_make_action, (error, message), tables = _NOT_ACTIONS[case]
-    with pytest.raises(rejected_by_make_action):
+    (H, K, rows), (error, message) = _NOT_ACTIONS[case]
+    with pytest.raises(error) as err:
         make_action(H, K, rows)
+    assert type(err.value) is error and str(err.value) == message
     built = _counting_product_builds(monkeypatch)
     with pytest.raises(error) as err:
         semidirect(GroupAction(H, K, rows))
     assert type(err.value) is error and str(err.value) == message
-    assert built == tables
+    assert built == []

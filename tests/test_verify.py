@@ -1,6 +1,7 @@
 """The verification harness: selected checks agree with a full run and
 build only the shared data they read."""
 
+import dataclasses
 import json
 import sys
 from collections import defaultdict
@@ -8,10 +9,22 @@ from pathlib import Path
 
 import pytest
 
-from sdmat import FMap, build_instance, cli_main, determinant, enumerate_matrices, identity_matrix, maps, verify
-from sdmat.matrices import mat_mul, product_table
+from sdmat import (
+    DEFAULT_INSTANCES,
+    FMap,
+    build_instance,
+    cli_main,
+    determinant,
+    enumerate_matrices,
+    identity_matrix,
+    maps,
+    matrices,
+    verify,
+)
+from sdmat.matrices import mat_mul
 from sdmat.oracle import EndCensus, enumerate_endos
 from sdmat.verify import CHECK_NAMES, run_verification
+from pairwise_reference import pairwise_checks
 from test_matrices import _NONABELIAN
 
 
@@ -31,21 +44,25 @@ def test_single_check_matches_full_run(full_reports, instance, check):
 
 
 def test_no_check_skips_below_the_pairwise_limit(full_reports):
-    # direct:3:3 has 81 matrices, under the pairwise limit of 200, so every check runs.
+    # direct:3:3 has 81 matrices; every check runs and passes, monoid_laws alone as well.
     assert [(c.name, c.status) for c in full_reports["direct:3:3"].checks if c.status != "pass"] == []
     assert [c.status for c in run_verification("direct:3:3", checks=["monoid_laws"]).checks] == ["pass"]
 
 
-def test_selected_check_builds_no_census_or_product_table(monkeypatch):
+_CENSUS_CHECKS = ("endo_matrix_correspondence", "monoid_laws")
+
+
+def test_per_matrix_checks_build_no_census(monkeypatch):
+    # Every check but the correspondence and monoid_laws, which reads its verdict: the two
+    # family checks multiply by the generator-image lookup, with no census.
     def unused(*args, **kwargs):
         raise AssertionError("built for a check that does not read it")
 
     monkeypatch.setattr("sdmat.verify.enumerate_endos", unused)
-    monkeypatch.setattr("sdmat.verify.product_table", unused)
-    report = run_verification("dihedral:4", checks=["invertibility_via_det_k"])
-    assert [c.status for c in report.checks] == ["pass"]
-    # The checks that do read them still reach the patched functions.
-    for check in ("endo_matrix_correspondence", "monoid_laws"):
+    report = run_verification("dihedral:4", checks=[c for c in CHECK_NAMES if c not in _CENSUS_CHECKS])
+    assert [c.status for c in report.checks] == ["pass"] * (len(CHECK_NAMES) - 2)
+    # The checks that do read it still reach the patched census.
+    for check in _CENSUS_CHECKS:
         with pytest.raises(AssertionError):
             run_verification("dihedral:4", checks=[check])
 
@@ -107,32 +124,37 @@ def test_correspondence_fails_on_a_wrong_round_trip(monkeypatch):
     assert check.witness["delta"] == list(first.delta.image)
 
 
-def _patch_one_table_entry(monkeypatch, i, j, value):
-    def patched(mats):
-        table = product_table(mats)
-        table[i][j] = value(table[i][j], len(mats))
-        return table
+def _mutant_product_images(monkeypatch, instance, left, column):
+    """Make the entry formula wrong for one left factor at one column (h; k): alpha's entry moves."""
+    P = build_instance(instance)
+    target = sorted(enumerate_matrices(P), key=lambda m: m.key())[left].key()
+    h0, k0 = P.decode(column)
+    product_images = matrices._product_images
 
-    monkeypatch.setattr("sdmat.verify.product_table", patched)
+    def mutant(matrix, a1, b1, g1, d1):
+        a, b, c, d = product_images(matrix, a1, b1, g1, d1)
+        if matrix.key() == target:
+            a = tuple((v + 1) % P.H.order if (x, y) == (h0, k0) else v for v, x, y in zip(a, a1, g1))
+        return a, b, c, d
 
-
-def test_correspondence_fails_at_a_wrong_product_table_entry(monkeypatch):
-    # One entry off by one still lies in the enumeration, so only the composition
-    # table disagrees, first at that pair.
-    _patch_one_table_entry(monkeypatch, 7, 3, lambda v, n: (v + 1) % n)
-    check = _correspondence("dihedral:4")
-    assert (check.status, check.witness) == (
-        "fail",
-        {"left": 7, "right": 3, "detail": "matrix product differs from composition"},
-    )
+    for module in (matrices, verify):
+        monkeypatch.setattr(module, "_product_images", mutant)
 
 
-def test_correspondence_reports_the_closure_witness_at_a_minus_one_entry(monkeypatch):
-    _patch_one_table_entry(monkeypatch, 5, 2, lambda v, n: -1)
-    mats = sorted(enumerate_matrices(build_instance("dihedral:4")), key=lambda m: m.key())
-    product = [list(x) for x in mat_mul(mats[5], mats[2]).key()]
-    check = _correspondence("dihedral:4")
-    assert (check.status, check.witness) == ("fail", {"left": 5, "right": 2, "product": product})
+# A catalog instance and one of 381 matrices; the mutant column is the product's last element.
+@pytest.mark.parametrize("instance, left", [("dihedral:4", 7), ("metacyclic:19:3:7", 300)])
+def test_correspondence_fails_on_a_mutant_product_column(monkeypatch, instance, left):
+    column = build_instance(instance).group.order - 1
+    _mutant_product_images(monkeypatch, instance, left, column)
+    report = run_verification(instance, checks=list(_CENSUS_CHECKS))
+    assert [c.to_dict() for c in report.checks] == [
+        {
+            "name": "endo_matrix_correspondence",
+            "status": "fail",
+            "witness": {"left": left, "column": column, "detail": "matrix product differs from composition"},
+        },
+        {"name": "monoid_laws", "status": "fail", "witness": {"detail": "endo_matrix_correspondence fails"}},
+    ]
 
 
 _INVERSE_CHECKS = ["inverse_formula_det_k", "inverse_formula_det_h", "determinant_duality", "combined_inverse"]
@@ -250,12 +272,9 @@ def test_offcatalog_reports_match_fixture():
     assert _offcatalog_reports() == expected
 
 
-_PAIRWISE_CHECKS = ("endo_matrix_correspondence", "monoid_laws", "abcd_subgroup_closure", "abcd_normalization")
-
 # Nonabelian factors, as they stand: each report's counts, and every check that does not pass.
 # The failures are the open hypotheses of the det_H theorems for nonabelian H (ROADMAP item 1);
-# they are pinned, not narrowed, so a change to any of them shows here.  The pairwise checks
-# skip above 200 matrices.
+# they are pinned, not narrowed, so a change to any of them shows here.
 _NONABELIAN_REPORTS = {
     "s3_by_z2_conjugation": (
         {"end": 64, "aut": 12, "A": 2, "B": 1, "C": 1, "D": 1},
@@ -263,11 +282,11 @@ _NONABELIAN_REPORTS = {
     ),
     "s3_by_s3_conjugation": (
         {"end": 484, "aut": 72, "A": 1, "B": 1, "C": 1, "D": 1},
-        {"inverse_formula_det_h": "fail", "abcd_factorization": "fail", **dict.fromkeys(_PAIRWISE_CHECKS, "skip")},
+        {"inverse_formula_det_h": "fail", "abcd_factorization": "fail"},
     ),
     "z3_by_s3_sign": (
         {"end": 730, "aut": 432, "A": 2, "B": 9, "C": 3, "D": 6},
-        dict.fromkeys(_PAIRWISE_CHECKS, "skip"),
+        {},
     ),
 }
 
@@ -279,6 +298,68 @@ def test_verify_on_nonabelian_factors(instance):
     assert report.counts == counts
     statuses = {c.name: c.status for c in report.checks}
     assert statuses == {name: not_passing.get(name, "pass") for name in CHECK_NAMES}
+
+
+_PAIRWISE_CHECKS = ("endo_matrix_correspondence", "monoid_laws", "abcd_subgroup_closure", "abcd_normalization")
+_PAIRWISE_NOTES = ("c_family_closed", "c_family_witness", "abcd_product_set")
+
+
+def _pairwise_checks_match_the_tables(product):
+    """Verify ``product``; its four pairwise checks and their notes must be what the n² tables give."""
+    report = run_verification(product)
+    expected, notes = pairwise_checks(verify._Context(product, 64))
+    assert {c.name: c for c in report.checks if c.name in _PAIRWISE_CHECKS} == expected
+    assert {k: v for k, v in report.notes.items() if k in _PAIRWISE_NOTES} == notes
+    return expected, notes
+
+
+# Every instance of at most 200 matrices the tests verify, and the two nonabelian products of
+# 484 and 730 matrices: the four checks decided per left factor against the n² tables.
+@pytest.mark.parametrize("instance", [*DEFAULT_INSTANCES, *OFFCATALOG, *_NONABELIAN])
+def test_pairwise_checks_match_the_n2_tables(instance):
+    _pairwise_checks_match_the_tables(_NONABELIAN[instance]() if instance in _NONABELIAN else build_instance(instance))
+
+
+@pytest.mark.parametrize("instance", ["dihedral:4", "s3_by_z2_conjugation"])
+def test_product_index_is_the_matrix_product(instance):
+    # The family checks multiply by generator-image lookups; on these noncommutative monoids
+    # each must name mats[i] * mats[j], in that order, and each inverse must be two-sided.
+    ctx = verify._Context(_NONABELIAN[instance]() if instance in _NONABELIAN else build_instance(instance), 64)
+    for i, left in enumerate(ctx.mats):
+        products = [ctx.key_to_idx[mat_mul(left, right).key()] for right in ctx.mats]
+        assert [ctx.product_index(i, j) for j in range(ctx.n)] == products
+    assert any(ctx.product_index(i, j) != ctx.product_index(j, i) for i in range(ctx.n) for j in range(i))
+    for i in ctx.auto_idx:
+        j = ctx.inverse_index(i)
+        assert ctx.product_index(i, j) == ctx.product_index(j, i) == ctx.identity_idx
+
+
+# The first or last automorphism outside a family is classified into it, so a family check
+# fails or notes a witness; the verdicts, witness order included, must still be the tables'.
+@pytest.mark.parametrize(
+    "instance, letter, pick",
+    [
+        ("dihedral:4", "A", min),  # its inverse escapes A
+        ("direct:3:3", "A", max),
+        ("dihedral:5", "B", max),
+        ("direct:3:3", "C", max),  # C is not closed, and is not normalized
+        ("dihedral:5", "C", min),
+        ("metacyclic:9:3:4", "D", min),
+    ],
+)
+def test_family_witnesses_match_the_n2_tables(monkeypatch, instance, letter, pick):
+    product = build_instance(instance)
+    field = f"in_{letter.lower()}"
+    classify = verify.classify
+    autos = [m for m in enumerate_matrices(product) if matrices.matrix_to_endo(m).is_bijective]
+    extra = pick(m.key() for m in autos if not getattr(classify(m), field))
+
+    def misclassify(m):
+        return dataclasses.replace(classify(m), **{field: True}) if m.key() == extra else classify(m)
+
+    monkeypatch.setattr(verify, "classify", misclassify)
+    expected, notes = _pairwise_checks_match_the_tables(product)
+    assert any(c.status == "fail" for c in expected.values()) or not notes["c_family_closed"]
 
 
 if __name__ == "__main__":
