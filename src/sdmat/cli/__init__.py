@@ -100,6 +100,7 @@ def _resolve_product(args: argparse.Namespace) -> SdProduct:
 
 
 def _load_matrix_checked(path: str, product: SdProduct) -> EndoMatrix:
+    """The matrix of a file, bad input if it fails its conditions; the verdict stays on the matrix."""
     matrix = load_matrix(path, product)
     failed = check_conditions(matrix)
     if failed is not None:

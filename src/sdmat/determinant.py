@@ -24,13 +24,16 @@ can be read off the other side's diagonal (the duality).
 
 :func:`is_invertible` is the one place that chooses a route: ``det_k`` when
 alpha is bijective, else ``det_h`` when delta is bijective, else ``brute``,
-bijectivity of the described endomorphism.  Both determinants and both
-closed-form inverses are values of their matrix: each is built on the first
-call and kept on the matrix object (``maps.memo``), so the inverse
-``is_invertible`` returns is the one :func:`invert_via_det_k` or
-:func:`invert_via_det_h` returns, and no caller passes them along.  Every
-precondition of this module is a map that is not bijective, and each raises
-PreconditionFailed, on every call.
+bijectivity of the described endomorphism.  It first reads the matrix's
+kept verdict on its conditions (``matrices.check_conditions``) and raises
+ConditionsViolated on a matrix that fails them, as ``matrix_to_endo``
+does; ``factorization.factor_abcd`` decides its precondition through it.
+Both determinants and both closed-form inverses are values of their
+matrix: each is built on the first call and kept on the matrix object
+(``maps.memo``), so the inverse ``is_invertible`` returns is the one
+:func:`invert_via_det_k` or :func:`invert_via_det_h` returns, and no
+caller passes them along.  Every precondition of this module is a map
+that is not bijective, and each raises PreconditionFailed, on every call.
 
 The formulas are evaluated on the image tables of the entries, in one
 pass per returned entry: each point of the result is one chain of table
@@ -48,9 +51,9 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import PreconditionFailed, VerificationFailed
+from .errors import ConditionsViolated, PreconditionFailed, VerificationFailed
 from .maps import FMap, _trusted, identity_map, map_compose, map_inverse, memo
-from .matrices import EndoMatrix, endo_to_matrix, is_automorphism_matrix, matrix_to_endo
+from .matrices import EndoMatrix, check_conditions, endo_to_matrix, is_automorphism_matrix, matrix_to_endo
 
 __all__ = [
     "InvertibilityResult",
@@ -156,11 +159,17 @@ def invert_via_det_h(matrix: EndoMatrix) -> EndoMatrix:
 def is_invertible(matrix: EndoMatrix) -> InvertibilityResult:
     """Decide invertibility and invert, preferring determinant criteria over brute force.
 
-    Uses det_k when alpha is bijective, else det_h when delta is bijective,
-    else falls back to bijectivity of the described endomorphism.  The
-    inverse comes from the same route: the closed form of that side, or the
-    inverse of the endomorphism's image table.
+    Raises ConditionsViolated, as :func:`~sdmat.matrices.matrix_to_endo`
+    does, if the matrix fails its compatibility conditions (the verdict
+    kept on the matrix by ``check_conditions``).  Then uses det_k when alpha
+    is bijective, else det_h when delta is bijective, else falls back to
+    bijectivity of the described endomorphism.  The inverse comes from the
+    same route: the closed form of that side, or the inverse of the
+    endomorphism's image table.
     """
+    failed = check_conditions(matrix)
+    if failed is not None:
+        raise ConditionsViolated(*failed)
     if matrix.alpha.is_bijective:
         method, det, invert = "det_k", det_k, invert_via_det_k
     elif matrix.delta.is_bijective:

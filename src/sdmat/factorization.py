@@ -45,13 +45,26 @@ compose like K:
 (the last with conjugation applied pointwise), so S_K suffices.  Only a
 failure on the generator pairs is followed by the full scan, h outermost,
 which names the first witness.
+
+Only automorphism matrices factor.  :func:`factor_abcd` decides that on
+the route of ``determinant.is_invertible``: it reads the verdict kept on
+the matrix for its conditions (ConditionsViolated when they fail), then
+takes det_K when alpha is bijective, det_H when delta is, and the
+bijectivity of the described endomorphism otherwise.  A matrix with
+bijective alpha or delta is thus decided from its four entries, and the
+product group is built only for one with neither, which does not factor
+anyway.  The certification does not rest on that decision: every member
+of the four families is an automorphism matrix (each entry it constrains
+makes the six conditions hold, and its endomorphism is bijective), and
+matrix products compose endomorphisms, so a product a*b*c*d that equals m
+proves m an automorphism.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .determinant import det_h
+from .determinant import det_h, is_invertible
 from .errors import PreconditionFailed, VerificationFailed
 from .maps import FMap, _trusted, identity_map, is_crossed_hom, map_inverse
 from .matrices import EndoMatrix, first_pair_witness, identity_matrix, is_automorphism_matrix, mat_mul
@@ -254,11 +267,15 @@ def _certified(letter: str, factor: EndoMatrix) -> EndoMatrix:
 def factor_abcd(matrix: EndoMatrix) -> ABCDFactors:
     """Factor an automorphism matrix with bijective diagonal as a*b*c*d.
 
-    The four factors are read off the matrix and :func:`det_h` (see the
-    module docstring).  Each family membership is verified, in the order
-    A, B, C, D, and then the reassembly, before returning.
+    Raises ConditionsViolated for a matrix that fails its conditions, and
+    PreconditionFailed for one that is no automorphism, decided by
+    :func:`~sdmat.determinant.is_invertible`, or has a diagonal entry that
+    is not bijective.  The four factors are read off the matrix and
+    :func:`det_h` (see the module docstring).  Each family membership is
+    verified, in the order A, B, C, D, and then the reassembly, before
+    returning.
     """
-    if not is_automorphism_matrix(matrix):
+    if not is_invertible(matrix).invertible:
         raise PreconditionFailed("only automorphism matrices factor")
     if not (matrix.alpha.is_bijective and matrix.delta.is_bijective):
         raise PreconditionFailed("factorization requires bijective alpha and delta")

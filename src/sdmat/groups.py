@@ -10,6 +10,13 @@ generator the first element the earlier ones do not reach.  The group keeps
 that generating set and its walk, so laws over all pairs of elements are
 decided on the generators (see :mod:`sdmat.maps`), and searches extend
 images of the generators along the walk (:func:`enumerate_twisted_maps`).
+
+make_group first reads each row through :func:`index_row`, the shape rule
+for tables read from a file.  The product table of a semidirect product
+(``semidirect.SdProduct.group``) is gathered as tuple rows of pair codes,
+which cannot fail that rule, so it goes through the private
+``_group_of_rows`` instead: every axiom check of make_group, without the
+per-entry scan, as ``maps._trusted`` is FMap without its range check.
 """
 
 from __future__ import annotations
@@ -114,7 +121,19 @@ def make_group(
     n = len(table)
     if n == 0:
         raise ValueError("empty table")
-    rows = tuple(index_row(row, n, f"row {i}") for i, row in enumerate(table))
+    return _group_of_rows(tuple(index_row(row, n, f"row {i}") for i, row in enumerate(table)), names, name)
+
+
+def _group_of_rows(rows: tuple[tuple[int, ...], ...], names: Sequence[str] | None, name: str) -> FiniteGroup:
+    """:func:`make_group` on a table already in its shape: tuple rows of indices in 0..n-1.
+
+    Every check of make_group runs but the per-entry scan of
+    :func:`index_row`, for a table that cannot fail it: the product table
+    of ``semidirect.SdProduct.group``, gathered as tuples from pair codes.
+    The rows' lengths, the names, the identity, the inverses and
+    associativity are all checked, as for any table.
+    """
+    n = len(rows)
     for i, row in enumerate(rows):
         if len(row) != n:
             raise ValueError(f"row {i} has {len(row)} entries, expected {n}")

@@ -164,7 +164,10 @@ def memo(fn):
     """``fn(obj)``, computed on the first call and then kept in ``obj.__dict__``.
 
     As with :class:`functools.cached_property`, the value lives exactly as
-    long as ``obj``, and a call that raises keeps nothing.
+    long as ``obj``, and a call that raises keeps nothing.  The returned
+    function's ``record(obj, value)`` keeps ``value`` as ``fn(obj)`` without
+    calling ``fn``, for a caller that has decided it another way (the matrix
+    search of ``matrices.enumerate_matrices``).
     """
     key = f"{fn.__module__}.{fn.__qualname__}"
 
@@ -174,6 +177,10 @@ def memo(fn):
             obj.__dict__[key] = fn(obj)
         return obj.__dict__[key]
 
+    def record(obj, value) -> None:
+        obj.__dict__[key] = value
+
+    kept.record = record
     return kept
 
 

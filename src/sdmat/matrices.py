@@ -22,12 +22,17 @@ map addition, composition and twisting, and the set of valid matrices is a
 monoid under it.
 
 A matrix is valid when all six hold, as decided here.  An endomorphism of
-G is an FMap from G to itself.  :func:`matrix_to_endo` checks the
-conditions and then the homomorphism law of the map it builds, once per
-matrix; :func:`endo_to_matrix` checks the conditions of the matrix it
-reads off.  :func:`check_conditions` takes the conditions in the order of
-``CONDITION_NAMES`` and returns the first that fails as
-``(name, witness)``, or None when all six hold.
+G is an FMap from G to itself.  :func:`check_conditions` takes the
+conditions in the order of ``CONDITION_NAMES`` and returns the first that
+fails as ``(name, witness)``, or None when all six hold.  That verdict is
+a value of its matrix, like the determinants: decided on the first call
+and kept on the matrix object (``maps.memo``).  Every later reader of the
+same matrix reads it, and none decides it again: :func:`matrix_to_endo`,
+``determinant.is_invertible`` and, through it,
+``factorization.factor_abcd`` raise ConditionsViolated on a failing
+verdict.  matrix_to_endo then checks the homomorphism law of the map it
+builds, once per matrix, whoever decided the verdict.
+:func:`endo_to_matrix` checks the conditions of the matrix it reads off.
 
 Conditions 1, 2, 5 and 6 are laws of one map each, decided on the
 generators of its domain (:mod:`sdmat.maps`).  Conditions 3 and 4 range
@@ -63,6 +68,20 @@ construction; :func:`check_conditions` reaches condition 3 only when 1 and
 for the laws of one map, a witness is only ever named by the full scan of
 all pairs, h outermost (:func:`first_pair_witness`), so it is the first
 one whichever way the condition was decided.
+
+Every matrix :func:`enumerate_matrices` returns satisfies all six
+conditions, so the search records None as its verdict
+(``check_conditions.record``), and no condition of it is scanned again.
+gamma and delta come from the homomorphism search: conditions 5 and 6
+hold.  beta is searched as a twisted map with t_k = f_{delta(k)} and alpha
+as one with t_h = f_{gamma(h)}.  With delta and gamma homomorphisms these
+twists meet the premise of ``maps.law_holds_on_generators``, so the
+searches (``groups.enumerate_twisted_maps``) return exactly the maps that
+obey conditions 2 and 1 on all pairs.  A quadruple is kept only when
+conditions 3 and 4 hold on S_H x S_K, which, with the other four holding,
+is the two conditions on all pairs (above).  A matrix built with the same
+entries by other means is another object, and its conditions are decided
+on their own.
 
 The product's entry formula is written once, in ``_product_images``.  It
 sends each column of the right factor through one map of the left factor,
@@ -109,7 +128,7 @@ class EndoMatrix:
 
     Shapes are validated at construction; the compatibility conditions are
     not, so candidate matrices can be built and then checked by
-    :func:`check_conditions`.
+    :func:`check_conditions`, whose verdict is kept on the object.
     """
 
     alpha: FMap
@@ -240,17 +259,24 @@ def _condition_witnesses(matrix: EndoMatrix):
     yield None if d.is_hom else twisted_law_witness(d.dom, d.cod, d.image)
 
 
+@memo
 def check_conditions(matrix: EndoMatrix) -> tuple[str, tuple] | None:
     """The first failing compatibility condition as (name, witness), or None.
 
     Conditions are taken in ``CONDITION_NAMES`` order, and each is decided
     only once the earlier ones hold; the witness is the first violating
     (x, y, lhs, rhs) of that condition.  The last two read ``is_hom``, which
-    the first two have already computed.
+    the first two have already computed.  The verdict is kept on the matrix
+    (module docstring).
     """
     return next(
         ((name, w) for name, w in zip(CONDITION_NAMES, _condition_witnesses(matrix)) if w is not None), None
     )
+
+
+# Bound at import: a wrapper swapped in for the module's ``check_conditions``
+# (as bench/tracer.py does) has no ``record``.
+_conditions_hold = check_conditions.record
 
 
 def _product_images(left: EndoMatrix, a1, b1, g1, d1) -> tuple[tuple[int, ...], ...]:
@@ -301,7 +327,8 @@ def matrix_to_endo(matrix: EndoMatrix) -> FMap:
     """The endomorphism (h, k) -> (alpha(h) * f_{gamma(h)}(beta(k)), gamma(h) delta(k)).
 
     Raises ConditionsViolated if the matrix fails its compatibility
-    conditions.  The result is an FMap from the product group to itself,
+    conditions, as :func:`check_conditions` decided them once for this
+    matrix.  The result is an FMap from the product group to itself,
     checked once against the homomorphism law (VerificationFailed otherwise,
     as the six conditions imply it) and kept on the matrix.
     """
@@ -359,9 +386,10 @@ def enumerate_matrices(product: SdProduct, bound: int = 64) -> list[EndoMatrix]:
     prunes pairs early, beta and alpha come from twisted-map searches, and
     the remaining compatibility condition filters the final quadruples.
     Both are decided on S_H x S_K alone, as every candidate meets the
-    premises of the module docstring.  This is the search's only route; the
-    tests set it against a reference filter of every (alpha, beta) table
-    through :func:`check_conditions`.
+    premises of the module docstring.  Each matrix returned keeps the
+    verdict "all six hold" that the search decided (module docstring).
+    This is the search's only route; the tests set it against a reference
+    filter of every (alpha, beta) table through :func:`check_conditions`.
     """
     H, K, act = product.H, product.K, product.action
     if H.order * K.order > bound:
@@ -379,9 +407,9 @@ def enumerate_matrices(product: SdProduct, bound: int = 64) -> list[EndoMatrix]:
             for beta in betas:
                 for alpha in alphas:
                     if _compat_scan(alpha, beta, gamma, delta, act)(H.generators, K.generators) is None:
-                        out.append(
-                            EndoMatrix(alpha=alpha, beta=beta, gamma=gamma, delta=delta, context=product)
-                        )
+                        m = EndoMatrix(alpha=alpha, beta=beta, gamma=gamma, delta=delta, context=product)
+                        _conditions_hold(m, None)
+                        out.append(m)
     return out
 
 

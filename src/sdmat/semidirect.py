@@ -10,11 +10,12 @@ Conjugating h by k inside G gives ``images[k][h]``: the action is
 conjugation, which is what makes the matrix calculus built on top of this
 file work.
 
-The table of G is built and validated through ``groups.make_group`` when
+The table of G is built and validated through make_group's checks when
 :attr:`SdProduct.group` is first read, not when :func:`semidirect` returns:
-``det`` and ``invert`` work on the four entry maps of a matrix alone and
-never read it.  Deferring it changes no outcome, because the table of a
-valid action is always a group, so make_group cannot fail on it.  With
+``det``, ``invert`` and ``factor`` decide invertibility from the four entry
+maps of a matrix alone when a diagonal entry is bijective, and never read
+it then.  Deferring it changes no outcome, because the table of a
+valid action is always a group, so those checks cannot fail on it.  With
 every f_k an automorphism of H and f(k1 k2) = f(k1) o f(k2) (so f(e) = 1):
 
 - (e, e) is the identity: (e, e)(h, k) = (f_e(h), k) = (h, k), and
@@ -30,7 +31,12 @@ every f_k an automorphism of H and f(k1 k2) = f(k1) o f(k2) (so f(e) = 1):
 
   equal as f_{k1 k2} = f_k1 o f_k2.
 
-make_group still runs every check on that first read.  A ``GroupAction``
+On that first read the table is gathered as tuple rows of pair codes, each
+in 0..|G|-1, so it skips only the per-entry range scan of make_group
+(``groups._group_of_rows``).  The rows' lengths, the two-sided identity,
+every two-sided inverse and associativity (Light's test on the greedy
+generators) are still checked, and the greedy generators and their walk
+are kept, as for any table.  A ``GroupAction``
 built by hand, bypassing :func:`make_action`, may not be an action, so
 :func:`semidirect` first passes its table through make_action and raises
 its error.
@@ -45,7 +51,7 @@ from operator import itemgetter
 from typing import Sequence
 
 from .errors import NotAutomorphism, NotHomomorphic
-from .groups import FiniteGroup, index_row, make_group
+from .groups import FiniteGroup, _group_of_rows, index_row
 from .maps import FMap, twisted_law_witness
 
 __all__ = [
@@ -146,7 +152,7 @@ class SdProduct:
 
     @cached_property
     def group(self) -> FiniteGroup:
-        """The product group: its table gathered and validated through make_group on first read."""
+        """The product group: its table gathered and validated on first read (module docstring)."""
         H, K = self.H, self.K
         nK = K.order
         ht, kt, rows = H.table, K.table, self.action.images
@@ -157,13 +163,13 @@ class SdProduct:
         codes = [range(h * nK, h * nK + nK) for h in range(H.order)]  # (h, k) for every k
         by_h = [tuple(chain.from_iterable(map(codes.__getitem__, row))) for row in ht]
         # An itemgetter of one index returns the entry, not a tuple: the one-element case.
-        table = [gather(left) for left in by_h for gather in by_k] if H.order * nK > 1 else [[0]]
+        table = tuple([gather(left) for left in by_h for gather in by_k]) if H.order * nK > 1 else ((0,),)
         names = tuple(
             f"({H.element_name(h)},{K.element_name(k)})"
             for h in range(H.order)
             for k in range(nK)
         )
-        return make_group(table, names=names, name=self.name)
+        return _group_of_rows(table, names=names, name=self.name)
 
     def encode(self, h: int, k: int) -> int:
         return h * self.K.order + k
@@ -187,7 +193,7 @@ def semidirect(action: GroupAction, name: str = "") -> SdProduct:
     ``action`` is checked again by :func:`make_action`, which raises its
     ValueError, NotAutomorphism or NotHomomorphic for a hand-built
     ``GroupAction`` that is no action.  An action's table is a group (proof
-    in the module docstring), and make_group gathers and validates it when
+    in the module docstring), and it is gathered and validated when
     :attr:`SdProduct.group` is first read.
     """
     make_action(action.H, action.K, action.images)

@@ -307,7 +307,7 @@ def _correspondence(ctx: _Context) -> CheckResult:
     P = ctx.product
     # The read-off uses only theta.image, so with equal image sets this covers every census
     # endomorphism.  Matrices over one product are equal iff their keys are, so equal tables
-    # mean the read-back matrix is m, whose conditions matrix_to_endo has already decided.
+    # mean the read-back matrix is m, whose conditions its search decided (the verdict kept on m).
     for i, m in enumerate(ctx.mats):
         if _entry_images(ctx.thetas[i], P) != m.key():
             return CheckResult(name, "fail", witness=_mat_witness(m, detail="round trip through endomorphism"))

@@ -26,7 +26,7 @@ from sdmat import (
     matrix_to_dict,
     run_verification,
 )
-from sdmat import cli
+from sdmat import cli, groups
 from sdmat.catalog import load_group, save_group, save_matrix
 
 
@@ -346,25 +346,31 @@ _D32_MATRICES = {
         ("invert", "alpha_bijective", 0, 0),
         ("det", "delta_only_bijective", 0, 0),
         ("invert", "delta_only_bijective", 1, 0),
-        ("factor", "alpha_bijective", 0, 1),
+        ("factor", "alpha_bijective", 0, 0),
+        ("factor", "delta_only_bijective", 1, 0),
         ("invert", "neither_bijective", 1, 1),
+        ("factor", "neither_bijective", 1, 1),
     ],
 )
 def test_cli_builds_the_product_group_only_where_it_is_read(
     tmp_path, capsys, monkeypatch, command, matrix, code, product_builds
 ):
-    # det and invert decide from the four entries alone on the det_k and det_h routes; factor
-    # and the brute route read the product group, which is then built exactly once.
+    # det, invert and factor decide invertibility from the four entries alone on the det_k and
+    # det_h routes; the brute route reads the product group, which is then built exactly once.
     path = _write_matrix(tmp_path / "m.json", build_instance("dihedral:32"), *_D32_MATRICES[matrix])
     built = []
 
-    def counting(table, *args, **kwargs):
-        built.append(len(table))
-        return make_group(table, *args, **kwargs)
+    def counting(build):
+        def counted(table, *args, **kwargs):
+            built.append(len(table))
+            return build(table, *args, **kwargs)
 
-    # The package exports the function semidirect under the module's name.
-    for module in (sys.modules["sdmat.catalog"], sys.modules["sdmat.semidirect"]):
-        monkeypatch.setattr(module, "make_group", counting)
+        return counted
+
+    # The factors are built through make_group, the product through the private builder of
+    # its gathered rows.  The package exports the function semidirect under the module's name.
+    monkeypatch.setattr(sys.modules["sdmat.catalog"], "make_group", counting(make_group))
+    monkeypatch.setattr(sys.modules["sdmat.semidirect"], "_group_of_rows", counting(groups._group_of_rows))
     assert cli_main([command, "--instance", "dihedral:32", "--matrix", path]) == code
     capsys.readouterr()
     assert sorted(built) == sorted([32, 2] + [64] * product_builds)

@@ -6,6 +6,7 @@ from sdmat import (
     FMap,
     PreconditionFailed,
     SdmatError,
+    VerificationFailed,
     build_instance,
     classify,
     cyclic_group,
@@ -18,12 +19,14 @@ from sdmat import (
     map_compose,
     map_inverse,
     mat_mul,
+    matrix_to_endo,
     unit_diagonal_a_factor,
     unit_diagonal_b_factor,
     zero_map,
 )
+from sdmat.factorization import _b_entry, _certified
 from test_determinant import _z3_by_s3_sign
-from test_matrices import _s3_by_conjugation
+from test_matrices import _NONABELIAN, _s3_by_conjugation
 
 
 def _matrix(P, alpha, beta, gamma, delta):
@@ -214,3 +217,49 @@ def test_factors_read_off_det_h_match_the_reduction(instance):
         assert factors.d.delta == m.delta
         factored += 1
     assert factored > 0
+
+
+def _factor_on_the_brute_route(m):
+    """factor_abcd deciding "automorphism" by the endomorphism's bijectivity: the reference.
+
+    The route factor_abcd took before it decided through is_invertible.
+    """
+    if not is_automorphism_matrix(m):
+        raise PreconditionFailed("only automorphism matrices factor")
+    if not (m.alpha.is_bijective and m.delta.is_bijective):
+        raise PreconditionFailed("factorization requires bijective alpha and delta")
+    P = m.context
+    dh = det_h(m)
+    a = _certified("A", identity_matrix(P, alpha=dh))
+    factors = ABCDFactors(
+        a=a,
+        b=_certified("B", identity_matrix(P, beta=_b_entry(dh, m))),
+        c=_certified("C", identity_matrix(P, gamma=m.gamma)),
+        d=_certified("D", identity_matrix(P, delta=m.delta)),
+    )
+    if factors.product() != m:
+        raise VerificationFailed("factor reassembly", m.key())
+    return factors
+
+
+def _outcome(route, m):
+    try:
+        return route(m)
+    except SdmatError as err:
+        return (type(err), str(err))
+
+
+@pytest.mark.parametrize("instance", ["direct:3:3", "metacyclic:8:2:5", "metacyclic:9:3:4", *sorted(_NONABELIAN)])
+def test_factor_refuses_exactly_the_non_automorphisms(instance):
+    # factor_abcd decides "automorphism" on is_invertible's route (det_k, det_h, else brute);
+    # on every enumerated matrix it refuses exactly those whose endomorphism is no bijection,
+    # and otherwise does what the brute route does: the same factors or the same error.
+    P = _NONABELIAN[instance]() if instance in _NONABELIAN else build_instance(instance)
+    refused = 0
+    for m in enumerate_matrices(P):
+        outcome = _outcome(factor_abcd, m)
+        is_refused = outcome == (PreconditionFailed, "only automorphism matrices factor")
+        assert is_refused == (not matrix_to_endo(m).is_bijective), m
+        assert outcome == _outcome(_factor_on_the_brute_route, m), m
+        refused += is_refused
+    assert refused > 0

@@ -62,9 +62,12 @@ def test_non_square_table_rejected():
 
 def test_out_of_range_entry_rejected():
     # Only exact ints in 0..n-1 are indices: not a bool, not a float equal to one.
+    # Tuple rows, the shape of a gathered product table, are scanned by make_group as well.
     for bad in (7, 2, -1, True, 1.0):
         with pytest.raises(ValueError, match=f"^row 1 contains invalid entry {bad!r}$"):
             make_group([[0, 1], [1, bad]])
+        with pytest.raises(ValueError, match=f"^row 1 contains invalid entry {bad!r}$"):
+            make_group(((0, 1), (1, bad)))
     # The first invalid entry is named.
     with pytest.raises(ValueError, match=r"^row 0 contains invalid entry -1$"):
         make_group([[0, -1, 5], [1, 2, 0], [2, 0, 1]])

@@ -21,6 +21,7 @@ from sdmat import (
     identity_map,
     identity_matrix,
     is_automorphism_matrix,
+    is_invertible,
     make_action,
     map_act,
     map_add,
@@ -31,6 +32,7 @@ from sdmat import (
     twisted_hom_witness,
     zero_map,
 )
+from sdmat.maps import _trusted
 from sdmat.oracle import compose_endos
 from pairwise_reference import product_table
 from test_determinant import _z3_by_s3_sign
@@ -91,9 +93,10 @@ def test_a_matrix_with_a_non_homomorphic_gamma_violates_its_conditions(klein):
     # alpha, beta and delta make the first four conditions hold, but gamma(0) = 1.
     m = _matrix(klein, (0, 1), (0, 0), (1, 0), (0, 1))
     assert check_conditions(m) == ("gamma_homomorphism", (0, 0, 1, 0))
-    for entry_point in (matrix_to_endo, is_automorphism_matrix, factor_abcd):
+    # Each entry point meets the matrix fresh, so each decides the conditions itself.
+    for entry_point in (matrix_to_endo, is_automorphism_matrix, is_invertible, factor_abcd):
         with pytest.raises(ConditionsViolated, match=r"condition gamma_homomorphism fails at \(0, 0, 1, 0\)"):
-            entry_point(m)
+            entry_point(_matrix(klein, (0, 1), (0, 0), (1, 0), (0, 1)))
 
 
 def test_identity_matrix_with_given_entries_is_the_literal(s3):
@@ -159,6 +162,40 @@ def test_matrix_to_endo_certifies_the_homomorphism_law(s3, monkeypatch):
     monkeypatch.setattr("sdmat.matrices.check_conditions", lambda matrix: None)
     with pytest.raises(VerificationFailed, match="verification failed: matrix passes its conditions but describes no homomorphism"):
         matrix_to_endo(m)
+
+
+@pytest.mark.parametrize("instance", ["direct:3:3", "s3_by_z2_conjugation"])
+def test_enumerated_matrices_keep_the_verdict_of_their_search(instance, monkeypatch):
+    # The search decided all six conditions of each matrix it returns (matrices.py docstring):
+    # with every condition scan made to raise, matrix_to_endo still maps each of them, while a
+    # hand-built matrix with the same entries is still scanned.
+    P = _NONABELIAN[instance]() if instance in _NONABELIAN else build_instance(instance)
+    mats, fresh = enumerate_matrices(P), enumerate_matrices(P)
+
+    def scanned(matrix):
+        raise AssertionError("conditions scanned")
+
+    monkeypatch.setattr("sdmat.matrices._condition_witnesses", scanned)
+    for m in mats:
+        assert matrix_to_endo(m).is_hom
+    twin = EndoMatrix(alpha=m.alpha, beta=m.beta, gamma=m.gamma, delta=m.delta, context=P)
+    assert twin == m
+    for entry_point in (check_conditions, matrix_to_endo, is_invertible):
+        with pytest.raises(AssertionError, match="conditions scanned"):
+            entry_point(twin)
+
+    # theta's homomorphism law is still checked on each of them: a gather sending e anywhere
+    # else is refused.
+    def mutant(dom, cod, image):
+        if dom is P.group:
+            e = P.group.identity
+            image = image[:e] + ((image[e] + 1) % P.group.order,) + image[e + 1 :]
+        return _trusted(dom, cod, image)
+
+    monkeypatch.setattr("sdmat.matrices._trusted", mutant)
+    for m in fresh:
+        with pytest.raises(VerificationFailed, match="describes no homomorphism"):
+            matrix_to_endo(m)
 
 
 def test_shape_validation(s3):

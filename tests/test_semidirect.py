@@ -16,6 +16,7 @@ from sdmat import (
     semidirect,
     trivial_action,
 )
+from sdmat import groups
 from sdmat.maps import FMap, twisted_law_witness
 from sdmat.semidirect import GroupAction
 from test_determinant import _z3_by_s3_sign
@@ -256,15 +257,16 @@ def test_a_non_identity_row_over_a_trivial_group_is_not_an_action():
 
 
 def _counting_product_builds(monkeypatch):
-    """Patch the make_group the product group is built with; the returned list grows by one per build."""
+    """Patch the builder the product group is built with; the returned list grows by one per build."""
     built = []
+    build = groups._group_of_rows
 
-    def counting(table, *args, **kwargs):
-        built.append(len(table))
-        return make_group(table, *args, **kwargs)
+    def counting(rows, *args, **kwargs):
+        built.append(len(rows))
+        return build(rows, *args, **kwargs)
 
     # The package exports the function semidirect under the module's name.
-    monkeypatch.setattr(importlib.import_module("sdmat.semidirect"), "make_group", counting)
+    monkeypatch.setattr(importlib.import_module("sdmat.semidirect"), "_group_of_rows", counting)
     return built
 
 
