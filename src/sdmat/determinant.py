@@ -22,12 +22,14 @@ An invertible matrix has one inverse, so when both sides apply the
 combined form takes one column from each, and each determinant's inverse
 can be read off the other side's diagonal (the duality).
 
-:func:`is_invertible` is the one place that chooses a route: ``det_k`` when
-alpha is bijective, else ``det_h`` when delta is bijective, else ``brute``,
-bijectivity of the described endomorphism.  It first reads the matrix's
-kept verdict on its conditions (``matrices.check_conditions``) and raises
-ConditionsViolated on a matrix that fails them, as ``matrix_to_endo``
-does; ``factorization.factor_abcd`` decides its precondition through it.
+``_decide_invertible`` is the one place that chooses a route: ``det_k``
+when alpha is bijective, else ``det_h`` when delta is bijective, else
+``brute``, bijectivity of the described endomorphism.  It first reads the
+matrix's kept verdict on its conditions (``matrices.check_conditions``)
+and raises ConditionsViolated on a matrix that fails them, as
+``matrix_to_endo`` does.  :func:`is_invertible` adds the inverse of that
+route; ``factorization.factor_abcd`` decides its precondition through the
+helper alone, so it builds no inverse.
 Both determinants and both closed-form inverses are values of their
 matrix: each is built on the first call and kept on the matrix object
 (``maps.memo``), so the inverse ``is_invertible`` returns is the one
@@ -44,7 +46,9 @@ every chain ends in a table of the entry's codomain; no intermediate map
 is built.  The checks of these results do not reuse these passes:
 :func:`dual_det_inverses` and the rearranged det_K identity of
 ``sdmat.verify`` compose maps with :mod:`sdmat.maps`, and the inverse
-checks multiply each inverse back with ``mat_mul``.
+checks multiply each inverse back on both sides through the product's
+entry formula (``matrices._product_images``) and compare the image tables
+with the identity matrix's.
 """
 
 from __future__ import annotations
@@ -156,32 +160,44 @@ def invert_via_det_h(matrix: EndoMatrix) -> EndoMatrix:
     )
 
 
-def is_invertible(matrix: EndoMatrix) -> InvertibilityResult:
-    """Decide invertibility and invert, preferring determinant criteria over brute force.
+def _decide_invertible(matrix: EndoMatrix) -> tuple[bool, str]:
+    """Whether the matrix is invertible, and the route that decided it.
 
     Raises ConditionsViolated, as :func:`~sdmat.matrices.matrix_to_endo`
     does, if the matrix fails its compatibility conditions (the verdict
-    kept on the matrix by ``check_conditions``).  Then uses det_k when alpha
-    is bijective, else det_h when delta is bijective, else falls back to
-    bijectivity of the described endomorphism.  The inverse comes from the
-    same route: the closed form of that side, or the inverse of the
-    endomorphism's image table.
+    kept on the matrix by ``check_conditions``).  Then reads the
+    bijectivity of det_k when alpha is bijective, else of det_h when delta
+    is bijective, else of the described endomorphism.  No inverse is built.
     """
     failed = check_conditions(matrix)
     if failed is not None:
         raise ConditionsViolated(*failed)
     if matrix.alpha.is_bijective:
-        method, det, invert = "det_k", det_k, invert_via_det_k
-    elif matrix.delta.is_bijective:
-        method, det, invert = "det_h", det_h, invert_via_det_h
-    else:
-        theta = matrix_to_endo(matrix)
-        if not theta.is_bijective:
-            return InvertibilityResult(False, "brute", None)
-        return InvertibilityResult(True, "brute", endo_to_matrix(map_inverse(theta), matrix.context))
-    if not det(matrix).is_bijective:
+        return det_k(matrix).is_bijective, "det_k"
+    if matrix.delta.is_bijective:
+        return det_h(matrix).is_bijective, "det_h"
+    return matrix_to_endo(matrix).is_bijective, "brute"
+
+
+def is_invertible(matrix: EndoMatrix) -> InvertibilityResult:
+    """Decide invertibility and invert, preferring determinant criteria over brute force.
+
+    The decision and its route are those of ``_decide_invertible``, which
+    ``factorization.factor_abcd`` reads as well (ConditionsViolated on a
+    matrix that fails its conditions).  The inverse comes from the same
+    route: the closed form of that side, or the inverse of the
+    endomorphism's image table.
+    """
+    invertible, method = _decide_invertible(matrix)
+    if not invertible:
         return InvertibilityResult(False, method, None)
-    return InvertibilityResult(True, method, invert(matrix))
+    if method == "det_k":
+        inverse = invert_via_det_k(matrix)
+    elif method == "det_h":
+        inverse = invert_via_det_h(matrix)
+    else:
+        inverse = endo_to_matrix(map_inverse(matrix_to_endo(matrix)), matrix.context)
+    return InvertibilityResult(True, method, inverse)
 
 
 def _require_automorphism_with_bijective_diagonal(matrix: EndoMatrix) -> None:

@@ -47,27 +47,42 @@ failure on the generator pairs is followed by the full scan, h outermost,
 which names the first witness.
 
 Only automorphism matrices factor.  :func:`factor_abcd` decides that on
-the route of ``determinant.is_invertible``: it reads the verdict kept on
-the matrix for its conditions (ConditionsViolated when they fail), then
-takes det_K when alpha is bijective, det_H when delta is, and the
-bijectivity of the described endomorphism otherwise.  A matrix with
-bijective alpha or delta is thus decided from its four entries, and the
-product group is built only for one with neither, which does not factor
-anyway.  The certification does not rest on that decision: every member
-of the four families is an automorphism matrix (each entry it constrains
-makes the six conditions hold, and its endomorphism is bijective), and
-matrix products compose endomorphisms, so a product a*b*c*d that equals m
-proves m an automorphism.
+the route of ``determinant.is_invertible``, through the helper
+``determinant._decide_invertible`` that builds no inverse: it reads the
+verdict kept on the matrix for its conditions (ConditionsViolated when
+they fail), then takes the bijectivity of det_K when alpha is bijective,
+of det_H when delta is, and of the described endomorphism otherwise.  A
+matrix with bijective alpha or delta is thus decided from its four
+entries, and the product group is built only for one with neither, which
+does not factor anyway.  The certification does not rest on that
+decision: every member of the four families is an automorphism matrix
+(each entry it constrains makes the six conditions hold, and its
+endomorphism is bijective), and matrix products compose endomorphisms, so
+a product a*b*c*d that equals m proves m an automorphism.
+
+The reassembly is compared as image tables, and no product matrix is
+built: the entry formula (``matrices._product_images``) takes c*d from
+the tables of c and d, then b*(c*d) from the tables of b and of c*d, then
+a*(b*(c*d)), and the last four tables must be m's key.  Each step is the
+entry formula on the right factor's own columns, exactly what ``mat_mul``
+computes, so the comparison is that of ``ABCDFactors.product()`` with m.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .determinant import det_h, is_invertible
+from .determinant import _decide_invertible, det_h
 from .errors import PreconditionFailed, VerificationFailed
 from .maps import FMap, _trusted, identity_map, is_crossed_hom, map_inverse
-from .matrices import EndoMatrix, first_pair_witness, identity_matrix, is_automorphism_matrix, mat_mul
+from .matrices import (
+    EndoMatrix,
+    _product_images,
+    first_pair_witness,
+    identity_matrix,
+    is_automorphism_matrix,
+    mat_mul,
+)
 
 __all__ = [
     "SubsetTag",
@@ -108,7 +123,7 @@ class ABCDFactors:
 
 
 def _is_identity(phi) -> bool:
-    return phi.image == tuple(range(phi.dom.order))
+    return phi.image == identity_map(phi.dom).image
 
 
 def _is_zero(phi) -> bool:
@@ -268,14 +283,15 @@ def factor_abcd(matrix: EndoMatrix) -> ABCDFactors:
     """Factor an automorphism matrix with bijective diagonal as a*b*c*d.
 
     Raises ConditionsViolated for a matrix that fails its conditions, and
-    PreconditionFailed for one that is no automorphism, decided by
-    :func:`~sdmat.determinant.is_invertible`, or has a diagonal entry that
-    is not bijective.  The four factors are read off the matrix and
-    :func:`det_h` (see the module docstring).  Each family membership is
-    verified, in the order A, B, C, D, and then the reassembly, before
-    returning.
+    PreconditionFailed for one that is no automorphism, decided on the
+    route of :func:`~sdmat.determinant.is_invertible` without building its
+    inverse, or has a diagonal entry that is not bijective.  The four
+    factors are read off the matrix and :func:`det_h` (see the module
+    docstring).  Each family membership is verified, in the order A, B, C,
+    D, and then the reassembly, before returning.
     """
-    if not is_invertible(matrix).invertible:
+    invertible, _ = _decide_invertible(matrix)
+    if not invertible:
         raise PreconditionFailed("only automorphism matrices factor")
     if not (matrix.alpha.is_bijective and matrix.delta.is_bijective):
         raise PreconditionFailed("factorization requires bijective alpha and delta")
@@ -289,6 +305,9 @@ def factor_abcd(matrix: EndoMatrix) -> ABCDFactors:
         c=_certified("C", identity_matrix(P, gamma=matrix.gamma)),
         d=_certified("D", identity_matrix(P, delta=matrix.delta)),
     )
-    if factors.product() != matrix:
+    # a*(b*(c*d)) as image tables, each product's tables the columns of the next.
+    cd = _product_images(factors.c, *factors.d.key())
+    bcd = _product_images(factors.b, *cd)
+    if _product_images(a, *bcd) != matrix.key():
         raise VerificationFailed("factor reassembly", matrix.key())
     return factors

@@ -87,7 +87,10 @@ The product's entry formula is written once, in ``_product_images``.  It
 sends each column of the right factor through one map of the left factor,
 whatever the columns are: :func:`mat_mul` passes the right factor's own,
 and ``verify`` the whole H x K grid, on which the map must be the left
-factor's endomorphism (the ``sdmat.verify`` docstring).
+factor's endomorphism (the ``sdmat.verify`` docstring).  Where a product
+is only compared, its four image tables are compared with a matrix's key
+and no matrix is built: the inverse checks of ``verify`` and the
+reassembly of ``factorization.factor_abcd``.
 """
 
 from __future__ import annotations
@@ -139,12 +142,14 @@ class EndoMatrix:
 
     def __post_init__(self) -> None:
         H, K = self.context.H, self.context.K
-        shapes = (
-            ("alpha", self.alpha, H, H),
-            ("beta", self.beta, K, H),
-            ("gamma", self.gamma, H, K),
-            ("delta", self.delta, K, K),
-        )
+        a, b, g, d = self.alpha, self.beta, self.gamma, self.delta
+        if (
+            a.dom is H and a.cod is H and b.dom is K and b.cod is H
+            and g.dom is H and g.cod is K and d.dom is K and d.cod is K
+        ):
+            return
+        # Some shape fails: name the first failing entry.
+        shapes = (("alpha", a, H, H), ("beta", b, K, H), ("gamma", g, H, K), ("delta", d, K, K))
         for label, entry, dom, cod in shapes:
             if entry.dom is not dom or entry.cod is not cod:
                 raise DomainMismatch(f"entry {label} must be a map {dom!r} -> {cod!r}")
@@ -179,16 +184,25 @@ def identity_matrix(
     """The matrix of the identity endomorphism: identity diagonal, zero off-diagonal.
 
     An entry given as an argument takes the place of the identity's own, so
-    ``identity_matrix(P, gamma=g)`` is (1, 0; g, 1).
+    ``identity_matrix(P, gamma=g)`` is (1, 0; g, 1).  The identity maps are
+    kept per group and the zero maps per product, so every identity matrix
+    of a product shares its default entries.
     """
     H, K = product.H, product.K
+    zero_kh, zero_hk = _zero_entries(product)
     return EndoMatrix(
         alpha=identity_map(H) if alpha is None else alpha,
-        beta=zero_map(K, H) if beta is None else beta,
-        gamma=zero_map(H, K) if gamma is None else gamma,
+        beta=zero_kh if beta is None else beta,
+        gamma=zero_hk if gamma is None else gamma,
         delta=identity_map(K) if delta is None else delta,
         context=product,
     )
+
+
+@memo
+def _zero_entries(product: SdProduct) -> tuple[FMap, FMap]:
+    """The zero maps K -> H and H -> K of a product, one pair per product."""
+    return zero_map(product.K, product.H), zero_map(product.H, product.K)
 
 
 def first_pair_witness(scan, action: GroupAction, on_generators: bool) -> tuple | None:
@@ -284,7 +298,9 @@ def _product_images(left: EndoMatrix, a1, b1, g1, d1) -> tuple[tuple[int, ...], 
 
     Column (x; y) of the right factor maps to (a2 x + (b2 y)^{g2 x}; g2 x + d2 y),
     so the tables may be any columns: :func:`mat_mul` passes the right
-    factor's own, ``verify`` the whole H x K grid.
+    factor's own, ``verify`` the whole H x K grid.  With the right factor's
+    own tables the result is the product's key, so it can be compared with
+    a matrix's ``key()`` or passed on as the columns of the next product.
     """
     P = left.context
     ht, kt, rows = P.H.table, P.K.table, P.action.images

@@ -36,10 +36,16 @@ in 0..|G|-1, so it skips only the per-entry range scan of make_group
 (``groups._group_of_rows``).  The rows' lengths, the two-sided identity,
 every two-sided inverse and associativity (Light's test on the greedy
 generators) are still checked, and the greedy generators and their walk
-are kept, as for any table.  A ``GroupAction``
-built by hand, bypassing :func:`make_action`, may not be an action, so
-:func:`semidirect` first passes its table through make_action and raises
-its error.
+are kept, as for any table.
+
+:func:`make_action` records on each ``GroupAction`` it returns that it is
+an action (``maps.memo``, as ``matrices.check_conditions`` records its
+verdict), and :func:`semidirect` reads that record, so an action from
+make_action (``catalog.build_instance``, ``catalog.load_action``) is
+validated once.  A ``GroupAction`` built by hand, bypassing make_action,
+or by :func:`trivial_action` has no record and may not be an action, so
+semidirect first passes its table through make_action and raises its
+error; the record it then keeps is that of a valid action.
 """
 
 from __future__ import annotations
@@ -52,7 +58,7 @@ from typing import Sequence
 
 from .errors import NotAutomorphism, NotHomomorphic
 from .groups import FiniteGroup, _group_of_rows, index_row
-from .maps import FMap, twisted_law_witness
+from .maps import FMap, memo, twisted_law_witness
 
 __all__ = [
     "GroupAction",
@@ -128,7 +134,20 @@ def make_action(H: FiniteGroup, K: FiniteGroup, images: Sequence[Sequence[int]])
                 r2 = rows[k2]
                 if any(r12[h] != r1[r2[h]] for h in range(H.order)):
                     raise NotHomomorphic(k1, k2)
-    return GroupAction(H=H, K=K, images=rows)
+    action = GroupAction(H=H, K=K, images=rows)
+    _is_action.record(action, True)
+    return action
+
+
+@memo
+def _is_action(action: GroupAction) -> bool:
+    """True, kept on ``action``, or make_action's error if its table is no action.
+
+    make_action records True on every action it returns, so only a
+    ``GroupAction`` built another way is validated here (module docstring).
+    """
+    make_action(action.H, action.K, action.images)
+    return True
 
 
 def trivial_action(H: FiniteGroup, K: FiniteGroup) -> GroupAction:
@@ -190,11 +209,12 @@ class SdProduct:
 def semidirect(action: GroupAction, name: str = "") -> SdProduct:
     """The semidirect product of an action; its group is built on first read.
 
-    ``action`` is checked again by :func:`make_action`, which raises its
-    ValueError, NotAutomorphism or NotHomomorphic for a hand-built
-    ``GroupAction`` that is no action.  An action's table is a group (proof
+    An ``action`` that :func:`make_action` returned is taken as validated;
+    any other is checked by make_action, which raises its ValueError,
+    NotAutomorphism or NotHomomorphic for a hand-built ``GroupAction`` that
+    is no action (module docstring).  An action's table is a group (proof
     in the module docstring), and it is gathered and validated when
     :attr:`SdProduct.group` is first read.
     """
-    make_action(action.H, action.K, action.images)
+    _is_action(action)
     return SdProduct(H=action.H, K=action.K, action=action, name=name)

@@ -44,7 +44,12 @@ order:
    through one map F_i of the left factor (``matrices._product_images``,
    the entry formula over the H and K tables and the action rows).
    Evaluated on every element of H x K and read as element codes, F_i
-   equals theta_i.
+   equals theta_i.  The comparison goes the other way: theta_i's codes
+   are read through two decode tables of the product, code -> H part and
+   code -> K part (one itemgetter per matrix), and compared with F_i's
+   H and K parts, which is the same test as codes are h*|K| + k.  F_i's
+   codes, and the first column where they differ, are formed only on a
+   mismatch, for the witness.
 
 Then m_i * m_j is the enumerated matrix of theta_i o theta_j for every i
 and j:
@@ -84,6 +89,10 @@ The determinants and closed-form inverses are values of their
 matrix (``sdmat.determinant``), built on first use and kept on it, so the
 two invertibility checks, the two inverse formulas, ``determinant_duality``
 and ``combined_inverse`` all read the same ones, whichever runs first.
+The inverse formulas multiply each inverse back on both sides with the
+entry formula on the two factors' image tables and compare the result
+with the identity matrix's key (``_Context.inverse_failure``); a product
+that is only compared is never built as a matrix.
 """
 
 from __future__ import annotations
@@ -91,6 +100,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 
 from .catalog import build_instance
 from .determinant import det_h, det_k, invert_via_det_h, invert_via_det_k, is_invertible
@@ -103,7 +113,6 @@ from .matrices import (
     _product_images,
     enumerate_matrices,
     identity_matrix,
-    mat_mul,
     matrix_to_endo,
 )
 from .oracle import enumerate_endos, invert_endo
@@ -206,8 +215,8 @@ class _Context:
         self.key_to_idx = {m.key(): i for i, m in enumerate(mats)}
         self.thetas = [matrix_to_endo(m) for m in mats]
         self.theta_to_idx = {t.image: i for i, t in enumerate(self.thetas)}
-        self.identity = identity_matrix(product)
-        self.identity_idx = self.key_to_idx.get(self.identity.key())
+        self.identity_key = identity_matrix(product).key()
+        self.identity_idx = self.key_to_idx.get(self.identity_key)
         self._inverse_verdicts: dict[tuple, str | None] = {}
         self._inverse_idx: dict[int, int | None] = {}
         self.bijective = [t.is_bijective for t in self.thetas]
@@ -264,19 +273,22 @@ class _Context:
     def inverse_failure(self, i: int, inverse: EndoMatrix) -> str | None:
         """Why ``inverse`` is not the inverse of matrix ``i``, or None.
 
-        It must be two-sided under ``mat_mul`` and be the matrix of the
-        oracle's inverse of endomorphism ``i``.  Both inverse formulas ask,
-        and where their closed forms agree they ask about the same matrix, so
-        the verdict is kept per ``(i, inverse)``.
+        It must be two-sided under the matrix product and be the matrix of
+        the oracle's inverse of endomorphism ``i``.  Both products are only
+        compared, so they are formed as image tables (``_product_images``)
+        and compared with the identity matrix's key, with no matrix built.
+        Both inverse formulas ask, and where their closed forms agree they ask
+        about the same matrix, so the verdict is kept per ``(i, inverse)``.
         """
-        memo_key = (i, inverse.key())
+        key = inverse.key()
+        memo_key = (i, key)
         if memo_key not in self._inverse_verdicts:
-            m, ident = self.mats[i], self.identity
+            m, ident = self.mats[i], self.identity_key
             verdict = None
-            if mat_mul(m, inverse) != ident or mat_mul(inverse, m) != ident:
+            if _product_images(m, *key) != ident or _product_images(inverse, *m.key()) != ident:
                 verdict = "two-sided inverse law"
             else:
-                j = self.key_to_idx.get(inverse.key())
+                j = self.key_to_idx.get(key)
                 if j is None or j != self.inverse_index(i):
                     verdict = "disagrees with brute-force inverse"
             self._inverse_verdicts[memo_key] = verdict
@@ -318,15 +330,19 @@ def _correspondence(ctx: _Context) -> CheckResult:
     if kernel != [ctx.identity_idx]:
         return CheckResult(name, "fail", witness={"kernel_indices": kernel})
     # Each left factor's map on every column (h; k) of H x K, coded h*|K| + k like the
-    # product's elements, must be its endomorphism (module docstring).
+    # product's elements, must be its endomorphism (module docstring).  The column of
+    # code g is (hs[g]; ks[g]), so hs and ks are also the tables that decode a code
+    # into its H and K parts.
     nH, nK = P.H.order, P.K.order
     hs = tuple(h for h in range(nH) for _ in range(nK))
     ks = tuple(range(nK)) * nH
     for i, m in enumerate(ctx.mats):
         a, _, c, _ = _product_images(m, hs, (), ks, ())
         image = ctx.thetas[i].image
-        codes = tuple([x * nK + y for x, y in zip(a, c)])
-        if codes != image:
+        # An itemgetter of one index returns the entry, not a tuple: the trivial product.
+        parts = itemgetter(*image) if len(image) > 1 else lambda table: (table[image[0]],)
+        if parts(hs) != a or parts(ks) != c:
+            codes = tuple([x * nK + y for x, y in zip(a, c)])
             column = next(g for g, (u, v) in enumerate(zip(codes, image)) if u != v)
             return CheckResult(
                 name,

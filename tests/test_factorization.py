@@ -24,6 +24,7 @@ from sdmat import (
     unit_diagonal_b_factor,
     zero_map,
 )
+from sdmat import determinant
 from sdmat.factorization import _b_entry, _certified
 from test_determinant import _z3_by_s3_sign
 from test_matrices import _NONABELIAN, _s3_by_conjugation
@@ -263,3 +264,35 @@ def test_factor_refuses_exactly_the_non_automorphisms(instance):
         assert outcome == _outcome(_factor_on_the_brute_route, m), m
         refused += is_refused
     assert refused > 0
+
+
+@pytest.mark.parametrize("instance", ["direct:3:3", "metacyclic:8:2:5", *sorted(_NONABELIAN)])
+def test_factor_builds_no_closed_form_inverse(monkeypatch, instance):
+    # factor_abcd reads is_invertible's route decision, not its inverse: on every matrix with a
+    # bijective diagonal entry, refused or factored, it calls neither closed form, and
+    # is_invertible on the same matrix then builds the one of its route when it is invertible.
+    P = _NONABELIAN[instance]() if instance in _NONABELIAN else build_instance(instance)
+    built = []
+    for side in ("k", "h"):
+        invert = getattr(determinant, f"invert_via_det_{side}")
+
+        def recording(matrix, side=side, invert=invert):
+            built.append(f"det_{side}")
+            return invert(matrix)
+
+        monkeypatch.setattr(determinant, f"invert_via_det_{side}", recording)
+    routes = set()
+    for m in enumerate_matrices(P):
+        if not (m.alpha.is_bijective or m.delta.is_bijective):
+            continue
+        outcome = _outcome(factor_abcd, m)
+        assert built == [], m
+        result = determinant.is_invertible(m)
+        assert built == ([result.method] if result.invertible else []), m
+        built.clear()
+        refused = outcome == (PreconditionFailed, "only automorphism matrices factor")
+        assert refused == (not result.invertible), m
+        routes.add((result.method, result.invertible))
+    # Each instance factors on det_k and refuses on a det route; direct:3:3 and z3_by_s3_sign
+    # take all four (route, verdict) pairs.
+    assert ("det_k", True) in routes and {("det_k", False), ("det_h", False)} & routes

@@ -199,14 +199,19 @@ def test_enumerated_matrices_keep_the_verdict_of_their_search(instance, monkeypa
 
 
 def test_shape_validation(s3):
-    with pytest.raises(DomainMismatch, match="entry alpha must be a map"):
-        EndoMatrix(
-            alpha=identity_map(s3.K),
-            beta=zero_map(s3.K, s3.H),
-            gamma=zero_map(s3.H, s3.K),
-            delta=identity_map(s3.K),
-            context=s3,
-        )
+    # Each entry in turn gets the shape of its mirror entry (domain and codomain swapped, or a
+    # map of the other group), then a wrong codomain alone, and the error names that entry and
+    # the shape it must have.
+    H, K = s3.H, s3.K
+    entries = {"alpha": identity_map(H), "beta": zero_map(K, H), "gamma": zero_map(H, K), "delta": identity_map(K)}
+    mirrored = {"alpha": identity_map(K), "beta": zero_map(H, K), "gamma": zero_map(K, H), "delta": identity_map(H)}
+    for entry, (dom, cod) in {"alpha": (H, H), "beta": (K, H), "gamma": (H, K), "delta": (K, K)}.items():
+        wrong_cod = FMap(dom, K if cod is H else H, (0,) * dom.order)
+        for wrong in (mirrored[entry], wrong_cod):
+            with pytest.raises(DomainMismatch) as err:
+                EndoMatrix(**{**entries, entry: wrong}, context=s3)
+            assert str(err.value) == f"entry {entry} must be a map {dom!r} -> {cod!r}"
+    assert EndoMatrix(**entries, context=s3) == identity_matrix(s3)
 
 
 def test_identity_law(s3, s3_matrices):

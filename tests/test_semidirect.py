@@ -1,4 +1,5 @@
 import importlib
+import json
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,8 +10,10 @@ from sdmat import (
     NotAutomorphism,
     NotHomomorphic,
     build_instance,
+    cli_main,
     cyclic_group,
     enumerate_endos,
+    group_to_dict,
     make_action,
     make_group,
     semidirect,
@@ -280,6 +283,20 @@ def test_semidirect_of_an_action_builds_its_group_once_on_first_read(monkeypatch
     assert P.group is G and built == [6]
 
 
+def _counting_make_action(monkeypatch):
+    """Patch make_action where the catalog and semidirect call it; the returned list grows by one per call."""
+    calls = []
+    make = make_action
+
+    def counting(H, K, images):
+        calls.append(len(images))
+        return make(H, K, images)
+
+    for module in ("sdmat.catalog", "sdmat.semidirect"):
+        monkeypatch.setattr(importlib.import_module(module), "make_action", counting)
+    return calls
+
+
 # GroupActions built by hand, bypassing make_action, that are no actions.  semidirect passes
 # them through make_action and raises its error, naming the row and the entry, before any
 # table is built.  Each case: the action and the error make_action and semidirect raise.
@@ -311,7 +328,38 @@ def test_semidirect_validates_a_hand_built_non_action_at_once(case, monkeypatch)
         make_action(H, K, rows)
     assert type(err.value) is error and str(err.value) == message
     built = _counting_product_builds(monkeypatch)
-    with pytest.raises(error) as err:
-        semidirect(GroupAction(H, K, rows))
-    assert type(err.value) is error and str(err.value) == message
+    calls = _counting_make_action(monkeypatch)
+    # A refusal keeps no record, so a second product of the same action is refused again.
+    action = GroupAction(H, K, rows)
+    for attempt in (1, 2):
+        with pytest.raises(error) as err:
+            semidirect(action)
+        assert type(err.value) is error and str(err.value) == message
+        assert len(calls) == attempt
     assert built == []
+
+
+def test_an_action_from_make_action_is_validated_once(monkeypatch, tmp_path):
+    # make_action records on what it returns that it is an action, and semidirect reads the
+    # record: build_instance and the CLI's --action path validate their action once.
+    calls = _counting_make_action(monkeypatch)
+    P = build_instance("metacyclic:7:6:3")
+    assert calls == [6]
+    calls.clear()
+    (tmp_path / "act.json").write_text(json.dumps(
+        {"H": group_to_dict(P.H), "K": group_to_dict(P.K), "images": P.action.images}
+    ))
+    assert cli_main(["census", "--action", str(tmp_path / "act.json")]) == 0
+    assert calls == [6]
+
+
+def test_semidirect_validates_an_unrecorded_action_once(monkeypatch):
+    # A hand-built action and trivial_action's carry no record: semidirect runs make_action on
+    # each once and keeps the verdict, so a second product of the same action does not.
+    calls = _counting_make_action(monkeypatch)
+    z3, z2 = cyclic_group(3), cyclic_group(2)
+    for action in (GroupAction(z3, z2, ((0, 1, 2), (0, 2, 1))), trivial_action(z3, z2)):
+        semidirect(action)
+        semidirect(action)
+        assert calls == [2]
+        calls.clear()

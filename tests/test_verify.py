@@ -2,6 +2,7 @@
 build only the shared data they read."""
 
 import dataclasses
+import gc
 import json
 import sys
 from collections import defaultdict
@@ -11,14 +12,18 @@ import pytest
 
 from sdmat import (
     DEFAULT_INSTANCES,
+    EndoMatrix,
     FMap,
+    VerificationFailed,
     build_instance,
     cli_main,
     determinant,
     enumerate_matrices,
+    factorization,
     identity_matrix,
     maps,
     matrices,
+    matrix_to_endo,
     verify,
 )
 from sdmat.matrices import mat_mul
@@ -157,6 +162,34 @@ def test_correspondence_fails_on_a_mutant_product_column(monkeypatch, instance, 
     ]
 
 
+def test_factor_reassembly_fails_on_a_mutant_product(monkeypatch):
+    # factor_abcd compares a*(b*(c*d)) with m as image tables through the entry formula; a
+    # formula that sends every delta to the constant map makes the reassembly fail, and with it
+    # the first eligible matrix of abcd_factorization.  The inverse checks form their products
+    # through verify's own binding, unpatched, and still pass.
+    product_images = matrices._product_images
+    P = build_instance("direct:3:3")
+    zero_k = (P.K.identity,) * P.K.order
+
+    def mutant(left, a1, b1, g1, d1):
+        a, b, c, _ = product_images(left, a1, b1, g1, d1)
+        return a, b, c, zero_k
+
+    monkeypatch.setattr(factorization, "_product_images", mutant)
+    mats = sorted(enumerate_matrices(P), key=lambda m: m.key())
+    first = next(
+        m for m in mats if matrix_to_endo(m).is_bijective and m.alpha.is_bijective and m.delta.is_bijective
+    )
+    with pytest.raises(VerificationFailed, match="factor reassembly") as err:
+        factorization.factor_abcd(first)
+    assert str(err.value) == f"verification failed: factor reassembly at {first.key()}"
+    report = run_verification(P, checks=["inverse_formula_det_k", "abcd_factorization"])
+    inverse, factor = report.checks
+    assert inverse.status == "pass"
+    assert (factor.status, factor.witness["detail"]) == ("fail", str(err.value))
+    assert factor.witness["alpha"] == list(first.alpha.image)
+
+
 _INVERSE_CHECKS = ["inverse_formula_det_k", "inverse_formula_det_h", "determinant_duality", "combined_inverse"]
 
 
@@ -189,24 +222,50 @@ def test_full_run_with_a_wrong_h_side_inverse_fails_its_formula(monkeypatch):
 
 def test_full_run_decides_each_inverse_once(monkeypatch):
     # Each matrix with an inverse check costs two products, m * inverse and inverse * m, even
-    # when both closed forms apply: on a passing instance they give the same inverse.
-    calls = []
+    # when both closed forms apply: on a passing instance they give the same inverse.  verify
+    # forms them with the entry formula on the two factors' image tables; the correspondence's
+    # per-left-factor maps are its other calls, on the H x K grid with no right-hand beta or delta.
+    product_images = matrices._product_images
+    inverse_products, grid_maps = [], []
 
-    def counting(left, right):
-        calls.append((left, right))
-        return mat_mul(left, right)
+    def counting(left, a1, b1, g1, d1):
+        (inverse_products if b1 else grid_maps).append(left)
+        return product_images(left, a1, b1, g1, d1)
 
-    monkeypatch.setattr(verify, "mat_mul", counting)
+    monkeypatch.setattr(verify, "_product_images", counting)
     assert run_verification("dihedral:4").passed
+    mats = enumerate_matrices(build_instance("dihedral:4"))
     checked = [
         m
-        for m in enumerate_matrices(build_instance("dihedral:4"))
+        for m in mats
         if (m.alpha.is_bijective and determinant.det_k(m).is_bijective)
         or (m.delta.is_bijective and determinant.det_h(m).is_bijective)
     ]
     both = [m for m in checked if m.alpha.is_bijective and m.delta.is_bijective]
     assert len(both) > 0
-    assert len(calls) == 2 * len(checked)
+    assert len(inverse_products) == 2 * len(checked)
+    assert len(grid_maps) == len(mats)
+
+
+def test_a_run_leaves_no_matrix_in_cyclic_garbage():
+    # Matrices and maps a run drops are freed by reference counting: no EndoMatrix is in a
+    # reference cycle, and no FMap but the identity maps kept on H and K (identity_map is kept
+    # on its group and refers back to it).  DEBUG_SAVEALL keeps what each collection finds.
+    flags = gc.get_debug()
+    gc.collect()
+    saved = len(gc.garbage)
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert run_verification("direct:16:4").passed
+        gc.collect()
+        garbage = gc.garbage[saved:]
+    finally:
+        gc.set_debug(flags)
+        del gc.garbage[saved:]
+    assert [x for x in garbage if isinstance(x, EndoMatrix)] == []
+    leaked = [x for x in garbage if isinstance(x, FMap)]
+    assert all(f.dom is f.cod and f.image == tuple(range(f.dom.order)) for f in leaked)
+    assert sorted(f.dom.order for f in leaked) in ([], [4], [16], [4, 16])
 
 
 def test_full_run_builds_each_closed_form_inverse_once(monkeypatch):
