@@ -74,7 +74,7 @@ from dataclasses import dataclass
 
 from .determinant import _decide_invertible, det_h
 from .errors import PreconditionFailed, VerificationFailed
-from .maps import FMap, _trusted, identity_map, is_crossed_hom, map_inverse
+from .maps import FMap, _trusted, is_crossed_hom, map_inverse
 from .matrices import (
     EndoMatrix,
     _product_images,
@@ -123,7 +123,7 @@ class ABCDFactors:
 
 
 def _is_identity(phi) -> bool:
-    return phi.image == identity_map(phi.dom).image
+    return phi.image == phi.dom.table[phi.dom.identity]
 
 
 def _is_zero(phi) -> bool:
@@ -167,7 +167,8 @@ def _b_witness(matrix: EndoMatrix) -> tuple | None:
         return w
     P = matrix.context
     beta = matrix.beta
-    if not is_crossed_hom(beta, identity_map(P.K), P.action):
+    # The shape is checked, so delta is the identity of K.
+    if not is_crossed_hom(beta, matrix.delta, P.action):
         return ("beta_not_crossed_hom",)
     zh = P.H.center
     return next((("beta_not_central", k, b) for k, b in enumerate(beta.image) if b not in zh), None)
@@ -268,7 +269,7 @@ def unit_diagonal_b_factor(matrix: EndoMatrix) -> EndoMatrix:
         raise VerificationFailed("bijectivity of 1 - beta gamma", tuple(a0.image))
     b0 = _b_entry(a0, matrix)
     result = identity_matrix(P, beta=b0)
-    if not is_crossed_hom(b0, identity_map(P.K), P.action):
+    if not is_crossed_hom(b0, result.delta, P.action):
         raise VerificationFailed("crossed-homomorphism law of the B-part", tuple(b0.image))
     return result
 

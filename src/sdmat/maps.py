@@ -11,11 +11,11 @@ Composition and twisting through an action (:func:`map_act`) complete the
 toolbox the matrix calculus is stated in.  Sums are written additively
 though values multiply, as the codomain is rarely abelian.
 
-A public ``FMap(...)`` checks its table: one entry per domain element, each
-an index into the codomain.  The private ``_trusted`` builds the same FMap
-without that check, for a table that cannot fail it: a gather, one entry
-per domain element, of entries read from tables of the codomain.  Its
-callers, and why each table passes:
+A public ``FMap(...)`` checks its table: a tuple of ``int``, one entry per
+domain element, each an index into the codomain.  The private ``_trusted``
+builds the same FMap without that check, for a table that cannot fail it:
+a gather, one entry per domain element, of entries read from tables of
+the codomain.  Its callers, and why each table passes:
 
 - :func:`map_add`, :func:`map_neg`, :func:`map_compose` and :func:`map_act`
   read one entry of a codomain table (the multiplication table, the
@@ -24,6 +24,7 @@ callers, and why each table passes:
 - :func:`map_inverse` puts each domain index u at the position of its
   image, and a bijection hits every position of the codomain once;
 - :func:`zero_map` repeats the codomain's identity once per domain element;
+- :func:`identity_map` is the group's own row of its identity, a tuple;
 - the determinants and closed-form inverses (``determinant``), the entries
   of a matrix product and the endomorphism of a matrix (``matrices``) and
   the B-factor's entry (``factorization``) are such gathers as well,
@@ -105,6 +106,10 @@ class FMap:
     image: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        # An exact type test: a list would be unhashable and unequal to its tuple, and a bool
+        # or a float is no index.
+        if type(self.image) is not tuple or not set(map(type, self.image)) <= {int}:
+            raise DomainMismatch("image table must be a tuple of int indices")
         if len(self.image) != self.dom.order:
             raise DomainMismatch(
                 f"image table has {len(self.image)} entries for a domain of order {self.dom.order}"
@@ -184,10 +189,13 @@ def memo(fn):
     return kept
 
 
-@memo
 def identity_map(group: "FiniteGroup") -> FMap:
-    """The identity endomap of a group, one per group."""
-    return FMap(group, group, tuple(range(group.order)))
+    """The identity endomap of a group: its table is the identity's row, 0..n-1.
+
+    Not kept on the group, which it refers to: a kept map would put every
+    group in a reference cycle.
+    """
+    return _trusted(group, group, group.table[group.identity])
 
 
 def zero_map(dom: "FiniteGroup", cod: "FiniteGroup") -> FMap:

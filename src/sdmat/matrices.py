@@ -184,25 +184,25 @@ def identity_matrix(
     """The matrix of the identity endomorphism: identity diagonal, zero off-diagonal.
 
     An entry given as an argument takes the place of the identity's own, so
-    ``identity_matrix(P, gamma=g)`` is (1, 0; g, 1).  The identity maps are
-    kept per group and the zero maps per product, so every identity matrix
-    of a product shares its default entries.
+    ``identity_matrix(P, gamma=g)`` is (1, 0; g, 1).  The four default
+    entries are kept per product, so every identity matrix of a product
+    shares them.
     """
-    H, K = product.H, product.K
-    zero_kh, zero_hk = _zero_entries(product)
+    one_h, zero_kh, zero_hk, one_k = _identity_entries(product)
     return EndoMatrix(
-        alpha=identity_map(H) if alpha is None else alpha,
+        alpha=one_h if alpha is None else alpha,
         beta=zero_kh if beta is None else beta,
         gamma=zero_hk if gamma is None else gamma,
-        delta=identity_map(K) if delta is None else delta,
+        delta=one_k if delta is None else delta,
         context=product,
     )
 
 
 @memo
-def _zero_entries(product: SdProduct) -> tuple[FMap, FMap]:
-    """The zero maps K -> H and H -> K of a product, one pair per product."""
-    return zero_map(product.K, product.H), zero_map(product.H, product.K)
+def _identity_entries(product: SdProduct) -> tuple[FMap, FMap, FMap, FMap]:
+    """The identity matrix's entries (1_H, 0, 0, 1_K) of a product, one set per product."""
+    H, K = product.H, product.K
+    return identity_map(H), zero_map(K, H), zero_map(H, K), identity_map(K)
 
 
 def first_pair_witness(scan, action: GroupAction, on_generators: bool) -> tuple | None:

@@ -22,10 +22,15 @@ Reports are deterministic byte for byte for a fixed instance: ordering is
 fixed everywhere and wall-clock timing is kept out of the canonical
 serialization (pass ``include_timing=True`` to add it).
 
-A run over a selection of checks (``checks=[...]``, ``--theorems`` on the
-command line) builds the oracle census only when a selected check reads
-it: ``endo_matrix_correspondence``, and ``monoid_laws``, which reads the
-correspondence's verdict.
+A check returns its outcome: None when it passes, a reason when it
+skips, a witness when it fails; ``run_verification`` reports it under the
+check's name.
+
+The oracle census is built by ``endo_matrix_correspondence`` alone, once
+per run, and is dropped as soon as it has been compared; ``monoid_laws``
+reads the correspondence's verdict.  So a run over a selection of checks
+(``checks=[...]``, ``--theorems`` on the command line) builds the census
+only when one of these two is selected.
 
 ``endo_matrix_correspondence`` decides the n² products of the n matrices
 with one pass per matrix.  Write theta_i for the endomorphism of matrix
@@ -83,7 +88,8 @@ members through the same isomorphism, with no matrix built
 (``_Context.product_index``): the product of m_i and m_j is the index of
 theta_i o theta_j, looked up by its images of the product group's
 generators, which fix an endomorphism.  The inverse of an automorphism is
-the index of the oracle's inverse of its theta (``oracle.invert_endo``).
+the index of the oracle's inverse of its theta (``oracle.invert_endo``),
+looked up the same way.
 
 The determinants and closed-form inverses are values of their
 matrix (``sdmat.determinant``), built on first use and kept on it, so the
@@ -198,11 +204,13 @@ class _Context:
 
     The core is built once, up front: the sorted matrices and their
     endomorphisms, both determinants of every matrix, and the automorphism
-    index sets the checks and the counts read.  The oracle census, the
-    correspondence's verdict, the generator-image lookup of
-    :meth:`product_index` and each inverse index are built the first time a
-    check reads them.  The checks read closed-form inverses off each matrix;
-    the two inverse formulas share one verdict on each (matrix, inverse) pair.
+    index sets the checks and the counts read.  A matrix is found by its
+    endomorphism's images of the product group's generators; that lookup,
+    each inverse index and the correspondence's verdict (its witness, or
+    None) are built the first time a check reads them.  No census is kept:
+    the correspondence builds it and drops it once compared.  The checks
+    read closed-form inverses off each matrix; the two inverse formulas
+    share one verdict on each (matrix, inverse) pair.
     """
 
     def __init__(self, product: SdProduct, bound: int) -> None:
@@ -212,15 +220,12 @@ class _Context:
         mats = sorted(enumerate_matrices(product, bound=bound), key=lambda m: m.key())
         self.mats = mats
         self.n = len(mats)
-        self.key_to_idx = {m.key(): i for i, m in enumerate(mats)}
         self.thetas = [matrix_to_endo(m) for m in mats]
-        self.theta_to_idx = {t.image: i for i, t in enumerate(self.thetas)}
         self.identity_key = identity_matrix(product).key()
-        self.identity_idx = self.key_to_idx.get(self.identity_key)
+        self.identity_idx = next((i for i, m in enumerate(mats) if m.key() == self.identity_key), None)
         self._inverse_verdicts: dict[tuple, str | None] = {}
         self._inverse_idx: dict[int, int | None] = {}
-        self.bijective = [t.is_bijective for t in self.thetas]
-        self.auto_idx = [i for i in range(self.n) if self.bijective[i]]
+        self.auto_idx = [i for i, t in enumerate(self.thetas) if t.is_bijective]
         # Determinants per index; None marks an undefined side.
         self.detk = [det_k(m) if m.alpha.is_bijective else None for m in mats]
         self.deth = [det_h(m) if m.delta.is_bijective else None for m in mats]
@@ -235,12 +240,8 @@ class _Context:
                     self.families[letter].append(i)
 
     @cached_property
-    def census(self):
-        return enumerate_endos(self.product.group, bound=self.bound)
-
-    @cached_property
-    def correspondence(self) -> CheckResult:
-        """The verdict of ``endo_matrix_correspondence``, which ``monoid_laws`` also reads."""
+    def correspondence(self) -> dict | None:
+        """The witness of ``endo_matrix_correspondence``, or None; ``monoid_laws`` reads it too."""
         return _correspondence(self)
 
     @cached_property
@@ -265,9 +266,11 @@ class _Context:
         return self._index_by_generators.get(tuple(map(outer, self._generator_images[j])))
 
     def inverse_index(self, i: int) -> int | None:
-        """The index of the oracle's inverse of automorphism i, or None if it is not enumerated."""
+        """The index of the oracle's inverse of automorphism i, found by its generator images, or None."""
         if i not in self._inverse_idx:
-            self._inverse_idx[i] = self.theta_to_idx.get(invert_endo(self.thetas[i]).image)
+            inverse = invert_endo(self.thetas[i]).image
+            images = tuple(map(inverse.__getitem__, self.product.group.generators))
+            self._inverse_idx[i] = self._index_by_generators.get(images)
         return self._inverse_idx[i]
 
     def inverse_failure(self, i: int, inverse: EndoMatrix) -> str | None:
@@ -288,8 +291,8 @@ class _Context:
             if _product_images(m, *key) != ident or _product_images(inverse, *m.key()) != ident:
                 verdict = "two-sided inverse law"
             else:
-                j = self.key_to_idx.get(key)
-                if j is None or j != self.inverse_index(i):
+                j = self.inverse_index(i)
+                if j is None or self.mats[j].key() != key:
                     verdict = "disagrees with brute-force inverse"
             self._inverse_verdicts[memo_key] = verdict
         return self._inverse_verdicts[memo_key]
@@ -307,28 +310,37 @@ def _first_escape(ctx: _Context, members: set[int], inverses: bool = False) -> d
     return None
 
 
-def _correspondence(ctx: _Context) -> CheckResult:
-    name = "endo_matrix_correspondence"
-    if len(ctx.census.endos) != ctx.n:
-        return CheckResult(name, "fail", witness={"matrix_count": ctx.n, "endo_count": len(ctx.census.endos)})
-    oracle_images = {e.image for e in ctx.census.endos}
-    matrix_images = set(ctx.theta_to_idx)
+def _census_witness(ctx: _Context) -> dict | None:
+    """Part 1 of the correspondence: the oracle's census has n endomorphisms, the theta_i."""
+    endos = enumerate_endos(ctx.product.group, bound=ctx.bound).endos
+    if len(endos) != ctx.n:
+        return {"matrix_count": ctx.n, "endo_count": len(endos)}
+    oracle_images = {e.image for e in endos}
+    matrix_images = {t.image for t in ctx.thetas}
     if oracle_images != matrix_images:
         extra = sorted(matrix_images - oracle_images) + sorted(oracle_images - matrix_images)
-        return CheckResult(name, "fail", witness={"image_mismatch": [list(x) for x in extra[:1]]})
+        return {"image_mismatch": [list(x) for x in extra[:1]]}
+    return None
+
+
+def _correspondence(ctx: _Context) -> dict | None:
+    # The census lives only inside _census_witness, so it is freed before the other parts run.
+    witness = _census_witness(ctx)
+    if witness is not None:
+        return witness
     P = ctx.product
     # The read-off uses only theta.image, so with equal image sets this covers every census
     # endomorphism.  Matrices over one product are equal iff their keys are, so equal tables
     # mean the read-back matrix is m, whose conditions its search decided (the verdict kept on m).
     for i, m in enumerate(ctx.mats):
         if _entry_images(ctx.thetas[i], P) != m.key():
-            return CheckResult(name, "fail", witness=_mat_witness(m, detail="round trip through endomorphism"))
+            return _mat_witness(m, detail="round trip through endomorphism")
     if ctx.identity_idx is None:
-        return CheckResult(name, "fail", witness={"detail": "identity matrix missing from enumeration"})
+        return {"detail": "identity matrix missing from enumeration"}
     identity_image = tuple(range(P.group.order))
     kernel = [i for i, t in enumerate(ctx.thetas) if t.image == identity_image]
     if kernel != [ctx.identity_idx]:
-        return CheckResult(name, "fail", witness={"kernel_indices": kernel})
+        return {"kernel_indices": kernel}
     # Each left factor's map on every column (h; k) of H x K, coded h*|K| + k like the
     # product's elements, must be its endomorphism (module docstring).  The column of
     # code g is (hs[g]; ks[g]), so hs and ks are also the tables that decode a code
@@ -344,89 +356,64 @@ def _correspondence(ctx: _Context) -> CheckResult:
         if parts(hs) != a or parts(ks) != c:
             codes = tuple([x * nK + y for x, y in zip(a, c)])
             column = next(g for g, (u, v) in enumerate(zip(codes, image)) if u != v)
-            return CheckResult(
-                name,
-                "fail",
-                witness={"left": i, "column": column, "detail": "matrix product differs from composition"},
-            )
-    return CheckResult(name, "pass")
+            return {"left": i, "column": column, "detail": "matrix product differs from composition"}
+    return None
 
 
-def _check_correspondence(ctx: _Context) -> CheckResult:
+def _check_correspondence(ctx: _Context) -> dict | str | None:
     return ctx.correspondence
 
 
-def _check_monoid(ctx: _Context) -> CheckResult:
-    name = "monoid_laws"
+def _check_monoid(ctx: _Context) -> dict | str | None:
     # The laws are derived from the correspondence (module docstring).
-    if ctx.correspondence.status != "pass":
-        return CheckResult(name, "fail", witness={"detail": "endo_matrix_correspondence fails"})
-    return CheckResult(name, "pass")
+    return None if ctx.correspondence is None else {"detail": "endo_matrix_correspondence fails"}
 
 
-def _check_invertibility_k(ctx: _Context) -> CheckResult:
-    name = "invertibility_via_det_k"
-    seen = False
-    for i, m in enumerate(ctx.mats):
-        dk = ctx.detk[i]
-        if dk is None:
-            continue
-        seen = True
-        if dk.is_bijective != ctx.bijective[i]:
-            return CheckResult(
-                name,
-                "fail",
-                witness=_mat_witness(m, det_bijective=dk.is_bijective, endo_bijective=ctx.bijective[i]),
-            )
+def _check_invertibility_k(ctx: _Context) -> dict | str | None:
+    eligible = [i for i, dk in enumerate(ctx.detk) if dk is not None]
+    if not eligible:
+        return "no matrix with bijective alpha"
+    for i in eligible:
+        m, dk, bijective = ctx.mats[i], ctx.detk[i], ctx.thetas[i].is_bijective
+        if dk.is_bijective != bijective:
+            return _mat_witness(m, det_bijective=dk.is_bijective, endo_bijective=bijective)
         decided = is_invertible(m)
-        if decided.method != "det_k" or decided.invertible != ctx.bijective[i]:
-            return CheckResult(name, "fail", witness=_mat_witness(m, method=decided.method))
-    if not seen:
-        return CheckResult(name, "skip", reason="no matrix with bijective alpha")
-    return CheckResult(name, "pass")
+        if decided.method != "det_k" or decided.invertible != bijective:
+            return _mat_witness(m, method=decided.method)
+    return None
 
 
-def _check_invertibility_h(ctx: _Context) -> CheckResult:
-    name = "invertibility_via_det_h"
-    seen = False
-    for i, m in enumerate(ctx.mats):
-        dh = ctx.deth[i]
-        if dh is None:
-            continue
-        seen = True
-        if dh.is_bijective != ctx.bijective[i]:
-            return CheckResult(
-                name,
-                "fail",
-                witness=_mat_witness(m, det_bijective=dh.is_bijective, endo_bijective=ctx.bijective[i]),
-            )
+def _check_invertibility_h(ctx: _Context) -> dict | str | None:
+    eligible = [i for i, dh in enumerate(ctx.deth) if dh is not None]
+    if not eligible:
+        return "no matrix with bijective delta"
+    for i in eligible:
+        m, dh, bijective = ctx.mats[i], ctx.deth[i], ctx.thetas[i].is_bijective
+        if dh.is_bijective != bijective:
+            return _mat_witness(m, det_bijective=dh.is_bijective, endo_bijective=bijective)
         if m.alpha.is_bijective:
             continue  # is_invertible takes det_k here, checked by invertibility_via_det_k
         decided = is_invertible(m)
-        if decided.method != "det_h" or decided.invertible != ctx.bijective[i]:
-            return CheckResult(name, "fail", witness=_mat_witness(m, method=decided.method))
-    if not seen:
-        return CheckResult(name, "skip", reason="no matrix with bijective delta")
-    return CheckResult(name, "pass")
+        if decided.method != "det_h" or decided.invertible != bijective:
+            return _mat_witness(m, method=decided.method)
+    return None
 
 
-def _check_inverse_k(ctx: _Context) -> CheckResult:
-    name = "inverse_formula_det_k"
+def _check_inverse_k(ctx: _Context) -> dict | str | None:
+    eligible = [i for i, dk in enumerate(ctx.detk) if dk is not None and dk.is_bijective]
+    if not eligible:
+        return "no matrix with bijective alpha and bijective det_k"
     id_k = identity_map(ctx.product.K)
-    seen = False
-    for i, m in enumerate(ctx.mats):
-        dk = ctx.detk[i]
-        if dk is None or not dk.is_bijective:
-            continue
-        seen = True
+    for i in eligible:
+        m, dk = ctx.mats[i], ctx.detk[i]
         inverse = invert_via_det_k(m)
         failure = ctx.inverse_failure(i, inverse)
         if failure is not None:
-            return CheckResult(name, "fail", witness=_mat_witness(m, detail=failure))
+            return _mat_witness(m, detail=failure)
         if det_h(inverse) != map_inverse(m.alpha):
-            return CheckResult(name, "fail", witness=_mat_witness(m, detail="det_h of inverse is not alpha^-1"))
+            return _mat_witness(m, detail="det_h of inverse is not alpha^-1")
         if not dk.is_hom:
-            return CheckResult(name, "fail", witness=_mat_witness(m, detail="det_k of invertible matrix not a homomorphism"))
+            return _mat_witness(m, detail="det_k of invertible matrix not a homomorphism")
         # Rearranged inverse identities: gamma alpha^-1 beta D^-1 + 1 = delta D^-1
         # and D^-1 composed with the determinant is the identity.
         dkinv = map_inverse(dk)
@@ -434,61 +421,49 @@ def _check_inverse_k(ctx: _Context) -> CheckResult:
         lhs = map_add(map_compose(m.gamma, map_compose(ainv, map_compose(m.beta, dkinv))), id_k)
         rhs = map_compose(m.delta, dkinv)
         if lhs != rhs or map_compose(dkinv, dk) != id_k:
-            return CheckResult(name, "fail", witness=_mat_witness(m, detail="determinant inverse identity"))
-    if not seen:
-        return CheckResult(name, "skip", reason="no matrix with bijective alpha and bijective det_k")
-    return CheckResult(name, "pass")
+            return _mat_witness(m, detail="determinant inverse identity")
+    return None
 
 
-def _check_inverse_h(ctx: _Context) -> CheckResult:
-    name = "inverse_formula_det_h"
-    seen = False
-    for i, m in enumerate(ctx.mats):
-        dh = ctx.deth[i]
-        if dh is None or not dh.is_bijective:
-            continue
-        seen = True
+def _check_inverse_h(ctx: _Context) -> dict | str | None:
+    eligible = [i for i, dh in enumerate(ctx.deth) if dh is not None and dh.is_bijective]
+    if not eligible:
+        return "no matrix with bijective delta and bijective det_h"
+    for i in eligible:
+        m, dh = ctx.mats[i], ctx.deth[i]
         inverse = invert_via_det_h(m)
         failure = ctx.inverse_failure(i, inverse)
         if failure is not None:
-            return CheckResult(name, "fail", witness=_mat_witness(m, detail=failure))
+            return _mat_witness(m, detail=failure)
         if det_k(inverse) != map_inverse(m.delta):
-            return CheckResult(name, "fail", witness=_mat_witness(m, detail="det_k of inverse is not delta^-1"))
+            return _mat_witness(m, detail="det_k of inverse is not delta^-1")
         if not dh.is_hom:
-            return CheckResult(name, "fail", witness=_mat_witness(m, detail="det_h of invertible matrix not a homomorphism"))
-    if not seen:
-        return CheckResult(name, "skip", reason="no matrix with bijective delta and bijective det_h")
-    return CheckResult(name, "pass")
+            return _mat_witness(m, detail="det_h of invertible matrix not a homomorphism")
+    return None
 
 
-def _check_duality(ctx: _Context) -> CheckResult:
-    name = "determinant_duality"
+def _check_duality(ctx: _Context) -> dict | str | None:
     if not ctx.diag_autos:
-        return CheckResult(name, "skip", reason="no automorphism matrix with bijective diagonal")
+        return "no automorphism matrix with bijective diagonal"
     for i in ctx.diag_autos:
         m = ctx.mats[i]
         dh, dk = ctx.deth[i], ctx.detk[i]
         if dh.is_bijective != dk.is_bijective:
-            return CheckResult(
-                name,
-                "fail",
-                witness=_mat_witness(m, det_h_bijective=dh.is_bijective, det_k_bijective=dk.is_bijective),
-            )
+            return _mat_witness(m, det_h_bijective=dh.is_bijective, det_k_bijective=dk.is_bijective)
         if not dh.is_bijective:
             continue
         # Each side's inverse carries the other determinant's inverse on its diagonal.
         if invert_via_det_k(m).alpha != map_inverse(dh):
-            return CheckResult(name, "fail", witness=_mat_witness(m, detail="H-side determinant inverse identity"))
+            return _mat_witness(m, detail="H-side determinant inverse identity")
         if invert_via_det_h(m).delta != map_inverse(dk):
-            return CheckResult(name, "fail", witness=_mat_witness(m, detail="K-side determinant inverse identity"))
-    return CheckResult(name, "pass")
+            return _mat_witness(m, detail="K-side determinant inverse identity")
+    return None
 
 
-def _check_combined(ctx: _Context) -> CheckResult:
-    name = "combined_inverse"
+def _check_combined(ctx: _Context) -> dict | str | None:
     eligible = [i for i in ctx.diag_autos if ctx.detk[i].is_bijective and ctx.deth[i].is_bijective]
     if not eligible:
-        return CheckResult(name, "skip", reason="no automorphism matrix with bijective diagonal and determinants")
+        return "no automorphism matrix with bijective diagonal and determinants"
     h_side = k_side = True
     for i in eligible:
         m = ctx.mats[i]
@@ -496,7 +471,7 @@ def _check_combined(ctx: _Context) -> CheckResult:
         # column, so it equals both one-sided inverses exactly when they agree.
         combined, via_h = invert_via_det_k(m), invert_via_det_h(m)
         if combined != via_h:
-            return CheckResult(name, "fail", witness=_mat_witness(m, detail="three-way inverse mismatch"))
+            return _mat_witness(m, detail="three-way inverse mismatch")
         if det_h(combined) != map_inverse(m.alpha):
             h_side = False
         # via_h equals combined; inverse_formula_det_h may already have built its det_k.
@@ -507,71 +482,67 @@ def _check_combined(ctx: _Context) -> CheckResult:
         "det_k_of_inverse_is_delta_inv": k_side,
     }
     if not h_side:
-        return CheckResult(name, "fail", witness={"detail": "det_h of inverse is not alpha^-1"})
-    return CheckResult(name, "pass")
+        return {"detail": "det_h of inverse is not alpha^-1"}
+    return None
 
 
-def _check_unit_a(ctx: _Context) -> CheckResult:
-    name = "unit_diagonal_a_factor"
+def _check_unit_a(ctx: _Context) -> dict | str | None:
     if not ctx.unit_diag_autos:
-        return CheckResult(name, "skip", reason="no unit-diagonal automorphism matrix")
+        return "no unit-diagonal automorphism matrix"
     for i in ctx.unit_diag_autos:
         m = ctx.mats[i]
         # unit_diagonal_a_factor certifies the A-membership itself.
         try:
             unit_diagonal_a_factor(m)
         except SdmatError as err:
-            return CheckResult(name, "fail", witness=_mat_witness(m, detail=str(err)))
-    return CheckResult(name, "pass")
+            return _mat_witness(m, detail=str(err))
+    return None
 
 
-def _check_unit_b(ctx: _Context) -> CheckResult:
-    name = "unit_diagonal_b_factor"
+def _check_unit_b(ctx: _Context) -> dict | str | None:
     if not ctx.unit_diag_autos:
-        return CheckResult(name, "skip", reason="no unit-diagonal automorphism matrix")
+        return "no unit-diagonal automorphism matrix"
     central = True
     for i in ctx.unit_diag_autos:
         m = ctx.mats[i]
         try:
             part = unit_diagonal_b_factor(m)
         except SdmatError as err:
-            return CheckResult(name, "fail", witness=_mat_witness(m, detail=str(err)))
+            return _mat_witness(m, detail=str(err))
         if not classify(part).in_b:
             central = False
     ctx.notes["b_factor_image_central"] = central
-    return CheckResult(name, "pass")
+    return None
 
 
-def _check_factorization(ctx: _Context) -> CheckResult:
-    name = "abcd_factorization"
+def _check_factorization(ctx: _Context) -> dict | str | None:
     eligible = set(ctx.diag_autos)
     skipped = [i for i in ctx.auto_idx if i not in eligible]
     ctx.notes["aut_nonbij_alpha_delta"] = len(skipped)
     if skipped:
         ctx.notes["aut_nonbij_example"] = _mat_witness(ctx.mats[skipped[0]])
     if not eligible:
-        return CheckResult(name, "skip", reason="no automorphism matrix with bijective diagonal")
+        return "no automorphism matrix with bijective diagonal"
     # factor_abcd certifies the four memberships and the reassembly itself.
     for i in ctx.diag_autos:
         m = ctx.mats[i]
         try:
             factor_abcd(m)
         except SdmatError as err:
-            return CheckResult(name, "fail", witness=_mat_witness(m, detail=str(err)))
-    return CheckResult(name, "pass")
+            return _mat_witness(m, detail=str(err))
+    return None
 
 
-def _check_subgroups(ctx: _Context) -> CheckResult:
-    name = "abcd_subgroup_closure"
+def _check_subgroups(ctx: _Context) -> dict | str | None:
     families = ctx.families
     product = ctx.product_index
     for letter in ("A", "B", "D"):
         members = set(families[letter])
         if ctx.identity_idx not in members:
-            return CheckResult(name, "fail", witness={"family": letter, "detail": "identity missing"})
+            return {"family": letter, "detail": "identity missing"}
         witness = _first_escape(ctx, members, inverses=True)
         if witness is not None:
-            return CheckResult(name, "fail", witness={"family": letter, **witness})
+            return {"family": letter, **witness}
     c_witness = _first_escape(ctx, set(families["C"]))
     ctx.notes["c_family_closed"] = c_witness is None
     if c_witness is not None:
@@ -589,23 +560,22 @@ def _check_subgroups(ctx: _Context) -> CheckResult:
         "aut_size": len(ctx.auto_idx),
         "equals_aut": abcd == set(ctx.auto_idx),
     }
-    return CheckResult(name, "pass")
+    return None
 
 
-def _check_normalization(ctx: _Context) -> CheckResult:
-    name = "abcd_normalization"
+def _check_normalization(ctx: _Context) -> dict | str | None:
     product = ctx.product_index
     conjugators = sorted(set(ctx.families["A"]) | set(ctx.families["D"]))
     for x in conjugators:
         xi = ctx.inverse_index(x)
         if xi is None:
-            return CheckResult(name, "fail", witness={"index": x, "detail": "conjugator has no inverse"})
+            return {"index": x, "detail": "conjugator has no inverse"}
         for letter in ("B", "C"):
             members = set(ctx.families[letter])
             for y in sorted(members):
                 if product(product(x, y), xi) not in members:
-                    return CheckResult(name, "fail", witness={"family": letter, "conjugator": x, "member": y})
-    return CheckResult(name, "pass")
+                    return {"family": letter, "conjugator": x, "member": y}
+    return None
 
 
 _CHECK_FUNCS = {
@@ -660,7 +630,14 @@ def run_verification(
         selected = [c for c in CHECK_NAMES if c in set(checks)]
     product = build_instance(instance, bound=bound) if isinstance(instance, str) else instance
     ctx = _Context(product, bound)
-    results = tuple(_CHECK_FUNCS[name](ctx) for name in selected)
+
+    def result(name: str) -> CheckResult:
+        outcome = _CHECK_FUNCS[name](ctx)
+        skip = isinstance(outcome, str)
+        status = "skip" if skip else "pass" if outcome is None else "fail"
+        return CheckResult(name, status, witness=None if skip else outcome, reason=outcome if skip else None)
+
+    results = tuple(map(result, selected))
     _det_nonhom_note(ctx)
     counts = {"end": ctx.n, "aut": len(ctx.auto_idx), **{k: len(v) for k, v in ctx.families.items()}}
     return VerifyReport(

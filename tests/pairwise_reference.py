@@ -23,7 +23,7 @@ from operator import getitem
 from sdmat.errors import DomainMismatch, PreconditionFailed
 from sdmat.groups import _associativity_witness, _identity
 from sdmat.matrices import _entry_images, _product_images, mat_mul
-from sdmat.oracle import _edge_walk, _group_of
+from sdmat.oracle import _edge_walk, _group_of, enumerate_endos
 from sdmat.verify import CheckResult, _mat_witness
 
 
@@ -151,7 +151,7 @@ def pairwise_checks(ctx):
 
     def correspondence():
         name = "endo_matrix_correspondence"
-        endos = ctx.census.endos
+        endos = enumerate_endos(ctx.product.group, bound=ctx.bound).endos
         if len(endos) != n:
             return CheckResult(name, "fail", witness={"matrix_count": n, "endo_count": len(endos)})
         oracle_images, matrix_images = {t.image for t in endos}, {t.image for t in ctx.thetas}

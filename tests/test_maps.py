@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 
 from sdmat import (
@@ -7,6 +10,7 @@ from sdmat import (
     build_instance,
     cyclic_group,
     identity_map,
+    identity_matrix,
     is_crossed_hom,
     map_act,
     map_add,
@@ -36,12 +40,29 @@ def test_add_id_id_z2_is_zero():
     assert map_add(identity_map(Z2), identity_map(Z2)) == zero_map(Z2, Z2)
 
 
-def test_identity_map_is_kept_on_its_group():
+def test_identity_map_is_not_kept_on_its_group():
+    # The map refers to its group, so a map kept on the group would put the group in a
+    # reference cycle.  Each call builds an equal map, and a group is freed by reference
+    # counting once dropped; the identity matrix keeps its four entries on its product.
     ident = identity_map(Z3)
-    assert ident.is_hom and "is_hom" in vars(ident)
-    assert identity_map(Z3) is ident
-    other = identity_map(cyclic_group(3, "Z3"))
-    assert other == FMap(other.dom, other.dom, (0, 1, 2)) and other is not ident
+    assert ident == FMap(Z3, Z3, (0, 1, 2)) and hash(ident) == hash(FMap(Z3, Z3, (0, 1, 2)))
+    assert type(ident.image) is tuple and ident.is_hom
+    assert identity_map(Z3) == ident and identity_map(Z3) is not ident
+    assert not any(isinstance(value, FMap) for value in vars(Z3).values())
+    product = build_instance("dihedral:4")
+    assert identity_matrix(product).alpha is identity_matrix(product).alpha
+    assert identity_matrix(product).delta == identity_map(product.K)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        group = cyclic_group(5, "Z5")
+        assert identity_map(group).is_hom
+        freed = weakref.ref(group)
+        del group
+        assert freed() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_neg_zero_and_involution():
@@ -122,3 +143,18 @@ def test_fmap_validation():
         FMap(Z2, Z3, (0, 3))
     with pytest.raises(DomainMismatch):
         FMap(Z2, Z3, (0,))
+
+
+@pytest.mark.parametrize(
+    "image",
+    [
+        [0, 1],  # a list: unequal to FMap(Z2, Z2, (0, 1)) and unhashable
+        (False, True),  # bools pass a range test
+        (0.0, 1.0),  # and so do floats
+    ],
+    ids=["list", "bools", "floats"],
+)
+def test_fmap_rejects_an_image_that_is_not_a_tuple_of_ints(image):
+    with pytest.raises(DomainMismatch, match="tuple of int"):
+        FMap(Z2, Z2, image)
+    assert FMap(Z2, Z2, (0, 1)) == FMap(Z2, Z2, tuple(int(v) for v in image))

@@ -5,6 +5,7 @@ import dataclasses
 import gc
 import json
 import sys
+import weakref
 from collections import defaultdict
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from sdmat import (
     DEFAULT_INSTANCES,
     EndoMatrix,
     FMap,
+    FiniteGroup,
     VerificationFailed,
     build_instance,
     cli_main,
@@ -70,6 +72,69 @@ def test_per_matrix_checks_build_no_census(monkeypatch):
     for check in _CENSUS_CHECKS:
         with pytest.raises(AssertionError):
             run_verification("dihedral:4", checks=[check])
+
+
+def test_the_census_is_built_once_and_freed_once_compared(monkeypatch):
+    # The correspondence builds the census and drops it as soon as it is compared, so nothing
+    # refers to it by the time monoid_laws, which reads the correspondence's verdict, runs.
+    built, alive = [], []
+
+    def recording(group, bound):
+        census = enumerate_endos(group, bound=bound)
+        built.append(weakref.ref(census))
+        return census
+
+    monoid = verify._CHECK_FUNCS["monoid_laws"]
+
+    def probing(ctx):
+        alive.append([census() is not None for census in built])
+        return monoid(ctx)
+
+    monkeypatch.setattr(verify, "enumerate_endos", recording)
+    monkeypatch.setitem(verify._CHECK_FUNCS, "monoid_laws", probing)
+    report = run_verification("dihedral:4", checks=list(_CENSUS_CHECKS))
+    assert [c.status for c in report.checks] == ["pass", "pass"]
+    assert alive == [[False]]
+
+
+def test_every_skip_reason_on_matrices_without_a_bijective_diagonal_entry(monkeypatch):
+    # The identity matrix meets every precondition, so no skip is reachable on a correct
+    # enumeration.  Keeping only the matrices of dihedral:4 whose alpha and delta are both not
+    # bijective leaves no automorphism and no determinant: all nine skip reasons are reported,
+    # and the family checks find no identity.
+    enumerate_all = verify.enumerate_matrices
+
+    def without_bijective_diagonal(product, bound):
+        kept = enumerate_all(product, bound=bound)
+        return [m for m in kept if not m.alpha.is_bijective and not m.delta.is_bijective]
+
+    monkeypatch.setattr(verify, "enumerate_matrices", without_bijective_diagonal)
+    report = run_verification("dihedral:4", checks=[c for c in CHECK_NAMES if c not in _CENSUS_CHECKS])
+    no_diagonal = "no automorphism matrix with bijective diagonal"
+    no_unit_diagonal = "no unit-diagonal automorphism matrix"
+    assert [c.to_dict() for c in report.checks] == [
+        {"name": "invertibility_via_det_k", "status": "skip", "reason": "no matrix with bijective alpha"},
+        {"name": "invertibility_via_det_h", "status": "skip", "reason": "no matrix with bijective delta"},
+        {
+            "name": "inverse_formula_det_k",
+            "status": "skip",
+            "reason": "no matrix with bijective alpha and bijective det_k",
+        },
+        {
+            "name": "inverse_formula_det_h",
+            "status": "skip",
+            "reason": "no matrix with bijective delta and bijective det_h",
+        },
+        {"name": "determinant_duality", "status": "skip", "reason": no_diagonal},
+        {"name": "combined_inverse", "status": "skip", "reason": f"{no_diagonal} and determinants"},
+        {"name": "unit_diagonal_a_factor", "status": "skip", "reason": no_unit_diagonal},
+        {"name": "unit_diagonal_b_factor", "status": "skip", "reason": no_unit_diagonal},
+        {"name": "abcd_factorization", "status": "skip", "reason": no_diagonal},
+        {"name": "abcd_subgroup_closure", "status": "fail", "witness": {"family": "A", "detail": "identity missing"}},
+        {"name": "abcd_normalization", "status": "pass"},
+    ]
+    assert report.counts == {"end": 12, "aut": 0, "A": 0, "B": 0, "C": 0, "D": 0}
+    assert report.notes == {"aut_nonbij_alpha_delta": 0, "det_nonhom_witness": None}
 
 
 def test_verify_bound_exceeded_exits_2(capsys):
@@ -248,9 +313,9 @@ def test_full_run_decides_each_inverse_once(monkeypatch):
 
 
 def test_a_run_leaves_no_matrix_in_cyclic_garbage():
-    # Matrices and maps a run drops are freed by reference counting: no EndoMatrix is in a
-    # reference cycle, and no FMap but the identity maps kept on H and K (identity_map is kept
-    # on its group and refers back to it).  DEBUG_SAVEALL keeps what each collection finds.
+    # Matrices, maps and groups a run drops are freed by reference counting: no EndoMatrix,
+    # FMap or FiniteGroup is in a reference cycle.  DEBUG_SAVEALL keeps what each collection
+    # finds.
     flags = gc.get_debug()
     gc.collect()
     saved = len(gc.garbage)
@@ -262,10 +327,7 @@ def test_a_run_leaves_no_matrix_in_cyclic_garbage():
     finally:
         gc.set_debug(flags)
         del gc.garbage[saved:]
-    assert [x for x in garbage if isinstance(x, EndoMatrix)] == []
-    leaked = [x for x in garbage if isinstance(x, FMap)]
-    assert all(f.dom is f.cod and f.image == tuple(range(f.dom.order)) for f in leaked)
-    assert sorted(f.dom.order for f in leaked) in ([], [4], [16], [4, 16])
+    assert [x for x in garbage if isinstance(x, (EndoMatrix, FMap, FiniteGroup))] == []
 
 
 def test_full_run_builds_each_closed_form_inverse_once(monkeypatch):
@@ -384,8 +446,9 @@ def test_product_index_is_the_matrix_product(instance):
     # The family checks multiply by generator-image lookups; on these noncommutative monoids
     # each must name mats[i] * mats[j], in that order, and each inverse must be two-sided.
     ctx = verify._Context(_NONABELIAN[instance]() if instance in _NONABELIAN else build_instance(instance), 64)
+    key_to_idx = {m.key(): i for i, m in enumerate(ctx.mats)}
     for i, left in enumerate(ctx.mats):
-        products = [ctx.key_to_idx[mat_mul(left, right).key()] for right in ctx.mats]
+        products = [key_to_idx[mat_mul(left, right).key()] for right in ctx.mats]
         assert [ctx.product_index(i, j) for j in range(ctx.n)] == products
     assert any(ctx.product_index(i, j) != ctx.product_index(j, i) for i in range(ctx.n) for j in range(i))
     for i in ctx.auto_idx:
