@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Callable
 
 from .errors import BoundExceeded, InvalidInstance
-from .groups import FiniteGroup, index_row, make_group
+from .groups import FiniteGroup, _group_of_rows, index_row, make_group
 from .maps import FMap
 from .matrices import EndoMatrix
 from .semidirect import GroupAction, SdProduct, make_action, semidirect
@@ -53,8 +53,11 @@ __all__ = [
 def cyclic_group(n: int, name: str = "") -> FiniteGroup:
     if n < 1:
         raise InvalidInstance(f"cyclic group order must be positive, got {n}")
-    table = [[(a + b) % n for b in range(n)] for a in range(n)]
-    return make_group(table, names=[str(a) for a in range(n)], name=name or f"Z{n}")
+    # Row a is 0..n-1 rotated left by a: tuple rows of indices in range, so the table skips
+    # only make_group's per-entry scan (``groups._group_of_rows``).
+    row = tuple(range(n))
+    rows = tuple([row[a:] + row[:a] for a in range(n)])
+    return _group_of_rows(rows, names=[str(a) for a in range(n)], name=name or f"Z{n}")
 
 
 def trivial_group() -> FiniteGroup:

@@ -14,7 +14,8 @@ images of the generators along the walk (:func:`enumerate_twisted_maps`).
 make_group first reads each row through :func:`index_row`, the shape rule
 for tables read from a file.  The product table of a semidirect product
 (``semidirect.SdProduct.group``) is gathered as tuple rows of pair codes,
-which cannot fail that rule, so it goes through the private
+and a catalog cyclic group (``catalog.cyclic_group``) as rotations of
+0..n-1; neither can fail that rule, so both go through the private
 ``_group_of_rows`` instead: every axiom check of make_group, without the
 per-entry scan, as ``maps._trusted`` is FMap without its range check.
 """
@@ -129,7 +130,8 @@ def _group_of_rows(rows: tuple[tuple[int, ...], ...], names: Sequence[str] | Non
 
     Every check of make_group runs but the per-entry scan of
     :func:`index_row`, for a table that cannot fail it: the product table
-    of ``semidirect.SdProduct.group``, gathered as tuples from pair codes.
+    of ``semidirect.SdProduct.group``, gathered as tuples from pair codes,
+    and the rows of ``catalog.cyclic_group``, each a rotation of 0..n-1.
     The rows' lengths, the names, the identity, the inverses and
     associativity are all checked, as for any table.
     """

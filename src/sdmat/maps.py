@@ -26,9 +26,12 @@ the codomain.  Its callers, and why each table passes:
 - :func:`zero_map` repeats the codomain's identity once per domain element;
 - :func:`identity_map` is the group's own row of its identity, a tuple;
 - the determinants and closed-form inverses (``determinant``), the entries
-  of a matrix product and the endomorphism of a matrix (``matrices``) and
-  the B-factor's entry (``factorization``) are such gathers as well,
-  written out in one pass over the image tables;
+  of a matrix product (``matrices``) and the B-factor's entry
+  (``factorization``) are such gathers as well, written out in one pass
+  over the image tables;
+- the endomorphism of a matrix (``matrices.matrix_to_endo``) reads one
+  code h*|K| + k per element of the product from the product's table of
+  codes, h read from a table of H and k from a table of K;
 - the oracle census (``oracle.enumerate_endos``) sets each image to the
   identity or to an entry of a column of the Cayley table.
 

@@ -86,11 +86,19 @@ on their own.
 The product's entry formula is written once, in ``_product_images``.  It
 sends each column of the right factor through one map of the left factor,
 whatever the columns are: :func:`mat_mul` passes the right factor's own,
-and ``verify`` the whole H x K grid, on which the map must be the left
-factor's endomorphism (the ``sdmat.verify`` docstring).  Where a product
-is only compared, its four image tables are compared with a matrix's key
-and no matrix is built: the inverse checks of ``verify`` and the
-reassembly of ``factorization.factor_abcd``.
+and :func:`matrix_to_endo` the whole H x K grid, kept once per product
+with the table of element codes (``_grid``).  The column (h; k) goes to
+
+    (alpha h * f_{gamma h}(beta k); gamma h * delta k) = (alpha h, gamma h) * (beta k, delta k),
+
+the product in G of the images of (h, e) and (e, k), which is theta(h, k).
+So the map on the grid, read as codes h*|K| + k, is the matrix's
+endomorphism theta: matrix_to_endo builds it that way, and reads G's
+table only to check it once against G's homomorphism law.  The tests
+keep the gather of theta from G's table as a reference to set it against.
+Where a product is only compared, its four image tables are compared with
+a matrix's key and no matrix is built: the inverse checks of ``verify``
+and the reassembly of ``factorization.factor_abcd``.
 """
 
 from __future__ import annotations
@@ -125,7 +133,7 @@ CONDITION_NAMES = (
 )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class EndoMatrix:
     """A 2x2 matrix of maps over a fixed semidirect product.
 
@@ -140,19 +148,24 @@ class EndoMatrix:
     delta: FMap
     context: SdProduct
 
-    def __post_init__(self) -> None:
-        H, K = self.context.H, self.context.K
-        a, b, g, d = self.alpha, self.beta, self.gamma, self.delta
-        if (
-            a.dom is H and a.cod is H and b.dom is K and b.cod is H
-            and g.dom is H and g.cod is K and d.dom is K and d.cod is K
+    def __init__(self, alpha: FMap, beta: FMap, gamma: FMap, delta: FMap, context: SdProduct) -> None:
+        H, K = context.H, context.K
+        if not (
+            alpha.dom is H and alpha.cod is H and beta.dom is K and beta.cod is H
+            and gamma.dom is H and gamma.cod is K and delta.dom is K and delta.cod is K
         ):
-            return
-        # Some shape fails: name the first failing entry.
-        shapes = (("alpha", a, H, H), ("beta", b, K, H), ("gamma", g, H, K), ("delta", d, K, K))
-        for label, entry, dom, cod in shapes:
-            if entry.dom is not dom or entry.cod is not cod:
-                raise DomainMismatch(f"entry {label} must be a map {dom!r} -> {cod!r}")
+            # Some shape fails: name the first failing entry.
+            shapes = (("alpha", H, H), ("beta", K, H), ("gamma", H, K), ("delta", K, K))
+            for (label, dom, cod), entry in zip(shapes, (alpha, beta, gamma, delta)):
+                if entry.dom is not dom or entry.cod is not cod:
+                    raise DomainMismatch(f"entry {label} must be a map {dom!r} -> {cod!r}")
+        # Written into __dict__ directly, as the frozen dataclass's own __setattr__ refuses.
+        fields = self.__dict__
+        fields["alpha"] = alpha
+        fields["beta"] = beta
+        fields["gamma"] = gamma
+        fields["delta"] = delta
+        fields["context"] = context
 
     def key(self) -> tuple[tuple[int, ...], ...]:
         """Serialized form used for ordering, hashing and equality."""
@@ -339,26 +352,41 @@ def mat_mul(left: EndoMatrix, right: EndoMatrix) -> EndoMatrix:
 
 
 @memo
+def _grid(product: SdProduct) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """The H x K grid, kept once per product: (hs, ks, codes).
+
+    Column g = h*|K| + k of the grid is (hs[g]; ks[g]), and codes[h][k] = g.
+    Every theta reads its codes from the one ``codes`` table, so all of them
+    share its int objects; a code computed per theta would be a new object
+    for each code above 256 (CPython shares only the ints up to 256).
+    """
+    nH, nK = product.H.order, product.K.order
+    flat = tuple(range(nH * nK))
+    codes = tuple([flat[h * nK : h * nK + nK] for h in range(nH)])
+    return tuple([h for h in range(nH) for _ in range(nK)]), tuple(range(nK)) * nH, codes
+
+
+@memo
 def matrix_to_endo(matrix: EndoMatrix) -> FMap:
     """The endomorphism (h, k) -> (alpha(h) * f_{gamma(h)}(beta(k)), gamma(h) delta(k)).
 
-    Raises ConditionsViolated if the matrix fails its compatibility
-    conditions, as :func:`check_conditions` decided them once for this
-    matrix.  The result is an FMap from the product group to itself,
-    checked once against the homomorphism law (VerificationFailed otherwise,
-    as the six conditions imply it) and kept on the matrix.
+    That is the entry formula ``_product_images`` on the column (h; k), so
+    theta is the formula's map on the H x K grid, read as codes h*|K| + k
+    (module docstring).  Raises ConditionsViolated if the matrix fails its
+    compatibility conditions, as :func:`check_conditions` decided them once
+    for this matrix.  The result is an FMap from the product group to
+    itself, checked once against the group's homomorphism law
+    (VerificationFailed otherwise, as the six conditions imply it) and kept
+    on the matrix.
     """
     failed = check_conditions(matrix)
     if failed is not None:
         raise ConditionsViolated(*failed)
-    # theta(h, k) = theta(h, 1) * theta(1, k), with h outer as in the pair encoding.
-    # Pairs are coded h*|K| + k (``SdProduct.encode``).
     P = matrix.context
-    gt, nK = P.group.table, P.K.order
-    on_h = [a * nK + g for a, g in zip(matrix.alpha.image, matrix.gamma.image)]
-    on_k = [b * nK + d for b, d in zip(matrix.beta.image, matrix.delta.image)]
-    # A gather from the product's table, one entry per (h, k): built unchecked.
-    theta = _trusted(P.group, P.group, tuple([gt[x][y] for x in on_h for y in on_k]))
+    hs, ks, codes = _grid(P)
+    a, _, c, _ = _product_images(matrix, hs, (), ks, ())
+    # The code of each image (h, k), one per element of the product: built unchecked.
+    theta = _trusted(P.group, P.group, tuple([codes[h][k] for h, k in zip(a, c)]))
     if not theta.is_hom:
         raise VerificationFailed("matrix passes its conditions but describes no homomorphism")
     return theta

@@ -51,16 +51,21 @@ builds its tables unchecked (``maps._trusted``): every entry is read from a
 column of the Cayley table, or is the identity.
 
 ``verify`` sets the census against the matrix side: its image tables must
-be exactly the endomorphisms of the enumerated matrices, and
-:func:`invert_endo` gives the inverse that each automorphism's matrix must
-have.  No product of two census entries is formed there: their composite
-is an endomorphism, so it is in the census (the ``sdmat.verify``
-docstring).
+be exactly the endomorphisms of the enumerated matrices, which the matrix
+side builds through its entry formula.  No product of two census entries
+is formed there: their composite is an endomorphism, so it is in the
+census (the ``sdmat.verify`` docstring).  Nor is any inverse: ``verify``
+reads an automorphism's inverse off its image table, one generator at a
+time.  :func:`invert_endo` inverts a whole table; the tests set the
+closed-form inverses against it.  The census lists its bijective entries
+(:attr:`EndCensus.autos`) only when asked, so ``verify``, which reads the
+endomorphisms alone, decides no bijectivity of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import BoundExceeded, DomainMismatch, NotBijective
 from .groups import FiniteGroup
@@ -75,7 +80,11 @@ class EndCensus:
 
     group: FiniteGroup
     endos: tuple[FMap, ...]
-    autos: tuple[FMap, ...]
+
+    @cached_property
+    def autos(self) -> tuple[FMap, ...]:
+        """The bijective endomorphisms, in census order, decided on first read."""
+        return tuple(e for e in self.endos if e.is_bijective)
 
     @property
     def n_endos(self) -> int:
@@ -162,9 +171,7 @@ def enumerate_endos(group: FiniteGroup, bound: int = 64) -> EndCensus:
         raise BoundExceeded(f"group order {group.order} exceeds bound {bound}")
     tables = _endos_by_generators(group)
     tables.sort()
-    endos = tuple(_trusted(group, group, img) for img in tables)
-    autos = tuple(e for e in endos if e.is_bijective)
-    return EndCensus(group=group, endos=endos, autos=autos)
+    return EndCensus(group=group, endos=tuple(_trusted(group, group, img) for img in tables))
 
 
 def _group_of(*thetas: FMap) -> FiniteGroup:

@@ -33,10 +33,16 @@ reads the correspondence's verdict.  So a run over a selection of checks
 only when one of these two is selected.
 
 ``endo_matrix_correspondence`` decides the n² products of the n matrices
-with one pass per matrix.  Write theta_i for the endomorphism of matrix
-m_i (:func:`~sdmat.matrices.matrix_to_endo`, gathered from the product
-group's table and checked as a homomorphism).  The check decides, in
-order:
+with no product formed.  Write F_i for the map that ``mat_mul`` sends
+every column of the right factor through when m_i is the left factor
+(``matrices._product_images``, the entry formula over the H and K tables
+and the action rows).  The formula works column by column: the value at
+one column (x; y) does not depend on the other columns passed with it.
+theta_i, the endomorphism of m_i (:func:`~sdmat.matrices.matrix_to_endo`),
+is F_i on every element of H x K, read as element codes h*|K| + k, so F_i
+at any column (x; y) is theta_i at the code of (x, y), by definition.
+theta_i is checked once against the product group's homomorphism law.
+The check decides, in order:
 
 1. census: the oracle's census (:mod:`sdmat.oracle`, raw Cayley tables
    only) has n endomorphisms, and their image tables are the theta_i;
@@ -44,24 +50,14 @@ order:
    columns of m_i, (alpha h; gamma h) and (beta k; delta k), are theta_i
    at (h, e) and (e, k);
 3. kernel: the identity matrix is enumerated, and its theta is the only
-   one that is the identity map;
-4. per left factor: ``mat_mul`` sends every column of the right factor
-   through one map F_i of the left factor (``matrices._product_images``,
-   the entry formula over the H and K tables and the action rows).
-   Evaluated on every element of H x K and read as element codes, F_i
-   equals theta_i.  The comparison goes the other way: theta_i's codes
-   are read through two decode tables of the product, code -> H part and
-   code -> K part (one itemgetter per matrix), and compared with F_i's
-   H and K parts, which is the same test as codes are h*|K| + k.  F_i's
-   codes, and the first column where they differ, are formed only on a
-   mismatch, for the witness.
+   one that is the identity map.
 
 Then m_i * m_j is the enumerated matrix of theta_i o theta_j for every i
 and j:
 
 - by 2, the columns of m_j are theta_j on the embedded copies of H and K;
-- ``mat_mul`` computes the columns of m_i * m_j as F_i at those, which
-  by 4 is theta_i, so they are theta_i o theta_j on the embedded copies;
+- ``mat_mul`` computes the columns of m_i * m_j as F_i at those, which is
+  theta_i there, so they are theta_i o theta_j on the embedded copies;
 - theta_i o theta_j is an endomorphism, so it is in the census, and by 1
   it is some theta_l;
 - by 2, the columns of m_l are theta_l on the embedded copies too, and a
@@ -69,10 +65,14 @@ and j:
 
 By 1 and 2, i -> theta_i is a bijection onto End(G), so it is an
 isomorphism from the matrices under ``mat_mul`` onto (End(G), o).  The
-two sides are computed apart: F_i from the entry formula, theta_i from the
-product group's table, the census by the oracle's own search, so their
-agreement is evidence that composition is the matrix product, not a
-restatement of it.
+oracle stays independent of the entry formula: the census is the oracle's
+own search, and theta_i's homomorphism law is read from the product
+group's table, as is the census.  So a wrong entry formula, or a wrong
+product table, gives a theta that breaks the law (``matrix_to_endo``
+raises VerificationFailed, and the run fails) or that the census does not
+list, and the run fails either way.  A theta that passes both and 2 is the
+endomorphism its matrix describes, as an endomorphism is fixed by its
+values on the embedded copies.
 
 ``monoid_laws`` follows from the correspondence.  Closure is the m_l
 above.  By 3, the theta of the identity matrix m_e is the identity map, so
@@ -88,8 +88,9 @@ members through the same isomorphism, with no matrix built
 (``_Context.product_index``): the product of m_i and m_j is the index of
 theta_i o theta_j, looked up by its images of the product group's
 generators, which fix an endomorphism.  The inverse of an automorphism is
-the index of the oracle's inverse of its theta (``oracle.invert_endo``),
-looked up the same way.
+looked up the same way (``_Context.inverse_index``): its image of a
+generator s is the one element theta_i sends to s, read off theta_i's
+table, so no table is inverted.
 
 The determinants and closed-form inverses are values of their
 matrix (``sdmat.determinant``), built on first use and kept on it, so the
@@ -106,7 +107,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
 
 from .catalog import build_instance
 from .determinant import det_h, det_k, invert_via_det_h, invert_via_det_k, is_invertible
@@ -121,7 +121,7 @@ from .matrices import (
     identity_matrix,
     matrix_to_endo,
 )
-from .oracle import enumerate_endos, invert_endo
+from .oracle import enumerate_endos
 from .semidirect import SdProduct
 
 __all__ = ["CheckResult", "VerifyReport", "CHECK_NAMES", "run_verification"]
@@ -266,11 +266,18 @@ class _Context:
         return self._index_by_generators.get(tuple(map(outer, self._generator_images[j])))
 
     def inverse_index(self, i: int) -> int | None:
-        """The index of the oracle's inverse of automorphism i, found by its generator images, or None."""
+        """The index of theta_i's inverse, or None if theta_i is not bijective or the inverse is not enumerated.
+
+        The inverse is fixed by its images of the product group's
+        generators, and its image of s is the one element theta_i sends to
+        s, so it is looked up by those images with no table inverted.
+        """
         if i not in self._inverse_idx:
-            inverse = invert_endo(self.thetas[i]).image
-            images = tuple(map(inverse.__getitem__, self.product.group.generators))
-            self._inverse_idx[i] = self._index_by_generators.get(images)
+            theta, found = self.thetas[i], None
+            if theta.is_bijective:
+                images = tuple(map(theta.image.index, self.product.group.generators))
+                found = self._index_by_generators.get(images)
+            self._inverse_idx[i] = found
         return self._inverse_idx[i]
 
     def inverse_failure(self, i: int, inverse: EndoMatrix) -> str | None:
@@ -341,22 +348,6 @@ def _correspondence(ctx: _Context) -> dict | None:
     kernel = [i for i, t in enumerate(ctx.thetas) if t.image == identity_image]
     if kernel != [ctx.identity_idx]:
         return {"kernel_indices": kernel}
-    # Each left factor's map on every column (h; k) of H x K, coded h*|K| + k like the
-    # product's elements, must be its endomorphism (module docstring).  The column of
-    # code g is (hs[g]; ks[g]), so hs and ks are also the tables that decode a code
-    # into its H and K parts.
-    nH, nK = P.H.order, P.K.order
-    hs = tuple(h for h in range(nH) for _ in range(nK))
-    ks = tuple(range(nK)) * nH
-    for i, m in enumerate(ctx.mats):
-        a, _, c, _ = _product_images(m, hs, (), ks, ())
-        image = ctx.thetas[i].image
-        # An itemgetter of one index returns the entry, not a tuple: the trivial product.
-        parts = itemgetter(*image) if len(image) > 1 else lambda table: (table[image[0]],)
-        if parts(hs) != a or parts(ks) != c:
-            codes = tuple([x * nK + y for x, y in zip(a, c)])
-            column = next(g for g, (u, v) in enumerate(zip(codes, image)) if u != v)
-            return {"left": i, "column": column, "detail": "matrix product differs from composition"}
     return None
 
 

@@ -1,6 +1,6 @@
 """Reference copies of the n² pairwise tables and the checks that read them.
 
-``verify`` decides its four pairwise checks with one pass per matrix (the
+``verify`` decides its four pairwise checks with no n² table (the
 ``sdmat.verify`` docstring).  Before that it built two n² tables and ran
 Light's test; those routes live on here only, so the tests can set the
 per-matrix decision against them on every instance small enough to build

@@ -367,9 +367,10 @@ def test_cli_builds_the_product_group_only_where_it_is_read(
 
         return counted
 
-    # The factors are built through make_group, the product through the private builder of
-    # its gathered rows.  The package exports the function semidirect under the module's name.
-    monkeypatch.setattr(sys.modules["sdmat.catalog"], "make_group", counting(make_group))
+    # The cyclic factors and the product are built from tuple rows through the private builder,
+    # each module's own binding of it.  The package exports the function semidirect under the
+    # module's name.
+    monkeypatch.setattr(sys.modules["sdmat.catalog"], "_group_of_rows", counting(groups._group_of_rows))
     monkeypatch.setattr(sys.modules["sdmat.semidirect"], "_group_of_rows", counting(groups._group_of_rows))
     assert cli_main([command, "--instance", "dihedral:32", "--matrix", path]) == code
     capsys.readouterr()
@@ -509,6 +510,16 @@ def test_alias_is_its_metacyclic_form(alias, explicit):
     assert a.action.images == b.action.images
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 16])
+def test_cyclic_group_is_make_group_of_its_addition_table(n):
+    # The rows are built as rotations and skip only make_group's per-entry scan.
+    built = cyclic_group(n)
+    table = [[(a + b) % n for b in range(n)] for a in range(n)]
+    expected = make_group(table, names=[str(a) for a in range(n)], name=f"Z{n}")
+    for field in ("order", "table", "identity", "inverses", "generators", "walk", "names", "name"):
+        assert getattr(built, field) == getattr(expected, field)
+
+
 def test_instance_names_are_canonical():
     assert build_instance("cyclic:05").name == "cyclic:5"
     assert build_instance("metacyclic:7:3:09").name == "metacyclic:7:3:9"
@@ -537,7 +548,7 @@ def _no_tables(*args, **kwargs):
 
 
 def test_build_instance_bound_guards_before_any_table(monkeypatch):
-    monkeypatch.setattr("sdmat.catalog.make_group", _no_tables)
+    monkeypatch.setattr("sdmat.catalog._group_of_rows", _no_tables)
     with pytest.raises(BoundExceeded, match="exceeds bound 64"):
         build_instance("cyclic:600", bound=64)
     with pytest.raises(BoundExceeded, match="exceeds bound"):
@@ -548,7 +559,7 @@ def test_build_instance_bound_guards_before_any_table(monkeypatch):
 
 @pytest.mark.parametrize("command", ["enumerate", "det", "invert", "factor", "census", "verify"])
 def test_cli_bound_guards_before_any_table(monkeypatch, capsys, tmp_path, command):
-    monkeypatch.setattr("sdmat.catalog.make_group", _no_tables)
+    monkeypatch.setattr("sdmat.catalog._group_of_rows", _no_tables)
     argv = [command, "--instance", "cyclic:600"]
     if command in ("det", "invert", "factor"):
         argv += ["--matrix", str(tmp_path / "unread.json")]

@@ -1,9 +1,11 @@
 import itertools
+import operator
 import random
 
 import pytest
 
 from sdmat import (
+    DEFAULT_INSTANCES,
     BoundExceeded,
     CONDITION_NAMES,
     ConditionsViolated,
@@ -34,6 +36,7 @@ from sdmat import (
 )
 from sdmat.maps import _trusted
 from sdmat.oracle import compose_endos
+from endo_reference import first_disagreement
 from pairwise_reference import product_table
 from test_determinant import _z3_by_s3_sign
 
@@ -339,6 +342,31 @@ def test_matrix_to_endo_squaring(s3):
         for k in range(2):
             assert theta(s3.encode(h, k)) == s3.encode((2 * h) % 3, k)
     assert theta.is_hom
+
+
+# The catalog, five instances of 78-144 matrices, the nonabelian products and order 128: theta,
+# the entry formula's map on the grid, is the gather from the product group's table.
+@pytest.mark.parametrize(
+    "instance",
+    [
+        *DEFAULT_INSTANCES,
+        *("dihedral:10", "direct:14:2", "metacyclic:7:6:3", "dihedral:11", "metacyclic:12:2:5"),
+        *_NONABELIAN,
+        "dihedral:64",
+    ],
+)
+def test_matrix_to_endo_is_the_table_gather(instance):
+    P = _NONABELIAN[instance]() if instance in _NONABELIAN else build_instance(instance)
+    mats = enumerate_matrices(P, bound=128)
+    assert mats and first_disagreement(mats) is None
+
+
+def test_thetas_of_a_product_share_their_code_objects():
+    # Order 260: a code above 256 computed per theta would be a new int object in each table.
+    P = build_instance("dihedral:130")
+    first, second = matrix_to_endo(identity_matrix(P)), matrix_to_endo(identity_matrix(P))
+    assert first.image == tuple(range(260))
+    assert all(map(operator.is_, first.image, second.image))
 
 
 def test_trivial_action_reduces_to_products(klein, klein_matrices):

@@ -61,6 +61,16 @@ def test_all_listed_maps_are_homs(s3_census):
     assert auto_images <= {e.image for e in s3_census.endos}
 
 
+def test_census_decides_bijectivity_when_autos_is_first_read(d4):
+    # The census decides no bijectivity of its own; autos decides it once, on first read.
+    census = enumerate_endos(d4.group)
+    assert not any("is_bijective" in e.__dict__ for e in census.endos)
+    autos = census.autos
+    assert all("is_bijective" in e.__dict__ for e in census.endos)
+    assert census.autos is autos
+    assert autos == tuple(e for e in census.endos if len(set(e.image)) == d4.group.order)
+
+
 def test_census_order_deterministic(s3):
     a = enumerate_endos(s3.group)
     b = enumerate_endos(s3.group)

@@ -16,6 +16,7 @@ from sdmat import (
     EndoMatrix,
     FMap,
     FiniteGroup,
+    NotBijective,
     VerificationFailed,
     build_instance,
     cli_main,
@@ -29,8 +30,9 @@ from sdmat import (
     verify,
 )
 from sdmat.matrices import mat_mul
-from sdmat.oracle import EndCensus, enumerate_endos
+from sdmat.oracle import EndCensus, enumerate_endos, invert_endo
 from sdmat.verify import CHECK_NAMES, run_verification
+from endo_reference import gathered_endo
 from pairwise_reference import pairwise_checks
 from test_matrices import _NONABELIAN
 
@@ -161,7 +163,7 @@ def test_check_selection_given_as_one_name_rejected():
 def test_correspondence_fails_on_a_short_census(monkeypatch):
     def short(group, bound):
         census = enumerate_endos(group, bound=bound)
-        return EndCensus(group, census.endos[1:], census.autos)
+        return EndCensus(group, census.endos[1:])
 
     monkeypatch.setattr("sdmat.verify.enumerate_endos", short)
     check = _correspondence("dihedral:4")
@@ -176,7 +178,7 @@ def test_correspondence_fails_on_an_image_the_matrices_do_not_give(monkeypatch):
     def swap_one(group, bound):
         census = enumerate_endos(group, bound=bound)
         endos = tuple(FMap(group, group, swapped) if e.image == auto else e for e in census.endos)
-        return EndCensus(group, endos, census.autos)
+        return EndCensus(group, endos)
 
     assert not FMap(group, group, swapped).is_hom
     monkeypatch.setattr("sdmat.verify.enumerate_endos", swap_one)
@@ -194,34 +196,54 @@ def test_correspondence_fails_on_a_wrong_round_trip(monkeypatch):
     assert check.witness["delta"] == list(first.delta.image)
 
 
-def _mutant_product_images(monkeypatch, instance, left, column):
-    """Make the entry formula wrong for one left factor at one column (h; k): alpha's entry moves."""
-    P = build_instance(instance)
-    target = sorted(enumerate_matrices(P), key=lambda m: m.key())[left].key()
-    h0, k0 = P.decode(column)
+def _mutant_product_images(monkeypatch, P, target, mutate):
+    """Make the entry formula give ``mutate(columns, images)`` for the left factor ``target``."""
     product_images = matrices._product_images
 
-    def mutant(matrix, a1, b1, g1, d1):
-        a, b, c, d = product_images(matrix, a1, b1, g1, d1)
-        if matrix.key() == target:
-            a = tuple((v + 1) % P.H.order if (x, y) == (h0, k0) else v for v, x, y in zip(a, a1, g1))
-        return a, b, c, d
+    def mutant(matrix, *columns):
+        images = product_images(matrix, *columns)
+        return mutate(columns, images) if matrix.key() == target.key() else images
 
-    for module in (matrices, verify):
-        monkeypatch.setattr(module, "_product_images", mutant)
+    monkeypatch.setattr(matrices, "_product_images", mutant)
 
 
 # A catalog instance and one of 381 matrices; the mutant column is the product's last element.
 @pytest.mark.parametrize("instance, left", [("dihedral:4", 7), ("metacyclic:19:3:7", 300)])
-def test_correspondence_fails_on_a_mutant_product_column(monkeypatch, instance, left):
-    column = build_instance(instance).group.order - 1
-    _mutant_product_images(monkeypatch, instance, left, column)
-    report = run_verification(instance, checks=list(_CENSUS_CHECKS))
+def test_correspondence_fails_on_a_mutant_product_column(monkeypatch, capsys, instance, left):
+    # theta is the entry formula's map on the grid, so a formula wrong for one left factor at
+    # one column (h; k), alpha's entry moved, gives a theta that breaks the product group's
+    # homomorphism law; matrix_to_endo refuses it, and verify fails with exit 1.
+    P = build_instance(instance)
+    target = sorted(enumerate_matrices(P), key=lambda m: m.key())[left]
+    h0, k0 = P.decode(P.group.order - 1)
+
+    def move_alpha(columns, images):
+        a1, _, g1, _ = columns
+        a, b, c, d = images
+        return tuple((v + 1) % P.H.order if (x, y) == (h0, k0) else v for v, x, y in zip(a, a1, g1)), b, c, d
+
+    _mutant_product_images(monkeypatch, P, target, move_alpha)
+    with pytest.raises(VerificationFailed, match="describes no homomorphism"):
+        run_verification(P, checks=list(_CENSUS_CHECKS))
+    assert cli_main(["verify", "--instance", instance, "--theorems", ",".join(_CENSUS_CHECKS)]) == 1
+    assert "describes no homomorphism" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("instance, left", [("dihedral:4", 7), ("metacyclic:19:3:7", 300)])
+def test_correspondence_fails_on_a_mutant_formula_that_gives_an_endomorphism(monkeypatch, instance, left):
+    # A formula that evaluates one left factor as the identity matrix gives it the identity map,
+    # which passes the homomorphism law; the census then misses that matrix's own endomorphism,
+    # the gather from the product group's table.
+    P = build_instance(instance)
+    target = sorted(enumerate_matrices(P), key=lambda m: m.key())[left]
+    assert target.key() != identity_matrix(P).key()
+    _mutant_product_images(monkeypatch, P, target, lambda columns, images: columns)
+    report = run_verification(P, checks=list(_CENSUS_CHECKS))
     assert [c.to_dict() for c in report.checks] == [
         {
             "name": "endo_matrix_correspondence",
             "status": "fail",
-            "witness": {"left": left, "column": column, "detail": "matrix product differs from composition"},
+            "witness": {"image_mismatch": [list(gathered_endo(target).image)]},
         },
         {"name": "monoid_laws", "status": "fail", "witness": {"detail": "endo_matrix_correspondence fails"}},
     ]
@@ -288,16 +310,18 @@ def test_full_run_with_a_wrong_h_side_inverse_fails_its_formula(monkeypatch):
 def test_full_run_decides_each_inverse_once(monkeypatch):
     # Each matrix with an inverse check costs two products, m * inverse and inverse * m, even
     # when both closed forms apply: on a passing instance they give the same inverse.  verify
-    # forms them with the entry formula on the two factors' image tables; the correspondence's
-    # per-left-factor maps are its other calls, on the H x K grid with no right-hand beta or delta.
+    # forms them with the entry formula on the two factors' image tables.  Each matrix's theta
+    # is the formula's map on the H x K grid, with no right-hand beta or delta, built once by
+    # matrix_to_endo; verify evaluates the formula on the grid nowhere else.
     product_images = matrices._product_images
-    inverse_products, grid_maps = [], []
+    calls = {verify: ([], []), matrices: ([], [])}
+    for module, (products, grids) in calls.items():
 
-    def counting(left, a1, b1, g1, d1):
-        (inverse_products if b1 else grid_maps).append(left)
-        return product_images(left, a1, b1, g1, d1)
+        def counting(left, a1, b1, g1, d1, products=products, grids=grids):
+            (products if b1 else grids).append(left)
+            return product_images(left, a1, b1, g1, d1)
 
-    monkeypatch.setattr(verify, "_product_images", counting)
+        monkeypatch.setattr(module, "_product_images", counting)
     assert run_verification("dihedral:4").passed
     mats = enumerate_matrices(build_instance("dihedral:4"))
     checked = [
@@ -308,7 +332,9 @@ def test_full_run_decides_each_inverse_once(monkeypatch):
     ]
     both = [m for m in checked if m.alpha.is_bijective and m.delta.is_bijective]
     assert len(both) > 0
+    (inverse_products, verify_grids), (matrix_products, grid_maps) = calls[verify], calls[matrices]
     assert len(inverse_products) == 2 * len(checked)
+    assert (verify_grids, matrix_products) == ([], [])
     assert len(grid_maps) == len(mats)
 
 
@@ -435,7 +461,7 @@ def _pairwise_checks_match_the_tables(product):
 
 
 # Every instance of at most 200 matrices the tests verify, and the two nonabelian products of
-# 484 and 730 matrices: the four checks decided per left factor against the n² tables.
+# 484 and 730 matrices: the four checks decided with no n² table against the n² tables.
 @pytest.mark.parametrize("instance", [*DEFAULT_INSTANCES, *OFFCATALOG, *_NONABELIAN])
 def test_pairwise_checks_match_the_n2_tables(instance):
     _pairwise_checks_match_the_tables(_NONABELIAN[instance]() if instance in _NONABELIAN else build_instance(instance))
@@ -454,6 +480,21 @@ def test_product_index_is_the_matrix_product(instance):
     for i in ctx.auto_idx:
         j = ctx.inverse_index(i)
         assert ctx.product_index(i, j) == ctx.product_index(j, i) == ctx.identity_idx
+
+
+@pytest.mark.parametrize("instance", ["dihedral:4", "s3_by_z2_conjugation"])
+def test_inverse_index_reads_the_inverse_off_theta(instance):
+    # The inverse's generator images are read off theta's table: for an automorphism it is the
+    # oracle's inverse, and a theta that is not bijective has none, where the oracle raises.
+    ctx = verify._Context(_NONABELIAN[instance]() if instance in _NONABELIAN else build_instance(instance), 64)
+    singular = [i for i, theta in enumerate(ctx.thetas) if not theta.is_bijective]
+    assert singular and ctx.auto_idx
+    for i in singular:
+        assert ctx.inverse_index(i) is None
+        with pytest.raises(NotBijective):
+            invert_endo(ctx.thetas[i])
+    for i in ctx.auto_idx:
+        assert ctx.thetas[ctx.inverse_index(i)] == invert_endo(ctx.thetas[i])
 
 
 # The first or last automorphism outside a family is classified into it, so a family check
