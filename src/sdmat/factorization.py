@@ -66,6 +66,15 @@ the tables of c and d, then b*(c*d) from the tables of b and of c*d, then
 a*(b*(c*d)), and the last four tables must be m's key.  Each step is the
 entry formula on the right factor's own columns, exactly what ``mat_mul``
 computes, so the comparison is that of ``ABCDFactors.product()`` with m.
+
+Three of these values depend only on the action and one or two entry maps
+of m: the C-witness of (1, 0; gamma, 1) on (action, gamma), the D-witness
+of (1, 0; 0, delta) on (action, delta), and the tables of c*d on
+(action, gamma, delta).  Each is kept on the action object, keyed by the
+entry's image tables, and computed on the first call that needs it; many
+automorphisms share a gamma or a delta.  Every call still certifies all
+four factors, reading the kept witness for c and d, and still compares its
+own reassembly with m's key.
 """
 
 from __future__ import annotations
@@ -74,7 +83,7 @@ from dataclasses import dataclass
 
 from .determinant import _decide_invertible, det_h
 from .errors import PreconditionFailed, VerificationFailed
-from .maps import FMap, _trusted, is_crossed_hom, map_inverse
+from .maps import FMap, _trusted, is_crossed_hom, map_inverse, memo
 from .matrices import (
     EndoMatrix,
     _product_images,
@@ -83,6 +92,7 @@ from .matrices import (
     is_automorphism_matrix,
     mat_mul,
 )
+from .semidirect import GroupAction
 
 __all__ = [
     "SubsetTag",
@@ -274,10 +284,35 @@ def unit_diagonal_b_factor(matrix: EndoMatrix) -> EndoMatrix:
     return result
 
 
-def _certified(letter: str, factor: EndoMatrix) -> EndoMatrix:
-    if _FAMILY_WITNESSES[letter](factor) is not None:
+def _certified(letter: str, factor: EndoMatrix, kept_as: tuple | None = None) -> EndoMatrix:
+    """``factor``, if it is in family ``letter``; VerificationFailed otherwise.
+
+    With ``kept_as``, the family witness is kept on the action under that
+    key, for a factor whose membership depends only on the action and that
+    key's image tables (module docstring).
+    """
+    family = _FAMILY_WITNESSES[letter]
+    if kept_as is None:
+        witness = family(factor)
+    else:
+        witness = _kept_value(factor.context.action, kept_as, lambda: family(factor))
+    if witness is not None:
         raise VerificationFailed(f"{letter}-factor membership", factor.key())
     return factor
+
+
+@memo
+def _kept(action: GroupAction) -> dict:
+    """What :func:`factor_abcd` keeps per action, keyed by image tables (module docstring)."""
+    return {}
+
+
+def _kept_value(action: GroupAction, key: tuple, compute):
+    """``compute()``, kept on ``action`` under ``key`` on the first call."""
+    kept = _kept(action)
+    if key not in kept:
+        kept[key] = compute()
+    return kept[key]
 
 
 def factor_abcd(matrix: EndoMatrix) -> ABCDFactors:
@@ -297,17 +332,18 @@ def factor_abcd(matrix: EndoMatrix) -> ABCDFactors:
     if not (matrix.alpha.is_bijective and matrix.delta.is_bijective):
         raise PreconditionFailed("factorization requires bijective alpha and delta")
     P = matrix.context
+    g, d = matrix.gamma.image, matrix.delta.image
     dh = det_h(matrix)
     # A-membership makes det_H bijective, so b can be built only after it.
     a = _certified("A", identity_matrix(P, alpha=dh))
     factors = ABCDFactors(
         a=a,
         b=_certified("B", identity_matrix(P, beta=_b_entry(dh, matrix))),
-        c=_certified("C", identity_matrix(P, gamma=matrix.gamma)),
-        d=_certified("D", identity_matrix(P, delta=matrix.delta)),
+        c=_certified("C", identity_matrix(P, gamma=matrix.gamma), ("C", g)),
+        d=_certified("D", identity_matrix(P, delta=matrix.delta), ("D", d)),
     )
     # a*(b*(c*d)) as image tables, each product's tables the columns of the next.
-    cd = _product_images(factors.c, *factors.d.key())
+    cd = _kept_value(P.action, ("cd", g, d), lambda: _product_images(factors.c, *factors.d.key()))
     bcd = _product_images(factors.b, *cd)
     if _product_images(a, *bcd) != matrix.key():
         raise VerificationFailed("factor reassembly", matrix.key())

@@ -11,6 +11,14 @@ that generating set and its walk, so laws over all pairs of elements are
 decided on the generators (see :mod:`sdmat.maps`), and searches extend
 images of the generators along the walk (:func:`enumerate_twisted_maps`).
 
+The center and commutativity are decided on the generators too.  The
+centralizer of an element a, the x with ax = xa, is a subgroup: it holds
+e, and with x and y it holds xy, as a(xy) = xay = (xy)a.  So a is central
+iff it commutes with every generator, as the generators reach every
+element by products.  The group is abelian iff its generators commute
+pairwise: then each generator commutes with every generator, so it is
+central, and the center, a subgroup, holds every element.
+
 make_group first reads each row through :func:`index_row`, the shape rule
 for tables read from a file.  The product table of a semidirect product
 (``semidirect.SdProduct.group``) is gathered as tuple rows of pair codes,
@@ -77,14 +85,15 @@ class FiniteGroup:
 
     @cached_property
     def is_abelian(self) -> bool:
-        t = self.table
-        return all(t[a][b] == t[b][a] for a in range(self.order) for b in range(a))
+        """Whether all elements commute, decided on the generators pairwise (module docstring)."""
+        t, gens = self.table, self.generators
+        return all(t[s][u] == t[u][s] for s in gens for u in gens)
 
     @cached_property
     def center(self) -> frozenset[int]:
-        """Elements commuting with everything."""
-        t = self.table
-        return frozenset(a for a in range(self.order) if all(t[a][b] == t[b][a] for b in range(self.order)))
+        """Elements commuting with everything: those commuting with each generator (module docstring)."""
+        t, gens = self.table, self.generators
+        return frozenset(a for a in range(self.order) if all(t[a][s] == t[s][a] for s in gens))
 
     def element_name(self, a: int) -> str:
         return self.names[a] if self.names else str(a)

@@ -83,6 +83,15 @@ is the two conditions on all pairs (above).  A matrix built with the same
 entries by other means is another object, and its conditions are decided
 on their own.
 
+The alphas depend on gamma alone and the betas on delta alone, so each is
+searched once: the alphas of a gamma at its first pair (gamma, delta) that
+passes the intertwining scan, the betas of a delta at its first such pair,
+and none for a gamma or delta with no such pair.  The matrices of one gamma
+share its alpha objects, and those of one delta its beta objects, so every
+value kept on an entry map (``maps.map_inverse``, ``FMap.is_bijective``,
+``FMap.is_hom``) is decided once per entry map, not once per matrix.  The
+list and its order are those of a search per pair.
+
 The product's entry formula is written once, in ``_product_images``.  It
 sends each column of the right factor through one map of the left factor,
 whatever the columns are: :func:`mat_mul` passes the right factor's own,
@@ -427,8 +436,10 @@ def enumerate_matrices(product: SdProduct, bound: int = 64) -> list[EndoMatrix]:
 
     The search runs over gamma, then delta, then beta, then alpha: gamma and
     delta come from homomorphism enumeration, the gamma/delta intertwining
-    prunes pairs early, beta and alpha come from twisted-map searches, and
-    the remaining compatibility condition filters the final quadruples.
+    prunes pairs early, beta and alpha come from twisted-map searches, once
+    per delta and once per gamma, shared by their matrices (module
+    docstring), and the remaining compatibility condition filters the final
+    quadruples.
     Both are decided on S_H x S_K alone, as every candidate meets the
     premises of the module docstring.  Each matrix returned keeps the
     verdict "all six hold" that the search decided (module docstring).
@@ -441,13 +452,19 @@ def enumerate_matrices(product: SdProduct, bound: int = 64) -> list[EndoMatrix]:
     gammas = enumerate_homs(H, K)
     deltas = enumerate_homs(K, K)
     out: list[EndoMatrix] = []
+    # The betas of each delta, searched at its first intertwining pair, by delta's position.
+    betas_of: list[list[FMap] | None] = [None] * len(deltas)
     for gamma in gammas:
-        for delta in deltas:
+        alphas = None  # searched at gamma's first intertwining pair
+        for di, delta in enumerate(deltas):
             if _intertwine_scan(gamma, delta, act)(H.generators, K.generators) is not None:
                 continue
             # beta and alpha are twisted through t_x = f_{delta(x)} and f_{gamma(x)}.
-            betas = enumerate_twisted_maps(K, H, [act.images[s] for s in delta.image])
-            alphas = enumerate_twisted_maps(H, H, [act.images[s] for s in gamma.image])
+            betas = betas_of[di]
+            if betas is None:
+                betas = betas_of[di] = enumerate_twisted_maps(K, H, [act.images[s] for s in delta.image])
+            if alphas is None:
+                alphas = enumerate_twisted_maps(H, H, [act.images[s] for s in gamma.image])
             for beta in betas:
                 for alpha in alphas:
                     if _compat_scan(alpha, beta, gamma, delta, act)(H.generators, K.generators) is None:

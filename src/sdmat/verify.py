@@ -96,10 +96,21 @@ The determinants and closed-form inverses are values of their
 matrix (``sdmat.determinant``), built on first use and kept on it, so the
 two invertibility checks, the two inverse formulas, ``determinant_duality``
 and ``combined_inverse`` all read the same ones, whichever runs first.
+A determinant depends only on its matrix's key.  A closed-form inverse
+that passes ``_Context.inverse_failure`` has the key of the enumerated
+matrix found through ``_Context.inverse_index``, whose determinants the
+context has built, so they are recorded as the inverse's
+(``maps.memo``), and every later check reads them there.  An inverse that
+has not passed gets its determinants built on itself: one whose key no
+enumerated matrix has, or one that ``combined_inverse`` reads in a run
+that selects it without the inverse formulas.
 The inverse formulas multiply each inverse back on both sides with the
 entry formula on the two factors' image tables and compare the result
 with the identity matrix's key (``_Context.inverse_failure``); a product
-that is only compared is never built as a matrix.
+that is only compared is never built as a matrix.  The two-sided law
+m m' = m' m = 1 is symmetric in m and m', so it is decided once per
+unordered pair of keys: an automorphism and its inverse share one verdict.
+Whether the inverse is the oracle's is still decided per matrix.
 """
 
 from __future__ import annotations
@@ -125,6 +136,10 @@ from .oracle import enumerate_endos
 from .semidirect import SdProduct
 
 __all__ = ["CheckResult", "VerifyReport", "CHECK_NAMES", "run_verification"]
+
+# Bound at import: a wrapper swapped in for a determinant (as bench/tracer.py does) has no
+# ``record``.
+_record_det_h, _record_det_k = det_h.record, det_k.record
 
 
 @dataclass(frozen=True)
@@ -209,8 +224,10 @@ class _Context:
     each inverse index and the correspondence's verdict (its witness, or
     None) are built the first time a check reads them.  No census is kept:
     the correspondence builds it and drops it once compared.  The checks
-    read closed-form inverses off each matrix; the two inverse formulas
-    share one verdict on each (matrix, inverse) pair.
+    read closed-form inverses off each matrix, and the determinants of an
+    inverse that passes ``inverse_failure`` off the enumerated matrix with
+    its key; the two-sided law is kept per unordered pair of keys (module
+    docstring).
     """
 
     def __init__(self, product: SdProduct, bound: int) -> None:
@@ -223,7 +240,7 @@ class _Context:
         self.thetas = [matrix_to_endo(m) for m in mats]
         self.identity_key = identity_matrix(product).key()
         self.identity_idx = next((i for i, m in enumerate(mats) if m.key() == self.identity_key), None)
-        self._inverse_verdicts: dict[tuple, str | None] = {}
+        self._two_sided: dict[tuple, bool] = {}
         self._inverse_idx: dict[int, int | None] = {}
         self.auto_idx = [i for i, t in enumerate(self.thetas) if t.is_bijective]
         # Determinants per index; None marks an undefined side.
@@ -287,22 +304,29 @@ class _Context:
         the oracle's inverse of endomorphism ``i``.  Both products are only
         compared, so they are formed as image tables (``_product_images``)
         and compared with the identity matrix's key, with no matrix built.
-        Both inverse formulas ask, and where their closed forms agree they ask
-        about the same matrix, so the verdict is kept per ``(i, inverse)``.
+        The two-sided law m m' = m' m = 1 is a value of the unordered pair of
+        keys {m, m'}, so it is kept per pair: both inverse formulas ask it,
+        and an automorphism and its inverse ask it of the same pair.  The
+        comparison with the oracle's inverse is made on every call.  An
+        inverse that passes has the key of the enumerated matrix j, and its
+        determinants are j's, recorded on it (module docstring).
         """
-        key = inverse.key()
-        memo_key = (i, key)
-        if memo_key not in self._inverse_verdicts:
-            m, ident = self.mats[i], self.identity_key
-            verdict = None
-            if _product_images(m, *key) != ident or _product_images(inverse, *m.key()) != ident:
-                verdict = "two-sided inverse law"
-            else:
-                j = self.inverse_index(i)
-                if j is None or self.mats[j].key() != key:
-                    verdict = "disagrees with brute-force inverse"
-            self._inverse_verdicts[memo_key] = verdict
-        return self._inverse_verdicts[memo_key]
+        key, m_key = inverse.key(), self.mats[i].key()
+        pair = (key, m_key) if key < m_key else (m_key, key)
+        if pair not in self._two_sided:
+            ident = self.identity_key
+            self._two_sided[pair] = (
+                _product_images(self.mats[i], *key) == ident and _product_images(inverse, *m_key) == ident
+            )
+        if not self._two_sided[pair]:
+            return "two-sided inverse law"
+        j = self.inverse_index(i)
+        if j is None or self.mats[j].key() != key:
+            return "disagrees with brute-force inverse"
+        for record, dets in ((_record_det_h, self.deth), (_record_det_k, self.detk)):
+            if dets[j] is not None:
+                record(inverse, dets[j])
+        return None
 
 
 def _first_escape(ctx: _Context, members: set[int], inverses: bool = False) -> dict | None:
@@ -465,7 +489,7 @@ def _check_combined(ctx: _Context) -> dict | str | None:
             return _mat_witness(m, detail="three-way inverse mismatch")
         if det_h(combined) != map_inverse(m.alpha):
             h_side = False
-        # via_h equals combined; inverse_formula_det_h may already have built its det_k.
+        # via_h equals combined; inverse_formula_det_h has recorded its det_k in a full run.
         if det_k(via_h) != map_inverse(m.delta):
             k_side = False
     ctx.notes["det_reading"] = {

@@ -21,7 +21,7 @@ from sdmat import (
 )
 from sdmat.catalog import DEFAULT_INSTANCES
 from pairwise_reference import associativity_witness, monoid_generators, product_table
-from test_matrices import _s3_by_conjugation
+from test_matrices import _NONABELIAN, _s3_by_conjugation
 
 
 def test_trivial_table():
@@ -103,6 +103,25 @@ def test_center_elements_commute(s3, d4):
         g = P.group
         for z in g.center:
             assert all(g.mul(z, x) == g.mul(x, z) for x in g.elements())
+
+
+def _all_pairs_center(g):
+    t = g.table
+    return frozenset(a for a in range(g.order) if all(t[a][b] == t[b][a] for b in range(g.order)))
+
+
+@pytest.mark.parametrize(
+    "instance",
+    [*DEFAULT_INSTANCES, *_NONABELIAN, "dihedral:10", "metacyclic:7:6:3", "metacyclic:21:3:4", "direct:16:4"],
+)
+def test_center_and_commutativity_match_the_all_pairs_scan(instance):
+    # Both are decided on the generators (module docstring); the scan of all pairs must agree,
+    # on the two factors and the product group of each instance.
+    P = _NONABELIAN[instance]() if instance in _NONABELIAN else build_instance(instance)
+    for g in (P.H, P.K, P.group):
+        center = _all_pairs_center(g)
+        assert g.center == center
+        assert g.is_abelian == (len(center) == g.order)
 
 
 def test_hom_counts():

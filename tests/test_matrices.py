@@ -1,6 +1,7 @@
 import itertools
 import operator
 import random
+from collections import defaultdict
 
 import pytest
 
@@ -25,6 +26,7 @@ from sdmat import (
     is_automorphism_matrix,
     is_invertible,
     make_action,
+    matrices,
     map_act,
     map_add,
     map_compose,
@@ -419,6 +421,37 @@ def test_exhaustive_route_agrees(s3, klein, d4):
     # The twisted-map searches for beta and alpha against the filter of every table (|H|, |K| <= 4).
     for P in (s3, klein, d4):
         assert sorted(m.key() for m in enumerate_matrices(P)) == filtered_matrix_keys(P)
+
+
+def test_enumeration_searches_each_entry_once_and_shares_it(monkeypatch):
+    # The alphas are searched once per gamma and the betas once per delta, each at its first
+    # pair that passes the intertwining scan; the matrices of one gamma share its alpha objects
+    # and those of one delta its beta objects, so a value kept on an entry map is decided once
+    # per entry map.  The list keeps its order: gamma, delta, beta, alpha, each by image.
+    P = build_instance("direct:16:4")
+    searched = []
+    search = matrices.enumerate_twisted_maps
+
+    def counting(dom, cod, twist):
+        searched.append(dom)
+        return search(dom, cod, twist)
+
+    monkeypatch.setattr(matrices, "enumerate_twisted_maps", counting)
+    mats = enumerate_matrices(P)
+    # (1, 0; gamma, delta) with zero alpha and beta is valid for every intertwining pair, so
+    # each searched gamma and delta has a matrix.
+    gammas, deltas = {m.gamma.image for m in mats}, {m.delta.image for m in mats}
+    assert (searched.count(P.H), searched.count(P.K)) == (len(gammas), len(deltas))
+    for entry, by in (("alpha", "gamma"), ("beta", "delta")):
+        groups = defaultdict(list)
+        for m in mats:
+            groups[getattr(m, by).image].append(getattr(m, entry))
+        for maps in groups.values():
+            assert len({id(f) for f in maps}) == len({f.image for f in maps}) < len(maps)
+    gamma_at = {g.image: i for i, g in enumerate(enumerate_homs(P.H, P.K))}
+    delta_at = {d.image: i for i, d in enumerate(enumerate_homs(P.K, P.K))}
+    order = [(gamma_at[m.gamma.image], delta_at[m.delta.image], m.beta.image, m.alpha.image) for m in mats]
+    assert order == sorted(order) and len(set(order)) == len(mats) == 1024
 
 
 def test_bound_guard(d4):

@@ -307,35 +307,120 @@ def test_full_run_with_a_wrong_h_side_inverse_fails_its_formula(monkeypatch):
     assert full == alone
 
 
+class _DetBodies:
+    """Records the matrix of each run of the determinants' bodies (the functions under their memo)."""
+
+    def __init__(self):
+        self.matrices = []
+        self._codes = {determinant.det_k.__wrapped__.__code__, determinant.det_h.__wrapped__.__code__}
+
+    def _profile(self, frame, event, arg):
+        if event == "call" and frame.f_code in self._codes:
+            self.matrices.append(frame.f_locals["matrix"])  # kept alive, so ids stay distinct
+
+    def __enter__(self):
+        sys.setprofile(self._profile)
+        return self
+
+    def __exit__(self, *exc):
+        sys.setprofile(None)
+
+
+def _capture_enumeration(monkeypatch) -> list:
+    """The matrices verify enumerates, collected as it enumerates them."""
+    enumerated = []
+
+    def capturing(*args, **kwargs):
+        mats = enumerate_matrices(*args, **kwargs)
+        enumerated.extend(mats)
+        return mats
+
+    monkeypatch.setattr(verify, "enumerate_matrices", capturing)
+    return enumerated
+
+
 def test_full_run_decides_each_inverse_once(monkeypatch):
-    # Each matrix with an inverse check costs two products, m * inverse and inverse * m, even
-    # when both closed forms apply: on a passing instance they give the same inverse.  verify
-    # forms them with the entry formula on the two factors' image tables.  Each matrix's theta
-    # is the formula's map on the H x K grid, with no right-hand beta or delta, built once by
-    # matrix_to_endo; verify evaluates the formula on the grid nowhere else.
+    # The two-sided law m m' = m' m = 1 costs two products per unordered pair {m, m'}: both
+    # closed forms ask it of the same pair on a passing instance, and so do an automorphism and
+    # its inverse.  verify forms the products with the entry formula on the two factors' image
+    # tables.  Each matrix's theta is the formula's map on the H x K grid, with no right-hand
+    # beta or delta, built once by matrix_to_endo; verify evaluates the formula on the grid
+    # nowhere else.  Every determinant of the run is built on an enumerated matrix: those of a
+    # closed-form inverse are read off the enumerated matrix with its key.
     product_images = matrices._product_images
-    calls = {verify: ([], []), matrices: ([], [])}
-    for module, (products, grids) in calls.items():
+    for instance in ("dihedral:4", "direct:3:3"):
+        with monkeypatch.context() as patch:
+            calls = {verify: ([], []), matrices: ([], [])}
+            for module, (products, grids) in calls.items():
 
-        def counting(left, a1, b1, g1, d1, products=products, grids=grids):
-            (products if b1 else grids).append(left)
-            return product_images(left, a1, b1, g1, d1)
+                def counting(left, a1, b1, g1, d1, products=products, grids=grids):
+                    (products if b1 else grids).append(left)
+                    return product_images(left, a1, b1, g1, d1)
 
-        monkeypatch.setattr(module, "_product_images", counting)
-    assert run_verification("dihedral:4").passed
-    mats = enumerate_matrices(build_instance("dihedral:4"))
-    checked = [
-        m
-        for m in mats
-        if (m.alpha.is_bijective and determinant.det_k(m).is_bijective)
-        or (m.delta.is_bijective and determinant.det_h(m).is_bijective)
+                patch.setattr(module, "_product_images", counting)
+            enumerated = _capture_enumeration(patch)
+            with _DetBodies() as dets:
+                assert run_verification(instance).passed
+        checked = [
+            m
+            for m in enumerated
+            if (m.alpha.is_bijective and determinant.det_k(m).is_bijective)
+            or (m.delta.is_bijective and determinant.det_h(m).is_bijective)
+        ]
+        both = [m for m in checked if m.alpha.is_bijective and m.delta.is_bijective]
+        assert len(both) > 0
+        pairs = {frozenset((t.image, invert_endo(t).image)) for t in map(matrix_to_endo, checked)}
+        (inverse_products, verify_grids), (matrix_products, grid_maps) = calls[verify], calls[matrices]
+        assert len(inverse_products) == 2 * len(pairs) < 2 * len(checked)
+        assert (verify_grids, matrix_products) == ([], [])
+        assert len(grid_maps) == len(enumerated)
+        ids = {id(m) for m in enumerated}
+        assert dets.matrices and all(id(m) in ids for m in dets.matrices)
+
+
+def _off_the_enumeration(invert):
+    """``invert`` with the inverse's gamma sent to a constant off the identity, no homomorphism."""
+
+    def mutant(matrix):
+        inverse, P = invert(matrix), matrix.context
+        k = next(k for k in range(P.K.order) if k != P.K.identity)
+        gamma = FMap(P.H, P.K, (k,) * P.H.order)
+        return identity_matrix(P, alpha=inverse.alpha, beta=inverse.beta, gamma=gamma, delta=inverse.delta)
+
+    return mutant
+
+
+def test_a_closed_form_off_the_enumeration_builds_its_own_determinants(monkeypatch):
+    # Both closed forms give a matrix no enumerated matrix has the key of, so combined_inverse
+    # builds both determinants on the inverse itself.  The run fails with the witnesses and
+    # the note it gave when every determinant of an inverse was built that way.
+    for side in ("k", "h"):
+        invert = getattr(determinant, f"invert_via_det_{side}")
+        monkeypatch.setattr(verify, f"invert_via_det_{side}", _off_the_enumeration(invert))
+    enumerated = _capture_enumeration(monkeypatch)
+    with _DetBodies() as dets:
+        report = run_verification("direct:3:3", checks=_INVERSE_CHECKS)
+    ids = {id(m) for m in enumerated}
+    diag_autos = [
+        m for m in enumerated if m.alpha.is_bijective and m.delta.is_bijective and matrix_to_endo(m).is_bijective
     ]
-    both = [m for m in checked if m.alpha.is_bijective and m.delta.is_bijective]
-    assert len(both) > 0
-    (inverse_products, verify_grids), (matrix_products, grid_maps) = calls[verify], calls[matrices]
-    assert len(inverse_products) == 2 * len(checked)
-    assert (verify_grids, matrix_products) == ([], [])
-    assert len(grid_maps) == len(mats)
+    # det_h and det_k, each built once on the inverse of each automorphism with bijective diagonal.
+    built_off = [m.key() for m in dets.matrices if id(m) not in ids]
+    assert sorted(built_off) == sorted(verify.invert_via_det_k(m).key() for m in diag_autos for _ in "hk")
+
+    def two_sided(alpha, beta, gamma):
+        return {"alpha": alpha, "beta": beta, "gamma": gamma, "delta": [0, 1, 2], "detail": "two-sided inverse law"}
+
+    assert [c.to_dict() for c in report.checks] == [
+        {"name": "inverse_formula_det_k", "status": "fail", "witness": two_sided([0, 1, 2], [0, 0, 0], [0, 0, 0])},
+        {"name": "inverse_formula_det_h", "status": "fail", "witness": two_sided([0, 0, 0], [0, 1, 2], [0, 1, 2])},
+        {"name": "determinant_duality", "status": "pass"},
+        {"name": "combined_inverse", "status": "fail", "witness": {"detail": "det_h of inverse is not alpha^-1"}},
+    ]
+    assert report.notes["det_reading"] == {
+        "det_h_of_inverse_is_alpha_inv": False,
+        "det_k_of_inverse_is_delta_inv": False,
+    }
 
 
 def test_a_run_leaves_no_matrix_in_cyclic_garbage():
