@@ -143,8 +143,14 @@ def group_from_dict(data: dict) -> FiniteGroup:
     table = data.get("table")
     if table is None:
         raise ValueError("group object lacks a table")
-    group = make_group(table, names=data.get("element_names"), name=data.get("name", ""))
-    declared = data.get("order")
+    names, name, declared = data.get("element_names"), data.get("name", ""), data.get("order")
+    if names is not None and not (isinstance(names, list) and all(isinstance(x, str) for x in names)):
+        raise ValueError("element_names must be a list of strings")
+    if not isinstance(name, str):
+        raise ValueError("group name must be a string")
+    if declared is not None and (isinstance(declared, bool) or not isinstance(declared, int)):
+        raise ValueError("declared order must be an integer")
+    group = make_group(table, names=names, name=name)
     if declared is not None and declared != group.order:
         raise ValueError(f"declared order {declared} does not match table size {group.order}")
     return group

@@ -44,11 +44,10 @@ lookups, and each pointwise product keeps the formula's order
 Each returned entry is one map, built unchecked (``maps._trusted``), as
 every chain ends in a table of the entry's codomain; no intermediate map
 is built.  The checks of these results do not reuse these passes:
-:func:`dual_det_inverses` and the rearranged det_K identity of
-``sdmat.verify`` compose maps with :mod:`sdmat.maps`, and the inverse
-checks multiply each inverse back on both sides through the product's
-entry formula (``matrices._product_images``) and compare the image tables
-with the identity matrix's.
+:func:`dual_det_inverses` compares each diagonal entry with the inverse of
+the other determinant (``maps.map_inverse``), and ``sdmat.verify``
+multiplies each inverse back on both sides through the product's entry
+formula (``matrices._product_images``).
 """
 
 from __future__ import annotations
@@ -56,7 +55,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import ConditionsViolated, PreconditionFailed, VerificationFailed
-from .maps import FMap, _trusted, identity_map, map_compose, map_inverse, memo
+from .maps import FMap, _trusted, map_inverse, memo
 from .matrices import EndoMatrix, check_conditions, endo_to_matrix, is_automorphism_matrix, matrix_to_endo
 
 __all__ = [
@@ -217,8 +216,8 @@ def dual_det_inverses(matrix: EndoMatrix) -> tuple[FMap, FMap]:
     and det_k^-1 as delta'.  So det_h^-1 is read off the K-side inverse
     (through det_k) and det_k^-1 off the H-side inverse (through det_h).
 
-    Both results are verified to compose with their determinant to the
-    identity on both sides before being returned.
+    Each result is verified to be the inverse of its determinant before
+    being returned.
     """
     _require_automorphism_with_bijective_diagonal(matrix)
     dh = det_h(matrix)
@@ -233,11 +232,9 @@ def dual_det_inverses(matrix: EndoMatrix) -> tuple[FMap, FMap]:
         )
     via_k = invert_via_det_k(matrix).alpha
     via_h = invert_via_det_h(matrix).delta
-    id_h = identity_map(matrix.context.H)
-    id_k = identity_map(matrix.context.K)
-    if map_compose(via_k, dh) != id_h or map_compose(dh, via_k) != id_h:
+    if via_k != map_inverse(dh):
         raise VerificationFailed("H-side determinant inverse identity", tuple(via_k.image))
-    if map_compose(via_h, dk) != id_k or map_compose(dk, via_h) != id_k:
+    if via_h != map_inverse(dk):
         raise VerificationFailed("K-side determinant inverse identity", tuple(via_h.image))
     return via_k, via_h
 

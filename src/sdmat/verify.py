@@ -96,21 +96,20 @@ The determinants and closed-form inverses are values of their
 matrix (``sdmat.determinant``), built on first use and kept on it, so the
 two invertibility checks, the two inverse formulas, ``determinant_duality``
 and ``combined_inverse`` all read the same ones, whichever runs first.
-A determinant depends only on its matrix's key.  A closed-form inverse
-that passes ``_Context.inverse_failure`` has the key of the enumerated
-matrix found through ``_Context.inverse_index``, whose determinants the
-context has built, so they are recorded as the inverse's
-(``maps.memo``), and every later check reads them there.  An inverse that
-has not passed gets its determinants built on itself: one whose key no
-enumerated matrix has, or one that ``combined_inverse`` reads in a run
-that selects it without the inverse formulas.
 The inverse formulas multiply each inverse back on both sides with the
 entry formula on the two factors' image tables and compare the result
 with the identity matrix's key (``_Context.inverse_failure``); a product
 that is only compared is never built as a matrix.  The two-sided law
 m m' = m' m = 1 is symmetric in m and m', so it is decided once per
 unordered pair of keys: an automorphism and its inverse share one verdict.
-Whether the inverse is the oracle's is still decided per matrix.
+Whether the inverse is the oracle's is still decided per matrix.  An
+inverse that is the oracle's has the key of the enumerated matrix found
+through ``_Context.inverse_index``, and a determinant depends only on its
+matrix's key, so the checks read an inverse's determinants at that index:
+verify builds no determinant on a matrix outside the enumeration.
+``combined_inverse`` and ``determinant_duality`` check the public
+:func:`~sdmat.determinant.invert_combined` and
+:func:`~sdmat.determinant.dual_det_inverses`.
 """
 
 from __future__ import annotations
@@ -120,8 +119,16 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .catalog import build_instance
-from .determinant import det_h, det_k, invert_via_det_h, invert_via_det_k, is_invertible
-from .errors import SdmatError
+from .determinant import (
+    det_h,
+    det_k,
+    dual_det_inverses,
+    invert_combined,
+    invert_via_det_h,
+    invert_via_det_k,
+    is_invertible,
+)
+from .errors import SdmatError, VerificationFailed
 from .factorization import classify, factor_abcd, unit_diagonal_a_factor, unit_diagonal_b_factor
 from .maps import identity_map, map_add, map_compose, map_inverse
 from .matrices import (
@@ -136,11 +143,6 @@ from .oracle import enumerate_endos
 from .semidirect import SdProduct
 
 __all__ = ["CheckResult", "VerifyReport", "CHECK_NAMES", "run_verification"]
-
-# Bound at import: a wrapper swapped in for a determinant (as bench/tracer.py does) has no
-# ``record``.
-_record_det_h, _record_det_k = det_h.record, det_k.record
-
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -224,10 +226,8 @@ class _Context:
     each inverse index and the correspondence's verdict (its witness, or
     None) are built the first time a check reads them.  No census is kept:
     the correspondence builds it and drops it once compared.  The checks
-    read closed-form inverses off each matrix, and the determinants of an
-    inverse that passes ``inverse_failure`` off the enumerated matrix with
-    its key; the two-sided law is kept per unordered pair of keys (module
-    docstring).
+    read closed-form inverses off each matrix; the two-sided law is kept
+    per unordered pair of keys (module docstring).
     """
 
     def __init__(self, product: SdProduct, bound: int) -> None:
@@ -307,9 +307,8 @@ class _Context:
         The two-sided law m m' = m' m = 1 is a value of the unordered pair of
         keys {m, m'}, so it is kept per pair: both inverse formulas ask it,
         and an automorphism and its inverse ask it of the same pair.  The
-        comparison with the oracle's inverse is made on every call.  An
-        inverse that passes has the key of the enumerated matrix j, and its
-        determinants are j's, recorded on it (module docstring).
+        comparison with the oracle's inverse is made on every call, so an
+        inverse that passes has the key of ``mats[inverse_index(i)]``.
         """
         key, m_key = inverse.key(), self.mats[i].key()
         pair = (key, m_key) if key < m_key else (m_key, key)
@@ -323,9 +322,6 @@ class _Context:
         j = self.inverse_index(i)
         if j is None or self.mats[j].key() != key:
             return "disagrees with brute-force inverse"
-        for record, dets in ((_record_det_h, self.deth), (_record_det_k, self.detk)):
-            if dets[j] is not None:
-                record(inverse, dets[j])
         return None
 
 
@@ -421,11 +417,11 @@ def _check_inverse_k(ctx: _Context) -> dict | str | None:
     id_k = identity_map(ctx.product.K)
     for i in eligible:
         m, dk = ctx.mats[i], ctx.detk[i]
-        inverse = invert_via_det_k(m)
-        failure = ctx.inverse_failure(i, inverse)
+        failure = ctx.inverse_failure(i, invert_via_det_k(m))
         if failure is not None:
             return _mat_witness(m, detail=failure)
-        if det_h(inverse) != map_inverse(m.alpha):
+        # The inverse has the key of mats[inverse_index(i)], so it has that matrix's det_h.
+        if ctx.deth[ctx.inverse_index(i)] != map_inverse(m.alpha):
             return _mat_witness(m, detail="det_h of inverse is not alpha^-1")
         if not dk.is_hom:
             return _mat_witness(m, detail="det_k of invertible matrix not a homomorphism")
@@ -446,11 +442,10 @@ def _check_inverse_h(ctx: _Context) -> dict | str | None:
         return "no matrix with bijective delta and bijective det_h"
     for i in eligible:
         m, dh = ctx.mats[i], ctx.deth[i]
-        inverse = invert_via_det_h(m)
-        failure = ctx.inverse_failure(i, inverse)
+        failure = ctx.inverse_failure(i, invert_via_det_h(m))
         if failure is not None:
             return _mat_witness(m, detail=failure)
-        if det_k(inverse) != map_inverse(m.delta):
+        if ctx.detk[ctx.inverse_index(i)] != map_inverse(m.delta):
             return _mat_witness(m, detail="det_k of inverse is not delta^-1")
         if not dh.is_hom:
             return _mat_witness(m, detail="det_h of invertible matrix not a homomorphism")
@@ -467,11 +462,10 @@ def _check_duality(ctx: _Context) -> dict | str | None:
             return _mat_witness(m, det_h_bijective=dh.is_bijective, det_k_bijective=dk.is_bijective)
         if not dh.is_bijective:
             continue
-        # Each side's inverse carries the other determinant's inverse on its diagonal.
-        if invert_via_det_k(m).alpha != map_inverse(dh):
-            return _mat_witness(m, detail="H-side determinant inverse identity")
-        if invert_via_det_h(m).delta != map_inverse(dk):
-            return _mat_witness(m, detail="K-side determinant inverse identity")
+        try:
+            dual_det_inverses(m)
+        except VerificationFailed as err:
+            return _mat_witness(m, detail=err.what)
     return None
 
 
@@ -482,15 +476,15 @@ def _check_combined(ctx: _Context) -> dict | str | None:
     h_side = k_side = True
     for i in eligible:
         m = ctx.mats[i]
-        # The combined form is the H-side left column next to the K-side right
-        # column, so it equals both one-sided inverses exactly when they agree.
-        combined, via_h = invert_via_det_k(m), invert_via_det_h(m)
-        if combined != via_h:
+        combined = invert_combined(m)
+        if combined != invert_via_det_k(m) or combined != invert_via_det_h(m):
             return _mat_witness(m, detail="three-way inverse mismatch")
-        if det_h(combined) != map_inverse(m.alpha):
+        j = ctx.inverse_index(i)
+        if j is None or ctx.mats[j].key() != combined.key():
+            return _mat_witness(m, detail="disagrees with brute-force inverse")
+        if ctx.deth[j] != map_inverse(m.alpha):
             h_side = False
-        # via_h equals combined; inverse_formula_det_h has recorded its det_k in a full run.
-        if det_k(via_h) != map_inverse(m.delta):
+        if ctx.detk[j] != map_inverse(m.delta):
             k_side = False
     ctx.notes["det_reading"] = {
         "det_h_of_inverse_is_alpha_inv": h_side,

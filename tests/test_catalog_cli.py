@@ -445,6 +445,31 @@ def test_cli_action_file_with_a_non_group_exits_2(tmp_path, capsys, table, messa
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("element_names", 5, "element_names must be a list of strings"),
+    ("element_names", "ab", "element_names must be a list of strings"),
+    ("element_names", {"a": 0, "b": 1}, "element_names must be a list of strings"),
+    ("element_names", ["a", 1], "element_names must be a list of strings"),
+    ("element_names", ["a"], "names must match the table size"),
+    ("name", 5, "group name must be a string"),
+    ("order", True, "declared order must be an integer"),
+    ("order", 2.0, "declared order must be an integer"),
+], ids=["names-int", "names-str", "names-dict", "names-non-str", "names-short", "name-int", "order-bool",
+        "order-float"])
+def test_cli_group_file_with_malformed_fields_exits_2(tmp_path, capsys, field, value, message):
+    group = group_to_dict(cyclic_group(2))
+    (tmp_path / "act.json").write_text(json.dumps({"images": [[0, 1], [0, 1]]}))
+    argv = ["census", "--action", str(tmp_path / "act.json"), "--group-h", str(tmp_path / "g.json"),
+            "--group-k", str(tmp_path / "g.json")]
+    (tmp_path / "g.json").write_text(json.dumps(group))
+    assert cli_main(argv) == 0
+    capsys.readouterr()
+    (tmp_path / "g.json").write_text(json.dumps({**group, field: value}))
+    assert cli_main(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
 def test_cli_catalog_report_matches_fixture(capsys):
     # The default-catalog report, frozen byte for byte; regenerate only when
     # a change to the report is intended.

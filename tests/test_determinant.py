@@ -7,10 +7,12 @@ from sdmat import (
     EndoMatrix,
     FMap,
     PreconditionFailed,
+    VerificationFailed,
     build_instance,
     cyclic_group,
     det_h,
     det_k,
+    determinant,
     dual_det_inverses,
     enumerate_matrices,
     identity_map,
@@ -209,6 +211,17 @@ def test_dual_det_inverses_involution(s3):
     assert dk_inv == identity_map(s3.K)
     assert map_compose(dh_inv, det_h(m)) == identity_map(s3.H)
     assert map_compose(dk_inv, det_k(m)) == identity_map(s3.K)
+
+
+@pytest.mark.parametrize("side, what", [("k", "H-side"), ("h", "K-side")])
+def test_dual_det_inverses_fails_on_a_wrong_diagonal(monkeypatch, side, what):
+    # Negation on both factors of direct:3:3 is its own inverse, and so is each determinant,
+    # which is not the identity: a closed form replaced by the identity matrix carries a
+    # diagonal entry that is not the other determinant's inverse.
+    m = _matrix(build_instance("direct:3:3"), (0, 2, 1), (0, 0, 0), (0, 0, 0), (0, 2, 1))
+    monkeypatch.setattr(determinant, f"invert_via_det_{side}", lambda matrix: identity_matrix(matrix.context))
+    with pytest.raises(VerificationFailed, match=f"^verification failed: {what} determinant inverse identity at "):
+        dual_det_inverses(m)
 
 
 def test_dual_det_inverses_preconditions(klein):

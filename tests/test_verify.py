@@ -281,7 +281,9 @@ _INVERSE_CHECKS = ["inverse_formula_det_k", "inverse_formula_det_h", "determinan
 
 
 def test_inverse_checks_fail_on_a_wrong_h_side_inverse(monkeypatch):
-    monkeypatch.setattr("sdmat.verify.invert_via_det_h", lambda matrix: identity_matrix(matrix.context))
+    # Patched where verify reads it and where invert_combined and dual_det_inverses read it.
+    for module in (determinant, verify):
+        monkeypatch.setattr(module, "invert_via_det_h", lambda matrix: identity_matrix(matrix.context))
     report = run_verification("direct:3:3", checks=_INVERSE_CHECKS)
     outcomes = {c.name: (c.status, c.witness and c.witness["detail"]) for c in report.checks}
     assert outcomes == {
@@ -290,6 +292,27 @@ def test_inverse_checks_fail_on_a_wrong_h_side_inverse(monkeypatch):
         "determinant_duality": ("fail", "K-side determinant inverse identity"),
         "combined_inverse": ("fail", "three-way inverse mismatch"),
     }
+
+
+def test_duality_and_combined_checks_call_the_public_functions(monkeypatch):
+    # determinant_duality checks dual_det_inverses and combined_inverse checks invert_combined,
+    # each called once on every automorphism matrix with bijective diagonal.
+    calls = defaultdict(int)
+    for name in ("dual_det_inverses", "invert_combined"):
+
+        def counting(matrix, name=name, original=getattr(verify, name)):
+            calls[name] += 1
+            return original(matrix)
+
+        monkeypatch.setattr(verify, name, counting)
+    assert run_verification("direct:3:3", checks=["determinant_duality", "combined_inverse"]).passed
+    diag_autos = [
+        m
+        for m in enumerate_matrices(build_instance("direct:3:3"))
+        if m.alpha.is_bijective and m.delta.is_bijective and matrix_to_endo(m).is_bijective
+    ]
+    assert dict(calls) == {"dual_det_inverses": len(diag_autos), "invert_combined": len(diag_autos)}
+    assert len(diag_autos) > 1
 
 
 def test_full_run_with_a_wrong_h_side_inverse_fails_its_formula(monkeypatch):
@@ -379,48 +402,43 @@ def test_full_run_decides_each_inverse_once(monkeypatch):
 
 
 def _off_the_enumeration(invert):
-    """``invert`` with the inverse's gamma sent to a constant off the identity, no homomorphism."""
+    """``invert`` with the inverse's alpha sent to the identity element and its gamma to a
+    constant off it: the gamma is no homomorphism, and the alpha is no det_h^-1."""
 
     def mutant(matrix):
         inverse, P = invert(matrix), matrix.context
         k = next(k for k in range(P.K.order) if k != P.K.identity)
+        alpha = FMap(P.H, P.H, (P.H.identity,) * P.H.order)
         gamma = FMap(P.H, P.K, (k,) * P.H.order)
-        return identity_matrix(P, alpha=inverse.alpha, beta=inverse.beta, gamma=gamma, delta=inverse.delta)
+        return identity_matrix(P, alpha=alpha, beta=inverse.beta, gamma=gamma, delta=inverse.delta)
 
     return mutant
 
 
-def test_a_closed_form_off_the_enumeration_builds_its_own_determinants(monkeypatch):
-    # Both closed forms give a matrix no enumerated matrix has the key of, so combined_inverse
-    # builds both determinants on the inverse itself.  The run fails with the witnesses and
-    # the note it gave when every determinant of an inverse was built that way.
+def test_a_closed_form_off_the_enumeration_fails_every_inverse_check(monkeypatch):
+    # Both closed forms, patched where verify and where invert_combined and dual_det_inverses
+    # read them, give the same matrix, which no enumerated matrix has the key of.  Every
+    # inverse check fails, combined_inverse alone as well, and no determinant is built on a
+    # matrix outside the enumeration: an inverse's determinants are read off the enumerated
+    # matrix with its key, once the inverse is certified to have it.
     for side in ("k", "h"):
-        invert = getattr(determinant, f"invert_via_det_{side}")
-        monkeypatch.setattr(verify, f"invert_via_det_{side}", _off_the_enumeration(invert))
+        mutant = _off_the_enumeration(getattr(determinant, f"invert_via_det_{side}"))
+        for module in (determinant, verify):
+            monkeypatch.setattr(module, f"invert_via_det_{side}", mutant)
     enumerated = _capture_enumeration(monkeypatch)
     with _DetBodies() as dets:
         report = run_verification("direct:3:3", checks=_INVERSE_CHECKS)
-    ids = {id(m) for m in enumerated}
-    diag_autos = [
-        m for m in enumerated if m.alpha.is_bijective and m.delta.is_bijective and matrix_to_endo(m).is_bijective
-    ]
-    # det_h and det_k, each built once on the inverse of each automorphism with bijective diagonal.
-    built_off = [m.key() for m in dets.matrices if id(m) not in ids]
-    assert sorted(built_off) == sorted(verify.invert_via_det_k(m).key() for m in diag_autos for _ in "hk")
-
-    def two_sided(alpha, beta, gamma):
-        return {"alpha": alpha, "beta": beta, "gamma": gamma, "delta": [0, 1, 2], "detail": "two-sided inverse law"}
-
-    assert [c.to_dict() for c in report.checks] == [
-        {"name": "inverse_formula_det_k", "status": "fail", "witness": two_sided([0, 1, 2], [0, 0, 0], [0, 0, 0])},
-        {"name": "inverse_formula_det_h", "status": "fail", "witness": two_sided([0, 0, 0], [0, 1, 2], [0, 1, 2])},
-        {"name": "determinant_duality", "status": "pass"},
-        {"name": "combined_inverse", "status": "fail", "witness": {"detail": "det_h of inverse is not alpha^-1"}},
-    ]
-    assert report.notes["det_reading"] == {
-        "det_h_of_inverse_is_alpha_inv": False,
-        "det_k_of_inverse_is_delta_inv": False,
+        (alone,) = run_verification("direct:3:3", checks=["combined_inverse"]).checks
+    outcomes = {c.name: (c.status, c.witness["detail"]) for c in report.checks}
+    assert outcomes == {
+        "inverse_formula_det_k": ("fail", "two-sided inverse law"),
+        "inverse_formula_det_h": ("fail", "two-sided inverse law"),
+        "determinant_duality": ("fail", "H-side determinant inverse identity"),
+        "combined_inverse": ("fail", "disagrees with brute-force inverse"),
     }
+    assert alone == report.checks[-1]
+    ids = {id(m) for m in enumerated}
+    assert dets.matrices and all(id(m) in ids for m in dets.matrices)
 
 
 def test_a_run_leaves_no_matrix_in_cyclic_garbage():
