@@ -222,12 +222,12 @@ def matrix_from_dict(data: dict, product: SdProduct) -> EndoMatrix:
     if not isinstance(ctx, dict):
         raise ValueError("matrix context is not an object")
     if ctx:
-        if ctx.get("h_order") not in (None, product.H.order) or ctx.get("k_order") not in (
-            None,
-            product.K.order,
-        ):
+        h_order, k_order = ctx.get("h_order"), ctx.get("k_order")
+        if any(n is not None and (isinstance(n, bool) or not isinstance(n, int)) for n in (h_order, k_order)):
+            raise ValueError("matrix context orders must be integers")
+        if h_order not in (None, product.H.order) or k_order not in (None, product.K.order):
             raise ValueError(
-                f"matrix context ({ctx.get('h_order')}, {ctx.get('k_order')}) does not match "
+                f"matrix context ({h_order}, {k_order}) does not match "
                 f"product factors ({product.H.order}, {product.K.order})"
             )
     H, K = product.H, product.K

@@ -22,20 +22,37 @@ An invertible matrix has one inverse, so when both sides apply the
 combined form takes one column from each, and each determinant's inverse
 can be read off the other side's diagonal (the duality).
 
-``_decide_invertible`` is the one place that chooses a route: ``det_k``
-when alpha is bijective, else ``det_h`` when delta is bijective, else
-``brute``, bijectivity of the described endomorphism.  It first reads the
-matrix's kept verdict on its conditions (``matrices.check_conditions``)
-and raises ConditionsViolated on a matrix that fails them, as
-``matrix_to_endo`` does.  :func:`is_invertible` adds the inverse of that
-route; ``factorization.factor_abcd`` decides its precondition through the
-helper alone, so it builds no inverse.
-Both determinants and both closed-form inverses are values of their
-matrix: each is built on the first call and kept on the matrix object
-(``maps.memo``), so the inverse ``is_invertible`` returns is the one
-:func:`invert_via_det_k` or :func:`invert_via_det_h` returns, and no
-caller passes them along.  Every precondition of this module is a map
-that is not bijective, and each raises PreconditionFailed, on every call.
+Both determinants read the matrix's kept verdict on its conditions
+(``matrices.check_conditions``) and raise ConditionsViolated on a matrix
+that fails them, as ``matrix_to_endo`` does, so every function of this
+module refuses such a matrix.  ``_decide_invertible`` is the one place
+that chooses a route: ``det_k`` when alpha is bijective, else ``det_h``
+when delta is bijective, else ``brute``, bijectivity of the described
+endomorphism.  :func:`is_invertible` adds the inverse of that route; the
+helper alone decides "is an automorphism" for ``dual_det_inverses``,
+``invert_combined``, ``factorization.factor_abcd`` and the unit-diagonal
+factors, so it builds no inverse, and with alpha bijective no product
+group.  Both determinants and both closed-form inverses are values of
+their matrix: each is built on the first call and kept on the matrix
+object (``maps.memo``), so the inverse ``is_invertible`` returns is the
+one :func:`invert_via_det_k` or :func:`invert_via_det_h` returns, and no
+caller passes them along.  A map that must be bijective and is not raises
+PreconditionFailed, on every call.
+
+Each closed form certifies its inverse before returning it: it forms
+m * inv with the product's entry formula on inv's image tables
+(``matrices._product_images``), with no matrix built, and raises
+VerificationFailed("two-sided inverse law") unless the four tables are
+the identity matrix's.  One product is enough.  m meets its conditions,
+so its entry formula at a column (x; y) is theta_m(x, y), for theta_m the
+endomorphism m describes (``matrices`` docstring).  m * inv = 1 says that
+theta_m sends inv's columns to (h, e) and (e, k) for every h and k, so
+theta_m's image, a subgroup, contains both embedded copies and is all of
+G: theta_m is onto, and so bijective, G being finite.  inv's columns are
+then theta_m^-1 at (h, e) and (e, k), so inv is the matrix of the
+endomorphism theta_m^-1, and inv * m = 1 as well.  The key of the
+certified inverse is kept on m (``maps.memo``), so the other closed form,
+which gives the same inverse, costs only a comparison of keys.
 
 The formulas are evaluated on the image tables of the entries, in one
 pass per returned entry: each point of the result is one chain of table
@@ -43,11 +60,11 @@ lookups, and each pointwise product keeps the formula's order
 (-gamma alpha^-1 beta + delta at k is ``kt[kinv[g[ainv[b[k]]]]][d[k]]``).
 Each returned entry is one map, built unchecked (``maps._trusted``), as
 every chain ends in a table of the entry's codomain; no intermediate map
-is built.  The checks of these results do not reuse these passes:
-:func:`dual_det_inverses` compares each diagonal entry with the inverse of
-the other determinant (``maps.map_inverse``), and ``sdmat.verify``
-multiplies each inverse back on both sides through the product's entry
-formula (``matrices._product_images``).
+is built.  The checks of these results do not reuse these passes: the
+certificate evaluates the product's entry formula, and
+:func:`dual_det_inverses` compares each diagonal entry with the inverse
+of the other determinant (``maps.map_inverse``).  ``sdmat.verify`` then
+compares each certified inverse with the oracle's.
 """
 
 from __future__ import annotations
@@ -56,7 +73,7 @@ from typing import NamedTuple
 
 from .errors import ConditionsViolated, PreconditionFailed, VerificationFailed
 from .maps import FMap, _trusted, map_inverse, memo
-from .matrices import EndoMatrix, check_conditions, endo_to_matrix, is_automorphism_matrix, matrix_to_endo
+from .matrices import EndoMatrix, _product_images, check_conditions, endo_to_matrix, identity_matrix, matrix_to_endo
 
 __all__ = [
     "InvertibilityResult",
@@ -76,9 +93,16 @@ class InvertibilityResult(NamedTuple):
     inverse: EndoMatrix | None  # from the chosen route; None when not invertible
 
 
+def _require_conditions(matrix: EndoMatrix) -> None:
+    failed = check_conditions(matrix)
+    if failed is not None:
+        raise ConditionsViolated(*failed)
+
+
 @memo
 def det_k(matrix: EndoMatrix) -> FMap:
     """K-valued determinant: k -> gamma(alpha^-1(beta(k)))^-1 * delta(k)."""
+    _require_conditions(matrix)
     if not matrix.alpha.is_bijective:
         raise PreconditionFailed("alpha must be bijective to form the K-side determinant")
     P = matrix.context
@@ -91,6 +115,7 @@ def det_k(matrix: EndoMatrix) -> FMap:
 @memo
 def det_h(matrix: EndoMatrix) -> FMap:
     """H-valued determinant: h -> alpha(h) * beta(delta^-1(gamma(h)))^-1."""
+    _require_conditions(matrix)
     if not matrix.delta.is_bijective:
         raise PreconditionFailed("delta must be bijective to form the H-side determinant")
     P = matrix.context
@@ -98,6 +123,22 @@ def det_h(matrix: EndoMatrix) -> FMap:
     dinv = map_inverse(matrix.delta).image
     a, b, g, _ = matrix.key()
     return _trusted(P.H, P.H, tuple([ht[a[h]][hinv[b[dinv[g[h]]]]] for h in range(P.H.order)]))
+
+
+@memo
+def _certified_key(matrix: EndoMatrix) -> tuple | None:
+    """The key of the inverse :func:`_certify` has certified for ``matrix``; None until then."""
+    return None
+
+
+def _certify(matrix: EndoMatrix, inverse: EndoMatrix) -> EndoMatrix:
+    """``inverse``, once ``matrix * inverse`` is the identity (module docstring); VerificationFailed otherwise."""
+    key = inverse.key()
+    if _certified_key(matrix) != key:
+        if _product_images(matrix, *key) != identity_matrix(matrix.context).key():
+            raise VerificationFailed("two-sided inverse law", matrix.key())
+        _certified_key.record(matrix, key)
+    return inverse
 
 
 @memo
@@ -109,7 +150,9 @@ def invert_via_det_k(matrix: EndoMatrix) -> EndoMatrix:
         ( alpha^-1 - alpha^-1 beta gamma',  -alpha^-1 beta D^-1 )
         ( gamma' = D^-1 (-gamma alpha^-1),   D^-1               )
 
-    Raises PreconditionFailed when alpha or D is not bijective.
+    Raises PreconditionFailed when alpha or D is not bijective, and
+    VerificationFailed when the result fails its certificate (module
+    docstring).
     """
     dk = det_k(matrix)
     if not dk.is_bijective:
@@ -124,9 +167,10 @@ def invert_via_det_k(matrix: EndoMatrix) -> EndoMatrix:
     gp = tuple([di[kinv[g[ainv[h]]]] for h in range(H.order)])
     bp = tuple([hinv[ainv[b[di[k]]]] for k in range(K.order)])
     ap = tuple([ht[ainv[h]][hinv[ainv[b[gp[h]]]]] for h in range(H.order)])
-    return EndoMatrix(
+    inverse = EndoMatrix(
         alpha=_trusted(H, H, ap), beta=_trusted(K, H, bp), gamma=_trusted(H, K, gp), delta=dkinv, context=P
     )
+    return _certify(matrix, inverse)
 
 
 @memo
@@ -139,7 +183,8 @@ def invert_via_det_h(matrix: EndoMatrix) -> EndoMatrix:
         ( -delta^-1 gamma D^-1,   -(delta^-1 gamma beta') + delta^-1 )
 
     the mirror image of :func:`invert_via_det_k`.  Raises PreconditionFailed
-    when delta or D is not bijective.
+    when delta or D is not bijective, and VerificationFailed when the result
+    fails its certificate.
     """
     dh = det_h(matrix)
     if not dh.is_bijective:
@@ -154,23 +199,21 @@ def invert_via_det_h(matrix: EndoMatrix) -> EndoMatrix:
     bp = tuple([hi[hinv[b[dinv[k]]]] for k in range(K.order)])
     gp = tuple([kinv[dinv[g[hi[h]]]] for h in range(H.order)])
     dp = tuple([kt[kinv[dinv[g[bp[k]]]]][dinv[k]] for k in range(K.order)])
-    return EndoMatrix(
+    inverse = EndoMatrix(
         alpha=dhinv, beta=_trusted(K, H, bp), gamma=_trusted(H, K, gp), delta=_trusted(K, K, dp), context=P
     )
+    return _certify(matrix, inverse)
 
 
 def _decide_invertible(matrix: EndoMatrix) -> tuple[bool, str]:
     """Whether the matrix is invertible, and the route that decided it.
 
-    Raises ConditionsViolated, as :func:`~sdmat.matrices.matrix_to_endo`
-    does, if the matrix fails its compatibility conditions (the verdict
-    kept on the matrix by ``check_conditions``).  Then reads the
-    bijectivity of det_k when alpha is bijective, else of det_h when delta
-    is bijective, else of the described endomorphism.  No inverse is built.
+    Reads the bijectivity of det_k when alpha is bijective, else of det_h
+    when delta is bijective, else of the described endomorphism, so it
+    raises ConditionsViolated, through that determinant or
+    :func:`~sdmat.matrices.matrix_to_endo`, if the matrix fails its
+    compatibility conditions.  No inverse is built.
     """
-    failed = check_conditions(matrix)
-    if failed is not None:
-        raise ConditionsViolated(*failed)
     if matrix.alpha.is_bijective:
         return det_k(matrix).is_bijective, "det_k"
     if matrix.delta.is_bijective:
@@ -181,11 +224,10 @@ def _decide_invertible(matrix: EndoMatrix) -> tuple[bool, str]:
 def is_invertible(matrix: EndoMatrix) -> InvertibilityResult:
     """Decide invertibility and invert, preferring determinant criteria over brute force.
 
-    The decision and its route are those of ``_decide_invertible``, which
-    ``factorization.factor_abcd`` reads as well (ConditionsViolated on a
-    matrix that fails its conditions).  The inverse comes from the same
-    route: the closed form of that side, or the inverse of the
-    endomorphism's image table.
+    The decision and its route are those of ``_decide_invertible``
+    (ConditionsViolated on a matrix that fails its conditions).  The
+    inverse comes from the same route: the certified closed form of that
+    side, or the inverse of the endomorphism's image table.
     """
     invertible, method = _decide_invertible(matrix)
     if not invertible:
@@ -200,7 +242,7 @@ def is_invertible(matrix: EndoMatrix) -> InvertibilityResult:
 
 
 def _require_automorphism_with_bijective_diagonal(matrix: EndoMatrix) -> None:
-    if not is_automorphism_matrix(matrix):
+    if not _decide_invertible(matrix)[0]:
         raise PreconditionFailed("matrix does not describe an automorphism")
     if not matrix.alpha.is_bijective:
         raise PreconditionFailed("alpha is not bijective")
@@ -217,14 +259,13 @@ def dual_det_inverses(matrix: EndoMatrix) -> tuple[FMap, FMap]:
     (through det_k) and det_k^-1 off the H-side inverse (through det_h).
 
     Each result is verified to be the inverse of its determinant before
-    being returned.
+    being returned.  The automorphism is decided through det_k, which is
+    then bijective.
     """
     _require_automorphism_with_bijective_diagonal(matrix)
     dh = det_h(matrix)
     dk = det_k(matrix)
-    if not dh.is_bijective and not dk.is_bijective:
-        raise PreconditionFailed("neither determinant is bijective")
-    if not dh.is_bijective or not dk.is_bijective:
+    if not dh.is_bijective:
         # The duality theorem says this cannot happen; surface it loudly.
         raise VerificationFailed(
             "determinant bijectivity duality",
@@ -247,11 +288,15 @@ def invert_combined(matrix: EndoMatrix) -> EndoMatrix:
 
     that is, the left column of the H-side inverse next to the right column
     of the K-side inverse.  Requires an automorphism matrix with bijective
-    diagonal entries and both determinants bijective.
+    diagonal entries.  Both closed forms are certified, so they must be
+    equal, and VerificationFailed("three-way inverse mismatch") is raised
+    when they are not.
     """
     _require_automorphism_with_bijective_diagonal(matrix)
     via_k = invert_via_det_k(matrix)
     via_h = invert_via_det_h(matrix)
+    if via_k != via_h:
+        raise VerificationFailed("three-way inverse mismatch", matrix.key())
     return EndoMatrix(
         alpha=via_h.alpha,
         beta=via_k.beta,

@@ -46,15 +46,16 @@ compose like K:
 failure on the generator pairs is followed by the full scan, h outermost,
 which names the first witness.
 
-Only automorphism matrices factor.  :func:`factor_abcd` decides that on
-the route of ``determinant.is_invertible``, through the helper
-``determinant._decide_invertible`` that builds no inverse: it reads the
+Only automorphism matrices factor.  :func:`factor_abcd` and the
+unit-diagonal factors decide that on the route of
+``determinant.is_invertible``, through the helper
+``determinant._decide_invertible`` that builds no inverse: it takes the
+bijectivity of det_K when alpha is bijective, of det_H when delta is, and
+of the described endomorphism otherwise, and each of these reads the
 verdict kept on the matrix for its conditions (ConditionsViolated when
-they fail), then takes the bijectivity of det_K when alpha is bijective,
-of det_H when delta is, and of the described endomorphism otherwise.  A
-matrix with bijective alpha or delta is thus decided from its four
-entries, and the product group is built only for one with neither, which
-does not factor anyway.  The certification does not rest on that
+they fail).  A matrix with bijective alpha or delta is thus decided from
+its four entries, and the product group is built only for one with
+neither, which does not factor anyway.  The certification does not rest on that
 decision: every member of the four families is an automorphism matrix
 (each entry it constrains makes the six conditions hold, and its
 endomorphism is bijective), and matrix products compose endomorphisms, so
@@ -89,7 +90,6 @@ from .matrices import (
     _product_images,
     first_pair_witness,
     identity_matrix,
-    is_automorphism_matrix,
     mat_mul,
 )
 from .semidirect import GroupAction
@@ -236,7 +236,7 @@ def classify(matrix: EndoMatrix) -> SubsetTag:
 def _require_unit_diagonal_auto(matrix: EndoMatrix) -> None:
     if not (_is_identity(matrix.alpha) and _is_identity(matrix.delta)):
         raise PreconditionFailed("matrix must have identity diagonal entries")
-    if not is_automorphism_matrix(matrix):
+    if not _decide_invertible(matrix)[0]:
         raise PreconditionFailed("unit-diagonal matrix does not describe an automorphism")
 
 

@@ -27,10 +27,10 @@ conditions in the order of ``CONDITION_NAMES`` and returns the first that
 fails as ``(name, witness)``, or None when all six hold.  That verdict is
 a value of its matrix, like the determinants: decided on the first call
 and kept on the matrix object (``maps.memo``).  Every later reader of the
-same matrix reads it, and none decides it again: :func:`matrix_to_endo`,
-``determinant.is_invertible`` and, through it,
-``factorization.factor_abcd`` raise ConditionsViolated on a failing
-verdict.  matrix_to_endo then checks the homomorphism law of the map it
+same matrix reads it, and none decides it again: :func:`matrix_to_endo`
+and the determinants ``determinant.det_k`` and ``det_h`` (and, through
+them, the closed-form inverses and ``factorization.factor_abcd``) raise
+ConditionsViolated on a failing verdict.  matrix_to_endo then checks the homomorphism law of the map it
 builds, once per matrix, whoever decided the verdict.
 :func:`endo_to_matrix` checks the conditions of the matrix it reads off.
 
@@ -106,8 +106,9 @@ endomorphism theta: matrix_to_endo builds it that way, and reads G's
 table only to check it once against G's homomorphism law.  The tests
 keep the gather of theta from G's table as a reference to set it against.
 Where a product is only compared, its four image tables are compared with
-a matrix's key and no matrix is built: the inverse checks of ``verify``
-and the reassembly of ``factorization.factor_abcd``.
+a matrix's key and no matrix is built: the certificates of the closed-form
+inverses (``sdmat.determinant``) and the reassembly of
+``factorization.factor_abcd``.
 """
 
 from __future__ import annotations
@@ -320,9 +321,10 @@ def _product_images(left: EndoMatrix, a1, b1, g1, d1) -> tuple[tuple[int, ...], 
 
     Column (x; y) of the right factor maps to (a2 x + (b2 y)^{g2 x}; g2 x + d2 y),
     so the tables may be any columns: :func:`mat_mul` passes the right
-    factor's own, ``verify`` the whole H x K grid.  With the right factor's
-    own tables the result is the product's key, so it can be compared with
-    a matrix's ``key()`` or passed on as the columns of the next product.
+    factor's own, :func:`matrix_to_endo` the whole H x K grid.  With the
+    right factor's own tables the result is the product's key, so it can be
+    compared with a matrix's ``key()`` or passed on as the columns of the
+    next product.
     """
     P = left.context
     ht, kt, rows = P.H.table, P.K.table, P.action.images

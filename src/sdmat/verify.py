@@ -94,22 +94,22 @@ table, so no table is inverted.
 
 The determinants and closed-form inverses are values of their
 matrix (``sdmat.determinant``), built on first use and kept on it, so the
-two invertibility checks, the two inverse formulas, ``determinant_duality``
-and ``combined_inverse`` all read the same ones, whichever runs first.
-The inverse formulas multiply each inverse back on both sides with the
-entry formula on the two factors' image tables and compare the result
-with the identity matrix's key (``_Context.inverse_failure``); a product
-that is only compared is never built as a matrix.  The two-sided law
-m m' = m' m = 1 is symmetric in m and m', so it is decided once per
-unordered pair of keys: an automorphism and its inverse share one verdict.
-Whether the inverse is the oracle's is still decided per matrix.  An
-inverse that is the oracle's has the key of the enumerated matrix found
-through ``_Context.inverse_index``, and a determinant depends only on its
-matrix's key, so the checks read an inverse's determinants at that index:
-verify builds no determinant on a matrix outside the enumeration.
-``combined_inverse`` and ``determinant_duality`` check the public
-:func:`~sdmat.determinant.invert_combined` and
-:func:`~sdmat.determinant.dual_det_inverses`.
+two inverse formulas, ``determinant_duality`` and ``combined_inverse``
+all read the same ones, whichever runs first.  The two invertibility
+checks read only the route and the verdict
+(``determinant._decide_invertible``), and build no inverse.  Each closed
+form certifies the two-sided law m m' = m' m = 1 itself before it returns
+(``sdmat.determinant`` docstring), so verify forms no product: the inverse
+checks call the public :func:`~sdmat.determinant.invert_via_det_k`,
+:func:`~sdmat.determinant.invert_via_det_h` and
+:func:`~sdmat.determinant.invert_combined`, report a failed certificate
+by its text, and compare each certified inverse with the oracle's
+(``_Context.inverse_failure``).  An inverse that is the oracle's has the
+key of the enumerated matrix found through ``_Context.inverse_index``, and
+a determinant depends only on its matrix's key, so the checks read an
+inverse's determinants at that index: verify builds no determinant on a
+matrix outside the enumeration.  ``determinant_duality`` checks the
+public :func:`~sdmat.determinant.dual_det_inverses`.
 """
 
 from __future__ import annotations
@@ -117,28 +117,22 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
 
 from .catalog import build_instance
 from .determinant import (
+    _decide_invertible,
     det_h,
     det_k,
     dual_det_inverses,
     invert_combined,
     invert_via_det_h,
     invert_via_det_k,
-    is_invertible,
 )
 from .errors import SdmatError, VerificationFailed
 from .factorization import classify, factor_abcd, unit_diagonal_a_factor, unit_diagonal_b_factor
 from .maps import identity_map, map_add, map_compose, map_inverse
-from .matrices import (
-    EndoMatrix,
-    _entry_images,
-    _product_images,
-    enumerate_matrices,
-    identity_matrix,
-    matrix_to_endo,
-)
+from .matrices import EndoMatrix, _entry_images, enumerate_matrices, identity_matrix, matrix_to_endo
 from .oracle import enumerate_endos
 from .semidirect import SdProduct
 
@@ -226,8 +220,9 @@ class _Context:
     each inverse index and the correspondence's verdict (its witness, or
     None) are built the first time a check reads them.  No census is kept:
     the correspondence builds it and drops it once compared.  The checks
-    read closed-form inverses off each matrix; the two-sided law is kept
-    per unordered pair of keys (module docstring).
+    read closed-form inverses off each matrix, certified where they are
+    built, and compare each with the oracle's; no product is formed
+    (module docstring).
     """
 
     def __init__(self, product: SdProduct, bound: int) -> None:
@@ -238,9 +233,8 @@ class _Context:
         self.mats = mats
         self.n = len(mats)
         self.thetas = [matrix_to_endo(m) for m in mats]
-        self.identity_key = identity_matrix(product).key()
-        self.identity_idx = next((i for i, m in enumerate(mats) if m.key() == self.identity_key), None)
-        self._two_sided: dict[tuple, bool] = {}
+        identity_key = identity_matrix(product).key()
+        self.identity_idx = next((i for i, m in enumerate(mats) if m.key() == identity_key), None)
         self._inverse_idx: dict[int, int | None] = {}
         self.auto_idx = [i for i, t in enumerate(self.thetas) if t.is_bijective]
         # Determinants per index; None marks an undefined side.
@@ -297,30 +291,21 @@ class _Context:
             self._inverse_idx[i] = found
         return self._inverse_idx[i]
 
-    def inverse_failure(self, i: int, inverse: EndoMatrix) -> str | None:
-        """Why ``inverse`` is not the inverse of matrix ``i``, or None.
+    def inverse_failure(self, i: int, build: Callable[[EndoMatrix], EndoMatrix]) -> str | None:
+        """Why ``build(mats[i])`` is not the inverse of matrix ``i``, or None.
 
-        It must be two-sided under the matrix product and be the matrix of
-        the oracle's inverse of endomorphism ``i``.  Both products are only
-        compared, so they are formed as image tables (``_product_images``)
-        and compared with the identity matrix's key, with no matrix built.
-        The two-sided law m m' = m' m = 1 is a value of the unordered pair of
-        keys {m, m'}, so it is kept per pair: both inverse formulas ask it,
-        and an automorphism and its inverse ask it of the same pair.  The
-        comparison with the oracle's inverse is made on every call, so an
-        inverse that passes has the key of ``mats[inverse_index(i)]``.
+        ``build`` is a public closed form, which certifies its inverse or
+        raises VerificationFailed, whose text is returned.  A returned
+        inverse must be the matrix of the oracle's inverse of endomorphism
+        ``i``, so an inverse that passes has the key of
+        ``mats[inverse_index(i)]``.
         """
-        key, m_key = inverse.key(), self.mats[i].key()
-        pair = (key, m_key) if key < m_key else (m_key, key)
-        if pair not in self._two_sided:
-            ident = self.identity_key
-            self._two_sided[pair] = (
-                _product_images(self.mats[i], *key) == ident and _product_images(inverse, *m_key) == ident
-            )
-        if not self._two_sided[pair]:
-            return "two-sided inverse law"
+        try:
+            inverse = build(self.mats[i])
+        except VerificationFailed as err:
+            return err.what
         j = self.inverse_index(i)
-        if j is None or self.mats[j].key() != key:
+        if j is None or self.mats[j].key() != inverse.key():
             return "disagrees with brute-force inverse"
         return None
 
@@ -388,9 +373,9 @@ def _check_invertibility_k(ctx: _Context) -> dict | str | None:
         m, dk, bijective = ctx.mats[i], ctx.detk[i], ctx.thetas[i].is_bijective
         if dk.is_bijective != bijective:
             return _mat_witness(m, det_bijective=dk.is_bijective, endo_bijective=bijective)
-        decided = is_invertible(m)
-        if decided.method != "det_k" or decided.invertible != bijective:
-            return _mat_witness(m, method=decided.method)
+        invertible, method = _decide_invertible(m)
+        if method != "det_k" or invertible != bijective:
+            return _mat_witness(m, method=method)
     return None
 
 
@@ -403,10 +388,10 @@ def _check_invertibility_h(ctx: _Context) -> dict | str | None:
         if dh.is_bijective != bijective:
             return _mat_witness(m, det_bijective=dh.is_bijective, endo_bijective=bijective)
         if m.alpha.is_bijective:
-            continue  # is_invertible takes det_k here, checked by invertibility_via_det_k
-        decided = is_invertible(m)
-        if decided.method != "det_h" or decided.invertible != bijective:
-            return _mat_witness(m, method=decided.method)
+            continue  # the route is det_k here, checked by invertibility_via_det_k
+        invertible, method = _decide_invertible(m)
+        if method != "det_h" or invertible != bijective:
+            return _mat_witness(m, method=method)
     return None
 
 
@@ -417,7 +402,7 @@ def _check_inverse_k(ctx: _Context) -> dict | str | None:
     id_k = identity_map(ctx.product.K)
     for i in eligible:
         m, dk = ctx.mats[i], ctx.detk[i]
-        failure = ctx.inverse_failure(i, invert_via_det_k(m))
+        failure = ctx.inverse_failure(i, invert_via_det_k)
         if failure is not None:
             return _mat_witness(m, detail=failure)
         # The inverse has the key of mats[inverse_index(i)], so it has that matrix's det_h.
@@ -442,7 +427,7 @@ def _check_inverse_h(ctx: _Context) -> dict | str | None:
         return "no matrix with bijective delta and bijective det_h"
     for i in eligible:
         m, dh = ctx.mats[i], ctx.deth[i]
-        failure = ctx.inverse_failure(i, invert_via_det_h(m))
+        failure = ctx.inverse_failure(i, invert_via_det_h)
         if failure is not None:
             return _mat_witness(m, detail=failure)
         if ctx.detk[ctx.inverse_index(i)] != map_inverse(m.delta):
@@ -476,12 +461,10 @@ def _check_combined(ctx: _Context) -> dict | str | None:
     h_side = k_side = True
     for i in eligible:
         m = ctx.mats[i]
-        combined = invert_combined(m)
-        if combined != invert_via_det_k(m) or combined != invert_via_det_h(m):
-            return _mat_witness(m, detail="three-way inverse mismatch")
+        failure = ctx.inverse_failure(i, invert_combined)
+        if failure is not None:
+            return _mat_witness(m, detail=failure)
         j = ctx.inverse_index(i)
-        if j is None or ctx.mats[j].key() != combined.key():
-            return _mat_witness(m, detail="disagrees with brute-force inverse")
         if ctx.deth[j] != map_inverse(m.alpha):
             h_side = False
         if ctx.detk[j] != map_inverse(m.delta):

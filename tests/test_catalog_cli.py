@@ -480,6 +480,7 @@ def test_cli_catalog_report_matches_fixture(capsys):
 
 _IDENTITY_S3 = {"alpha": [0, 1, 2], "beta": [0, 0], "gamma": [0, 0, 0], "delta": [0, 1]}
 _S3_IMAGES = [[0, 1, 2], [0, 2, 1]]
+_IDENTITY_TRIVIAL = {"alpha": [0], "beta": [0], "gamma": [0], "delta": [0]}
 
 
 @pytest.mark.parametrize(
@@ -491,6 +492,13 @@ _S3_IMAGES = [[0, 1, 2], [0, 2, 1]]
         pytest.param("matrix", {**_IDENTITY_S3, "beta": [0, 1.5]}, id="matrix-value-float"),
         pytest.param("matrix", {**_IDENTITY_S3, "delta": ["0", 1]}, id="matrix-value-str"),
         pytest.param("matrix", {**_IDENTITY_S3, "alpha": [0, True, 2]}, id="matrix-value-bool"),
+        # On the trivial instance True and 1.0 equal both orders, so only their types are wrong.
+        pytest.param(
+            "trivial-matrix", {**_IDENTITY_TRIVIAL, "context": {"h_order": True}}, id="matrix-context-order-bool"
+        ),
+        pytest.param(
+            "trivial-matrix", {**_IDENTITY_TRIVIAL, "context": {"k_order": 1.0}}, id="matrix-context-order-float"
+        ),
         pytest.param("action", {"images": [_S3_IMAGES[0], 5]}, id="action-row-int"),
         pytest.param("action", {"images": [["0", 1, 2], _S3_IMAGES[1]]}, id="action-value-str"),
         pytest.param("action", {"images": [_S3_IMAGES[0], [0, 2, 1.0]]}, id="action-value-float"),
@@ -499,8 +507,9 @@ _S3_IMAGES = [[0, 1, 2], [0, 2, 1]]
 def test_cli_malformed_matrix_and_action_files_exit_2(tmp_path, capsys, s3, kind, content):
     path = tmp_path / f"{kind}.json"
     path.write_text(json.dumps(content))
-    if kind == "matrix":
-        argv = ["det", "--instance", "dihedral:3", "--matrix", str(path)]
+    if kind != "action":
+        instance = "trivial" if kind == "trivial-matrix" else "dihedral:3"
+        argv = ["det", "--instance", instance, "--matrix", str(path)]
     else:
         save_group(s3.H, tmp_path / "h.json")
         save_group(s3.K, tmp_path / "k.json")

@@ -1,3 +1,4 @@
+import sys
 import weakref
 from collections import Counter
 
@@ -9,6 +10,7 @@ from sdmat import (
     PreconditionFailed,
     VerificationFailed,
     build_instance,
+    cli_main,
     cyclic_group,
     det_h,
     det_k,
@@ -29,9 +31,12 @@ from sdmat import (
     mat_mul,
     matrix_to_endo,
     semidirect,
+    unit_diagonal_a_factor,
 )
+from sdmat import groups
 from sdmat.oracle import invert_endo
 from sdmat.verify import run_verification
+from test_catalog_cli import _write_matrix
 
 
 def _matrix(P, alpha, beta, gamma, delta):
@@ -312,3 +317,68 @@ def test_verify_passes_off_catalog_direct_products():
     for instance in ("direct:3:3", "direct:4:8", _z3_by_s3_sign()):
         report = run_verification(instance)
         assert report.passed, [c for c in report.checks if c.status == "fail"]
+
+
+def _drop_the_h_side_correction(monkeypatch):
+    """Patch invert_via_det_h's body, below its certificate, to build delta' as delta^-1,
+    without its -(delta^-1 gamma beta') term."""
+    body = determinant.invert_via_det_h.__wrapped__.__code__
+    trusted = determinant._trusted
+
+    def patched(dom, cod, image):
+        caller = sys._getframe(1)
+        if caller.f_code is body and image is caller.f_locals.get("dp"):
+            image = caller.f_locals["dinv"]
+        return trusted(dom, cod, image)
+
+    monkeypatch.setattr(determinant, "_trusted", patched)
+
+
+def test_a_wrong_h_side_inverse_fails_its_certificate(monkeypatch, tmp_path, capsys):
+    # (0, 1; 1, 1) over Z3 x Z3 takes the det_h route; without the correction term its delta'
+    # is the identity, not the zero map.  The closed form raises, the calculator exits 1, and
+    # verify reports the certificate's text.
+    P = build_instance("direct:3:3")
+    entries = ([0, 0, 0], [0, 1, 2], [0, 1, 2], [0, 1, 2])
+    _drop_the_h_side_correction(monkeypatch)
+    with pytest.raises(VerificationFailed, match=r"^verification failed: two-sided inverse law at ") as err:
+        invert_via_det_h(_matrix(P, *entries))
+    assert err.value.what == "two-sided inverse law"
+    path = _write_matrix(tmp_path / "m.json", P, *entries)
+    assert cli_main(["invert", "--instance", "direct:3:3", "--matrix", path]) == 1
+    assert capsys.readouterr().err.startswith("error: verification failed: two-sided inverse law at ")
+    (check,) = run_verification("direct:3:3", checks=["inverse_formula_det_h"]).checks
+    assert (check.status, check.witness["detail"]) == ("fail", "two-sided inverse law")
+
+
+def test_each_matrix_certifies_its_inverse_once(monkeypatch):
+    # Negation on both factors of direct:3:3 has bijective alpha and delta: both closed forms
+    # and the combined one give the same inverse, certified by one product.
+    m = _matrix(build_instance("direct:3:3"), (0, 2, 1), (0, 0, 0), (0, 0, 0), (0, 2, 1))
+    products = []
+
+    def counting(left, *columns, product_images=determinant._product_images):
+        products.append(left)
+        return product_images(left, *columns)
+
+    monkeypatch.setattr(determinant, "_product_images", counting)
+    assert invert_via_det_k(m) == invert_via_det_h(m) == invert_combined(m) == m
+    assert products == [m]
+
+
+def test_automorphisms_with_bijective_alpha_build_no_product_group(monkeypatch):
+    # "Is an automorphism" is decided on the det_k route, from the four entries alone.
+    P = build_instance("dihedral:32")
+    built = []
+
+    def counted(table, *args, build=groups._group_of_rows, **kwargs):
+        built.append(len(table))
+        return build(table, *args, **kwargs)
+
+    monkeypatch.setattr(sys.modules["sdmat.semidirect"], "_group_of_rows", counted)
+    m = identity_matrix(P)
+    dual_det_inverses(m)
+    invert_combined(m)
+    unit_diagonal_a_factor(m)
+    assert built == []
+    assert P.group.order == 64 and built == [64]

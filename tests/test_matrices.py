@@ -17,12 +17,16 @@ from sdmat import (
     build_instance,
     check_conditions,
     cyclic_group,
+    det_h,
+    det_k,
     endo_to_matrix,
     enumerate_homs,
     enumerate_matrices,
     factor_abcd,
     identity_map,
     identity_matrix,
+    invert_via_det_h,
+    invert_via_det_k,
     is_automorphism_matrix,
     is_invertible,
     make_action,
@@ -99,7 +103,11 @@ def test_a_matrix_with_a_non_homomorphic_gamma_violates_its_conditions(klein):
     m = _matrix(klein, (0, 1), (0, 0), (1, 0), (0, 1))
     assert check_conditions(m) == ("gamma_homomorphism", (0, 0, 1, 0))
     # Each entry point meets the matrix fresh, so each decides the conditions itself.
-    for entry_point in (matrix_to_endo, is_automorphism_matrix, is_invertible, factor_abcd):
+    entry_points = (
+        matrix_to_endo, is_automorphism_matrix, is_invertible, factor_abcd,
+        det_k, det_h, invert_via_det_k, invert_via_det_h,
+    )
+    for entry_point in entry_points:
         with pytest.raises(ConditionsViolated, match=r"condition gamma_homomorphism fails at \(0, 0, 1, 0\)"):
             entry_point(_matrix(klein, (0, 1), (0, 0), (1, 0), (0, 1)))
 

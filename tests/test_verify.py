@@ -281,14 +281,16 @@ _INVERSE_CHECKS = ["inverse_formula_det_k", "inverse_formula_det_h", "determinan
 
 
 def test_inverse_checks_fail_on_a_wrong_h_side_inverse(monkeypatch):
-    # Patched where verify reads it and where invert_combined and dual_det_inverses read it.
+    # Patched where verify reads it and where invert_combined and dual_det_inverses read it.  The
+    # patch bypasses the closed form's own certificate, so the comparison with the oracle's
+    # inverse catches it.
     for module in (determinant, verify):
         monkeypatch.setattr(module, "invert_via_det_h", lambda matrix: identity_matrix(matrix.context))
     report = run_verification("direct:3:3", checks=_INVERSE_CHECKS)
     outcomes = {c.name: (c.status, c.witness and c.witness["detail"]) for c in report.checks}
     assert outcomes == {
         "inverse_formula_det_k": ("pass", None),
-        "inverse_formula_det_h": ("fail", "two-sided inverse law"),
+        "inverse_formula_det_h": ("fail", "disagrees with brute-force inverse"),
         "determinant_duality": ("fail", "K-side determinant inverse identity"),
         "combined_inverse": ("fail", "three-way inverse mismatch"),
     }
@@ -317,7 +319,8 @@ def test_duality_and_combined_checks_call_the_public_functions(monkeypatch):
 
 def test_full_run_with_a_wrong_h_side_inverse_fails_its_formula(monkeypatch):
     # Wrong only where alpha is bijective too, so the K-side check has already decided the
-    # inverse of each matrix the H-side check gets wrong; it must still decide its own.
+    # inverse of each matrix the H-side check gets wrong; it must still decide its own.  The
+    # patch bypasses the closed form's certificate, so the oracle comparison catches it.
     invert = determinant.invert_via_det_h
     monkeypatch.setattr(
         "sdmat.verify.invert_via_det_h",
@@ -326,7 +329,7 @@ def test_full_run_with_a_wrong_h_side_inverse_fails_its_formula(monkeypatch):
     full = {c.name: c for c in run_verification("direct:3:3").checks}["inverse_formula_det_h"]
     (alone,) = run_verification("direct:3:3", checks=["inverse_formula_det_h"]).checks
     for check in (full, alone):
-        assert (check.status, check.witness["detail"]) == ("fail", "two-sided inverse law")
+        assert (check.status, check.witness["detail"]) == ("fail", "disagrees with brute-force inverse")
     assert full == alone
 
 
@@ -363,21 +366,22 @@ def _capture_enumeration(monkeypatch) -> list:
 
 
 def test_full_run_decides_each_inverse_once(monkeypatch):
-    # The two-sided law m m' = m' m = 1 costs two products per unordered pair {m, m'}: both
-    # closed forms ask it of the same pair on a passing instance, and so do an automorphism and
-    # its inverse.  verify forms the products with the entry formula on the two factors' image
-    # tables.  Each matrix's theta is the formula's map on the H x K grid, with no right-hand
-    # beta or delta, built once by matrix_to_endo; verify evaluates the formula on the grid
-    # nowhere else.  Every determinant of the run is built on an enumerated matrix: those of a
-    # closed-form inverse are read off the enumerated matrix with its key.
+    # verify forms no product: each closed form certifies its own inverse with one product,
+    # m times the inverse, formed in determinant with the entry formula on the inverse's image
+    # tables, and the certified key is kept on m, so the other closed form and invert_combined
+    # compare keys.  That is one product per matrix and inverse key.  Each matrix's theta is
+    # the formula's map on the H x K grid, with no right-hand beta or delta, built once by
+    # matrix_to_endo.  Every determinant of the run is built on an enumerated matrix: those of
+    # a closed-form inverse are read off the enumerated matrix with its key.
+    assert not hasattr(verify, "_product_images")
     product_images = matrices._product_images
     for instance in ("dihedral:4", "direct:3:3"):
         with monkeypatch.context() as patch:
-            calls = {verify: ([], []), matrices: ([], [])}
+            calls = {determinant: ([], []), matrices: ([], [])}
             for module, (products, grids) in calls.items():
 
                 def counting(left, a1, b1, g1, d1, products=products, grids=grids):
-                    (products if b1 else grids).append(left)
+                    (products if b1 else grids).append((left.key(), (a1, b1, g1, d1)))
                     return product_images(left, a1, b1, g1, d1)
 
                 patch.setattr(module, "_product_images", counting)
@@ -392,10 +396,10 @@ def test_full_run_decides_each_inverse_once(monkeypatch):
         ]
         both = [m for m in checked if m.alpha.is_bijective and m.delta.is_bijective]
         assert len(both) > 0
-        pairs = {frozenset((t.image, invert_endo(t).image)) for t in map(matrix_to_endo, checked)}
-        (inverse_products, verify_grids), (matrix_products, grid_maps) = calls[verify], calls[matrices]
-        assert len(inverse_products) == 2 * len(pairs) < 2 * len(checked)
-        assert (verify_grids, matrix_products) == ([], [])
+        (certificates, det_grids), (matrix_products, grid_maps) = calls[determinant], calls[matrices]
+        assert len(set(certificates)) == len(certificates) == len(checked)
+        assert {left for left, _ in certificates} == {m.key() for m in checked}
+        assert (det_grids, matrix_products) == ([], [])
         assert len(grid_maps) == len(enumerated)
         ids = {id(m) for m in enumerated}
         assert dets.matrices and all(id(m) in ids for m in dets.matrices)
@@ -417,10 +421,11 @@ def _off_the_enumeration(invert):
 
 def test_a_closed_form_off_the_enumeration_fails_every_inverse_check(monkeypatch):
     # Both closed forms, patched where verify and where invert_combined and dual_det_inverses
-    # read them, give the same matrix, which no enumerated matrix has the key of.  Every
-    # inverse check fails, combined_inverse alone as well, and no determinant is built on a
-    # matrix outside the enumeration: an inverse's determinants are read off the enumerated
-    # matrix with its key, once the inverse is certified to have it.
+    # read them, give the same matrix, which no enumerated matrix has the key of.  The patches
+    # bypass the closed forms' certificates, so the comparison with the oracle's inverse
+    # catches them.  Every inverse check fails, combined_inverse alone as well, and no
+    # determinant is built on a matrix outside the enumeration: an inverse's determinants are
+    # read off the enumerated matrix with its key, once the inverse is certified to have it.
     for side in ("k", "h"):
         mutant = _off_the_enumeration(getattr(determinant, f"invert_via_det_{side}"))
         for module in (determinant, verify):
@@ -431,8 +436,8 @@ def test_a_closed_form_off_the_enumeration_fails_every_inverse_check(monkeypatch
         (alone,) = run_verification("direct:3:3", checks=["combined_inverse"]).checks
     outcomes = {c.name: (c.status, c.witness["detail"]) for c in report.checks}
     assert outcomes == {
-        "inverse_formula_det_k": ("fail", "two-sided inverse law"),
-        "inverse_formula_det_h": ("fail", "two-sided inverse law"),
+        "inverse_formula_det_k": ("fail", "disagrees with brute-force inverse"),
+        "inverse_formula_det_h": ("fail", "disagrees with brute-force inverse"),
         "determinant_duality": ("fail", "H-side determinant inverse identity"),
         "combined_inverse": ("fail", "disagrees with brute-force inverse"),
     }
@@ -460,8 +465,8 @@ def test_a_run_leaves_no_matrix_in_cyclic_garbage():
 
 
 def test_full_run_builds_each_closed_form_inverse_once(monkeypatch):
-    # Records every closed-form inverse the run asks for: those the inverse checks read
-    # and those is_invertible returns to the invertibility checks.  Each matrix and side
+    # Records every closed-form inverse the run asks for: those the inverse checks read,
+    # directly and through invert_combined and dual_det_inverses.  Each matrix and side
     # gets one inverse object, however often and from wherever it is asked for.
     returned = defaultdict(list)
     for side in ("k", "h"):
