@@ -95,8 +95,9 @@ list and its order are those of a search per pair.
 The product's entry formula is written once, in ``_product_images``.  It
 sends each column of the right factor through one map of the left factor,
 whatever the columns are: :func:`mat_mul` passes the right factor's own,
-and :func:`matrix_to_endo` the whole H x K grid, kept once per product
-with the table of element codes (``_grid``).  The column (h; k) goes to
+and :func:`matrix_to_endo` and ``_formula_witness`` the whole H x K grid,
+kept once per product with the table of element codes (``_grid``).  The
+column (h; k) goes to
 
     (alpha h * f_{gamma h}(beta k); gamma h * delta k) = (alpha h, gamma h) * (beta k, delta k),
 
@@ -105,6 +106,13 @@ So the map on the grid, read as codes h*|K| + k, is the matrix's
 endomorphism theta: matrix_to_endo builds it that way, and reads G's
 table only to check it once against G's homomorphism law.  The tests
 keep the gather of theta from G's table as a reference to set it against.
+``verify`` builds no theta this way: it takes each matrix's endomorphism
+from the oracle census by its entries, and checks once per product, with
+``_formula_witness``, that the formula's product of two elements of G is
+G's (the ``sdmat.verify`` docstring).  matrix_to_endo serves the
+``enumerate`` command, the brute-force invertibility route and the
+calculator.
+
 Where a product is only compared, its four image tables are compared with
 a matrix's key and no matrix is built: the certificates of the closed-form
 inverses (``sdmat.determinant``) and the reassembly of
@@ -388,7 +396,8 @@ def matrix_to_endo(matrix: EndoMatrix) -> FMap:
     for this matrix.  The result is an FMap from the product group to
     itself, checked once against the group's homomorphism law
     (VerificationFailed otherwise, as the six conditions imply it) and kept
-    on the matrix.
+    on the matrix.  ``verify`` calls it only for a matrix that no census
+    entry matches, which can only come from a fault.
     """
     failed = check_conditions(matrix)
     if failed is not None:
@@ -401,6 +410,34 @@ def matrix_to_endo(matrix: EndoMatrix) -> FMap:
     if not theta.is_hom:
         raise VerificationFailed("matrix passes its conditions but describes no homomorphism")
     return theta
+
+
+def _formula_witness(product: SdProduct) -> tuple[int, int] | None:
+    """The first pair (u, v) of G x G whose entry-formula product is not G's table at (u, v), or None.
+
+    ``_product_images`` sends the grid column (x; y) to u * v for
+    u = (alpha x, gamma x) and v = (beta y, delta y), with * the formula's
+    own product of two elements of G (module docstring).  The left factors
+    (1, beta_t; gamma_s, 1) with gamma_s(x) = x + s (mod |K|) and
+    beta_t(y) = y + t (mod |H|) on element codes, for every s < |K| and
+    t < |H|, give each pair (u, v) of G x G exactly once on the grid.  Their
+    entries vary, so an entry read at a wrong index shows.  Pairs are taken
+    by t, then s, then grid column.
+    """
+    hs, ks, codes = _grid(product)
+    H, K, table = product.H, product.K, product.group.table
+    nH, nK = H.order, K.order
+    gammas = [_trusted(H, K, tuple([(x + s) % nK for x in range(nH)])) for s in range(nK)]
+    us = [[codes[x][gamma.image[x]] for x in hs] for gamma in gammas]
+    for t in range(nH):
+        beta = _trusted(K, H, tuple([(y + t) % nH for y in range(nK)]))
+        vs = [codes[beta.image[y]][y] for y in ks]
+        for gamma, u_s in zip(gammas, us):
+            a, _, c, _ = _product_images(identity_matrix(product, beta=beta, gamma=gamma), hs, (), ks, ())
+            got = [codes[h][k] for h, k in zip(a, c)]
+            if got != [table[u][v] for u, v in zip(u_s, vs)]:
+                return next((u, v) for u, v, w in zip(u_s, vs, got) if table[u][v] != w)
+    return None
 
 
 def _entry_images(theta: FMap, product: SdProduct) -> tuple[tuple[int, ...], ...]:

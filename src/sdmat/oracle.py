@@ -50,16 +50,19 @@ return their composite and inverse without re-checking them.  The census
 builds its tables unchecked (``maps._trusted``): every entry is read from a
 column of the Cayley table, or is the identity.
 
-``verify`` sets the census against the matrix side: its image tables must
-be exactly the endomorphisms of the enumerated matrices, which the matrix
-side builds through its entry formula.  No product of two census entries
-is formed there: their composite is an endomorphism, so it is in the
-census (the ``sdmat.verify`` docstring).  Nor is any inverse: ``verify``
-reads an automorphism's inverse off its image table, one generator at a
-time.  :func:`invert_endo` inverts a whole table; the tests set the
-closed-form inverses against it.  The census lists its bijective entries
-(:attr:`EndCensus.autos`) only when asked, so ``verify``, which reads the
-endomorphisms alone, decides no bijectivity of them.
+``verify`` takes the endomorphism of every enumerated matrix from the
+census: it reads each entry's four entry tables off the embedded copies of
+H and K, and the entry is the endomorphism of the matrix with that key.
+Every entry must match exactly one matrix, and every matrix one entry.
+The matrix side's entry formula is set against the group's table there,
+not against these maps (the ``sdmat.verify`` docstring).  No product of
+two census entries is formed: their composite is an endomorphism, so it
+is in the census.  Nor is any inverse: ``verify`` reads an automorphism's
+inverse off its image table, one generator at a time.
+:func:`invert_endo` inverts a whole table; the tests set the closed-form
+inverses against it.  The census lists its bijective entries
+(:attr:`EndCensus.autos`) only when asked; ``verify`` never asks, and
+decides the bijectivity of each entry once, on the map itself.
 """
 
 from __future__ import annotations

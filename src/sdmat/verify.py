@@ -26,39 +26,50 @@ A check returns its outcome: None when it passes, a reason when it
 skips, a witness when it fails; ``run_verification`` reports it under the
 check's name.
 
-The oracle census is built by ``endo_matrix_correspondence`` alone, once
-per run, and is dropped as soon as it has been compared; ``monoid_laws``
-reads the correspondence's verdict.  So a run over a selection of checks
-(``checks=[...]``, ``--theorems`` on the command line) builds the census
-only when one of these two is selected.
+The oracle census is built once per run, whatever the selection, as the
+context is built, and is the only source of each matrix's endomorphism:
+for every census entry the context reads its four entry tables off the
+embedded copies of H and K (``matrices._entry_images``) and looks up the
+enumerated matrix with that key, and theta_i is that census map.  The
+lookup index holds only the matrices' keys and is dropped once matching is
+done; each entry's read-off tables live only for their lookup.  A matrix
+no census entry matches can only come from a fault: it gets its formula's
+map (:func:`~sdmat.matrices.matrix_to_endo`), so the other checks still
+run and report, and the correspondence fails.  A passing run builds no
+endomorphism through the entry formula.
 
 ``endo_matrix_correspondence`` decides the n² products of the n matrices
 with no product formed.  Write F_i for the map that ``mat_mul`` sends
 every column of the right factor through when m_i is the left factor
 (``matrices._product_images``, the entry formula over the H and K tables
-and the action rows).  The formula works column by column: the value at
-one column (x; y) does not depend on the other columns passed with it.
-theta_i, the endomorphism of m_i (:func:`~sdmat.matrices.matrix_to_endo`),
-is F_i on every element of H x K, read as element codes h*|K| + k, so F_i
-at any column (x; y) is theta_i at the code of (x, y), by definition.
-theta_i is checked once against the product group's homomorphism law.
-The check decides, in order:
+and the action rows).  F_i(x; y) reads m_i's alpha and gamma only at x
+and its beta and delta only at y, so F_i(x; y) = A_i(x) * B_i(y) for
+A_i(x) = (alpha_i x, gamma_i x) and B_i(y) = (beta_i y, delta_i y), where
+* is the formula's own product of two elements of G.  The check decides,
+in order:
 
-1. census: the oracle's census (:mod:`sdmat.oracle`, raw Cayley tables
-   only) has n endomorphisms, and their image tables are the theta_i;
-2. round trip: the entries read back off theta_i are m_i's own, so the
-   columns of m_i, (alpha h; gamma h) and (beta k; delta k), are theta_i
-   at (h, e) and (e, k);
-3. kernel: the identity matrix is enumerated, and its theta is the only
+1. count: the oracle's census (:mod:`sdmat.oracle`, raw Cayley tables
+   only) has n endomorphisms;
+2. key bijection: the entries read off every census entry are the key of
+   exactly one matrix, and every matrix is matched, so theta_i is a census
+   endomorphism whose entries are m_i's: theta_i(x, e) = A_i(x) and
+   theta_i(e, y) = B_i(y);
+3. formula: * is G's product.  ``matrices._formula_witness`` runs the
+   formula on the H x K grid for |G| left factors whose entries vary,
+   which together give every pair of G x G as (A(x), B(y)), and sets each
+   column against G's table at that pair;
+4. kernel: the identity matrix is enumerated, and its theta is the only
    one that is the identity map.
 
-Then m_i * m_j is the enumerated matrix of theta_i o theta_j for every i
-and j:
+Then F_i = theta_i on all of G: theta_i is a homomorphism and
+(x, y) = (x, e)(e, y), so theta_i(x, y) = A_i(x) B_i(y), which is
+F_i(x; y) by 3.  And m_i * m_j is the enumerated matrix of
+theta_i o theta_j for every i and j:
 
 - by 2, the columns of m_j are theta_j on the embedded copies of H and K;
 - ``mat_mul`` computes the columns of m_i * m_j as F_i at those, which is
   theta_i there, so they are theta_i o theta_j on the embedded copies;
-- theta_i o theta_j is an endomorphism, so it is in the census, and by 1
+- theta_i o theta_j is an endomorphism, so it is in the census, and by 2
   it is some theta_l;
 - by 2, the columns of m_l are theta_l on the embedded copies too, and a
   matrix is its columns, so m_i * m_j = m_l.
@@ -66,16 +77,13 @@ and j:
 By 1 and 2, i -> theta_i is a bijection onto End(G), so it is an
 isomorphism from the matrices under ``mat_mul`` onto (End(G), o).  The
 oracle stays independent of the entry formula: the census is the oracle's
-own search, and theta_i's homomorphism law is read from the product
-group's table, as is the census.  So a wrong entry formula, or a wrong
-product table, gives a theta that breaks the law (``matrix_to_endo``
-raises VerificationFailed, and the run fails) or that the census does not
-list, and the run fails either way.  A theta that passes both and 2 is the
-endomorphism its matrix describes, as an endomorphism is fixed by its
-values on the embedded copies.
+own search, and part 3 reads G's table, as the census does.  Every check
+reads the oracle's theta: bijectivity, the inverse index and the
+products.  So a wrong entry formula fails part 3, at the first pair
+where it is not G's product, and the run fails.
 
 ``monoid_laws`` follows from the correspondence.  Closure is the m_l
-above.  By 3, the theta of the identity matrix m_e is the identity map, so
+above.  By 4, the theta of the identity matrix m_e is the identity map, so
 m_e * m_j and m_j * m_e are the matrix of theta_j, which is m_j.  Both
 (m_i m_j) m_k and m_i (m_j m_k) are the matrix of
 theta_i o theta_j o theta_k, as composition of maps is associative.  So
@@ -131,8 +139,8 @@ from .determinant import (
 )
 from .errors import SdmatError, VerificationFailed
 from .factorization import classify, factor_abcd, unit_diagonal_a_factor, unit_diagonal_b_factor
-from .maps import identity_map, map_add, map_compose, map_inverse
-from .matrices import EndoMatrix, _entry_images, enumerate_matrices, identity_matrix, matrix_to_endo
+from .maps import FMap, identity_map, map_add, map_compose, map_inverse
+from .matrices import EndoMatrix, _entry_images, _formula_witness, enumerate_matrices, identity_matrix, matrix_to_endo
 from .oracle import enumerate_endos
 from .semidirect import SdProduct
 
@@ -213,16 +221,17 @@ def _mat_witness(matrix: EndoMatrix, **extra) -> dict:
 class _Context:
     """Shared data for the checks over one instance.
 
-    The core is built once, up front: the sorted matrices and their
-    endomorphisms, both determinants of every matrix, and the automorphism
-    index sets the checks and the counts read.  A matrix is found by its
-    endomorphism's images of the product group's generators; that lookup,
-    each inverse index and the correspondence's verdict (its witness, or
-    None) are built the first time a check reads them.  No census is kept:
-    the correspondence builds it and drops it once compared.  The checks
-    read closed-form inverses off each matrix, certified where they are
-    built, and compare each with the oracle's; no product is formed
-    (module docstring).
+    The core is built once, up front: the sorted matrices, the census,
+    matched to them by their entries so that each matrix's endomorphism is
+    a census map (module docstring), both determinants of every matrix,
+    and the automorphism index sets the checks and the counts read.  A
+    matrix is found by its endomorphism's images of the product group's
+    generators; that lookup, each inverse index and the correspondence's
+    verdict (its witness, or None) are built the first time a check reads
+    them.  The census object itself is not kept: only its maps, as the
+    thetas.  The checks read closed-form inverses off each matrix,
+    certified where they are built, and compare each with the oracle's; no
+    product is formed (module docstring).
     """
 
     def __init__(self, product: SdProduct, bound: int) -> None:
@@ -232,9 +241,23 @@ class _Context:
         mats = sorted(enumerate_matrices(product, bound=bound), key=lambda m: m.key())
         self.mats = mats
         self.n = len(mats)
-        self.thetas = [matrix_to_endo(m) for m in mats]
-        identity_key = identity_matrix(product).key()
-        self.identity_idx = next((i for i, m in enumerate(mats) if m.key() == identity_key), None)
+        # theta_i is the census endomorphism whose entries are m_i's key.  A matrix no census entry
+        # matches can only come from a fault: it gets its formula's map, so the other checks run.
+        endos = enumerate_endos(product.group, bound=bound).endos
+        self.endo_count = len(endos)
+        index = {m.key(): i for i, m in enumerate(mats)}
+        self.identity_idx = index.get(identity_matrix(product).key())
+        thetas: list[FMap | None] = [None] * self.n
+        self.unmatched: list[tuple[int, ...]] = []  # census images matching no matrix, or a matched one
+        for e in endos:
+            i = index.get(_entry_images(e, product))
+            if i is None or thetas[i] is not None:
+                self.unmatched.append(e.image)
+            else:
+                thetas[i] = e
+        del endos, index
+        self.fallback = [i for i, t in enumerate(thetas) if t is None]
+        self.thetas = [matrix_to_endo(m) if t is None else t for m, t in zip(mats, thetas)]
         self._inverse_idx: dict[int, int | None] = {}
         self.auto_idx = [i for i, t in enumerate(self.thetas) if t.is_bijective]
         # Determinants per index; None marks an undefined side.
@@ -322,34 +345,19 @@ def _first_escape(ctx: _Context, members: set[int], inverses: bool = False) -> d
     return None
 
 
-def _census_witness(ctx: _Context) -> dict | None:
-    """Part 1 of the correspondence: the oracle's census has n endomorphisms, the theta_i."""
-    endos = enumerate_endos(ctx.product.group, bound=ctx.bound).endos
-    if len(endos) != ctx.n:
-        return {"matrix_count": ctx.n, "endo_count": len(endos)}
-    oracle_images = {e.image for e in endos}
-    matrix_images = {t.image for t in ctx.thetas}
-    if oracle_images != matrix_images:
-        extra = sorted(matrix_images - oracle_images) + sorted(oracle_images - matrix_images)
-        return {"image_mismatch": [list(x) for x in extra[:1]]}
-    return None
-
-
 def _correspondence(ctx: _Context) -> dict | None:
-    # The census lives only inside _census_witness, so it is freed before the other parts run.
-    witness = _census_witness(ctx)
-    if witness is not None:
-        return witness
-    P = ctx.product
-    # The read-off uses only theta.image, so with equal image sets this covers every census
-    # endomorphism.  Matrices over one product are equal iff their keys are, so equal tables
-    # mean the read-back matrix is m, whose conditions its search decided (the verdict kept on m).
-    for i, m in enumerate(ctx.mats):
-        if _entry_images(ctx.thetas[i], P) != m.key():
-            return _mat_witness(m, detail="round trip through endomorphism")
+    """The first witness of parts 1-4 of the correspondence (module docstring), or None."""
+    if ctx.endo_count != ctx.n:
+        return {"matrix_count": ctx.n, "endo_count": ctx.endo_count}
+    extra = sorted(ctx.thetas[i].image for i in ctx.fallback) + sorted(ctx.unmatched)
+    if extra:
+        return {"image_mismatch": [list(x) for x in extra[:1]]}
+    pair = _formula_witness(ctx.product)
+    if pair is not None:
+        return {"detail": "entry formula differs from the group product", "pair": list(pair)}
     if ctx.identity_idx is None:
         return {"detail": "identity matrix missing from enumeration"}
-    identity_image = tuple(range(P.group.order))
+    identity_image = tuple(range(ctx.product.group.order))
     kernel = [i for i, t in enumerate(ctx.thetas) if t.image == identity_image]
     if kernel != [ctx.identity_idx]:
         return {"kernel_indices": kernel}

@@ -29,10 +29,10 @@ from sdmat import (
     matrix_to_endo,
     verify,
 )
+from sdmat.catalog import group_to_dict
 from sdmat.matrices import mat_mul
 from sdmat.oracle import EndCensus, enumerate_endos, invert_endo
 from sdmat.verify import CHECK_NAMES, run_verification
-from endo_reference import gathered_endo
 from pairwise_reference import pairwise_checks
 from test_matrices import _NONABELIAN
 
@@ -61,24 +61,39 @@ def test_no_check_skips_below_the_pairwise_limit(full_reports):
 _CENSUS_CHECKS = ("endo_matrix_correspondence", "monoid_laws")
 
 
-def test_per_matrix_checks_build_no_census(monkeypatch):
-    # Every check but the correspondence and monoid_laws, which reads its verdict: the two
-    # family checks multiply by the generator-image lookup, with no census.
-    def unused(*args, **kwargs):
-        raise AssertionError("built for a check that does not read it")
+def _no_formula_endomorphism(monkeypatch):
+    """Make ``matrix_to_endo`` raise wherever a module holds it."""
 
-    monkeypatch.setattr("sdmat.verify.enumerate_endos", unused)
-    report = run_verification("dihedral:4", checks=[c for c in CHECK_NAMES if c not in _CENSUS_CHECKS])
-    assert [c.status for c in report.checks] == ["pass"] * (len(CHECK_NAMES) - 2)
-    # The checks that do read it still reach the patched census.
-    for check in _CENSUS_CHECKS:
-        with pytest.raises(AssertionError):
-            run_verification("dihedral:4", checks=[check])
+    def unused(matrix):
+        raise AssertionError("an endomorphism built through the entry formula")
+
+    for module in (verify, matrices, determinant):
+        monkeypatch.setattr(module, "matrix_to_endo", unused)
+
+
+def test_every_selection_builds_the_census_once_and_no_endomorphism_by_formula(monkeypatch):
+    # Each matrix's endomorphism is the census entry whose entries are its key, matched as the
+    # context is built, so every selection builds the census exactly once; a passing run calls
+    # matrix_to_endo on no matrix.
+    built = []
+
+    def counting(group, bound):
+        built.append(group)
+        return enumerate_endos(group, bound=bound)
+
+    monkeypatch.setattr(verify, "enumerate_endos", counting)
+    _no_formula_endomorphism(monkeypatch)
+    for checks in ("all", *([c] for c in CHECK_NAMES)):
+        built.clear()
+        report = run_verification("dihedral:4", checks=checks)
+        assert report.passed and [c.status for c in report.checks] == ["pass"] * len(report.checks)
+        assert len(built) == 1
 
 
 def test_the_census_is_built_once_and_freed_once_compared(monkeypatch):
-    # The correspondence builds the census and drops it as soon as it is compared, so nothing
-    # refers to it by the time monoid_laws, which reads the correspondence's verdict, runs.
+    # The context builds the census and keeps only its maps, as the matrices' endomorphisms, so
+    # nothing refers to the census object by the time monoid_laws, which reads the
+    # correspondence's verdict, runs.
     built, alive = [], []
 
     def recording(group, bound):
@@ -170,6 +185,36 @@ def test_correspondence_fails_on_a_short_census(monkeypatch):
     assert (check.status, check.witness) == ("fail", {"matrix_count": 36, "endo_count": 35})
 
 
+def test_a_matrix_the_census_misses_gets_its_formula_endomorphism(monkeypatch):
+    # The census lacks its last automorphism: the one matrix it matches gets its formula's map,
+    # so every other check still runs on all 36 matrices and reports.
+    def short(group, bound):
+        census = enumerate_endos(group, bound=bound)
+        return EndCensus(group, tuple(e for e in census.endos if e != census.autos[-1]))
+
+    formula_built = []
+
+    def recording(matrix):
+        formula_built.append(matrix.key())
+        return matrix_to_endo(matrix)
+
+    monkeypatch.setattr(verify, "enumerate_endos", short)
+    monkeypatch.setattr(verify, "matrix_to_endo", recording)
+    report = run_verification("dihedral:4")
+    P = build_instance("dihedral:4")
+    missed = enumerate_endos(P.group).autos[-1]
+    assert formula_built == [matrices._entry_images(missed, P)]
+    assert report.counts == run_verification("dihedral:4").counts
+    correspondence, monoid, *others = report.checks
+    assert correspondence.to_dict() == {
+        "name": "endo_matrix_correspondence",
+        "status": "fail",
+        "witness": {"matrix_count": 36, "endo_count": 35},
+    }
+    assert monoid.status == "fail"
+    assert [(c.name, c.status) for c in others] == [(name, "pass") for name in CHECK_NAMES[2:]]
+
+
 def test_correspondence_fails_on_an_image_the_matrices_do_not_give(monkeypatch):
     group = build_instance("dihedral:4").group
     auto = enumerate_endos(group).autos[-1].image
@@ -187,66 +232,78 @@ def test_correspondence_fails_on_an_image_the_matrices_do_not_give(monkeypatch):
 
 
 def test_correspondence_fails_on_a_wrong_round_trip(monkeypatch):
+    # Every census entry reads as the identity's entries: the first matches the identity matrix,
+    # every other matrix is matched by none and gets its formula's map, and the witness is the
+    # first of those, the zero endomorphism's.
     monkeypatch.setattr("sdmat.verify._entry_images", lambda theta, product: identity_matrix(product).key())
     check = _correspondence("dihedral:4")
-    first = min(enumerate_matrices(build_instance("dihedral:4")), key=lambda m: m.key())
-    assert check.status == "fail"
-    assert check.witness["detail"] == "round trip through endomorphism"
-    assert check.witness["alpha"] == list(first.alpha.image)
-    assert check.witness["delta"] == list(first.delta.image)
+    assert (check.status, check.witness) == ("fail", {"image_mismatch": [[0] * 8]})
 
 
-def _mutant_product_images(monkeypatch, P, target, mutate):
-    """Make the entry formula give ``mutate(columns, images)`` for the left factor ``target``."""
-    product_images = matrices._product_images
-
-    def mutant(matrix, *columns):
-        images = product_images(matrix, *columns)
-        return mutate(columns, images) if matrix.key() == target.key() else images
-
-    monkeypatch.setattr(matrices, "_product_images", mutant)
+def _formula_entry(P, a2, b2, g2, d2, x, y):
+    """The entry formula at column (x; y): (alpha x * f_{gamma x}(beta y), gamma x * delta y)."""
+    return P.H.table[a2[x]][P.action.images[g2[x]][b2[y]]], P.K.table[g2[x]][d2[y]]
 
 
-# A catalog instance and one of 381 matrices; the mutant column is the product's last element.
-@pytest.mark.parametrize("instance, left", [("dihedral:4", 7), ("metacyclic:19:3:7", 300)])
-def test_correspondence_fails_on_a_mutant_product_column(monkeypatch, capsys, instance, left):
-    # theta is the entry formula's map on the grid, so a formula wrong for one left factor at
-    # one column (h; k), alpha's entry moved, gives a theta that breaks the product group's
-    # homomorphism law; matrix_to_endo refuses it, and verify fails with exit 1.
-    P = build_instance(instance)
-    target = sorted(enumerate_matrices(P), key=lambda m: m.key())[left]
-    h0, k0 = P.decode(P.group.order - 1)
-
-    def move_alpha(columns, images):
-        a1, _, g1, _ = columns
-        a, b, c, d = images
-        return tuple((v + 1) % P.H.order if (x, y) == (h0, k0) else v for v, x, y in zip(a, a1, g1)), b, c, d
-
-    _mutant_product_images(monkeypatch, P, target, move_alpha)
-    with pytest.raises(VerificationFailed, match="describes no homomorphism"):
-        run_verification(P, checks=list(_CENSUS_CHECKS))
-    assert cli_main(["verify", "--instance", instance, "--theorems", ",".join(_CENSUS_CHECKS)]) == 1
-    assert "describes no homomorphism" in capsys.readouterr().err
+def _swapped_operands(P, a2, b2, g2, d2, x, y):
+    return P.H.table[P.action.images[g2[x]][b2[y]]][a2[x]], P.K.table[g2[x]][d2[y]]
 
 
-@pytest.mark.parametrize("instance, left", [("dihedral:4", 7), ("metacyclic:19:3:7", 300)])
-def test_correspondence_fails_on_a_mutant_formula_that_gives_an_endomorphism(monkeypatch, instance, left):
-    # A formula that evaluates one left factor as the identity matrix gives it the identity map,
-    # which passes the homomorphism law; the census then misses that matrix's own endomorphism,
-    # the gather from the product group's table.
-    P = build_instance(instance)
-    target = sorted(enumerate_matrices(P), key=lambda m: m.key())[left]
-    assert target.key() != identity_matrix(P).key()
-    _mutant_product_images(monkeypatch, P, target, lambda columns, images: columns)
+def _gamma_at_y(P, a2, b2, g2, d2, x, y):
+    return P.H.table[a2[x]][P.action.images[g2[x]][b2[y]]], P.K.table[g2[y]][d2[y]]
+
+
+def _twist_dropped(P, a2, b2, g2, d2, x, y):
+    return P.H.table[a2[x]][b2[y]], P.K.table[g2[x]][d2[y]]
+
+
+def _wrong_at_last_pair(P, a2, b2, g2, d2, x, y):
+    # Wrong in alpha's entry at u = v = the last element of G alone, whatever the left factor.
+    top, bottom = _formula_entry(P, a2, b2, g2, d2, x, y)
+    last = P.decode(P.group.order - 1)
+    if (a2[x], g2[x]) == (b2[y], d2[y]) == last:
+        top = (top + 1) % P.H.order
+    return top, bottom
+
+
+# Each mutant is a pure function of the left factor's tables at (x, y), as the formula is; one
+# keyed to a single left matrix is not a formula of the entries, and is out of scope.
+_MUTANT_FORMULAS = {
+    "swapped_operands": ("s3_by_z2_conjugation", _swapped_operands, [4, 3]),
+    "gamma_at_y": ("dihedral:4", _gamma_at_y, [0, 3]),
+    "twist_dropped": ("metacyclic:19:3:7", _twist_dropped, [4, 4]),
+    "wrong_at_last_pair": ("dihedral:4", _wrong_at_last_pair, [7, 7]),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(_MUTANT_FORMULAS))
+def test_correspondence_fails_on_a_mutant_entry_formula(monkeypatch, tmp_path, mutant):
+    # theta is the census entry with m's entries, so a wrong formula breaks no theta: part 3 of the
+    # correspondence sets the formula against G's table on every pair of G x G, and names the
+    # first pair where they differ.  monoid_laws fails with it, and the CLI exits 1.
+    instance, entry, pair = _MUTANT_FORMULAS[mutant]
+    P = _NONABELIAN[instance]() if instance in _NONABELIAN else build_instance(instance)
+
+    def formula(left, a1, b1, g1, d1):
+        tables = left.key()
+        on_h = [entry(P, *tables, x, y) for x, y in zip(a1, g1)]
+        on_k = [entry(P, *tables, x, y) for x, y in zip(b1, d1)]
+        a, c = (tuple(v[i] for v in on_h) for i in (0, 1))
+        b, d = (tuple(v[i] for v in on_k) for i in (0, 1))
+        return a, b, c, d
+
+    action = tmp_path / "act.json"
+    action.write_text(json.dumps({"H": group_to_dict(P.H), "K": group_to_dict(P.K), "images": P.action.images}))
+    assert run_verification(P, checks=list(_CENSUS_CHECKS)).passed
+    monkeypatch.setattr(matrices, "_product_images", formula)
     report = run_verification(P, checks=list(_CENSUS_CHECKS))
-    assert [c.to_dict() for c in report.checks] == [
-        {
-            "name": "endo_matrix_correspondence",
-            "status": "fail",
-            "witness": {"image_mismatch": [list(gathered_endo(target).image)]},
-        },
-        {"name": "monoid_laws", "status": "fail", "witness": {"detail": "endo_matrix_correspondence fails"}},
-    ]
+    correspondence, monoid = report.checks
+    assert correspondence.status == "fail"
+    assert correspondence.witness == {"detail": "entry formula differs from the group product", "pair": pair}
+    assert monoid.to_dict() == {
+        "name": "monoid_laws", "status": "fail", "witness": {"detail": "endo_matrix_correspondence fails"}
+    }
+    assert cli_main(["verify", "--action", str(action), "--theorems", ",".join(_CENSUS_CHECKS)]) == 1
 
 
 def test_factor_reassembly_fails_on_a_mutant_product(monkeypatch):
@@ -370,8 +427,9 @@ def test_full_run_decides_each_inverse_once(monkeypatch):
     # m times the inverse, formed in determinant with the entry formula on the inverse's image
     # tables, and the certified key is kept on m, so the other closed form and invert_combined
     # compare keys.  That is one product per matrix and inverse key.  Each matrix's theta is
-    # the formula's map on the H x K grid, with no right-hand beta or delta, built once by
-    # matrix_to_endo.  Every determinant of the run is built on an enumerated matrix: those of
+    # the census entry with its entries, so the formula runs on the H x K grid, with no
+    # right-hand beta or delta, only for the |G| distinct left factors of the correspondence's
+    # formula check.  Every determinant of the run is built on an enumerated matrix: those of
     # a closed-form inverse are read off the enumerated matrix with its key.
     assert not hasattr(verify, "_product_images")
     product_images = matrices._product_images
@@ -400,7 +458,7 @@ def test_full_run_decides_each_inverse_once(monkeypatch):
         assert len(set(certificates)) == len(certificates) == len(checked)
         assert {left for left, _ in certificates} == {m.key() for m in checked}
         assert (det_grids, matrix_products) == ([], [])
-        assert len(grid_maps) == len(enumerated)
+        assert len({left for left, _ in grid_maps}) == len(grid_maps) == build_instance(instance).group.order
         ids = {id(m) for m in enumerated}
         assert dets.matrices and all(id(m) in ids for m in dets.matrices)
 
