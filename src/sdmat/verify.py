@@ -61,9 +61,9 @@ in order:
 4. kernel: the identity matrix is enumerated, and its theta is the only
    one that is the identity map.
 
-Then F_i = theta_i on all of G: theta_i is a homomorphism and
-(x, y) = (x, e)(e, y), so theta_i(x, y) = A_i(x) B_i(y), which is
-F_i(x; y) by 3.  And m_i * m_j is the enumerated matrix of
+Then F_i = theta_i on all of G: theta_i is a homomorphism (a census
+entry) and (x, y) = (x, e)(e, y), so theta_i(x, y) = A_i(x) B_i(y),
+which is F_i(x; y) by 3.  And m_i * m_j is the enumerated matrix of
 theta_i o theta_j for every i and j:
 
 - by 2, the columns of m_j are theta_j on the embedded copies of H and K;
@@ -79,8 +79,10 @@ isomorphism from the matrices under ``mat_mul`` onto (End(G), o).  The
 oracle stays independent of the entry formula: the census is the oracle's
 own search, and part 3 reads G's table, as the census does.  Every check
 reads the oracle's theta: bijectivity, the inverse index and the
-products.  So a wrong entry formula fails part 3, at the first pair
-where it is not G's product, and the run fails.
+products.  That F_i reads the entries only at x and y, and combines their
+values the same way for every left factor, is a property of the code of
+``_product_images``; given it, a wrong entry formula fails part 3, at the
+first pair where it is not G's product, and the run fails.
 
 ``monoid_laws`` follows from the correspondence.  Closure is the m_l
 above.  By 4, the theta of the identity matrix m_e is the identity map, so
