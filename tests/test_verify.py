@@ -567,13 +567,15 @@ OFFCATALOG_FIXTURE = Path(__file__).parent / "data" / "offcatalog_verify.json"
 
 def _offcatalog_reports() -> str:
     reports = [run_verification(name).to_dict() for name in OFFCATALOG]
+    reports += [run_verification(_NONABELIAN[name]()).to_dict() for name in _NONABELIAN_REPORTS]
     return json.dumps({"instances": reports}, indent=2, sort_keys=True) + "\n"
 
 
 def test_offcatalog_reports_match_fixture():
     # Off the catalog: the two metacyclic instances fail inverse_formula_det_h and
-    # abcd_factorization (ROADMAP item 1), direct:3:3 passes.  The reports, failure witnesses
-    # included, are frozen byte for byte; regenerate with
+    # abcd_factorization (ROADMAP item 1), direct:3:3 passes, and the three nonabelian products
+    # follow (instances order-12, order-36 and order-18), with the outcomes _NONABELIAN_REPORTS
+    # pins.  The reports, failure witnesses included, are frozen byte for byte; regenerate with
     #     PYTHONPATH=src python tests/test_verify.py
     # only when a change to them is intended.
     expected = OFFCATALOG_FIXTURE.read_text()
