@@ -54,6 +54,16 @@ endomorphism theta_m^-1, and inv * m = 1 as well.  The key of the
 certified inverse is kept on m (``maps.memo``), so the other closed form,
 which gives the same inverse, costs only a comparison of keys.
 
+The certificate also proves the K side's rearranged inverse identity
+gamma alpha^-1 beta D^-1 + 1 = delta D^-1, for D = det_K, so nothing
+checks it again.  The delta table of m * inv at k is
+gamma(beta'(k)) * delta(D^-1(k)), and the certificate says it is k.
+beta'(k) is (alpha^-1 beta D^-1 k)^-1 and gamma is a homomorphism, so
+gamma(beta'(k)) = (gamma alpha^-1 beta D^-1 k)^-1, and the certified table
+reads delta(D^-1(k)) = (gamma alpha^-1 beta D^-1 k) * k: the rearranged
+identity at k.  D^-1 o D = 1 holds because that is how ``maps.map_inverse`` builds
+D^-1.
+
 The formulas are evaluated on the image tables of the entries, in one
 pass per returned entry: each point of the result is one chain of table
 lookups, and each pointwise product keeps the formula's order
@@ -71,9 +81,9 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import ConditionsViolated, PreconditionFailed, VerificationFailed
+from .errors import PreconditionFailed, VerificationFailed
 from .maps import FMap, _trusted, map_inverse, memo
-from .matrices import EndoMatrix, _product_images, check_conditions, endo_to_matrix, identity_matrix, matrix_to_endo
+from .matrices import EndoMatrix, _product_images, _require_conditions, endo_to_matrix, identity_matrix, matrix_to_endo
 
 __all__ = [
     "InvertibilityResult",
@@ -91,12 +101,6 @@ class InvertibilityResult(NamedTuple):
     invertible: bool
     method: str  # the route: "det_k", "det_h" or "brute" (bijectivity of theta)
     inverse: EndoMatrix | None  # from the chosen route; None when not invertible
-
-
-def _require_conditions(matrix: EndoMatrix) -> None:
-    failed = check_conditions(matrix)
-    if failed is not None:
-        raise ConditionsViolated(*failed)
 
 
 @memo

@@ -30,9 +30,11 @@ and kept on the matrix object (``maps.memo``).  Every later reader of the
 same matrix reads it, and none decides it again: :func:`matrix_to_endo`
 and the determinants ``determinant.det_k`` and ``det_h`` (and, through
 them, the closed-form inverses and ``factorization.factor_abcd``) raise
-ConditionsViolated on a failing verdict.  matrix_to_endo then checks the homomorphism law of the map it
-builds, once per matrix, whoever decided the verdict.
-:func:`endo_to_matrix` checks the conditions of the matrix it reads off.
+ConditionsViolated on a failing verdict.  :func:`endo_to_matrix` checks
+the conditions of the matrix it reads off.  All of them raise through one
+helper, ``_require_conditions``.  matrix_to_endo then checks the
+homomorphism law of the map it builds, once per matrix, whoever decided
+the verdict.
 
 Conditions 1, 2, 5 and 6 are laws of one map each, decided on the
 generators of its domain (:mod:`sdmat.maps`).  Conditions 3 and 4 range
@@ -324,6 +326,13 @@ def check_conditions(matrix: EndoMatrix) -> tuple[str, tuple] | None:
 _conditions_hold = check_conditions.record
 
 
+def _require_conditions(matrix: EndoMatrix) -> None:
+    """Raise ConditionsViolated with the matrix's failing condition, if it has one."""
+    failed = check_conditions(matrix)
+    if failed is not None:
+        raise ConditionsViolated(*failed)
+
+
 def _product_images(left: EndoMatrix, a1, b1, g1, d1) -> tuple[tuple[int, ...], ...]:
     """The four image tables of ``left`` times the right factor with image tables a1, b1, g1, d1.
 
@@ -399,9 +408,7 @@ def matrix_to_endo(matrix: EndoMatrix) -> FMap:
     on the matrix.  ``verify`` calls it only for a matrix that no census
     entry matches, which can only come from a fault.
     """
-    failed = check_conditions(matrix)
-    if failed is not None:
-        raise ConditionsViolated(*failed)
+    _require_conditions(matrix)
     P = matrix.context
     hs, ks, codes = _grid(P)
     a, _, c, _ = _product_images(matrix, hs, (), ks, ())
@@ -463,10 +470,7 @@ def endo_to_matrix(theta: FMap, product: SdProduct) -> EndoMatrix:
         delta=FMap(K, K, delta),
         context=product,
     )
-    failed = check_conditions(matrix)
-    if failed is not None:
-        # Cannot happen for a genuine endomorphism; kept as a hard guard.
-        raise ConditionsViolated(*failed)
+    _require_conditions(matrix)  # cannot fail for a genuine endomorphism; kept as a hard guard
     return matrix
 
 

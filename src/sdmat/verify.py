@@ -104,44 +104,49 @@ table, so no table is inverted.
 
 The determinants and closed-form inverses are values of their
 matrix (``sdmat.determinant``), built on first use and kept on it, so the
-two inverse formulas, ``determinant_duality`` and ``combined_inverse``
-all read the same ones, whichever runs first.  The two invertibility
-checks read only the route and the verdict
-(``determinant._decide_invertible``), and build no inverse.  Each closed
-form certifies the two-sided law m m' = m' m = 1 itself before it returns
-(``sdmat.determinant`` docstring), so verify forms no product: the inverse
-checks call the public :func:`~sdmat.determinant.invert_via_det_k`,
+context, the two inverse formulas, ``determinant_duality`` and
+``combined_inverse`` all read the same ones, whichever runs first.  The
+two sides mirror each other: K needs alpha bijective and has det_k, H
+needs delta bijective and has det_h.  Each side's invertibility claim and
+inverse formula are one check body each, given the side (``_Side``).
+
+The invertibility check compares the kept determinant's bijectivity with
+theta's on every matrix whose diagonal entry of that side is bijective,
+and builds no inverse.  That determinant is the very object
+``determinant._decide_invertible`` reads on its det_k or det_h route, so
+its verdict is decided here too; the route itself is pinned by the
+determinant tests.
+
+Each closed form certifies the two-sided law m m' = m' m = 1 itself
+before it returns (``sdmat.determinant`` docstring), so verify forms no
+product: the inverse checks call the public
+:func:`~sdmat.determinant.invert_via_det_k`,
 :func:`~sdmat.determinant.invert_via_det_h` and
 :func:`~sdmat.determinant.invert_combined`, report a failed certificate
 by its text, and compare each certified inverse with the oracle's
-(``_Context.inverse_failure``).  An inverse that is the oracle's has the
-key of the enumerated matrix found through ``_Context.inverse_index``, and
-a determinant depends only on its matrix's key, so the checks read an
+(``_Context.inverse_failure``).  The certificate also settles the K side's
+rearranged identity gamma alpha^-1 beta D^-1 + 1 = delta D^-1, which is
+not checked again.  An inverse that is the oracle's has the key of the
+enumerated matrix found through ``_Context.inverse_index``, and a
+determinant depends only on its matrix's key, so the checks read an
 inverse's determinants at that index: verify builds no determinant on a
-matrix outside the enumeration.  ``determinant_duality`` checks the
-public :func:`~sdmat.determinant.dual_det_inverses`.
+matrix outside the enumeration, and composes no maps.
+``determinant_duality`` checks the public
+:func:`~sdmat.determinant.dual_det_inverses`.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable
+from functools import cached_property, partial
+from typing import Callable, NamedTuple
 
 from .catalog import build_instance
-from .determinant import (
-    _decide_invertible,
-    det_h,
-    det_k,
-    dual_det_inverses,
-    invert_combined,
-    invert_via_det_h,
-    invert_via_det_k,
-)
+from .determinant import det_h, det_k, dual_det_inverses, invert_combined, invert_via_det_h, invert_via_det_k
 from .errors import SdmatError, VerificationFailed
 from .factorization import classify, factor_abcd, unit_diagonal_a_factor, unit_diagonal_b_factor
-from .maps import FMap, identity_map, map_add, map_compose, map_inverse
+from .maps import FMap, identity_map, map_inverse
 from .matrices import EndoMatrix, _entry_images, _formula_witness, enumerate_matrices, identity_matrix, matrix_to_endo
 from .oracle import enumerate_endos
 from .semidirect import SdProduct
@@ -375,75 +380,46 @@ def _check_monoid(ctx: _Context) -> dict | str | None:
     return None if ctx.correspondence is None else {"detail": "endo_matrix_correspondence fails"}
 
 
-def _check_invertibility_k(ctx: _Context) -> dict | str | None:
-    eligible = [i for i, dk in enumerate(ctx.detk) if dk is not None]
+class _Side(NamedTuple):
+    """One determinant side: det_k needs alpha bijective, det_h needs delta bijective."""
+
+    letter: str  # "k" or "h", as in det_k and invert_via_det_k
+    diagonal: str  # the entry the determinant needs bijective
+    other: str  # the other side's letter
+
+
+_K, _H = _Side("k", "alpha", "h"), _Side("h", "delta", "k")
+
+
+def _check_invertibility(side: _Side, ctx: _Context) -> dict | str | None:
+    # The kept determinants are those the det_k and det_h routes read (module docstring).
+    dets = getattr(ctx, f"det{side.letter}")
+    eligible = [i for i, det in enumerate(dets) if det is not None]
     if not eligible:
-        return "no matrix with bijective alpha"
+        return f"no matrix with bijective {side.diagonal}"
     for i in eligible:
-        m, dk, bijective = ctx.mats[i], ctx.detk[i], ctx.thetas[i].is_bijective
-        if dk.is_bijective != bijective:
-            return _mat_witness(m, det_bijective=dk.is_bijective, endo_bijective=bijective)
-        invertible, method = _decide_invertible(m)
-        if method != "det_k" or invertible != bijective:
-            return _mat_witness(m, method=method)
+        det_bijective, bijective = dets[i].is_bijective, ctx.thetas[i].is_bijective
+        if det_bijective != bijective:
+            return _mat_witness(ctx.mats[i], det_bijective=det_bijective, endo_bijective=bijective)
     return None
 
 
-def _check_invertibility_h(ctx: _Context) -> dict | str | None:
-    eligible = [i for i, dh in enumerate(ctx.deth) if dh is not None]
+def _check_inverse(side: _Side, ctx: _Context) -> dict | str | None:
+    dets, others = getattr(ctx, f"det{side.letter}"), getattr(ctx, f"det{side.other}")
+    eligible = [i for i, det in enumerate(dets) if det is not None and det.is_bijective]
     if not eligible:
-        return "no matrix with bijective delta"
+        return f"no matrix with bijective {side.diagonal} and bijective det_{side.letter}"
+    invert = globals()[f"invert_via_det_{side.letter}"]  # read when called, so a swapped binding is used
     for i in eligible:
-        m, dh, bijective = ctx.mats[i], ctx.deth[i], ctx.thetas[i].is_bijective
-        if dh.is_bijective != bijective:
-            return _mat_witness(m, det_bijective=dh.is_bijective, endo_bijective=bijective)
-        if m.alpha.is_bijective:
-            continue  # the route is det_k here, checked by invertibility_via_det_k
-        invertible, method = _decide_invertible(m)
-        if method != "det_h" or invertible != bijective:
-            return _mat_witness(m, method=method)
-    return None
-
-
-def _check_inverse_k(ctx: _Context) -> dict | str | None:
-    eligible = [i for i, dk in enumerate(ctx.detk) if dk is not None and dk.is_bijective]
-    if not eligible:
-        return "no matrix with bijective alpha and bijective det_k"
-    id_k = identity_map(ctx.product.K)
-    for i in eligible:
-        m, dk = ctx.mats[i], ctx.detk[i]
-        failure = ctx.inverse_failure(i, invert_via_det_k)
+        m = ctx.mats[i]
+        failure = ctx.inverse_failure(i, invert)
         if failure is not None:
             return _mat_witness(m, detail=failure)
-        # The inverse has the key of mats[inverse_index(i)], so it has that matrix's det_h.
-        if ctx.deth[ctx.inverse_index(i)] != map_inverse(m.alpha):
-            return _mat_witness(m, detail="det_h of inverse is not alpha^-1")
-        if not dk.is_hom:
-            return _mat_witness(m, detail="det_k of invertible matrix not a homomorphism")
-        # Rearranged inverse identities: gamma alpha^-1 beta D^-1 + 1 = delta D^-1
-        # and D^-1 composed with the determinant is the identity.
-        dkinv = map_inverse(dk)
-        ainv = map_inverse(m.alpha)
-        lhs = map_add(map_compose(m.gamma, map_compose(ainv, map_compose(m.beta, dkinv))), id_k)
-        rhs = map_compose(m.delta, dkinv)
-        if lhs != rhs or map_compose(dkinv, dk) != id_k:
-            return _mat_witness(m, detail="determinant inverse identity")
-    return None
-
-
-def _check_inverse_h(ctx: _Context) -> dict | str | None:
-    eligible = [i for i, dh in enumerate(ctx.deth) if dh is not None and dh.is_bijective]
-    if not eligible:
-        return "no matrix with bijective delta and bijective det_h"
-    for i in eligible:
-        m, dh = ctx.mats[i], ctx.deth[i]
-        failure = ctx.inverse_failure(i, invert_via_det_h)
-        if failure is not None:
-            return _mat_witness(m, detail=failure)
-        if ctx.detk[ctx.inverse_index(i)] != map_inverse(m.delta):
-            return _mat_witness(m, detail="det_k of inverse is not delta^-1")
-        if not dh.is_hom:
-            return _mat_witness(m, detail="det_h of invertible matrix not a homomorphism")
+        # The inverse has the key of mats[inverse_index(i)], so it has that matrix's determinants.
+        if others[ctx.inverse_index(i)] != map_inverse(getattr(m, side.diagonal)):
+            return _mat_witness(m, detail=f"det_{side.other} of inverse is not {side.diagonal}^-1")
+        if not dets[i].is_hom:
+            return _mat_witness(m, detail=f"det_{side.letter} of invertible matrix not a homomorphism")
     return None
 
 
@@ -583,10 +559,10 @@ def _check_normalization(ctx: _Context) -> dict | str | None:
 _CHECK_FUNCS = {
     "endo_matrix_correspondence": _check_correspondence,
     "monoid_laws": _check_monoid,
-    "invertibility_via_det_k": _check_invertibility_k,
-    "invertibility_via_det_h": _check_invertibility_h,
-    "inverse_formula_det_k": _check_inverse_k,
-    "inverse_formula_det_h": _check_inverse_h,
+    "invertibility_via_det_k": partial(_check_invertibility, _K),
+    "invertibility_via_det_h": partial(_check_invertibility, _H),
+    "inverse_formula_det_k": partial(_check_inverse, _K),
+    "inverse_formula_det_h": partial(_check_inverse, _H),
     "determinant_duality": _check_duality,
     "combined_inverse": _check_combined,
     "unit_diagonal_a_factor": _check_unit_a,

@@ -337,20 +337,52 @@ def test_factor_reassembly_fails_on_a_mutant_product(monkeypatch):
 _INVERSE_CHECKS = ["inverse_formula_det_k", "inverse_formula_det_h", "determinant_duality", "combined_inverse"]
 
 
-def test_inverse_checks_fail_on_a_wrong_h_side_inverse(monkeypatch):
-    # Patched where verify reads it and where invert_combined and dual_det_inverses read it.  The
-    # patch bypasses the closed form's own certificate, so the comparison with the oracle's
-    # inverse catches it.
-    for module in (determinant, verify):
-        monkeypatch.setattr(module, "invert_via_det_h", lambda matrix: identity_matrix(matrix.context))
-    report = run_verification("direct:3:3", checks=_INVERSE_CHECKS)
-    outcomes = {c.name: (c.status, c.witness and c.witness["detail"]) for c in report.checks}
-    assert outcomes == {
+# The outcomes of the four inverse checks with one side's closed form returning the identity.
+_WRONG_SIDE_OUTCOMES = {
+    "k": {
+        "inverse_formula_det_k": ("fail", "disagrees with brute-force inverse"),
+        "inverse_formula_det_h": ("pass", None),
+        "determinant_duality": ("fail", "H-side determinant inverse identity"),
+        "combined_inverse": ("fail", "three-way inverse mismatch"),
+    },
+    "h": {
         "inverse_formula_det_k": ("pass", None),
         "inverse_formula_det_h": ("fail", "disagrees with brute-force inverse"),
         "determinant_duality": ("fail", "K-side determinant inverse identity"),
         "combined_inverse": ("fail", "three-way inverse mismatch"),
-    }
+    },
+}
+
+
+@pytest.mark.parametrize("side", sorted(_WRONG_SIDE_OUTCOMES))
+def test_inverse_checks_fail_on_a_wrong_one_sided_inverse(monkeypatch, side):
+    # Patched where verify reads it and where invert_combined and dual_det_inverses read it.  The
+    # patch bypasses the closed form's own certificate, so the comparison with the oracle's
+    # inverse catches it; the other side's formula check still passes.
+    for module in (determinant, verify):
+        monkeypatch.setattr(module, f"invert_via_det_{side}", lambda matrix: identity_matrix(matrix.context))
+    report = run_verification("direct:3:3", checks=_INVERSE_CHECKS)
+    outcomes = {c.name: (c.status, c.witness and c.witness["detail"]) for c in report.checks}
+    assert outcomes == _WRONG_SIDE_OUTCOMES[side]
+
+
+def _det_k_with_swapped_operands(matrix):
+    """det_k with the operands of its pointwise product swapped: delta(k) * (gamma alpha^-1 beta(k))^-1."""
+    P = matrix.context
+    kt, kinv = P.K.table, P.K.inverses
+    ainv = maps.map_inverse(matrix.alpha).image
+    _, b, g, d = matrix.key()
+    return FMap(P.K, P.K, tuple(kt[d[k]][kinv[g[ainv[b[k]]]]] for k in range(P.K.order)))
+
+
+def test_the_certificate_catches_a_det_k_with_swapped_operands(monkeypatch):
+    # K = S3 is nonabelian, so the swapped product is another map, and the closed form built on
+    # it is no inverse: the certificate of invert_via_det_k, not a check of verify's own, fails
+    # the K-side formula check.
+    for module in (determinant, verify):
+        monkeypatch.setattr(module, "det_k", _det_k_with_swapped_operands)
+    (check,) = run_verification(_NONABELIAN["z3_by_s3_sign"](), checks=["inverse_formula_det_k"]).checks
+    assert (check.status, check.witness["detail"]) == ("fail", "two-sided inverse law")
 
 
 def test_duality_and_combined_checks_call_the_public_functions(monkeypatch):
