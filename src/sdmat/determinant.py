@@ -32,12 +32,25 @@ endomorphism.  :func:`is_invertible` adds the inverse of that route; the
 helper alone decides "is an automorphism" for ``dual_det_inverses``,
 ``invert_combined``, ``factorization.factor_abcd`` and the unit-diagonal
 factors, so it builds no inverse, and with alpha bijective no product
-group.  Both determinants and both closed-form inverses are values of
-their matrix: each is built on the first call and kept on the matrix
-object (``maps.memo``), so the inverse ``is_invertible`` returns is the
-one :func:`invert_via_det_k` or :func:`invert_via_det_h` returns, and no
-caller passes them along.  A map that must be bijective and is not raises
-PreconditionFailed, on every call.
+group.  Both determinants and both closed-form inverses are built on the
+first call and kept on the matrix object (``maps.memo``), so the inverse
+``is_invertible`` returns is the one :func:`invert_via_det_k` or
+:func:`invert_via_det_h` returns, and no caller passes them along.  A map
+that must be bijective and is not raises PreconditionFailed, on every
+call.
+
+A determinant is a map K -> K or H -> H, so many matrices share one, and
+each is one object per product and table: the product keeps every
+determinant built on it, keyed by its group and image table
+(``_determinants``), and a matrix whose determinant table is one seen
+before gets that map.  So a determinant's ``is_hom``, ``is_bijective`` and
+``maps.map_inverse`` are decided once per distinct table, not once per
+matrix.  Sharing changes no result: each of the three is a function of
+the map's domain, codomain and image table alone, and the shared map has
+the same three as the one it stands for, its domain and codomain being
+the product's own K or H.  The store lives and dies with its product, so
+no table crosses products.  The closed-form inverses are built per matrix,
+and each is certified on its own matrix.
 
 Each closed form certifies its inverse before returning it: it forms
 m * inv with the product's entry formula on inv's image tables
@@ -82,8 +95,17 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import PreconditionFailed, VerificationFailed
+from .groups import FiniteGroup
 from .maps import FMap, _trusted, map_inverse, memo
-from .matrices import EndoMatrix, _product_images, _require_conditions, endo_to_matrix, identity_matrix, matrix_to_endo
+from .matrices import (
+    EndoMatrix,
+    _identity_entries,
+    _product_images,
+    _require_conditions,
+    endo_to_matrix,
+    matrix_to_endo,
+)
+from .semidirect import SdProduct
 
 __all__ = [
     "InvertibilityResult",
@@ -104,6 +126,21 @@ class InvertibilityResult(NamedTuple):
 
 
 @memo
+def _determinants(product: SdProduct) -> dict[tuple, FMap]:
+    """Every determinant built on ``product``, keyed by its group (H or K) and image table (module docstring)."""
+    return {}
+
+
+def _shared(product: SdProduct, group: FiniteGroup, image: tuple[int, ...]) -> FMap:
+    """The one determinant of ``product`` valued in ``group`` with image table ``image``."""
+    kept = _determinants(product)
+    det = kept.get((group, image))
+    if det is None:
+        det = kept[group, image] = _trusted(group, group, image)
+    return det
+
+
+@memo
 def det_k(matrix: EndoMatrix) -> FMap:
     """K-valued determinant: k -> gamma(alpha^-1(beta(k)))^-1 * delta(k)."""
     _require_conditions(matrix)
@@ -113,7 +150,7 @@ def det_k(matrix: EndoMatrix) -> FMap:
     kt, kinv = P.K.table, P.K.inverses
     ainv = map_inverse(matrix.alpha).image
     _, b, g, d = matrix.key()
-    return _trusted(P.K, P.K, tuple([kt[kinv[g[ainv[b[k]]]]][d[k]] for k in range(P.K.order)]))
+    return _shared(P, P.K, tuple([kt[kinv[g[ainv[b[k]]]]][d[k]] for k in range(P.K.order)]))
 
 
 @memo
@@ -126,7 +163,7 @@ def det_h(matrix: EndoMatrix) -> FMap:
     ht, hinv = P.H.table, P.H.inverses
     dinv = map_inverse(matrix.delta).image
     a, b, g, _ = matrix.key()
-    return _trusted(P.H, P.H, tuple([ht[a[h]][hinv[b[dinv[g[h]]]]] for h in range(P.H.order)]))
+    return _shared(P, P.H, tuple([ht[a[h]][hinv[b[dinv[g[h]]]]] for h in range(P.H.order)]))
 
 
 @memo
@@ -139,7 +176,7 @@ def _certify(matrix: EndoMatrix, inverse: EndoMatrix) -> EndoMatrix:
     """``inverse``, once ``matrix * inverse`` is the identity (module docstring); VerificationFailed otherwise."""
     key = inverse.key()
     if _certified_key(matrix) != key:
-        if _product_images(matrix, *key) != identity_matrix(matrix.context).key():
+        if _product_images(matrix, *key) != tuple([e.image for e in _identity_entries(matrix.context)]):
             raise VerificationFailed("two-sided inverse law", matrix.key())
         _certified_key.record(matrix, key)
     return inverse

@@ -68,14 +68,21 @@ a*(b*(c*d)), and the last four tables must be m's key.  Each step is the
 entry formula on the right factor's own columns, exactly what ``mat_mul``
 computes, so the comparison is that of ``ABCDFactors.product()`` with m.
 
-Three of these values depend only on the action and one or two entry maps
-of m: the C-witness of (1, 0; gamma, 1) on (action, gamma), the D-witness
-of (1, 0; 0, delta) on (action, delta), and the tables of c*d on
-(action, gamma, delta).  Each is kept on the action object, keyed by the
-entry's image tables, and computed on the first call that needs it; many
-automorphisms share a gamma or a delta.  Every call still certifies all
-four factors, reading the kept witness for c and d, and still compares its
-own reassembly with m's key.
+Five of these values depend only on the action and the image tables of
+one or two maps: the family witness of each of a, b, c and d, and the
+tables of c*d on (gamma, delta).  Each factor is the identity matrix but
+for its family's entry: det_H(m) for A, det_H(m)^-1 beta delta^-1 for B,
+gamma for C and delta for D.  Its witness reads the action and that entry
+only: the other three entries are the identity matrix's, so
+``_shape_witness`` passes them, and the B-witness twists its crossed law
+by delta = 1.  So equal entry tables give equal witnesses.  Each value is
+kept on the action object, keyed by the family letter (or "cd") and the
+tables (``_kept``), and computed on the first call that needs it; many
+automorphisms share a det_H, a B-entry, a gamma or a delta.
+:func:`unit_diagonal_a_factor` reads the same kept A-witness.  Every call
+still builds its own four factors and compares its own reassembly with
+m's key, so a factor that is wrong for one matrix, even one whose table
+is a member's, fails that matrix's reassembly.
 """
 
 from __future__ import annotations
@@ -248,7 +255,7 @@ def unit_diagonal_a_factor(matrix: EndoMatrix) -> EndoMatrix:
     """
     _require_unit_diagonal_auto(matrix)
     result = identity_matrix(matrix.context, alpha=det_h(matrix))
-    w = _a_witness(result)
+    w = _kept_witness("A", result)
     if w is not None:
         raise VerificationFailed("A-part of unit-diagonal reduction", w)
     return result
@@ -284,19 +291,19 @@ def unit_diagonal_b_factor(matrix: EndoMatrix) -> EndoMatrix:
     return result
 
 
-def _certified(letter: str, factor: EndoMatrix, kept_as: tuple | None = None) -> EndoMatrix:
-    """``factor``, if it is in family ``letter``; VerificationFailed otherwise.
+def _kept_witness(letter: str, factor: EndoMatrix) -> tuple | None:
+    """The family ``letter`` witness of ``factor``, the identity matrix but for that family's entry.
 
-    With ``kept_as``, the family witness is kept on the action under that
-    key, for a factor whose membership depends only on the action and that
-    key's image tables (module docstring).
+    Such a witness depends only on the action and that entry's image table,
+    so it is kept on the action under (letter, table) (module docstring).
     """
-    family = _FAMILY_WITNESSES[letter]
-    if kept_as is None:
-        witness = family(factor)
-    else:
-        witness = _kept_value(factor.context.action, kept_as, lambda: family(factor))
-    if witness is not None:
+    table = factor.key()["ABCD".index(letter)]  # A, B, C and D free alpha, beta, gamma and delta
+    return _kept_value(factor.context.action, (letter, table), lambda: _FAMILY_WITNESSES[letter](factor))
+
+
+def _certified(letter: str, factor: EndoMatrix) -> EndoMatrix:
+    """``factor``, if :func:`_kept_witness` puts it in family ``letter``; VerificationFailed otherwise."""
+    if _kept_witness(letter, factor) is not None:
         raise VerificationFailed(f"{letter}-factor membership", factor.key())
     return factor
 
@@ -339,8 +346,8 @@ def factor_abcd(matrix: EndoMatrix) -> ABCDFactors:
     factors = ABCDFactors(
         a=a,
         b=_certified("B", identity_matrix(P, beta=_b_entry(dh, matrix))),
-        c=_certified("C", identity_matrix(P, gamma=matrix.gamma), ("C", g)),
-        d=_certified("D", identity_matrix(P, delta=matrix.delta), ("D", d)),
+        c=_certified("C", identity_matrix(P, gamma=matrix.gamma)),
+        d=_certified("D", identity_matrix(P, delta=matrix.delta)),
     )
     # a*(b*(c*d)) as image tables, each product's tables the columns of the next.
     cd = _kept_value(P.action, ("cd", g, d), lambda: _product_images(factors.c, *factors.d.key()))

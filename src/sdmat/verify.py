@@ -102,10 +102,12 @@ looked up the same way (``_Context.inverse_index``): its image of a
 generator s is the one element theta_i sends to s, read off theta_i's
 table, so no table is inverted.
 
-The determinants and closed-form inverses are values of their
-matrix (``sdmat.determinant``), built on first use and kept on it, so the
-context, the two inverse formulas, ``determinant_duality`` and
-``combined_inverse`` all read the same ones, whichever runs first.  The
+The determinants and closed-form inverses are built on first use and
+kept on their matrix, and each determinant is one map per product and
+table (``sdmat.determinant``), so the context, the two inverse formulas,
+``determinant_duality`` and ``combined_inverse`` all read the same ones,
+whichever runs first, and decide a determinant's bijectivity,
+homomorphism law and inverse once per distinct table.  The
 two sides mirror each other: K needs alpha bijective and has det_k, H
 needs delta bijective and has det_h.  Each side's invertibility claim and
 inverse formula are one check body each, given the side (``_Side``).

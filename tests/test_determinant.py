@@ -150,12 +150,31 @@ def test_is_invertible_returns_the_kept_det_h_inverse(direct33_matrices):
     assert decided.inverse is invert_via_det_h(m)
 
 
-def test_equal_matrices_keep_their_own_values(s3):
+def test_equal_tables_of_one_product_share_their_determinant(s3):
+    # A determinant is one object per product and table: equal matrices share theirs, and so
+    # does any matrix whose determinant has the same table.  The closed-form inverses stay
+    # per matrix, each certified on its own matrix.
     m, twin = involution_matrix(s3), involution_matrix(s3)
     assert m == twin and m is not twin
-    assert det_k(m) == det_k(twin) and det_k(m) is not det_k(twin)
-    assert det_h(m) is not det_h(twin)
+    assert det_k(m) is det_k(twin) and det_h(m) is det_h(twin)
+    assert det_k(m) == identity_map(s3.K) and det_k(identity_matrix(s3)) is det_k(m)
     assert invert_via_det_k(m) == invert_via_det_k(twin) and invert_via_det_k(m) is not invert_via_det_k(twin)
+
+
+def test_builds_of_one_instance_share_no_determinant():
+    # Each build is its own product with its own groups, so no determinant crosses products.
+    builds = []
+    for _ in range(2):
+        P = build_instance("dihedral:8")
+        mats = sorted(enumerate_matrices(P), key=lambda m: m.key())
+        dets = [det_k(m) for m in mats if m.alpha.is_bijective] + [det_h(m) for m in mats if m.delta.is_bijective]
+        assert all(d.dom is d.cod and d.dom in (P.H, P.K) for d in dets)
+        builds.append(dets)
+    first, second = builds
+    assert [d.image for d in first] == [d.image for d in second]
+    assert not {id(d) for d in first} & {id(d) for d in second}
+    # Within one build, equal tables of one side are one object.
+    assert len({id(d) for d in first}) == len({(id(d.dom), d.image) for d in first}) < len(first)
 
 
 def test_kept_values_die_with_their_matrix(s3):

@@ -6,7 +6,7 @@ import gc
 import json
 import sys
 import weakref
-from collections import defaultdict
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import pytest
@@ -589,8 +589,47 @@ def test_full_run_builds_each_maps_inverse_once():
         assert run_verification("dihedral:30").passed
     finally:
         sys.setprofile(None)
-    assert len(inverted) > 100
     assert len({id(phi) for phi in inverted}) == len(inverted)
+    # Equal determinant tables are one map, so each table is inverted once as an entry map (the
+    # 8 bijective alphas and the one bijective delta) and once as a determinant, not once per
+    # matrix.
+    tables = Counter((id(phi.dom), phi.image) for phi in inverted)
+    assert len(tables) == 9 and set(tables.values()) == {2}
+
+
+@pytest.mark.parametrize("factor, entry", [("A", "det_h"), ("B", "_b_entry")])
+def test_a_fault_on_one_matrix_is_not_masked_by_kept_witnesses(monkeypatch, factor, entry):
+    # A mutant whose A-factor (through det_h) or B-factor entry is wrong on one matrix alone: the
+    # last one factored, where it returns the identity matrix's entry.  The identity matrix is
+    # factored first, so that table's family witness is kept by then and says "member", rightly.
+    # The fault still fails abcd_factorization, at that matrix's own reassembly, with the report
+    # of a run that keeps no witness and decides each one per matrix.
+    mats = sorted(enumerate_matrices(build_instance("dihedral:8")), key=lambda m: m.key())  # verify's order
+    factored = [m for m in mats if m.alpha.is_bijective and m.delta.is_bijective]
+    target = [m for m in factored if determinant.is_invertible(m).invertible][-1].key()
+    changed = []  # per call on the target: whether the identity's entry differs from the right one
+    real = getattr(factorization, entry)
+
+    def mutant(*args):
+        value = real(*args)
+        matrix = args[-1]
+        if matrix.key() != target:
+            return value
+        wrong = getattr(identity_matrix(matrix.context), "alpha" if factor == "A" else "beta")
+        changed.append(wrong != value)
+        return wrong
+
+    monkeypatch.setattr(factorization, entry, mutant)
+    kept = run_verification("dihedral:8").checks[CHECK_NAMES.index("abcd_factorization")]
+    monkeypatch.setattr(factorization, "_kept_value", lambda action, key, compute: compute())
+    fresh = run_verification("dihedral:8").checks[CHECK_NAMES.index("abcd_factorization")]
+    assert changed == [True, True]
+    assert kept == fresh
+    assert kept.status == "fail"
+    assert kept.witness == {
+        **dict(zip(("alpha", "beta", "gamma", "delta"), map(list, target))),
+        "detail": f"verification failed: factor reassembly at {target}",
+    }
 
 
 OFFCATALOG = ("metacyclic:8:2:5", "metacyclic:9:3:4", "direct:3:3")
