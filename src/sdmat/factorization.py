@@ -68,21 +68,28 @@ a*(b*(c*d)), and the last four tables must be m's key.  Each step is the
 entry formula on the right factor's own columns, exactly what ``mat_mul``
 computes, so the comparison is that of ``ABCDFactors.product()`` with m.
 
-Five of these values depend only on the action and the image tables of
-one or two maps: the family witness of each of a, b, c and d, and the
-tables of c*d on (gamma, delta).  Each factor is the identity matrix but
-for its family's entry: det_H(m) for A, det_H(m)^-1 beta delta^-1 for B,
-gamma for C and delta for D.  Its witness reads the action and that entry
-only: the other three entries are the identity matrix's, so
-``_shape_witness`` passes them, and the B-witness twists its crossed law
-by delta = 1.  So equal entry tables give equal witnesses.  Each value is
-kept on the action object, keyed by the family letter (or "cd") and the
-tables (``_kept``), and computed on the first call that needs it; many
-automorphisms share a det_H, a B-entry, a gamma or a delta.
-:func:`unit_diagonal_a_factor` reads the same kept A-witness.  Every call
-still builds its own four factors and compares its own reassembly with
-m's key, so a factor that is wrong for one matrix, even one whose table
-is a member's, fails that matrix's reassembly.
+Six of these values depend only on the action and the image tables of
+one to three maps: the family witness of each of a, b, c and d, the
+tables of c*d on (gamma, delta), and the tables of b*(c*d) on
+(b0, gamma, delta), with b0 the B-factor's entry.  Each factor is the
+identity matrix but for its family's entry: det_H(m) for A, b0 =
+det_H(m)^-1 beta delta^-1 for B, gamma for C and delta for D.  Its witness
+reads the action and that entry only: the other three entries are the
+identity matrix's, so ``_shape_witness`` passes them, and the B-witness
+twists its crossed law by delta = 1.  So equal entry tables give equal
+witnesses.  Likewise c*d is the entry formula over the action with c's
+and d's tables, which are gamma's and delta's and the identity's, and
+b*(c*d) is the formula with b's tables, which are b0's and the
+identity's, on those of c*d.  Each value is kept on the action object,
+keyed by the family letter (or "cd", "bcd") and the tables (``_kept``),
+and computed on the first call that needs it; many automorphisms share a
+det_H, a B-entry, a gamma or a delta.  :func:`unit_diagonal_a_factor`
+reads the same kept A-witness.  Only tables are kept there, never a
+matrix, which refers to its product and so to the action.  Every call
+still builds its own four factors and forms its own last product
+a*(b*(c*d)), compared with m's key, so a factor that is wrong for one
+matrix, even one whose table is a member's, fails that matrix's
+reassembly.
 """
 
 from __future__ import annotations
@@ -351,7 +358,8 @@ def factor_abcd(matrix: EndoMatrix) -> ABCDFactors:
     )
     # a*(b*(c*d)) as image tables, each product's tables the columns of the next.
     cd = _kept_value(P.action, ("cd", g, d), lambda: _product_images(factors.c, *factors.d.key()))
-    bcd = _product_images(factors.b, *cd)
+    b0 = factors.b.beta.image
+    bcd = _kept_value(P.action, ("bcd", b0, g, d), lambda: _product_images(factors.b, *cd))
     if _product_images(a, *bcd) != matrix.key():
         raise VerificationFailed("factor reassembly", matrix.key())
     return factors

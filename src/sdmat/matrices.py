@@ -109,9 +109,12 @@ endomorphism theta: matrix_to_endo builds it that way, and reads G's
 table only to check it once against G's homomorphism law.  The tests
 keep the gather of theta from G's table as a reference to set it against.
 ``verify`` builds no theta this way: it takes each matrix's endomorphism
-from the oracle census by its entries, and checks once per product, with
-``_formula_witness``, that the formula's product of two elements of G is
-G's (the ``sdmat.verify`` docstring).  matrix_to_endo serves the
+from the oracle census by its code columns, the codes of (alpha x, gamma x)
+and of (beta y, delta y), which are theta on the embedded copies of H and
+K.  ``codes`` is a bijection H x K -> G, so equal columns are equal
+entries.  It checks once per product, with ``_formula_witness``, that the
+formula's product of two elements of G is G's (the ``sdmat.verify``
+docstring).  matrix_to_endo serves the
 ``enumerate`` command, the brute-force invertibility route and the
 calculator.
 

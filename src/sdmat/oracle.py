@@ -51,9 +51,12 @@ builds its tables unchecked (``maps._trusted``): every entry is read from a
 column of the Cayley table, or is the identity.
 
 ``verify`` takes the endomorphism of every enumerated matrix from the
-census: it reads each entry's four entry tables off the embedded copies of
-H and K, and the entry is the endomorphism of the matrix with that key.
-Every entry must match exactly one matrix, and every matrix one entry.
+census: it reads each entry's images of the embedded copies of H and K as
+two slices of its table, and the entry is the endomorphism of the matrix
+with those code columns.  Element codes are a bijection H x K -> G, so
+equal columns are equal entry tables, and that matrix is the one whose
+key the entry's entries are.  Every entry must match exactly one matrix,
+and every matrix one entry.
 The matrix side's entry formula is set against the group's table there,
 not against these maps (the ``sdmat.verify`` docstring).  No product of
 two census entries is formed: their composite is an endomorphism, so it

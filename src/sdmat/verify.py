@@ -27,15 +27,25 @@ skips, a witness when it fails; ``run_verification`` reports it under the
 check's name.
 
 The oracle census is built once per run, whatever the selection, as the
-context is built, and is the only source of each matrix's endomorphism:
-for every census entry the context reads its four entry tables off the
-embedded copies of H and K (``matrices._entry_images``) and looks up the
-enumerated matrix with that key, and theta_i is that census map.  The
-lookup index holds only the matrices' keys and is dropped once matching is
-done; each entry's read-off tables live only for their lookup.  A matrix
-no census entry matches can only come from a fault: it gets its formula's
-map (:func:`~sdmat.matrices.matrix_to_endo`), so the other checks still
-run and report, and the correspondence fails.  A passing run builds no
+context is built, and is the only source of each matrix's endomorphism.
+Census and matrices meet at their code columns, with no entry table
+decoded.  A census map's columns are its images of the embedded copies of
+H and K, in element order: two slices of its table (``_census_columns``),
+at the codes x*|K| + e_K and e_H*|K| + y.  A matrix's columns are
+(codes[alpha x][gamma x] over x in H) and (codes[beta y][delta y] over y
+in K), with codes[h][k] = h*|K| + k the code table of ``matrices._grid``
+(``_code_column``).  The enumeration shares its entry objects, so each
+column is built once per distinct pair (alpha, gamma) or (beta, delta),
+keyed by the objects' identity while the matrices keep them alive.  The
+context looks each census map up by its columns, and theta_i is the
+census map whose columns are m_i's.  codes is a bijection H x K -> G
+(``SdProduct.encode``), so two columns are equal exactly when their pairs
+of entry tables are: a census map has m_i's columns exactly when the
+entry tables read off it are m_i's key.  The lookup index and the columns
+are dropped once matching is done.  A matrix no census entry matches can
+only come from a fault: it gets its formula's map
+(:func:`~sdmat.matrices.matrix_to_endo`), so the other checks still run
+and report, and the correspondence fails.  A passing run builds no
 endomorphism through the entry formula.
 
 ``endo_matrix_correspondence`` decides the n² products of the n matrices
@@ -50,10 +60,12 @@ in order:
 
 1. count: the oracle's census (:mod:`sdmat.oracle`, raw Cayley tables
    only) has n endomorphisms;
-2. key bijection: the entries read off every census entry are the key of
-   exactly one matrix, and every matrix is matched, so theta_i is a census
-   endomorphism whose entries are m_i's: theta_i(x, e) = A_i(x) and
-   theta_i(e, y) = B_i(y);
+2. key bijection: the code columns of every census entry are those of
+   exactly one matrix, and every matrix is matched.  As codes is a
+   bijection, equal columns are equal entry tables, so the entries read
+   off every census entry are the key of exactly one matrix, and theta_i
+   is a census endomorphism whose entries are m_i's: theta_i(x, e) = A_i(x)
+   and theta_i(e, y) = B_i(y);
 3. formula: * is G's product.  ``matrices._formula_witness`` runs the
    formula on the H x K grid for |G| left factors whose entries vary,
    which together give every pair of G x G as (A(x), B(y)), and sets each
@@ -149,7 +161,7 @@ from .determinant import det_h, det_k, dual_det_inverses, invert_combined, inver
 from .errors import SdmatError, VerificationFailed
 from .factorization import classify, factor_abcd, unit_diagonal_a_factor, unit_diagonal_b_factor
 from .maps import FMap, identity_map, map_inverse
-from .matrices import EndoMatrix, _entry_images, _formula_witness, enumerate_matrices, identity_matrix, matrix_to_endo
+from .matrices import EndoMatrix, _formula_witness, _grid, enumerate_matrices, matrix_to_endo
 from .oracle import enumerate_endos
 from .semidirect import SdProduct
 
@@ -231,10 +243,11 @@ class _Context:
     """Shared data for the checks over one instance.
 
     The core is built once, up front: the sorted matrices, the census,
-    matched to them by their entries so that each matrix's endomorphism is
-    a census map (module docstring), both determinants of every matrix,
-    and the automorphism index sets the checks and the counts read.  A
-    matrix is found by its endomorphism's images of the product group's
+    matched to them by their code columns, built once per pair of entry
+    objects, so that each matrix's endomorphism is the census map with its
+    entries (module docstring), both determinants of every matrix, and
+    the automorphism index sets the checks and the counts read.  A matrix
+    is found by its endomorphism's images of the product group's
     generators; that lookup, each inverse index and the correspondence's
     verdict (its witness, or None) are built the first time a check reads
     them.  The census object itself is not kept: only its maps, as the
@@ -250,21 +263,33 @@ class _Context:
         mats = sorted(enumerate_matrices(product, bound=bound), key=lambda m: m.key())
         self.mats = mats
         self.n = len(mats)
-        # theta_i is the census endomorphism whose entries are m_i's key.  A matrix no census entry
-        # matches can only come from a fault: it gets its formula's map, so the other checks run.
+        # theta_i is the census endomorphism with m_i's code columns, so with m_i's entries.  A matrix
+        # no census entry matches can only come from a fault: it gets its formula's map, so the other
+        # checks run.
         endos = enumerate_endos(product.group, bound=bound).endos
         self.endo_count = len(endos)
-        index = {m.key(): i for i, m in enumerate(mats)}
-        self.identity_idx = index.get(identity_matrix(product).key())
+        # A matrix is indexed by its two code columns, each built once per pair of entry objects:
+        # the matrices share their entries and keep them alive while their ids key ``built``.
+        codes, built = _grid(product)[2], {}
+
+        def column(top: FMap, bottom: FMap) -> tuple[int, ...]:
+            pair = (id(top), id(bottom))
+            if pair not in built:
+                built[pair] = _code_column(codes, top, bottom)
+            return built[pair]
+
+        index = {(column(m.alpha, m.gamma), column(m.beta, m.delta)): i for i, m in enumerate(mats)}
+        # The identity matrix's columns are the identity endomorphism's.
+        self.identity_idx = index.get(_census_columns(identity_map(product.group), product))
         thetas: list[FMap | None] = [None] * self.n
         self.unmatched: list[tuple[int, ...]] = []  # census images matching no matrix, or a matched one
         for e in endos:
-            i = index.get(_entry_images(e, product))
+            i = index.get(_census_columns(e, product))
             if i is None or thetas[i] is not None:
                 self.unmatched.append(e.image)
             else:
                 thetas[i] = e
-        del endos, index
+        del endos, index, built
         self.fallback = [i for i, t in enumerate(thetas) if t is None]
         self.thetas = [matrix_to_endo(m) if t is None else t for m, t in zip(mats, thetas)]
         self._inverse_idx: dict[int, int | None] = {}
@@ -340,6 +365,19 @@ class _Context:
         if j is None or self.mats[j].key() != inverse.key():
             return "disagrees with brute-force inverse"
         return None
+
+
+def _code_column(codes: tuple[tuple[int, ...], ...], top: FMap, bottom: FMap) -> tuple[int, ...]:
+    """The codes of (top x, bottom x) over x in the common domain: a matrix's column (module docstring)."""
+    return tuple([codes[t][b] for t, b in zip(top.image, bottom.image)])
+
+
+def _census_columns(theta: FMap, product: SdProduct) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """theta's images of the embedded copies of H and K, in element order: two slices of its table."""
+    # (h, 1) and (1, k) are coded h*|K| + e_K and e_H*|K| + k (``SdProduct.encode``).
+    img, nK = theta.image, product.K.order
+    start = product.H.identity * nK
+    return img[product.K.identity :: nK], img[start : start + nK]
 
 
 def _first_escape(ctx: _Context, members: set[int], inverses: bool = False) -> dict | None:

@@ -24,7 +24,7 @@ from sdmat import (
     unit_diagonal_b_factor,
     zero_map,
 )
-from sdmat import determinant
+from sdmat import determinant, factorization
 from sdmat.factorization import _b_entry, _certified
 from test_determinant import _z3_by_s3_sign
 from test_matrices import _NONABELIAN, _s3_by_conjugation
@@ -296,3 +296,27 @@ def test_factor_builds_no_closed_form_inverse(monkeypatch, instance):
     # Each instance factors on det_k and refuses on a det route; direct:3:3 and z3_by_s3_sign
     # take all four (route, verdict) pairs.
     assert ("det_k", True) in routes and {("det_k", False), ("det_h", False)} & routes
+
+
+def test_each_b_times_cd_is_kept_once_per_b0_gamma_and_delta():
+    # factor_abcd keeps the tables of b*(c*d) on the action by the tables they depend on: b0
+    # (the B-factor's entry), gamma and delta.  direct:16:4 has 8 pairs (gamma, delta), and
+    # its 256 automorphisms, all with a bijective diagonal, form 32 such products.
+    P = build_instance("direct:16:4")
+    autos = [m for m in enumerate_matrices(P) if is_automorphism_matrix(m)]
+    by_b0_gamma = {}
+    for m in autos:
+        b0 = factor_abcd(m).b.beta.image
+        by_b0_gamma.setdefault((b0, m.gamma.image), {}).setdefault(m.delta.image, m.key())
+    kept = [key for key in factorization._kept(P.action) if key[0] == "bcd"]
+    assert (len(autos), len(kept)) == (256, 32)
+    assert len({(m.gamma.image, m.delta.image) for m in autos}) == 8
+    # Two automorphisms that differ in delta alone among these tables, factored in turn on a
+    # fresh action: the second reads no product kept for the first, and each reassembles to
+    # its own key.
+    pair = next(list(keys.values())[:2] for keys in by_b0_gamma.values() if len(keys) > 1)
+    Q = build_instance("direct:16:4")
+    fresh = {m.key(): m for m in enumerate_matrices(Q)}
+    for key in pair:
+        assert factor_abcd(fresh[key]).product().key() == key
+    assert len([k for k in factorization._kept(Q.action) if k[0] == "bcd"]) == 2

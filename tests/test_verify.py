@@ -24,9 +24,12 @@ from sdmat import (
     enumerate_matrices,
     factorization,
     identity_matrix,
+    make_action,
+    make_group,
     maps,
     matrices,
     matrix_to_endo,
+    semidirect,
     verify,
 )
 from sdmat.catalog import group_to_dict
@@ -232,12 +235,72 @@ def test_correspondence_fails_on_an_image_the_matrices_do_not_give(monkeypatch):
 
 
 def test_correspondence_fails_on_a_wrong_round_trip(monkeypatch):
-    # Every census entry reads as the identity's entries: the first matches the identity matrix,
-    # every other matrix is matched by none and gets its formula's map, and the witness is the
-    # first of those, the zero endomorphism's.
-    monkeypatch.setattr("sdmat.verify._entry_images", lambda theta, product: identity_matrix(product).key())
+    # Every census entry reads as the identity's code columns: the first matches the identity
+    # matrix, every other matrix is matched by none and gets its formula's map, and the witness
+    # is the first of those, the zero endomorphism's.
+    read = verify._census_columns
+    monkeypatch.setattr(verify, "_census_columns", lambda theta, P: read(maps.identity_map(P.group), P))
     check = _correspondence("dihedral:4")
     assert (check.status, check.witness) == ("fail", {"image_mismatch": [[0] * 8]})
+
+
+def test_census_is_matched_by_code_columns_built_once_per_pair_of_entries(monkeypatch):
+    # Each matrix is indexed by its columns (alpha, gamma) over H and (beta, delta) over K, as
+    # codes; the enumeration shares its entry objects, so dihedral:30's 1024 matrices need 60 and
+    # 32 columns, one per distinct pair.  A census map is read by two slices of its table, and
+    # no entry table is decoded off it.
+    P = build_instance("dihedral:30")
+    built = []
+    real = verify._code_column
+
+    def recording(codes, top, bottom):
+        built.append((top, bottom))
+        return real(codes, top, bottom)
+
+    decoded = []
+    body = matrices._entry_images.__code__
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is body:
+            decoded.append(frame.f_locals["theta"])
+
+    monkeypatch.setattr(verify, "_code_column", recording)
+    sys.setprofile(profile)
+    try:
+        assert run_verification(P).passed
+    finally:
+        sys.setprofile(None)
+    assert decoded == []
+    assert len({(id(top), id(bottom)) for top, bottom in built}) == len(built)
+    assert Counter("H" if top.dom is P.H else "K" for top, _ in built) == {"H": 60, "K": 32}
+
+
+def _z4_by_inversion_with_moved_identities():
+    # Z4 with identity code 3, acted on by inversion from Z2 with identity code 1.
+    h = [3, 0, 1, 2]  # code of the residue r
+    z4 = make_group([[h[(h.index(x) + h.index(y)) % 4] for y in range(4)] for x in range(4)])
+    z2 = make_group([[1, 0], [0, 1]])
+    inverse = tuple(h[-h.index(x) % 4] for x in range(4))
+    return semidirect(make_action(z4, z2, [inverse, tuple(range(4))]), "z4_by_z2_moved_identities")
+
+
+def test_census_columns_read_the_embedded_copies_at_nonzero_identities():
+    # With e_H = 3 and e_K = 1 the embedded copies are the codes x*|K| + 1 and 3*|K| + y, so the
+    # slices start away from 0.  The product is the dihedral group of order 8, and verify
+    # reports it as it does dihedral:4.
+    P = _z4_by_inversion_with_moved_identities()
+    assert (P.H.identity, P.K.identity) == (3, 1)
+    codes = matrices._grid(P)[2]
+    for theta in enumerate_endos(P.group).endos:
+        a, b, g, d = matrices._entry_images(theta, P)
+        columns = tuple(codes[x][y] for x, y in zip(a, g)), tuple(codes[x][y] for x, y in zip(b, d))
+        assert verify._census_columns(theta, P) == columns
+        assert columns == (tuple(map(theta, map(P.embed_h, range(4)))), tuple(map(theta, map(P.embed_k, range(2)))))
+    report = run_verification(P)
+    assert report.counts == {"end": 36, "aut": 8, "A": 2, "B": 4, "C": 1, "D": 1}
+    reference = run_verification("dihedral:4")
+    assert [(c.name, c.status) for c in report.checks] == [(c.name, c.status) for c in reference.checks]
+    assert report.passed
 
 
 def _formula_entry(P, a2, b2, g2, d2, x, y):
