@@ -22,7 +22,6 @@ from .catalog import (
     matrix_to_dict,
     save_group,
     save_matrix,
-    trivial_group,
 )
 from .cli import cli_main
 from .determinant import (
@@ -59,7 +58,6 @@ from .factorization import (
 )
 from .groups import (
     FiniteGroup,
-    enumerate_autos,
     enumerate_homs,
     make_group,
 )
@@ -67,11 +65,7 @@ from .maps import (
     FMap,
     identity_map,
     is_crossed_hom,
-    map_act,
-    map_add,
-    map_compose,
     map_inverse,
-    map_neg,
     twisted_hom_witness,
     zero_map,
 )
@@ -82,11 +76,10 @@ from .matrices import (
     endo_to_matrix,
     enumerate_matrices,
     identity_matrix,
-    is_automorphism_matrix,
     mat_mul,
     matrix_to_endo,
 )
-from .oracle import EndCensus, compose_endos, enumerate_endos, invert_endo
+from .oracle import EndCensus, compose_endos, enumerate_endos
 from .semidirect import (
     GroupAction,
     SdProduct,
@@ -135,7 +128,6 @@ __all__ = [
     "det_k",
     "dual_det_inverses",
     "endo_to_matrix",
-    "enumerate_autos",
     "enumerate_endos",
     "enumerate_homs",
     "enumerate_matrices",
@@ -145,10 +137,8 @@ __all__ = [
     "identity_map",
     "identity_matrix",
     "invert_combined",
-    "invert_endo",
     "invert_via_det_h",
     "invert_via_det_k",
-    "is_automorphism_matrix",
     "is_crossed_hom",
     "is_invertible",
     "load_action",
@@ -156,11 +146,7 @@ __all__ = [
     "load_matrix",
     "make_action",
     "make_group",
-    "map_act",
-    "map_add",
-    "map_compose",
     "map_inverse",
-    "map_neg",
     "matrix_from_dict",
     "matrix_to_dict",
     "matrix_to_endo",
@@ -169,7 +155,6 @@ __all__ = [
     "save_matrix",
     "semidirect",
     "trivial_action",
-    "trivial_group",
     "twisted_hom_witness",
     "unit_diagonal_a_factor",
     "unit_diagonal_b_factor",

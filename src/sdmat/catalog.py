@@ -36,7 +36,6 @@ from .semidirect import GroupAction, SdProduct, make_action, semidirect
 __all__ = [
     "DEFAULT_INSTANCES",
     "cyclic_group",
-    "trivial_group",
     "build_instance",
     "group_to_dict",
     "group_from_dict",
@@ -58,10 +57,6 @@ def cyclic_group(n: int, name: str = "") -> FiniteGroup:
     row = tuple(range(n))
     rows = tuple([row[a:] + row[:a] for a in range(n)])
     return _group_of_rows(rows, names=[str(a) for a in range(n)], name=name or f"Z{n}")
-
-
-def trivial_group() -> FiniteGroup:
-    return make_group([[0]], names=["e"], name="1")
 
 
 DEFAULT_INSTANCES: tuple[str, ...] = (

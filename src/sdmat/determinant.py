@@ -42,7 +42,7 @@ call.
 A determinant is a map K -> K or H -> H, so many matrices share one, and
 each is one object per product and table: the product keeps every
 determinant built on it, keyed by its group and image table
-(``_determinants``), and a matrix whose determinant table is one seen
+(``maps.kept``), and a matrix whose determinant table is one seen
 before gets that map.  So a determinant's ``is_hom``, ``is_bijective`` and
 ``maps.map_inverse`` are decided once per distinct table, not once per
 matrix.  Sharing changes no result: each of the three is a function of
@@ -95,8 +95,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import PreconditionFailed, VerificationFailed
-from .groups import FiniteGroup
-from .maps import FMap, _trusted, map_inverse, memo
+from .maps import FMap, _trusted, kept, map_inverse, memo
 from .matrices import (
     EndoMatrix,
     _identity_entries,
@@ -105,7 +104,6 @@ from .matrices import (
     endo_to_matrix,
     matrix_to_endo,
 )
-from .semidirect import SdProduct
 
 __all__ = [
     "InvertibilityResult",
@@ -126,21 +124,6 @@ class InvertibilityResult(NamedTuple):
 
 
 @memo
-def _determinants(product: SdProduct) -> dict[tuple, FMap]:
-    """Every determinant built on ``product``, keyed by its group (H or K) and image table (module docstring)."""
-    return {}
-
-
-def _shared(product: SdProduct, group: FiniteGroup, image: tuple[int, ...]) -> FMap:
-    """The one determinant of ``product`` valued in ``group`` with image table ``image``."""
-    kept = _determinants(product)
-    det = kept.get((group, image))
-    if det is None:
-        det = kept[group, image] = _trusted(group, group, image)
-    return det
-
-
-@memo
 def det_k(matrix: EndoMatrix) -> FMap:
     """K-valued determinant: k -> gamma(alpha^-1(beta(k)))^-1 * delta(k)."""
     _require_conditions(matrix)
@@ -150,7 +133,8 @@ def det_k(matrix: EndoMatrix) -> FMap:
     kt, kinv = P.K.table, P.K.inverses
     ainv = map_inverse(matrix.alpha).image
     _, b, g, d = matrix.key()
-    return _shared(P, P.K, tuple([kt[kinv[g[ainv[b[k]]]]][d[k]] for k in range(P.K.order)]))
+    image = tuple([kt[kinv[g[ainv[b[k]]]]][d[k]] for k in range(P.K.order)])
+    return kept(P, (P.K, image), lambda: _trusted(P.K, P.K, image))
 
 
 @memo
@@ -163,7 +147,8 @@ def det_h(matrix: EndoMatrix) -> FMap:
     ht, hinv = P.H.table, P.H.inverses
     dinv = map_inverse(matrix.delta).image
     a, b, g, _ = matrix.key()
-    return _shared(P, P.H, tuple([ht[a[h]][hinv[b[dinv[g[h]]]]] for h in range(P.H.order)]))
+    image = tuple([ht[a[h]][hinv[b[dinv[g[h]]]]] for h in range(P.H.order)])
+    return kept(P, (P.H, image), lambda: _trusted(P.H, P.H, image))
 
 
 @memo

@@ -81,7 +81,7 @@ witnesses.  Likewise c*d is the entry formula over the action with c's
 and d's tables, which are gamma's and delta's and the identity's, and
 b*(c*d) is the formula with b's tables, which are b0's and the
 identity's, on those of c*d.  Each value is kept on the action object,
-keyed by the family letter (or "cd", "bcd") and the tables (``_kept``),
+keyed by the family letter (or "cd", "bcd") and the tables (``maps.kept``),
 and computed on the first call that needs it; many automorphisms share a
 det_H, a B-entry, a gamma or a delta.  :func:`unit_diagonal_a_factor`
 reads the same kept A-witness.  Only tables are kept there, never a
@@ -98,7 +98,7 @@ from dataclasses import dataclass
 
 from .determinant import _decide_invertible, det_h
 from .errors import PreconditionFailed, VerificationFailed
-from .maps import FMap, _trusted, is_crossed_hom, map_inverse, memo
+from .maps import FMap, _trusted, is_crossed_hom, kept, map_inverse
 from .matrices import (
     EndoMatrix,
     _product_images,
@@ -106,7 +106,6 @@ from .matrices import (
     identity_matrix,
     mat_mul,
 )
-from .semidirect import GroupAction
 
 __all__ = [
     "SubsetTag",
@@ -305,7 +304,7 @@ def _kept_witness(letter: str, factor: EndoMatrix) -> tuple | None:
     so it is kept on the action under (letter, table) (module docstring).
     """
     table = factor.key()["ABCD".index(letter)]  # A, B, C and D free alpha, beta, gamma and delta
-    return _kept_value(factor.context.action, (letter, table), lambda: _FAMILY_WITNESSES[letter](factor))
+    return kept(factor.context.action, (letter, table), lambda: _FAMILY_WITNESSES[letter](factor))
 
 
 def _certified(letter: str, factor: EndoMatrix) -> EndoMatrix:
@@ -313,20 +312,6 @@ def _certified(letter: str, factor: EndoMatrix) -> EndoMatrix:
     if _kept_witness(letter, factor) is not None:
         raise VerificationFailed(f"{letter}-factor membership", factor.key())
     return factor
-
-
-@memo
-def _kept(action: GroupAction) -> dict:
-    """What :func:`factor_abcd` keeps per action, keyed by image tables (module docstring)."""
-    return {}
-
-
-def _kept_value(action: GroupAction, key: tuple, compute):
-    """``compute()``, kept on ``action`` under ``key`` on the first call."""
-    kept = _kept(action)
-    if key not in kept:
-        kept[key] = compute()
-    return kept[key]
 
 
 def factor_abcd(matrix: EndoMatrix) -> ABCDFactors:
@@ -357,9 +342,9 @@ def factor_abcd(matrix: EndoMatrix) -> ABCDFactors:
         d=_certified("D", identity_matrix(P, delta=matrix.delta)),
     )
     # a*(b*(c*d)) as image tables, each product's tables the columns of the next.
-    cd = _kept_value(P.action, ("cd", g, d), lambda: _product_images(factors.c, *factors.d.key()))
+    cd = kept(P.action, ("cd", g, d), lambda: _product_images(factors.c, *factors.d.key()))
     b0 = factors.b.beta.image
-    bcd = _kept_value(P.action, ("bcd", b0, g, d), lambda: _product_images(factors.b, *cd))
+    bcd = kept(P.action, ("bcd", b0, g, d), lambda: _product_images(factors.b, *cd))
     if _product_images(a, *bcd) != matrix.key():
         raise VerificationFailed("factor reassembly", matrix.key())
     return factors

@@ -45,7 +45,6 @@ __all__ = [
     "index_row",
     "enumerate_twisted_maps",
     "enumerate_homs",
-    "enumerate_autos",
 ]
 
 
@@ -291,8 +290,3 @@ def enumerate_twisted_maps(
 def enumerate_homs(dom: FiniteGroup, cod: FiniteGroup) -> list[FMap]:
     """All homomorphisms dom -> cod: the twisted maps with every t_x the identity."""
     return enumerate_twisted_maps(dom, cod, (tuple(range(cod.order)),) * dom.order)
-
-
-def enumerate_autos(group: FiniteGroup) -> list[FMap]:
-    """All automorphisms, i.e. the bijective members of enumerate_homs."""
-    return [phi for phi in enumerate_homs(group, group) if phi.is_bijective]

@@ -1,15 +1,18 @@
-"""Maps between finite groups and their pointwise algebra.
+"""Maps between finite groups, and the laws they are decided by.
 
 A map ``phi: U -> V`` is stored as a dense image table ``phi.image`` with
-``phi.image[u]`` the index of the value in V.  The set of all such maps
-carries a group structure under the pointwise product
+``phi.image[u]`` the index of the value in V.  The matrix calculus is
+stated in the pointwise algebra of such maps,
 
     (phi + psi)(u) = phi(u) * psi(u)
 
-with the constant-identity map as zero and pointwise inversion as negation.
-Composition and twisting through an action (:func:`map_act`) complete the
-toolbox the matrix calculus is stated in.  Sums are written additively
-though values multiply, as the codomain is rarely abelian.
+with the constant-identity map (:func:`zero_map`) as zero, pointwise
+inversion as negation, composition and twisting through an action.  Sums
+are written additively though values multiply, as the codomain is rarely
+abelian.  The package evaluates each formula of that algebra in one pass
+over the image tables (``matrices._product_images``, ``determinant``), and
+builds no operation of it on its own; the tests keep the algebra, one map
+operation at a time, as the reference those passes are set against.
 
 A public ``FMap(...)`` checks its table: a tuple of ``int``, one entry per
 domain element, each an index into the codomain.  The private ``_trusted``
@@ -17,18 +20,15 @@ builds the same FMap without that check, for a table that cannot fail it:
 a gather, one entry per domain element, of entries read from tables of
 the codomain.  Its callers, and why each table passes:
 
-- :func:`map_add`, :func:`map_neg`, :func:`map_compose` and :func:`map_act`
-  read one entry of a codomain table (the multiplication table, the
-  inverses, the outer map, an action row) per entry of a domain-length
-  operand;
 - :func:`map_inverse` puts each domain index u at the position of its
   image, and a bijection hits every position of the codomain once;
 - :func:`zero_map` repeats the codomain's identity once per domain element;
 - :func:`identity_map` is the group's own row of its identity, a tuple;
 - the determinants and closed-form inverses (``determinant``), the entries
   of a matrix product (``matrices``) and the B-factor's entry
-  (``factorization``) are such gathers as well, written out in one pass
-  over the image tables;
+  (``factorization``) are written out in one pass over the image tables,
+  each point a chain of lookups that ends in a table of the codomain (the
+  multiplication table, the inverses, a map into it, an action row);
 - the endomorphism of a matrix (``matrices.matrix_to_endo``) reads one
   code h*|K| + k per element of the product from the product's table of
   codes, h read from a table of H and k from a table of K;
@@ -88,10 +88,6 @@ __all__ = [
     "FMap",
     "identity_map",
     "zero_map",
-    "map_add",
-    "map_neg",
-    "map_compose",
-    "map_act",
     "map_inverse",
     "twisted_law_witness",
     "law_holds_on_generators",
@@ -180,7 +176,7 @@ def memo(fn):
     key = f"{fn.__module__}.{fn.__qualname__}"
 
     @wraps(fn)
-    def kept(obj):
+    def memoized(obj):
         if key not in obj.__dict__:
             obj.__dict__[key] = fn(obj)
         return obj.__dict__[key]
@@ -188,8 +184,33 @@ def memo(fn):
     def record(obj, value) -> None:
         obj.__dict__[key] = value
 
-    kept.record = record
-    return kept
+    memoized.record = record
+    return memoized
+
+
+@memo
+def _store(owner) -> dict:
+    """The values :func:`kept` keeps on ``owner``, by key."""
+    return {}
+
+
+_MISSING = object()
+
+
+def kept(owner, key, compute):
+    """``compute()``, kept on ``owner`` under ``key`` on the first call and returned after.
+
+    For a value that depends only on ``owner`` and on the image tables in
+    ``key``, so that many objects with equal tables share one value (the
+    determinants of ``determinant``, the factor witnesses and products of
+    ``factorization``).  Like :func:`memo` the store lives exactly as long as
+    ``owner``, and a call that raises keeps nothing.
+    """
+    store = _store(owner)
+    value = store.get(key, _MISSING)
+    if value is _MISSING:
+        value = store[key] = compute()
+    return value
 
 
 def identity_map(group: "FiniteGroup") -> FMap:
@@ -204,47 +225,6 @@ def identity_map(group: "FiniteGroup") -> FMap:
 def zero_map(dom: "FiniteGroup", cod: "FiniteGroup") -> FMap:
     """The constant map at the codomain identity (the zero of map addition)."""
     return _trusted(dom, cod, (cod.identity,) * dom.order)
-
-
-def _require_parallel(phi: FMap, psi: FMap) -> None:
-    if phi.dom is not psi.dom or phi.cod is not psi.cod:
-        raise DomainMismatch("operands must share domain and codomain")
-
-
-def map_add(phi: FMap, psi: FMap) -> FMap:
-    """Pointwise product: u -> phi(u) * psi(u), in that order."""
-    _require_parallel(phi, psi)
-    ct = phi.cod.table
-    return _trusted(phi.dom, phi.cod, tuple([ct[a][b] for a, b in zip(phi.image, psi.image)]))
-
-
-def map_neg(phi: FMap) -> FMap:
-    """Pointwise inverse: u -> phi(u)^-1."""
-    inv = phi.cod.inverses
-    return _trusted(phi.dom, phi.cod, tuple([inv[v] for v in phi.image]))
-
-
-def map_compose(eta: FMap, phi: FMap) -> FMap:
-    """Composition eta o phi: first apply phi, then eta."""
-    if phi.cod is not eta.dom:
-        raise DomainMismatch("codomain of the inner map must be the domain of the outer map")
-    outer = eta.image
-    return _trusted(phi.dom, eta.cod, tuple([outer[v] for v in phi.image]))
-
-
-def map_act(phi: FMap, steer: FMap, action: "GroupAction") -> FMap:
-    """Twist a map into H through an action, steered by a map into K.
-
-    Returns u -> f_{steer(u)}(phi(u)) where f is the action of K on H.  When
-    both groups sit inside the semidirect product this is conjugation of
-    phi(u) by steer(u).
-    """
-    if phi.dom is not steer.dom:
-        raise DomainMismatch("map and steering map must share a domain")
-    if phi.cod is not action.H or steer.cod is not action.K:
-        raise DomainMismatch("map must land in the acted-on group, steering map in the acting group")
-    rows = action.images
-    return _trusted(phi.dom, phi.cod, tuple([rows[s][v] for v, s in zip(phi.image, steer.image)]))
 
 
 @memo

@@ -143,7 +143,6 @@ __all__ = [
     "matrix_to_endo",
     "endo_to_matrix",
     "enumerate_matrices",
-    "is_automorphism_matrix",
 ]
 
 CONDITION_NAMES = (
@@ -518,8 +517,3 @@ def enumerate_matrices(product: SdProduct, bound: int = 64) -> list[EndoMatrix]:
                         _conditions_hold(m, None)
                         out.append(m)
     return out
-
-
-def is_automorphism_matrix(matrix: EndoMatrix) -> bool:
-    """Whether the described endomorphism is bijective."""
-    return matrix_to_endo(matrix).is_bijective

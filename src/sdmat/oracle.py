@@ -45,10 +45,11 @@ violations, with no generating set at all.
 
 An endomorphism is a plain :class:`~sdmat.maps.FMap` from the group to
 itself.  Each census entry has passed the edge check, so the law holds on
-all pairs; :func:`compose_endos` and :func:`invert_endo` take such maps and
-return their composite and inverse without re-checking them.  The census
-builds its tables unchecked (``maps._trusted``): every entry is read from a
-column of the Cayley table, or is the identity.
+all pairs; :func:`compose_endos` takes two such maps and returns their
+composite without re-checking it.  No command calls it: the tests use it,
+and the benchmark's tracer times it by name.  The census builds its tables
+unchecked (``maps._trusted``): every entry is read from a column of the
+Cayley table, or is the identity.
 
 ``verify`` takes the endomorphism of every enumerated matrix from the
 census: it reads each entry's images of the embedded copies of H and K as
@@ -61,11 +62,10 @@ The matrix side's entry formula is set against the group's table there,
 not against these maps (the ``sdmat.verify`` docstring).  No product of
 two census entries is formed: their composite is an endomorphism, so it
 is in the census.  Nor is any inverse: ``verify`` reads an automorphism's
-inverse off its image table, one generator at a time.
-:func:`invert_endo` inverts a whole table; the tests set the closed-form
-inverses against it.  The census lists its bijective entries
-(:attr:`EndCensus.autos`) only when asked; ``verify`` never asks, and
-decides the bijectivity of each entry once, on the map itself.
+inverse off its image table, one generator at a time.  The census lists
+its bijective entries (:attr:`EndCensus.autos`) only when asked;
+``verify`` never asks, and decides the bijectivity of each entry once, on
+the map itself.
 """
 
 from __future__ import annotations
@@ -73,11 +73,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import BoundExceeded, DomainMismatch, NotBijective
+from .errors import BoundExceeded, DomainMismatch
 from .groups import FiniteGroup
 from .maps import FMap, _trusted
 
-__all__ = ["EndCensus", "enumerate_endos", "invert_endo", "compose_endos"]
+__all__ = ["EndCensus", "enumerate_endos", "compose_endos"]
 
 
 @dataclass(frozen=True)
@@ -186,17 +186,6 @@ def _group_of(*thetas: FMap) -> FiniteGroup:
     if any(t.dom is not group or t.cod is not group for t in thetas):
         raise DomainMismatch("endomorphisms must map one group to itself")
     return group
-
-
-def invert_endo(theta: FMap) -> FMap:
-    """Inverse of a bijective endomorphism, by inverting its image table."""
-    group = _group_of(theta)
-    if not theta.is_bijective:
-        raise NotBijective("endomorphism is not bijective")
-    inv = [0] * group.order
-    for g, v in enumerate(theta.image):
-        inv[v] = g
-    return FMap(group, group, tuple(inv))
 
 
 def compose_endos(outer: FMap, inner: FMap) -> FMap:

@@ -24,18 +24,16 @@ from sdmat import (
     invert_via_det_k,
     is_invertible,
     make_action,
-    map_add,
-    map_compose,
     map_inverse,
-    map_neg,
     mat_mul,
     matrix_to_endo,
     semidirect,
     unit_diagonal_a_factor,
 )
 from sdmat import groups
-from sdmat.oracle import invert_endo
 from sdmat.verify import run_verification
+from endo_reference import invert_endo
+from map_algebra import map_add, map_compose, map_neg
 from test_catalog_cli import _write_matrix
 
 

@@ -15,8 +15,6 @@ from sdmat import (
     factor_abcd,
     identity_map,
     identity_matrix,
-    is_automorphism_matrix,
-    map_compose,
     map_inverse,
     mat_mul,
     matrix_to_endo,
@@ -24,8 +22,10 @@ from sdmat import (
     unit_diagonal_b_factor,
     zero_map,
 )
-from sdmat import determinant, factorization
+from sdmat import determinant, maps
 from sdmat.factorization import _b_entry, _certified
+from endo_reference import is_automorphism_matrix
+from map_algebra import map_compose
 from test_determinant import _z3_by_s3_sign
 from test_matrices import _NONABELIAN, _s3_by_conjugation
 
@@ -308,7 +308,7 @@ def test_each_b_times_cd_is_kept_once_per_b0_gamma_and_delta():
     for m in autos:
         b0 = factor_abcd(m).b.beta.image
         by_b0_gamma.setdefault((b0, m.gamma.image), {}).setdefault(m.delta.image, m.key())
-    kept = [key for key in factorization._kept(P.action) if key[0] == "bcd"]
+    kept = [key for key in maps._store(P.action) if key[0] == "bcd"]
     assert (len(autos), len(kept)) == (256, 32)
     assert len({(m.gamma.image, m.delta.image) for m in autos}) == 8
     # Two automorphisms that differ in delta alone among these tables, factored in turn on a
@@ -319,4 +319,4 @@ def test_each_b_times_cd_is_kept_once_per_b0_gamma_and_delta():
     fresh = {m.key(): m for m in enumerate_matrices(Q)}
     for key in pair:
         assert factor_abcd(fresh[key]).product().key() == key
-    assert len([k for k in factorization._kept(Q.action) if k[0] == "bcd"]) == 2
+    assert len([k for k in maps._store(Q.action) if k[0] == "bcd"]) == 2

@@ -1,12 +1,12 @@
 """The determinants, closed-form inverses and factor entries against their map-algebra forms.
 
-``det_k``, ``det_h``, ``invert_via_det_k`` and ``invert_via_det_h`` evaluate
-their formulas in one pass over the image tables and build their results
-unchecked (``maps._trusted``).  The reference copies below write the same
-formulas one map operation at a time, as ``map_add``/``map_neg``/
-``map_compose`` chains; the factor entries of ``factorization`` are still
-such chains and are pinned to their copies as well.  The nonabelian
-products are where the order of a pointwise product shows.
+``det_k``, ``det_h``, ``invert_via_det_k`` and ``invert_via_det_h``, and the
+B-factor entries of ``factorization``, evaluate their formulas in one pass
+over the image tables and build their results unchecked (``maps._trusted``).
+The reference copies below write the same formulas one map operation at a
+time, as chains of the reference algebra of ``map_algebra`` (``map_add``,
+``map_neg``, ``map_compose``), whose results the public ``FMap`` checks.
+The nonabelian products are where the order of a pointwise product shows.
 """
 
 import pytest
@@ -23,17 +23,14 @@ from sdmat import (
     identity_map,
     invert_via_det_h,
     invert_via_det_k,
-    is_automorphism_matrix,
-    map_act,
-    map_add,
-    map_compose,
     map_inverse,
-    map_neg,
     mat_mul,
     matrix_to_endo,
     unit_diagonal_b_factor,
 )
 from sdmat.maps import _trusted
+from endo_reference import is_automorphism_matrix
+from map_algebra import map_act, map_add, map_compose, map_neg
 from test_determinant import _z3_by_s3_sign
 from test_matrices import _s3_by_conjugation
 

@@ -14,16 +14,13 @@ from sdmat import (
     enumerate_homs,
     identity_map,
     make_group,
-    map_add,
-    map_compose,
     map_inverse,
-    map_neg,
-    trivial_group,
     twisted_hom_witness,
     zero_map,
 )
 from sdmat.groups import enumerate_twisted_maps
 from sdmat.maps import twisted_law_witness
+from map_algebra import map_add, map_compose, map_neg
 from test_determinant import _z3_by_s3_sign
 from test_matrices import _s3_by_conjugation
 
@@ -183,7 +180,7 @@ def _quaternion_group():
 
 S3_BY_Z2 = _s3_by_conjugation(cyclic_group(2))
 S3_BY_S3 = _s3_by_conjugation(build_instance("dihedral:3").group)
-HOM_GROUPS = [S3, build_instance("dihedral:4").group, _quaternion_group(), trivial_group(), S3_BY_Z2.group]
+HOM_GROUPS = [S3, build_instance("dihedral:4").group, _quaternion_group(), make_group([[0]], names=["e"], name="1"), S3_BY_Z2.group]
 ACTIONS = [S3_BY_Z2.action, S3_BY_S3.action]
 
 
@@ -281,7 +278,7 @@ def test_twisted_hom_witness_is_the_first_full_scan_violation(case):
 
 def test_a_map_from_the_trivial_group_off_the_identity_is_no_homomorphism():
     # The trivial group has no generators, so only phi(e) = e decides.
-    one = trivial_group()
+    one = make_group([[0]], names=["e"], name="1")
     assert FMap(one, Z2, (0,)).is_hom
     assert not FMap(one, Z2, (1,)).is_hom
     assert not FMap(one, S3, (4,)).is_hom

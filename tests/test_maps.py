@@ -12,15 +12,12 @@ from sdmat import (
     identity_map,
     identity_matrix,
     is_crossed_hom,
-    map_act,
-    map_add,
-    map_compose,
     map_inverse,
-    map_neg,
     trivial_action,
     twisted_hom_witness,
     zero_map,
 )
+from map_algebra import map_act, map_add, map_compose, map_neg
 
 Z2 = cyclic_group(2, "Z2")
 Z3 = cyclic_group(3, "Z3")

@@ -27,13 +27,9 @@ from sdmat import (
     identity_matrix,
     invert_via_det_h,
     invert_via_det_k,
-    is_automorphism_matrix,
     is_invertible,
     make_action,
     matrices,
-    map_act,
-    map_add,
-    map_compose,
     mat_mul,
     matrix_to_endo,
     semidirect,
@@ -42,7 +38,8 @@ from sdmat import (
 )
 from sdmat.maps import _trusted
 from sdmat.oracle import compose_endos
-from endo_reference import first_disagreement
+from endo_reference import first_disagreement, is_automorphism_matrix
+from map_algebra import map_act, map_add, map_compose
 from pairwise_reference import product_table
 from test_determinant import _z3_by_s3_sign
 

@@ -34,8 +34,9 @@ from sdmat import (
 )
 from sdmat.catalog import group_to_dict
 from sdmat.matrices import mat_mul
-from sdmat.oracle import EndCensus, enumerate_endos, invert_endo
+from sdmat.oracle import EndCensus, enumerate_endos
 from sdmat.verify import CHECK_NAMES, run_verification
+from endo_reference import invert_endo
 from pairwise_reference import pairwise_checks
 from test_matrices import _NONABELIAN
 
@@ -684,7 +685,7 @@ def test_a_fault_on_one_matrix_is_not_masked_by_kept_witnesses(monkeypatch, fact
 
     monkeypatch.setattr(factorization, entry, mutant)
     kept = run_verification("dihedral:8").checks[CHECK_NAMES.index("abcd_factorization")]
-    monkeypatch.setattr(factorization, "_kept_value", lambda action, key, compute: compute())
+    monkeypatch.setattr(factorization, "kept", lambda owner, key, compute: compute())
     fresh = run_verification("dihedral:8").checks[CHECK_NAMES.index("abcd_factorization")]
     assert changed == [True, True]
     assert kept == fresh
