@@ -231,7 +231,7 @@ def matrix_from_dict(data: dict, product: SdProduct) -> EndoMatrix:
         if key not in data:
             raise ValueError(f"matrix object lacks entry {key!r}")
         maps[key] = FMap(dom, cod, index_row(data[key], cod.order, f"matrix entry {key!r}"))
-    return EndoMatrix(**maps, context=product)
+    return EndoMatrix(*maps.values(), product)
 
 
 def load_matrix(path: str | Path, product: SdProduct) -> EndoMatrix:

@@ -42,15 +42,19 @@ call.
 A determinant is a map K -> K or H -> H, so many matrices share one, and
 each is one object per product and table: the product keeps every
 determinant built on it, keyed by its group and image table
-(``maps.kept``), and a matrix whose determinant table is one seen
-before gets that map.  So a determinant's ``is_hom``, ``is_bijective`` and
-``maps.map_inverse`` are decided once per distinct table, not once per
-matrix.  Sharing changes no result: each of the three is a function of
-the map's domain, codomain and image table alone, and the shared map has
-the same three as the one it stands for, its domain and codomain being
-the product's own K or H.  The store lives and dies with its product, so
-no table crosses products.  The closed-form inverses are built per matrix,
-and each is certified on its own matrix.
+(``maps.kept``), and a matrix whose determinant table is one seen before
+gets that map.  A table first seen as its matrix's own diagonal entry's
+(det_H = alpha when beta delta^-1 gamma is trivial, det_K = delta when
+gamma alpha^-1 beta is) is kept as that entry object, so the inverse the
+closed forms take of the entry serves the determinant too.  So a
+determinant's ``is_hom``, ``is_bijective`` and ``maps.map_inverse`` are
+decided once per distinct table, not once per matrix.  Sharing changes no
+result: each of the three is a function of the map's domain, codomain and
+image table alone, and the shared map has the same three as the one it
+stands for, its domain and codomain being the product's own K or H.  The
+store lives and dies with its product, so no table crosses products.  The
+closed-form inverses are built per matrix, and each is certified on its
+own matrix.
 
 Each closed form certifies its inverse before returning it: it forms
 m * inv with the product's entry formula on inv's image tables
@@ -134,7 +138,7 @@ def det_k(matrix: EndoMatrix) -> FMap:
     ainv = map_inverse(matrix.alpha).image
     _, b, g, d = matrix.key()
     image = tuple([kt[kinv[g[ainv[b[k]]]]][d[k]] for k in range(P.K.order)])
-    return kept(P, (P.K, image), lambda: _trusted(P.K, P.K, image))
+    return kept(P, (P.K, image), lambda: matrix.delta if image == d else _trusted(P.K, P.K, image))
 
 
 @memo
@@ -148,7 +152,7 @@ def det_h(matrix: EndoMatrix) -> FMap:
     dinv = map_inverse(matrix.delta).image
     a, b, g, _ = matrix.key()
     image = tuple([ht[a[h]][hinv[b[dinv[g[h]]]]] for h in range(P.H.order)])
-    return kept(P, (P.H, image), lambda: _trusted(P.H, P.H, image))
+    return kept(P, (P.H, image), lambda: matrix.alpha if image == a else _trusted(P.H, P.H, image))
 
 
 @memo
@@ -193,9 +197,7 @@ def invert_via_det_k(matrix: EndoMatrix) -> EndoMatrix:
     gp = tuple([di[kinv[g[ainv[h]]]] for h in range(H.order)])
     bp = tuple([hinv[ainv[b[di[k]]]] for k in range(K.order)])
     ap = tuple([ht[ainv[h]][hinv[ainv[b[gp[h]]]]] for h in range(H.order)])
-    inverse = EndoMatrix(
-        alpha=_trusted(H, H, ap), beta=_trusted(K, H, bp), gamma=_trusted(H, K, gp), delta=dkinv, context=P
-    )
+    inverse = EndoMatrix(_trusted(H, H, ap), _trusted(K, H, bp), _trusted(H, K, gp), dkinv, P)
     return _certify(matrix, inverse)
 
 
@@ -225,9 +227,7 @@ def invert_via_det_h(matrix: EndoMatrix) -> EndoMatrix:
     bp = tuple([hi[hinv[b[dinv[k]]]] for k in range(K.order)])
     gp = tuple([kinv[dinv[g[hi[h]]]] for h in range(H.order)])
     dp = tuple([kt[kinv[dinv[g[bp[k]]]]][dinv[k]] for k in range(K.order)])
-    inverse = EndoMatrix(
-        alpha=dhinv, beta=_trusted(K, H, bp), gamma=_trusted(H, K, gp), delta=_trusted(K, K, dp), context=P
-    )
+    inverse = EndoMatrix(dhinv, _trusted(K, H, bp), _trusted(H, K, gp), _trusted(K, K, dp), P)
     return _certify(matrix, inverse)
 
 
@@ -323,10 +323,4 @@ def invert_combined(matrix: EndoMatrix) -> EndoMatrix:
     via_h = invert_via_det_h(matrix)
     if via_k != via_h:
         raise VerificationFailed("three-way inverse mismatch", matrix.key())
-    return EndoMatrix(
-        alpha=via_h.alpha,
-        beta=via_k.beta,
-        gamma=via_h.gamma,
-        delta=via_k.delta,
-        context=matrix.context,
-    )
+    return EndoMatrix(via_h.alpha, via_k.beta, via_h.gamma, via_k.delta, matrix.context)

@@ -68,21 +68,24 @@ a*(b*(c*d)), and the last four tables must be m's key.  Each step is the
 entry formula on the right factor's own columns, exactly what ``mat_mul``
 computes, so the comparison is that of ``ABCDFactors.product()`` with m.
 
-Six of these values depend only on the action and the image tables of
-one to three maps: the family witness of each of a, b, c and d, the
-tables of c*d on (gamma, delta), and the tables of b*(c*d) on
-(b0, gamma, delta), with b0 the B-factor's entry.  Each factor is the
-identity matrix but for its family's entry: det_H(m) for A, b0 =
-det_H(m)^-1 beta delta^-1 for B, gamma for C and delta for D.  Its witness
-reads the action and that entry only: the other three entries are the
-identity matrix's, so ``_shape_witness`` passes them, and the B-witness
-twists its crossed law by delta = 1.  So equal entry tables give equal
-witnesses.  Likewise c*d is the entry formula over the action with c's
-and d's tables, which are gamma's and delta's and the identity's, and
-b*(c*d) is the formula with b's tables, which are b0's and the
-identity's, on those of c*d.  Each value is kept on the action object,
-keyed by the family letter (or "cd", "bcd") and the tables (``maps.kept``),
-and computed on the first call that needs it; many automorphisms share a
+Six of these values depend only on the action and the image tables of one
+to three maps: the family witness of each of a, b, c and d, the tables of
+c*d on (gamma, delta), and the tables of b*(c*d) on (b0, gamma, delta),
+with b0 the B-factor's entry.  Each factor is the identity matrix but for
+its family's entry: det_H(m) for A, b0 = det_H(m)^-1 beta delta^-1 for B,
+gamma for C and delta for D.  Each factor takes its other three entries
+from the identity entries kept per product
+(``matrices._identity_entries``), and ``_shape_witness`` compares each
+table with those entries' tables, so neither builds an identity table.
+Its witness reads the action and that entry only: the other three entries
+are the identity matrix's, so ``_shape_witness`` passes them, and the
+B-witness twists its crossed law by delta = 1.  So equal entry tables give
+equal witnesses.  Likewise c*d is the entry formula over the action with
+c's and d's tables, which are gamma's and delta's and the identity's, and
+b*(c*d) is the formula with b's tables, which are b0's and the identity's,
+on those of c*d.  Each value is kept on the action object, keyed by the
+family letter (or "cd", "bcd") and the tables (``maps.kept``), and
+computed on the first call that needs it; many automorphisms share a
 det_H, a B-entry, a gamma or a delta.  :func:`unit_diagonal_a_factor`
 reads the same kept A-witness.  Only tables are kept there, never a
 matrix, which refers to its product and so to the action.  Every call
@@ -101,6 +104,7 @@ from .errors import PreconditionFailed, VerificationFailed
 from .maps import FMap, _trusted, is_crossed_hom, kept, map_inverse
 from .matrices import (
     EndoMatrix,
+    _identity_entries,
     _product_images,
     first_pair_witness,
     identity_matrix,
@@ -145,23 +149,21 @@ class ABCDFactors:
         return mat_mul(self.a, mat_mul(self.b, mat_mul(self.c, self.d)))
 
 
-def _is_identity(phi) -> bool:
-    return phi.image == phi.dom.table[phi.dom.identity]
-
-
-def _is_zero(phi) -> bool:
-    return phi.image == (phi.cod.identity,) * phi.dom.order
-
-
 def _shape_witness(matrix: EndoMatrix, free: str) -> tuple | None:
-    """The first entry of ``matrix``, other than ``free``, that differs from the identity matrix's."""
-    if free != "alpha" and not _is_identity(matrix.alpha):
+    """The first entry of ``matrix``, other than ``free``, that differs from the identity matrix's.
+
+    Each table is compared with that of the product's kept identity entry
+    (``matrices._identity_entries``), so no table is built.
+    """
+    one_h, zero_kh, zero_hk, one_k = _identity_entries(matrix.context)
+    a, b, g, d = matrix.key()
+    if free != "alpha" and a != one_h.image:
         return ("alpha_not_identity",)
-    if free != "beta" and not _is_zero(matrix.beta):
+    if free != "beta" and b != zero_kh.image:
         return ("beta_not_zero",)
-    if free != "gamma" and not _is_zero(matrix.gamma):
+    if free != "gamma" and g != zero_hk.image:
         return ("gamma_not_zero",)
-    if free != "delta" and not _is_identity(matrix.delta):
+    if free != "delta" and d != one_k.image:
         return ("delta_not_identity",)
     return None
 
@@ -247,7 +249,8 @@ def classify(matrix: EndoMatrix) -> SubsetTag:
 
 
 def _require_unit_diagonal_auto(matrix: EndoMatrix) -> None:
-    if not (_is_identity(matrix.alpha) and _is_identity(matrix.delta)):
+    one_h, _, _, one_k = _identity_entries(matrix.context)
+    if not (matrix.alpha.image == one_h.image and matrix.delta.image == one_k.image):
         raise PreconditionFailed("matrix must have identity diagonal entries")
     if not _decide_invertible(matrix)[0]:
         raise PreconditionFailed("unit-diagonal matrix does not describe an automorphism")
@@ -331,15 +334,16 @@ def factor_abcd(matrix: EndoMatrix) -> ABCDFactors:
     if not (matrix.alpha.is_bijective and matrix.delta.is_bijective):
         raise PreconditionFailed("factorization requires bijective alpha and delta")
     P = matrix.context
+    one_h, zero_kh, zero_hk, one_k = _identity_entries(P)
     g, d = matrix.gamma.image, matrix.delta.image
     dh = det_h(matrix)
     # A-membership makes det_H bijective, so b can be built only after it.
-    a = _certified("A", identity_matrix(P, alpha=dh))
+    a = _certified("A", EndoMatrix(dh, zero_kh, zero_hk, one_k, P))
     factors = ABCDFactors(
         a=a,
-        b=_certified("B", identity_matrix(P, beta=_b_entry(dh, matrix))),
-        c=_certified("C", identity_matrix(P, gamma=matrix.gamma)),
-        d=_certified("D", identity_matrix(P, delta=matrix.delta)),
+        b=_certified("B", EndoMatrix(one_h, _b_entry(dh, matrix), zero_hk, one_k, P)),
+        c=_certified("C", EndoMatrix(one_h, zero_kh, matrix.gamma, one_k, P)),
+        d=_certified("D", EndoMatrix(one_h, zero_kh, zero_hk, matrix.delta, P)),
     )
     # a*(b*(c*d)) as image tables, each product's tables the columns of the next.
     cd = kept(P.action, ("cd", g, d), lambda: _product_images(factors.c, *factors.d.key()))

@@ -164,22 +164,28 @@ def _trusted(dom: "FiniteGroup", cod: "FiniteGroup", image: tuple[int, ...]) -> 
     return phi
 
 
+_MISSING = object()
+
+
 def memo(fn):
     """``fn(obj)``, computed on the first call and then kept in ``obj.__dict__``.
 
     As with :class:`functools.cached_property`, the value lives exactly as
-    long as ``obj``, and a call that raises keeps nothing.  The returned
-    function's ``record(obj, value)`` keeps ``value`` as ``fn(obj)`` without
-    calling ``fn``, for a caller that has decided it another way (the matrix
-    search of ``matrices.enumerate_matrices``).
+    long as ``obj``, and a call that raises keeps nothing.  A call after the
+    first is one ``dict.get`` on ``obj.__dict__``; a sentinel, not None,
+    marks a miss, as None is a kept value too (``matrices.check_conditions``).
+    The returned function's ``record(obj, value)`` keeps ``value`` as
+    ``fn(obj)`` without calling ``fn``, for a caller that has decided it
+    another way (the matrix search of ``matrices.enumerate_matrices``).
     """
     key = f"{fn.__module__}.{fn.__qualname__}"
 
     @wraps(fn)
     def memoized(obj):
-        if key not in obj.__dict__:
-            obj.__dict__[key] = fn(obj)
-        return obj.__dict__[key]
+        value = obj.__dict__.get(key, _MISSING)
+        if value is _MISSING:
+            value = obj.__dict__[key] = fn(obj)
+        return value
 
     def record(obj, value) -> None:
         obj.__dict__[key] = value
@@ -194,9 +200,6 @@ def _store(owner) -> dict:
     return {}
 
 
-_MISSING = object()
-
-
 def kept(owner, key, compute):
     """``compute()``, kept on ``owner`` under ``key`` on the first call and returned after.
 
@@ -204,7 +207,8 @@ def kept(owner, key, compute):
     ``key``, so that many objects with equal tables share one value (the
     determinants of ``determinant``, the factor witnesses and products of
     ``factorization``).  Like :func:`memo` the store lives exactly as long as
-    ``owner``, and a call that raises keeps nothing.
+    ``owner``, and a call that raises keeps nothing.  A hit is one
+    ``dict.get`` on the store, which :func:`_store` reads with one more.
     """
     store = _store(owner)
     value = store.get(key, _MISSING)

@@ -122,6 +122,13 @@ Where a product is only compared, its four image tables are compared with
 a matrix's key and no matrix is built: the certificates of the closed-form
 inverses (``sdmat.determinant``) and the reassembly of
 ``factorization.factor_abcd``.
+
+A matrix's key, the tuple of its four image tables, is built once, at
+construction, and kept on it: sorting, hashing, equality, the entry
+formula and those comparisons all read the one tuple.  Every matrix the
+package builds (the search, products, identity matrices, the closed-form
+inverses and the factors) is built by one positional call of the
+constructor, which checks the four shapes; none is built unchecked.
 """
 
 from __future__ import annotations
@@ -161,7 +168,11 @@ class EndoMatrix:
 
     Shapes are validated at construction; the compatibility conditions are
     not, so candidate matrices can be built and then checked by
-    :func:`check_conditions`, whose verdict is kept on the object.
+    :func:`check_conditions`, whose verdict is kept on the object.  The key,
+    the four image tables, is built once, at construction, and every
+    :meth:`key` call returns that tuple.  The package builds every matrix
+    by a positional call of the constructor, so each one, whatever built
+    it, has its shapes checked; there is no unchecked constructor.
     """
 
     alpha: FMap
@@ -188,10 +199,11 @@ class EndoMatrix:
         fields["gamma"] = gamma
         fields["delta"] = delta
         fields["context"] = context
+        fields["_key"] = (alpha.image, beta.image, gamma.image, delta.image)
 
     def key(self) -> tuple[tuple[int, ...], ...]:
-        """Serialized form used for ordering, hashing and equality."""
-        return (self.alpha.image, self.beta.image, self.gamma.image, self.delta.image)
+        """Serialized form used for ordering, hashing and equality: the four image tables, kept at construction."""
+        return self._key
 
     def entries(self) -> tuple[FMap, FMap, FMap, FMap]:
         return (self.alpha, self.beta, self.gamma, self.delta)
@@ -225,11 +237,11 @@ def identity_matrix(
     """
     one_h, zero_kh, zero_hk, one_k = _identity_entries(product)
     return EndoMatrix(
-        alpha=one_h if alpha is None else alpha,
-        beta=zero_kh if beta is None else beta,
-        gamma=zero_hk if gamma is None else gamma,
-        delta=one_k if delta is None else delta,
-        context=product,
+        one_h if alpha is None else alpha,
+        zero_kh if beta is None else beta,
+        zero_hk if gamma is None else gamma,
+        one_k if delta is None else delta,
+        product,
     )
 
 
@@ -376,9 +388,7 @@ def mat_mul(left: EndoMatrix, right: EndoMatrix) -> EndoMatrix:
     P = left.context
     H, K = P.H, P.K
     a, b, c, d = _product_images(left, *right.key())
-    return EndoMatrix(
-        alpha=_trusted(H, H, a), beta=_trusted(K, H, b), gamma=_trusted(H, K, c), delta=_trusted(K, K, d), context=P
-    )
+    return EndoMatrix(_trusted(H, H, a), _trusted(K, H, b), _trusted(H, K, c), _trusted(K, K, d), P)
 
 
 @memo
@@ -465,13 +475,7 @@ def endo_to_matrix(theta: FMap, product: SdProduct) -> EndoMatrix:
     """Read the four entry maps of an endomorphism of the product off the embedded copies of H and K."""
     alpha, beta, gamma, delta = _entry_images(theta, product)
     H, K = product.H, product.K
-    matrix = EndoMatrix(
-        alpha=FMap(H, H, alpha),
-        beta=FMap(K, H, beta),
-        gamma=FMap(H, K, gamma),
-        delta=FMap(K, K, delta),
-        context=product,
-    )
+    matrix = EndoMatrix(FMap(H, H, alpha), FMap(K, H, beta), FMap(H, K, gamma), FMap(K, K, delta), product)
     _require_conditions(matrix)  # cannot fail for a genuine endomorphism; kept as a hard guard
     return matrix
 
@@ -513,7 +517,7 @@ def enumerate_matrices(product: SdProduct, bound: int = 64) -> list[EndoMatrix]:
             for beta in betas:
                 for alpha in alphas:
                     if _compat_scan(alpha, beta, gamma, delta, act)(H.generators, K.generators) is None:
-                        m = EndoMatrix(alpha=alpha, beta=beta, gamma=gamma, delta=delta, context=product)
+                        m = EndoMatrix(alpha, beta, gamma, delta, product)
                         _conditions_hold(m, None)
                         out.append(m)
     return out

@@ -25,6 +25,7 @@ from sdmat import (
     factor_abcd,
     identity_map,
     identity_matrix,
+    invert_combined,
     invert_via_det_h,
     invert_via_det_k,
     is_invertible,
@@ -211,17 +212,38 @@ def test_enumerated_matrices_keep_the_verdict_of_their_search(instance, monkeypa
 def test_shape_validation(s3):
     # Each entry in turn gets the shape of its mirror entry (domain and codomain swapped, or a
     # map of the other group), then a wrong codomain alone, and the error names that entry and
-    # the shape it must have.
+    # the shape it must have.  The keyword constructor, identity_matrix's override of that entry
+    # and the positional constructor, which the package builds every matrix with, raise alike.
     H, K = s3.H, s3.K
     entries = {"alpha": identity_map(H), "beta": zero_map(K, H), "gamma": zero_map(H, K), "delta": identity_map(K)}
     mirrored = {"alpha": identity_map(K), "beta": zero_map(H, K), "gamma": zero_map(K, H), "delta": identity_map(H)}
     for entry, (dom, cod) in {"alpha": (H, H), "beta": (K, H), "gamma": (H, K), "delta": (K, K)}.items():
         wrong_cod = FMap(dom, K if cod is H else H, (0,) * dom.order)
         for wrong in (mirrored[entry], wrong_cod):
-            with pytest.raises(DomainMismatch) as err:
-                EndoMatrix(**{**entries, entry: wrong}, context=s3)
-            assert str(err.value) == f"entry {entry} must be a map {dom!r} -> {cod!r}"
-    assert EndoMatrix(**entries, context=s3) == identity_matrix(s3)
+            given = {**entries, entry: wrong}
+            builds = (
+                lambda: EndoMatrix(**given, context=s3),
+                lambda: identity_matrix(s3, **{entry: wrong}),
+                lambda: EndoMatrix(*given.values(), s3),
+            )
+            for build in builds:
+                with pytest.raises(DomainMismatch) as err:
+                    build()
+                assert str(err.value) == f"entry {entry} must be a map {dom!r} -> {cod!r}"
+    assert EndoMatrix(**entries, context=s3) == identity_matrix(s3) == EndoMatrix(*entries.values(), s3)
+
+
+def test_key_is_kept_at_construction():
+    # Every matrix keeps its key, the four entry tables, from construction on: an enumerated
+    # matrix, both closed-form inverses, the combined inverse and each of the four factors.
+    mats = enumerate_matrices(build_instance("direct:3:3"))
+    autos = [m for m in mats if m.alpha.is_bijective and m.delta.is_bijective and det_k(m).is_bijective]
+    assert len(autos) > 1
+    for m in autos:
+        f = factor_abcd(m)
+        for matrix in (m, invert_via_det_k(m), invert_via_det_h(m), invert_combined(m), f.a, f.b, f.c, f.d):
+            assert matrix.key() is matrix.key()
+            assert matrix.key() == tuple(entry.image for entry in matrix.entries())
 
 
 def test_identity_law(s3, s3_matrices):

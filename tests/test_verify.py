@@ -654,11 +654,11 @@ def test_full_run_builds_each_maps_inverse_once():
     finally:
         sys.setprofile(None)
     assert len({id(phi) for phi in inverted}) == len(inverted)
-    # Equal determinant tables are one map, so each table is inverted once as an entry map (the
-    # 8 bijective alphas and the one bijective delta) and once as a determinant, not once per
-    # matrix.
+    # Equal determinant tables are one map, and a determinant whose table is its matrix's
+    # diagonal entry's is that entry, so each of the 9 tables (the 8 bijective alphas and the one
+    # bijective delta) is inverted once, not once as an entry and once as a determinant.
     tables = Counter((id(phi.dom), phi.image) for phi in inverted)
-    assert len(tables) == 9 and set(tables.values()) == {2}
+    assert len(tables) == 9 and set(tables.values()) == {1}
 
 
 @pytest.mark.parametrize("factor, entry", [("A", "det_h"), ("B", "_b_entry")])
